@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 from .geometry import HalfPlane, Point, orientation_sign, weakly_separable
 from .orientation import orient_quadruplet
 from .rng import SplitMix64
-from .scg import classify_separated_pair, configs_from_assignment
+from .replacement import build_udg
+from .scg import classify_separated_pair, configs_from_assignment, is_connected
 
 RANDOM_SQUARE = "random_square"
 CONNECTED_UDG = "connected_udg"
@@ -93,10 +94,7 @@ def _gen_connected_udg(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
         if q not in taken:
             taken.add(q)
             pts.append(q)
-    from .replacement import build_udg, _components
-
-    udg = build_udg(pts)
-    if len(_components(udg)[0]) != len(pts):
+    if not is_connected(build_udg(pts)):
         raise AssertionError("generator failed its connectivity guarantee")
     return GeneratedInstance(tuple(pts), spec)
 

@@ -384,18 +384,16 @@ def _coverage_candidates(
     n = len(lines)
     vertices: list[tuple[float, float]] = []
     on_line: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-    for i in range(n):
-        ai, bi, ci = lines[i]
-        for j in range(i + 1, n):
-            aj, bj, cj = lines[j]
-            det = ai * bj - aj * bi
-            if abs(det) <= 1e-12:
-                continue
-            x = (ci * bj - cj * bi) / det
-            y = (ai * cj - aj * ci) / det
-            vertices.append((x, y))
-            on_line[i].append((x, y))
-            on_line[j].append((x, y))
+    for i, j in itertools.combinations(range(n), 2):
+        (ai, bi, ci), (aj, bj, cj) = lines[i], lines[j]
+        det = ai * bj - aj * bi
+        if abs(det) <= 1e-12:
+            continue
+        x = (ci * bj - cj * bi) / det
+        y = (ai * cj - aj * ci) / det
+        vertices.append((x, y))
+        on_line[i].append((x, y))
+        on_line[j].append((x, y))
 
     hub = [(p.x, p.y) for p in anchors] + vertices
     span = 1.0
@@ -431,6 +429,16 @@ def _coverage_candidates(
     return candidates
 
 
+def _first_uncovered(wedges: Sequence[Wedge], pts: np.ndarray) -> CoverageReport:
+    """Covered, or else the lexicographically smallest row of ``pts``
+    that no wedge contains, as the witness."""
+    hit = containment_matrix(wedges, pts).any(axis=0)
+    if hit.all():
+        return CoverageReport(True)
+    wx, wy = min(map(tuple, pts[~hit]))
+    return CoverageReport(False, witness_point=Point(float(wx), float(wy)))
+
+
 def plane_coverage_verify(wedges: Sequence[Wedge]) -> CoverageReport:
     """Decide whether the union of unbounded wedges covers the whole plane.
 
@@ -455,12 +463,7 @@ def plane_coverage_verify(wedges: Sequence[Wedge]) -> CoverageReport:
     lines = _dedupe_lines(ln for w in wedges for ln in _wedge_boundary_lines(w))
     candidates = _coverage_candidates(lines, [w.apex for w in wedges])
     pts = np.array(candidates, dtype=float)
-    hit = containment_matrix(wedges, pts).any(axis=0)
-    if hit.all():
-        return CoverageReport(True)
-    misses = pts[~hit]
-    wx, wy = min(map(tuple, misses))
-    return CoverageReport(False, witness_point=Point(float(wx), float(wy)))
+    return _first_uncovered(wedges, pts)
 
 
 def halfplane_covered(wedges: Sequence[Wedge], hp: HalfPlane) -> CoverageReport:
@@ -479,12 +482,7 @@ def halfplane_covered(wedges: Sequence[Wedge], hp: HalfPlane) -> CoverageReport:
     pts = np.array([c for c in candidates if hp.value(c[0], c[1]) >= -1e-9], dtype=float)
     if pts.size == 0:
         return CoverageReport(True)
-    hit = containment_matrix(wedges, pts).any(axis=0)
-    if hit.all():
-        return CoverageReport(True)
-    misses = pts[~hit]
-    wx, wy = min(map(tuple, misses))
-    return CoverageReport(False, witness_point=Point(float(wx), float(wy)))
+    return _first_uncovered(wedges, pts)
 
 
 def coverage_sample_check(
@@ -517,12 +515,7 @@ def coverage_sample_check(
     theta = np.linspace(0.0, TAU, ring_points, endpoint=False)
     ring = np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
     pts = np.vstack([grid, ring])
-    hit = containment_matrix(wedges, pts).any(axis=0)
-    if hit.all():
-        return CoverageReport(True)
-    misses = pts[~hit]
-    wx, wy = min(map(tuple, misses))
-    return CoverageReport(False, witness_point=Point(float(wx), float(wy)))
+    return _first_uncovered(wedges, pts)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .geometry import (
     QUARTER_TURN,
@@ -83,10 +83,6 @@ class CouplePair:
     second: Point
 
 
-def _lex(p: Point) -> tuple[float, float]:
-    return p.as_tuple()
-
-
 def _convex_slots(hull: list[Point]) -> tuple[Point, Point, Point, Point]:
     """Distribute four convex-position points over the fan slots.
 
@@ -106,7 +102,7 @@ def _convex_slots(hull: list[Point]) -> tuple[Point, Point, Point, Point]:
             candidates.append((a, b, c, d))
     if not candidates:
         raise AssertionError("no qualifying hull edge on a convex quadrilateral")
-    return min(candidates, key=lambda t: (_lex(t[0]), _lex(t[1])))
+    return min(candidates, key=lambda t: (t[0].as_tuple(), t[1].as_tuple()))
 
 
 def _pair_far_points(a: Point, b: Point, p: Point, q: Point) -> tuple[Point, Point]:
@@ -126,7 +122,7 @@ def _pair_far_points(a: Point, b: Point, p: Point, q: Point) -> tuple[Point, Poi
         return q, p
     if s < 0:
         return p, q
-    return max(p, q, key=_lex), min(p, q, key=_lex)
+    return max(p, q, key=Point.as_tuple), min(p, q, key=Point.as_tuple)
 
 
 def _triangle_slots(hull: list[Point], pts: Sequence[Point]) -> tuple[Point, Point, Point, Point]:
@@ -146,7 +142,7 @@ def _triangle_slots(hull: list[Point], pts: Sequence[Point]) -> tuple[Point, Poi
             candidates.append((a, b, v))
     if not candidates:
         raise AssertionError("triangle with two angles above a quarter turn")
-    a, b, v = min(candidates, key=lambda t: (_lex(t[0]), _lex(t[1])))
+    a, b, v = min(candidates, key=lambda t: (t[0].as_tuple(), t[1].as_tuple()))
     c, d = _pair_far_points(a, b, v, interior)
     return a, b, c, d
 
@@ -178,6 +174,12 @@ def orient_quadruplet(points: Sequence[Point]) -> OrientationAssignment:
         slots, case = _triangle_slots(hull, pts), "triangle"
     else:
         slots, case = _collinear_slots(hull, pts), "collinear"
+    return _fan(slots, case)
+
+
+def _fan(slots: Sequence[Point], case: str) -> OrientationAssignment:
+    """The perpendicular fan over four slots: base start, base end, then
+    the two far points facing back over the base start and the base end."""
     a, b = slots[0], slots[1]
     theta = math.atan2(b.y - a.y, b.x - a.x)
     entries = tuple(
@@ -196,7 +198,7 @@ def couples(assignment: OrientationAssignment) -> list[CouplePair]:
     """
     if len(assignment.entries) != 4:
         raise ValueError("malformed assignment: exactly four entries required")
-    ordered = sorted(assignment.entries, key=lambda e: (e[1], _lex(e[0])))
+    ordered = sorted(assignment.entries, key=lambda e: (e[1], e[0].as_tuple()))
     lowest = ordered[0][1]
     for k, (_, ang) in enumerate(ordered):
         if abs((ang - lowest) - k * QUARTER_TURN) > _FAN_TOL:
@@ -223,22 +225,18 @@ def couple_halfplane(assignment: OrientationAssignment, couple: CouplePair) -> H
     return HalfPlane(nx, ny, nx * anchor.x + ny * anchor.y)
 
 
-def orient_toward(
-    p: Point,
-    hubs: Sequence[tuple[Point, float]],
-    aperture: float = QUARTER_TURN,
-) -> float:
+def orient_toward(p: Point, hubs: Sequence[tuple[Point, float]]) -> float:
     """Orientation for ``p`` centered on the first hub that covers it.
 
-    Hubs are (location, orientation) pairs with unbounded wedges.  The
-    chosen hub is the first in input order whose wedge contains ``p``; a
-    hub coincident with ``p`` counts as covering but cannot define a
+    Hubs are (location, orientation) pairs with unbounded quarter wedges.
+    The chosen hub is the first in input order whose wedge contains ``p``;
+    a hub coincident with ``p`` counts as covering but cannot define a
     direction, so it is used only if no later hub covers ``p`` (any
     orientation then contains it, and 0 is returned).
     """
     coincident_covers = False
     for hub, ori in hubs:
-        if not wedge_contains(Wedge(hub, ori, aperture), p):
+        if not wedge_contains(Wedge(hub, ori), p):
             continue
         if hub == p:
             coincident_covers = True
@@ -247,6 +245,16 @@ def orient_toward(
     if coincident_covers:
         return 0.0
     raise ValueError("uncovered point: no hub wedge contains it")
+
+
+def aim_at_fan(fan: OrientationAssignment, points: Iterable[Point]) -> dict[Point, float]:
+    """The fan's own orientations, then every other point aimed at the
+    first fan wedge that covers it (see :func:`orient_toward`)."""
+    oris = dict(fan.entries)
+    for p in points:
+        if p not in oris:
+            oris[p] = orient_toward(p, fan.entries)
+    return oris
 
 
 def orient_cluster(points: Sequence[Point]) -> dict[Point, float]:
@@ -261,7 +269,7 @@ def orient_cluster(points: Sequence[Point]) -> dict[Point, float]:
     at most a third of a turn, so a wedge along its bisector covers both
     others, which aim back at it.  Two points face each other.
     """
-    pts = sorted(set(points), key=_lex)
+    pts = sorted(set(points), key=Point.as_tuple)
     if len(pts) != len(list(points)):
         raise ValueError("duplicate points")
     if not pts:
@@ -276,7 +284,9 @@ def orient_cluster(points: Sequence[Point]) -> dict[Point, float]:
         }
     if len(pts) == 3:
         pairs = [(pts[i], pts[j]) for i in range(3) for j in range(i + 1, 3)]
-        u, w = min(pairs, key=lambda pr: (squared_distance(*pr), _lex(pr[0]), _lex(pr[1])))
+        u, w = min(
+            pairs, key=lambda pr: (squared_distance(*pr), pr[0].as_tuple(), pr[1].as_tuple())
+        )
         (v,) = [p for p in pts if p != u and p != w]
         du = math.hypot(u.x - v.x, u.y - v.y)
         dw = math.hypot(w.x - v.x, w.y - v.y)
@@ -287,9 +297,5 @@ def orient_cluster(points: Sequence[Point]) -> dict[Point, float]:
             u: normalize_angle(math.atan2(v.y - u.y, v.x - u.x)),
             w: normalize_angle(math.atan2(v.y - w.y, v.x - w.x)),
         }
-    core = pts[:4]
-    assignment = orient_quadruplet(core)
-    result: dict[Point, float] = dict(assignment.entries)
-    for p in pts[4:]:
-        result[p] = orient_toward(p, assignment.entries)
-    return {p: result[p] for p in sorted(result, key=_lex)}
+    result = aim_at_fan(orient_quadruplet(pts[:4]), pts[4:])
+    return {p: result[p] for p in sorted(result, key=Point.as_tuple)}

@@ -24,12 +24,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .geometry import Point, distance, squared_distance
-from .orientation import orient_cluster, orient_quadruplet, orient_toward
+from .orientation import aim_at_fan, orient_cluster, orient_quadruplet
 from .scg import AntennaConfig
-
-
-def _lex(p: Point) -> tuple[float, float]:
-    return p.as_tuple()
 
 
 def beta_edge_weight(p: Point, q: Point, beta: float) -> float:
@@ -125,14 +121,14 @@ def tsp_tour_approx(points: Sequence[Point]) -> Tour:
         raise ValueError("empty point set")
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points")
-    order_idx = sorted(range(len(pts)), key=lambda i: _lex(pts[i]))
+    order_idx = sorted(range(len(pts)), key=lambda i: pts[i].as_tuple())
     pts = [pts[i] for i in order_idx]  # root (index 0) is the lex smallest
     adj: dict[int, list[int]] = {i: [] for i in range(len(pts))}
     for i, j in mst_edges(pts):
         adj[i].append(j)
         adj[j].append(i)
     for nbrs in adj.values():
-        nbrs.sort(key=lambda i: _lex(pts[i]), reverse=True)
+        nbrs.sort(key=lambda i: pts[i].as_tuple(), reverse=True)
     walk: list[Point] = []
     seen = [False] * len(pts)
     stack = [0]
@@ -143,7 +139,7 @@ def tsp_tour_approx(points: Sequence[Point]) -> Tour:
         seen[u] = True
         walk.append(pts[u])
         stack.extend(adj[u])
-    if len(walk) >= 3 and _lex(walk[1]) > _lex(walk[-1]):
+    if len(walk) >= 3 and walk[1].as_tuple() > walk[-1].as_tuple():
         walk = [walk[0]] + walk[:0:-1]
     return Tour(tuple(walk))
 
@@ -186,7 +182,7 @@ def make_sections(tour: Tour) -> list[Section]:
     n = len(tour)
     if n < 8:
         raise ValueError("instance too small: need at least 8 points")
-    start = min(range(n), key=lambda i: _lex(tour.order[i]))
+    start = min(range(n), key=lambda i: tour.order[i].as_tuple())
     cyc = tour.order[start:] + tour.order[:start]
     m = n // 8
     sizes = [8] * m
@@ -225,15 +221,6 @@ class PowerAssignment:
         raise KeyError(f"no entry for {p}")
 
 
-def _side_orientations(side: Sequence[Point], quad: Sequence[Point]) -> dict[Point, float]:
-    assignment = orient_quadruplet(list(quad))
-    oris = dict(assignment.entries)
-    for p in side:
-        if p not in oris:
-            oris[p] = orient_toward(p, assignment.entries)
-    return oris
-
-
 def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
     """Orientations plus ranges giving a connected symmetric graph.
 
@@ -267,8 +254,8 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
 
     orientation: dict[Point, float] = {}
     for sec in sections:
-        orientation.update(_side_orientations(sec.left, sec.left[:4]))
-        orientation.update(_side_orientations(sec.right, sec.right[-4:]))
+        orientation.update(aim_at_fan(orient_quadruplet(sec.left[:4]), sec.left))
+        orientation.update(aim_at_fan(orient_quadruplet(sec.right[-4:]), sec.right))
 
     radius: dict[Point, float] = {}
     for i, sec in enumerate(sections):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+from .replacement import CELL_SIDE
 from .scg import AntennaConfig
 
 _PALETTE = (
@@ -25,6 +26,9 @@ _PALETTE = (
 )
 
 _F = "{:.6f}".format
+
+#: Width of the picture in pixels; the height keeps the viewport's aspect.
+_PIXELS = 720
 
 
 def _sector_path(c: AntennaConfig, radius: float) -> str:
@@ -43,8 +47,6 @@ def _sector_path(c: AntennaConfig, radius: float) -> str:
 def render_svg(
     configs: Sequence[AntennaConfig],
     grid_origin: Optional[tuple[float, float]] = None,
-    cell_side: float = 7.0,
-    pixels: int = 720,
 ) -> str:
     """An SVG document (as a string) showing the wedges and locations."""
     if not configs:
@@ -60,8 +62,8 @@ def render_svg(
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{pixels}" '
-        f'height="{_F(pixels * height / width)}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_PIXELS}" '
+        f'height="{_F(_PIXELS * height / width)}" '
         f'viewBox="{_F(x_lo)} {_F(-y_lo - height)} {_F(width)} {_F(height)}">',
         "<defs><clipPath id=\"vp\">"
         f'<rect x="{_F(x_lo)}" y="{_F(-y_lo - height)}" width="{_F(width)}" height="{_F(height)}"/>'
@@ -73,18 +75,18 @@ def render_svg(
 
     if grid_origin is not None:
         ox, oy = grid_origin
-        k0 = math.floor((x_lo - ox) / cell_side)
-        k1 = math.ceil((x_lo + width - ox) / cell_side)
+        k0 = math.floor((x_lo - ox) / CELL_SIDE)
+        k1 = math.ceil((x_lo + width - ox) / CELL_SIDE)
         for k in range(k0, k1 + 1):
-            gx = ox + k * cell_side
+            gx = ox + k * CELL_SIDE
             lines.append(
                 f'<line x1="{_F(gx)}" y1="{_F(y_lo)}" x2="{_F(gx)}" y2="{_F(y_lo + height)}" '
                 'stroke="#bbbbbb" stroke-width="0.05"/>'
             )
-        k0 = math.floor((y_lo - oy) / cell_side)
-        k1 = math.ceil((y_lo + height - oy) / cell_side)
+        k0 = math.floor((y_lo - oy) / CELL_SIDE)
+        k1 = math.ceil((y_lo + height - oy) / CELL_SIDE)
         for k in range(k0, k1 + 1):
-            gy = oy + k * cell_side
+            gy = oy + k * CELL_SIDE
             lines.append(
                 f'<line x1="{_F(x_lo)}" y1="{_F(gy)}" x2="{_F(x_lo + width)}" y2="{_F(gy)}" '
                 'stroke="#bbbbbb" stroke-width="0.05"/>'

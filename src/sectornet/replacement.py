@@ -17,6 +17,11 @@ bordering cells are at most ``14*sqrt(2)`` apart.  The grid geometry
 guarantees such a bordering full cell exists, because a unit-step path
 cannot cross the three-cell band around its starting cell without
 dropping four consecutive points into one cell on the way.
+
+The unit-disk graph is built once per call and serves both the
+connectivity check and the grouping of points outside full cells.
+Graph building and traversal come from :mod:`sectornet.scg`; scipy is
+imported only when :func:`verify_hop_spanner` first runs.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .geometry import (
     DIST_SQ_TOL,
@@ -39,12 +42,14 @@ from .geometry import (
 )
 from .orientation import (
     OrientationAssignment,
-    normalize_angle,
+    _fan,
+    _pair_far_points,
+    aim_at_fan,
     orient_cluster,
     orient_toward,
     orient_quadruplet,
 )
-from .scg import AntennaConfig, CommGraph, build_scg
+from .scg import AntennaConfig, CommGraph, _graph_from_matrix, bfs, components, is_connected
 
 CELL_SIDE = 7.0
 REPLACEMENT_RANGE = 14.0 * math.sqrt(2.0)
@@ -53,12 +58,6 @@ FULL_CELL_MIN = 4
 FULL = "full"
 NON_FULL = "non_full"
 EMPTY = "empty"
-
-_FAN = (0.25 * math.pi, 0.75 * math.pi, 1.25 * math.pi, 1.75 * math.pi)
-
-
-def _lex(p: Point) -> tuple[float, float]:
-    return p.as_tuple()
 
 
 @dataclass(frozen=True)
@@ -126,12 +125,7 @@ def build_udg(points: Sequence[Point]) -> CommGraph:
     ys = np.array([p.y for p in pts])
     dx = xs[:, None] - xs[None, :]
     dy = ys[:, None] - ys[None, :]
-    close = dx * dx + dy * dy <= 1.0 + DIST_SQ_TOL
-    n = len(pts)
-    edges = frozenset(
-        (i, j) for i in range(n) for j in range(i + 1, n) if close[i, j]
-    )
-    return CommGraph(tuple(pts), edges)
+    return _graph_from_matrix(pts, dx * dx + dy * dy <= 1.0 + DIST_SQ_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +137,7 @@ def select_hubs_basic(cell_points: Sequence[Point]) -> OrientationAssignment:
     """Four hubs for basic mode: the lexicographically smallest four."""
     if len(cell_points) < FULL_CELL_MIN:
         raise ValueError("hub selection needs a full cell")
-    return orient_quadruplet(sorted(cell_points, key=_lex)[:4])
+    return orient_quadruplet(sorted(cell_points, key=Point.as_tuple)[:4])
 
 
 def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
@@ -157,7 +151,7 @@ def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
     the one further along the base faces back over the base start; that
     ordering is what keeps all four hubs mutually connected.
     """
-    pts = sorted(set(cell_points), key=_lex)
+    pts = sorted(set(cell_points), key=Point.as_tuple)
     if len(pts) < FULL_CELL_MIN or len(pts) != len(list(cell_points)):
         raise ValueError("hub selection needs a full cell of distinct points")
     hull = convex_hull(pts)
@@ -167,7 +161,7 @@ def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
         edges = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
     best = max(squared_distance(*e) for e in edges)
     tied = [e for e in edges if squared_distance(*e) == best]
-    a1, a2 = min(tied, key=lambda e: (_lex(e[0]), _lex(e[1])))
+    a1, a2 = min(tied, key=lambda e: (e[0].as_tuple(), e[1].as_tuple()))
 
     rest = [p for p in pts if p != a1 and p != a2]
     strip = [
@@ -179,22 +173,9 @@ def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
     ]
     if not strip:
         raise ValueError("no point over the longest hull edge; cell is not full")
-    a3 = min(strip, key=_lex)
-    a4 = min((p for p in rest if p != a3), key=_lex)
-
-    s = vec_dot_sign(a3, a4, a1, a2)  # sign of proj(a4) - proj(a3) on the base
-    if s > 0:
-        left, right = a3, a4
-    elif s < 0:
-        left, right = a4, a3
-    else:
-        left, right = sorted((a3, a4), key=_lex)
-    theta = math.atan2(a2.y - a1.y, a2.x - a1.x)
-    entries = tuple(
-        (p, normalize_angle(theta + off))
-        for p, off in zip((a1, a2, right, left), _FAN)
-    )
-    return OrientationAssignment(entries=entries, base=(a1, a2), case="refined")
+    a3 = min(strip, key=Point.as_tuple)
+    a4 = min((p for p in rest if p != a3), key=Point.as_tuple)
+    return _fan((a1, a2, *_pair_far_points(a1, a2, a3, a4)), "refined")
 
 
 # ---------------------------------------------------------------------------
@@ -209,32 +190,18 @@ def full_cell_labels(grid: GridPartition, udg: CommGraph) -> dict[Point, tuple[i
     points at minimal distance the smallest cell index wins, so the
     result is independent of traversal order.
     """
-    adj = udg.neighbor_lists()
-    label: dict[int, tuple[int, int]] = {}
-    layer: list[int] = []
-    for i, p in enumerate(udg.vertices):
-        cell = grid.cell_of(p)
-        if grid.status(cell) == FULL:
-            prev = label.get(i)
-            if prev is None or cell < prev:
-                label[i] = cell
-            layer.append(i)
-    if not layer:
+    cells = [grid.cell_of(p) for p in udg.vertices]
+    sources = [i for i, cell in enumerate(cells) if grid.status(cell) == FULL]
+    if not sources:
         raise ValueError("no full cell")
-    seen = set(layer)
-    while layer:
-        nxt: dict[int, tuple[int, int]] = {}
-        for u in layer:
-            for w in adj[u]:
-                if w in seen:
-                    continue
-                cand = label[u]
-                if w not in nxt or cand < nxt[w]:
-                    nxt[w] = cand
-        for w, cell in nxt.items():
-            label[w] = cell
-            seen.add(w)
-        layer = sorted(nxt)
+    adj = udg.neighbor_lists()
+    dist = [math.inf] * len(adj)
+    label: dict[int, tuple[int, int]] = {}
+    for w in bfs(adj, sources, dist):
+        if dist[w] == 0:
+            label[w] = cells[w]
+        else:
+            label[w] = min(label[u] for u in adj[w] if dist[u] == dist[w] - 1)
     return {udg.vertices[i]: cell for i, cell in label.items()}
 
 
@@ -309,7 +276,7 @@ def replace(
         raise ValueError(f"unknown replacement mode: {mode!r}")
     pts = list(points)
     udg = build_udg(pts)
-    if not _udg_connected(udg):
+    if not is_connected(udg):
         raise ValueError("unit-disk graph is not connected")
     grid = grid_partition(pts, origin)
     if not grid.full_cells():
@@ -324,57 +291,22 @@ def replace(
 
     orientation: dict[Point, float] = {}
     for cell, assignment in hubs.items():
-        hub_set = set(assignment.points())
-        for p, ang in assignment.entries:
-            orientation[p] = ang
-        for p in grid.points_in(cell):
-            if p not in hub_set:
-                orientation[p] = orient_toward(p, assignment.entries)
+        orientation.update(aim_at_fan(assignment, grid.points_in(cell)))
 
-    stray = [p for p in pts if p not in orientation]
+    stray = [i for i, p in enumerate(pts) if p not in orientation]
     if stray:
         labels = full_cell_labels(grid, udg)
-        if mode == "basic":
-            for p in stray:
-                orientation[p] = orient_toward(p, hubs[labels[p]].entries)
-        else:
-            sub = build_udg(stray)
-            for comp in _components(sub):
-                rep = min((sub.vertices[i] for i in comp), key=_lex)
-                target = hubs[labels[rep]].entries
-                for i in comp:
-                    orientation[sub.vertices[i]] = orient_toward(sub.vertices[i], target)
+        groups = [[i] for i in stray] if mode == "basic" else components(udg, stray)
+        for comp in groups:
+            rep = min((pts[i] for i in comp), key=Point.as_tuple)
+            target = hubs[labels[rep]].entries
+            for i in comp:
+                orientation[pts[i]] = orient_toward(pts[i], target)
 
     configs = tuple(
         AntennaConfig(p, orientation[p], range=REPLACEMENT_RANGE) for p in pts
     )
     return ReplacementResult(configs=configs, mode=mode, grid=grid)
-
-
-def _udg_connected(udg: CommGraph) -> bool:
-    return len(_components(udg)[0]) == len(udg.vertices) if udg.vertices else True
-
-
-def _components(g: CommGraph) -> list[list[int]]:
-    """Connected components as sorted index lists, smallest vertex first."""
-    adj = g.neighbor_lists()
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in range(len(g.vertices)):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +324,13 @@ def verify_hop_spanner(udg: CommGraph, scg: CommGraph, limit: float) -> SpannerR
     """Check every unit-disk edge is spanned by at most ``limit`` hops.
 
     Both graphs must share the same vertex tuple.  All-pairs hop counts
-    come from breadth-first search over the symmetric graph (delegated
-    to scipy's compiled graph routines).
+    come from breadth-first search over the symmetric graph, delegated
+    to scipy's compiled graph routines; scipy is imported here, on first
+    use, so that importing the package does not pay for it.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     if udg.vertices != scg.vertices:
         raise ValueError("graphs disagree on vertices")
     n = len(scg.vertices)

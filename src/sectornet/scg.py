@@ -2,7 +2,9 @@
 
 An antenna hears another only if each lies inside the other's wedge, so
 the graph is undirected by construction.  This module builds that graph,
-answers connectivity/hop queries, and provides the two analysis tools
+owns the graph core the package shares (turning a symmetric adjacency
+matrix into edges, and one breadth-first search behind connectivity,
+hop distances and components), and provides the two analysis tools
 used throughout: finding a mutually-covering pair across two antenna
 groups, and searching for point sets witnessing that such a pair can
 fail to exist once the two groups are not linearly separable.
@@ -12,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -74,6 +75,13 @@ class CommGraph:
         raise KeyError(f"point {p} is not a vertex")
 
 
+def _graph_from_matrix(vertices: Sequence[Point], adjacent: np.ndarray) -> CommGraph:
+    """The graph whose edges are the true entries of a symmetric boolean
+    matrix, as pairs of Python ints (i < j) in row-major order."""
+    rows, cols = np.nonzero(np.triu(adjacent, 1))
+    return CommGraph(tuple(vertices), frozenset(zip(rows.tolist(), cols.tolist())))
+
+
 def build_scg(configs: Sequence[AntennaConfig]) -> CommGraph:
     """The symmetric graph: an edge wherever coverage is mutual."""
     locations = [c.location for c in configs]
@@ -81,12 +89,7 @@ def build_scg(configs: Sequence[AntennaConfig]) -> CommGraph:
         raise ValueError("duplicate antenna locations")
     wedges = [c.wedge() for c in configs]
     M = containment_matrix(wedges, locations)
-    A = M & M.T
-    n = len(configs)
-    edges = frozenset(
-        (i, j) for i in range(n) for j in range(i + 1, n) if A[i, j]
-    )
-    return CommGraph(tuple(locations), edges)
+    return _graph_from_matrix(locations, M & M.T)
 
 
 VertexRef = Union[int, Point]
@@ -96,31 +99,56 @@ def _as_index(g: CommGraph, v: VertexRef) -> int:
     return g.index_of(v) if isinstance(v, Point) else v
 
 
-def _bfs_layers(adj: list[list[int]], source: int) -> list[float]:
-    dist: list[float] = [math.inf] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if math.isinf(dist[w]):
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+def bfs(adj: list[list[int]], sources: Iterable[int], dist: list[float]) -> list[int]:
+    """Breadth-first search from ``sources`` through the vertices whose
+    ``dist`` is still infinite.
+
+    Writes into ``dist`` each reached vertex's hop count from the nearest
+    source and returns the reached vertices, sources first, in discovery
+    order.  Every layer is scanned in increasing vertex order, so that
+    order depends only on the graph and the source set.  A vertex the
+    caller marks with a finite ``dist`` beforehand is never entered.
+    """
+    layer = sorted(sources)
+    for s in layer:
+        dist[s] = 0
+    order = list(layer)
+    while layer:
+        nxt = []
+        for u in layer:
+            for w in adj[u]:
+                if dist[w] == math.inf:
+                    dist[w] = dist[u] + 1
+                    nxt.append(w)
+        order += nxt
+        layer = sorted(nxt)
+    return order
 
 
 def is_connected(g: CommGraph) -> bool:
     if not g.vertices:
         return True
-    dist = _bfs_layers(g.neighbor_lists(), 0)
-    return all(math.isfinite(d) for d in dist)
+    n = len(g.vertices)
+    return len(bfs(g.neighbor_lists(), [0], [math.inf] * n)) == n
 
 
 def hop_distance(g: CommGraph, u: VertexRef, v: VertexRef) -> Union[int, float]:
     """Minimum number of edges between two vertices, ``inf`` if disconnected."""
     ui, vi = _as_index(g, u), _as_index(g, v)
-    d = _bfs_layers(g.neighbor_lists(), ui)[vi]
+    dist = [math.inf] * len(g.vertices)
+    bfs(g.neighbor_lists(), [ui], dist)
+    d = dist[vi]
     return int(d) if math.isfinite(d) else math.inf
+
+
+def components(g: CommGraph, members: Sequence[int]) -> list[list[int]]:
+    """Connected components of the subgraph induced on ``members``, as
+    sorted index lists in order of their first member."""
+    dist = [0.0] * len(g.vertices)  # non-members count as already reached
+    for i in members:
+        dist[i] = math.inf
+    adj = g.neighbor_lists()
+    return [sorted(bfs(adj, [s], dist)) for s in members if dist[s] == math.inf]
 
 
 def find_mutual_cover_pair(
@@ -153,11 +181,14 @@ def halfplane_cover_number(
     return None
 
 
+#: Slack when checking which side of the separator each antenna is on.
+_SEPARATOR_TOL = 1e-9
+
+
 def classify_separated_pair(
     side_a: Sequence[AntennaConfig],
     side_b: Sequence[AntennaConfig],
     separator: HalfPlane,
-    tol: float = 1e-9,
 ) -> tuple[int, int, int]:
     """Which of the two cross-coverage regimes a separated pair is in.
 
@@ -169,10 +200,10 @@ def classify_separated_pair(
     "case 2" when both are 3.  Returns (case, x_a, x_b).
     """
     for c in side_a:
-        if separator.value(c.location.x, c.location.y) > tol:
+        if separator.value(c.location.x, c.location.y) > _SEPARATOR_TOL:
             raise ValueError("separator does not have side A outside it")
     for c in side_b:
-        if separator.value(c.location.x, c.location.y) < -tol:
+        if separator.value(c.location.x, c.location.y) < -_SEPARATOR_TOL:
             raise ValueError("separator does not contain side B")
     flipped = HalfPlane(-separator.nx, -separator.ny, -separator.c)
     x_a = halfplane_cover_number(side_a, separator)

@@ -26,6 +26,12 @@ def run_cli(*argv, env_extra=None):
     )
 
 
+def test_import_leaves_scipy_unloaded():
+    # scipy is needed only by verify_hop_spanner, which imports it itself
+    code = "import sectornet, sys; assert 'scipy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 def test_gen_is_deterministic_and_seed_env_overrides(tmp_path):
     out = tmp_path / "inst.json"
     assert run_cli("gen", "--family", "random_square", "--n", "6", "--seed", "11", "--out", str(out)).returncode == 0

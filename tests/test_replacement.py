@@ -1,5 +1,6 @@
 """Grid partition, hub selection, and unit-disk replacement guarantees."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -200,6 +201,36 @@ def test_replace_modes_meet_their_hop_bounds(mode, limit):
         for i, j in udg.edges:
             hand_worst = max(hand_worst, _hand_bfs_hops(scg, i)[j])
         assert hand_worst == rep.max_hops
+
+
+def _drifting_chain(seed, n):
+    """A chain of sub-unit steps that wanders across many 7x7 cells."""
+    rng = SplitMix64(seed)
+    heading = rng.uniform(0.0, 2 * PI)
+    pts = [Point(0.0, 0.0)]
+    while len(pts) < n:
+        heading += 0.25 * rng.gauss()
+        step = rng.uniform(0.55, 0.95)
+        pts.append(Point(pts[-1].x + step * math.cos(heading), pts[-1].y + step * math.sin(heading)))
+    return pts
+
+
+#: sha256 of the configs below, recorded before the graph core was shared
+#: between the unit-disk and symmetric graphs; any change to how points
+#: outside full cells are labelled, grouped or aimed shows up here.
+STRAY_CONFIGS_SHA256 = "a40b674900e3604aa81a21343316e89fd36676f30c007e7136ea178cdba37768"
+
+
+def test_replace_output_is_pinned_on_instances_with_stray_points():
+    lines = []
+    for seed in range(1, 9):
+        pts = _drifting_chain(seed, 140)
+        grid = grid_partition(pts)
+        assert any(grid.status(grid.cell_of(p)) != "full" for p in pts), seed
+        for mode in ("basic", "refined"):
+            for c in replace(pts, mode=mode).configs:
+                lines.append(f"{mode} {c.location.x.hex()} {c.location.y.hex()} {c.orientation.hex()}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == STRAY_CONFIGS_SHA256
 
 
 def test_replace_small_instance_path():

@@ -7,13 +7,16 @@ from pathlib import Path
 import pytest
 
 from sectornet.geometry import (
+    DIST_SQ_TOL,
     QUARTER_TURN,
     HalfPlane,
     Point,
+    squared_distance,
     wedge_contains,
     weakly_separable,
 )
 from sectornet.orientation import orient_quadruplet
+from sectornet.replacement import build_udg
 from sectornet.rng import SplitMix64
 from sectornet.scg import (
     AntennaConfig,
@@ -89,6 +92,18 @@ def test_build_scg_matches_naive_double_loop():
                 ):
                     expect.add((i, j))
         assert set(g.edges) == expect
+        # the unit-disk graph shares the matrix-to-edges step; shrink the
+        # points into [-1, 1]^2 so that it has plenty of edges
+        pts = [Point(c.location.x / 4, c.location.y / 4) for c in configs]
+        udg = build_udg(pts)
+        assert set(udg.edges) == {
+            (i, j)
+            for i in range(8)
+            for j in range(i + 1, 8)
+            if squared_distance(pts[i], pts[j]) <= 1.0 + DIST_SQ_TOL
+        }
+        for edge_set in (g.edges, udg.edges):
+            assert all(type(k) is int for e in edge_set for k in e)
 
 
 def test_single_vertex_graph_is_connected():
