@@ -5,9 +5,7 @@ quadruplet, replace omnidirectional antennas, assign power along a tour,
 verify a configuration against its instance, and render SVG pictures.
 
 Exit codes: 0 success, 1 a verification check failed, 2 usage or I/O
-error.  The ``ANTENNA_SEED`` environment variable overrides ``--seed``
-for ``gen``, which is handy for sweeping experiments without editing
-command lines.
+error.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -32,11 +29,10 @@ _DEFAULT_STRETCH = {"replace-basic": 9, "replace-refined": 8, "replace-small": 5
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    seed = int(os.environ.get("ANTENNA_SEED", args.seed))
     spec = GenSpec(
         family=args.family,
         n=args.n,
-        seed=seed,
+        seed=args.seed,
         side=args.side,
         gap=args.gap,
         case=args.case,
@@ -45,7 +41,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     inst = gen(spec)
     meta = dict(inst.metadata)
     meta["family"] = spec.family
-    meta["seed"] = seed
+    meta["seed"] = args.seed
     text = fileio.write_instance(inst.points, args.out, metadata=meta)
     if args.out is None:
         sys.stdout.write(text)

@@ -16,6 +16,9 @@ Conventions used throughout the package:
   rays, so a point constructed to lie on a ray stays inside after the
   orientation is rounded, serialized and re-read.  Squared-distance
   comparisons get an absolute ``DIST_SQ_TOL`` of slack.
+* Plane and half-plane coverage are decided by testing one point per
+  cell of the wedges' line arrangement.  The sampling oracle the tests
+  cross-check that decision against lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -279,8 +282,8 @@ class HalfPlane:
     def value(self, x: float, y: float) -> float:
         return self.nx * x + self.ny * y - self.c
 
-    def contains(self, p: Point, tol: float = 0.0) -> bool:
-        return self.value(p.x, p.y) >= -tol
+    def contains(self, p: Point) -> bool:
+        return self.value(p.x, p.y) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -482,39 +485,6 @@ def halfplane_covered(wedges: Sequence[Wedge], hp: HalfPlane) -> CoverageReport:
     pts = np.array([c for c in candidates if hp.value(c[0], c[1]) >= -1e-9], dtype=float)
     if pts.size == 0:
         return CoverageReport(True)
-    return _first_uncovered(wedges, pts)
-
-
-def coverage_sample_check(
-    wedges: Sequence[Wedge],
-    grid_points: int = 100_000,
-    ring_points: int = 10_000,
-) -> CoverageReport:
-    """Sampling-based coverage check, used to cross-validate the exact one.
-
-    Samples a dense grid over the apex bounding box inflated by the largest
-    pairwise apex distance, plus directions on a far ring.  Can only refute
-    coverage; agreement with :func:`plane_coverage_verify` on robust inputs
-    is checked in the test suite.
-    """
-    if not wedges:
-        return CoverageReport(False, witness_direction=0.0)
-    xs = [w.apex.x for w in wedges]
-    ys = [w.apex.y for w in wedges]
-    spread = max(
-        max(math.hypot(a.x - b.x, a.y - b.y) for a in (w.apex for w in wedges) for b in (v.apex for v in wedges)),
-        1.0,
-    )
-    lo_x, hi_x = min(xs) - spread, max(xs) + spread
-    lo_y, hi_y = min(ys) - spread, max(ys) + spread
-    side = max(1, int(math.sqrt(grid_points)))
-    gx, gy = np.meshgrid(np.linspace(lo_x, hi_x, side), np.linspace(lo_y, hi_y, side))
-    grid = np.column_stack([gx.ravel(), gy.ravel()])
-    cx, cy = (lo_x + hi_x) / 2.0, (lo_y + hi_y) / 2.0
-    radius = 4.0 * spread + 1.0
-    theta = np.linspace(0.0, TAU, ring_points, endpoint=False)
-    ring = np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
-    pts = np.vstack([grid, ring])
     return _first_uncovered(wedges, pts)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .geometry import (
     QUARTER_TURN,
@@ -61,17 +61,8 @@ class OrientationAssignment:
     def points(self) -> tuple[Point, ...]:
         return tuple(p for p, _ in self.entries)
 
-    def orientation_of(self, p: Point) -> float:
-        for q, ang in self.entries:
-            if q == p:
-                return ang
-        raise KeyError(f"point {p} not in assignment")
-
     def wedges(self, range: float = math.inf) -> list[Wedge]:
         return [Wedge(p, ang, self.aperture, range) for p, ang in self.entries]
-
-    def __iter__(self) -> Iterator[tuple[Point, float]]:
-        return iter(self.entries)
 
 
 @dataclass(frozen=True)
@@ -214,8 +205,8 @@ def couple_halfplane(assignment: OrientationAssignment, couple: CouplePair) -> H
     half-plane (for the base couple that is the first apex itself, making
     the boundary the right bounding line of the first wedge).
     """
-    first_ori = assignment.orientation_of(couple.first)
-    second_ori = assignment.orientation_of(couple.second)
+    oris = dict(assignment.entries)
+    first_ori, second_ori = oris[couple.first], oris[couple.second]
     if abs(normalize_angle(second_ori - first_ori) - QUARTER_TURN) > _FAN_TOL:
         raise ValueError("not a counterclockwise-adjacent couple of this assignment")
     u = first_ori - 0.5 * assignment.aperture

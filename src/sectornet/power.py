@@ -28,13 +28,6 @@ from .orientation import aim_at_fan, orient_cluster, orient_quadruplet
 from .scg import AntennaConfig
 
 
-def beta_edge_weight(p: Point, q: Point, beta: float) -> float:
-    """Cost of a direct link between p and q: distance to the power beta."""
-    if beta < 1:
-        raise ValueError("distance-power gradient must be at least 1")
-    return distance(p, q) ** beta
-
-
 # ---------------------------------------------------------------------------
 # Minimum spanning tree and tour
 # ---------------------------------------------------------------------------
@@ -213,12 +206,6 @@ class PowerAssignment:
 
     def configs(self) -> list[AntennaConfig]:
         return [AntennaConfig(p, ang, range=r) for p, ang, r in self.entries]
-
-    def radius_of(self, p: Point) -> float:
-        for q, _, r in self.entries:
-            if q == p:
-                return r
-        raise KeyError(f"no entry for {p}")
 
 
 def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:

@@ -26,6 +26,7 @@ imported only when :func:`verify_hop_spanner` first runs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -194,7 +195,7 @@ def full_cell_labels(grid: GridPartition, udg: CommGraph) -> dict[Point, tuple[i
     sources = [i for i, cell in enumerate(cells) if grid.status(cell) == FULL]
     if not sources:
         raise ValueError("no full cell")
-    adj = udg.neighbor_lists()
+    adj = udg.neighbor_lists
     dist = [math.inf] * len(adj)
     label: dict[int, tuple[int, int]] = {}
     for w in bfs(adj, sources, dist):
@@ -203,14 +204,6 @@ def full_cell_labels(grid: GridPartition, udg: CommGraph) -> dict[Point, tuple[i
         else:
             label[w] = min(label[u] for u in adj[w] if dist[u] == dist[w] - 1)
     return {udg.vertices[i]: cell for i, cell in label.items()}
-
-
-def closest_full_cell(p: Point, grid: GridPartition, udg: CommGraph) -> tuple[int, int]:
-    """Cell index of the full cell nearest to ``p`` in unit-disk hops."""
-    labels = full_cell_labels(grid, udg)
-    if p not in labels:
-        raise ValueError("point cannot reach any full cell")
-    return labels[p]
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +218,6 @@ class ReplacementResult:
     configs: tuple[AntennaConfig, ...]
     mode: str
     grid: GridPartition
-    small_instance: bool = False
-
-    def config_of(self, p: Point) -> AntennaConfig:
-        for c in self.configs:
-            if c.location == p:
-                return c
-        raise KeyError(f"no antenna at {p}")
 
 
 def orient_small_instance(
@@ -252,7 +238,6 @@ def orient_small_instance(
         configs=configs,
         mode="small",
         grid=grid if grid is not None else grid_partition(points),
-        small_instance=True,
     )
 
 
@@ -333,50 +318,26 @@ def verify_hop_spanner(udg: CommGraph, scg: CommGraph, limit: float) -> SpannerR
 
     if udg.vertices != scg.vertices:
         raise ValueError("graphs disagree on vertices")
-    n = len(scg.vertices)
     if not udg.edges:
         return SpannerReport(True, None, 0)
-    rows, cols = [], []
-    for i, j in scg.edges:
-        rows += [i, j]
-        cols += [j, i]
-    mat = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    n = len(scg.vertices)
+    s = _edge_array(scg)
+    mat = csr_matrix((np.ones(len(s)), (s[:, 0], s[:, 1])), shape=(n, n))
     dist = shortest_path(mat, method="D", directed=False, unweighted=True)
-    worst: Optional[tuple[Point, Point]] = None
-    max_hops = 0.0
-    for i, j in sorted(udg.edges):
-        h = float(dist[i, j])
-        if h > max_hops:
-            max_hops = h
-            worst = (udg.vertices[i], udg.vertices[j])
+    e = _edge_array(udg)
+    hops = dist[e[:, 0], e[:, 1]]
+    max_hops = float(hops.max())
+    # the worst edge is the lexicographically smallest one reaching the maximum
+    ties = e[hops == max_hops]
+    i, j = ties[np.lexsort((ties[:, 1], ties[:, 0]))[0]]
     ok = bool(max_hops <= limit)
     if math.isfinite(max_hops):
         max_hops = int(max_hops)
-    return SpannerReport(ok, worst, max_hops)
+    return SpannerReport(ok, (udg.vertices[i], udg.vertices[j]), max_hops)
 
 
-def path_hits_full_cell(path: Sequence[Point], grid: GridPartition) -> bool:
-    """Does a unit-step path leaving its starting block visit a full cell?
+def _edge_array(g: CommGraph) -> np.ndarray:
+    """The edges of ``g`` as an (E, 2) integer array, in edge-set order."""
+    flat = itertools.chain.from_iterable(g.edges)
+    return np.fromiter(flat, dtype=np.intp, count=2 * len(g.edges)).reshape(-1, 2)
 
-    ``path`` must be a walk in the unit-disk graph (consecutive points
-    at distance at most 1) that starts in some cell C and ends outside
-    the 3x3 block around C; anything else raises ``ValueError``.  Returns
-    True iff some vertex of the path lies in a full cell of the block
-    other than C itself.  For grids built from a connected point set
-    this always holds; it is the reason served full cells border the
-    cells they serve.
-    """
-    if len(path) < 2:
-        raise ValueError("path too short")
-    for p, q in zip(path, path[1:]):
-        if squared_distance(p, q) > 1.0 + DIST_SQ_TOL:
-            raise ValueError("not a unit-disk path: step longer than 1")
-    start = grid.cell_of(path[0])
-    block = set(grid.block(start))
-    if grid.cell_of(path[-1]) in block:
-        raise ValueError("path does not leave the starting block")
-    for p in path:
-        cell = grid.cell_of(p)
-        if cell in block and cell != start and grid.status(cell) == FULL:
-            return True
-    return False

@@ -3,11 +3,12 @@
 An antenna hears another only if each lies inside the other's wedge, so
 the graph is undirected by construction.  This module builds that graph,
 owns the graph core the package shares (turning a symmetric adjacency
-matrix into edges, and one breadth-first search behind connectivity,
-hop distances and components), and provides the two analysis tools
-used throughout: finding a mutually-covering pair across two antenna
-groups, and searching for point sets witnessing that such a pair can
-fail to exist once the two groups are not linearly separable.
+matrix into edges, cached neighbour lists, and one breadth-first search
+behind connectivity and components), and provides the analysis of two
+antenna groups: finding a mutually-covering pair across them, and
+classifying a linearly separated pair by how many antennas of each side
+cover the other side.  The search for non-separated pairs with no such
+edge is a test oracle and lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,10 +28,8 @@ from .geometry import (
     Wedge,
     containment_matrix,
     halfplane_covered,
-    weakly_separable,
 )
-from .orientation import OrientationAssignment, orient_quadruplet
-from .rng import SplitMix64
+from .orientation import OrientationAssignment
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,14 @@ class CommGraph:
     vertices: tuple[Point, ...]
     edges: frozenset[tuple[int, int]]
 
+    @cached_property
     def neighbor_lists(self) -> list[list[int]]:
+        """Adjacency lists, built on first use; callers must not mutate them."""
         adj: list[list[int]] = [[] for _ in self.vertices]
         for i, j in self.edges:
             adj[i].append(j)
             adj[j].append(i)
         return adj
-
-    def index_of(self, p: Point) -> int:
-        for i, q in enumerate(self.vertices):
-            if q == p:
-                return i
-        raise KeyError(f"point {p} is not a vertex")
 
 
 def _graph_from_matrix(vertices: Sequence[Point], adjacent: np.ndarray) -> CommGraph:
@@ -90,13 +86,6 @@ def build_scg(configs: Sequence[AntennaConfig]) -> CommGraph:
     wedges = [c.wedge() for c in configs]
     M = containment_matrix(wedges, locations)
     return _graph_from_matrix(locations, M & M.T)
-
-
-VertexRef = Union[int, Point]
-
-
-def _as_index(g: CommGraph, v: VertexRef) -> int:
-    return g.index_of(v) if isinstance(v, Point) else v
 
 
 def bfs(adj: list[list[int]], sources: Iterable[int], dist: list[float]) -> list[int]:
@@ -129,16 +118,7 @@ def is_connected(g: CommGraph) -> bool:
     if not g.vertices:
         return True
     n = len(g.vertices)
-    return len(bfs(g.neighbor_lists(), [0], [math.inf] * n)) == n
-
-
-def hop_distance(g: CommGraph, u: VertexRef, v: VertexRef) -> Union[int, float]:
-    """Minimum number of edges between two vertices, ``inf`` if disconnected."""
-    ui, vi = _as_index(g, u), _as_index(g, v)
-    dist = [math.inf] * len(g.vertices)
-    bfs(g.neighbor_lists(), [ui], dist)
-    d = dist[vi]
-    return int(d) if math.isfinite(d) else math.inf
+    return len(bfs(g.neighbor_lists, [0], [math.inf] * n)) == n
 
 
 def components(g: CommGraph, members: Sequence[int]) -> list[list[int]]:
@@ -147,8 +127,7 @@ def components(g: CommGraph, members: Sequence[int]) -> list[list[int]]:
     dist = [0.0] * len(g.vertices)  # non-members count as already reached
     for i in members:
         dist[i] = math.inf
-    adj = g.neighbor_lists()
-    return [sorted(bfs(adj, [s], dist)) for s in members if dist[s] == math.inf]
+    return [sorted(bfs(g.neighbor_lists, [s], dist)) for s in members if dist[s] == math.inf]
 
 
 def find_mutual_cover_pair(
@@ -170,11 +149,15 @@ def find_mutual_cover_pair(
     return None
 
 
+#: Largest sub-group :func:`halfplane_cover_number` tries.
+_MAX_COVER_SIZE = 4
+
+
 def halfplane_cover_number(
-    configs: Sequence[AntennaConfig], hp: HalfPlane, max_size: int = 4
+    configs: Sequence[AntennaConfig], hp: HalfPlane
 ) -> Optional[int]:
     """Size of the smallest sub-group whose wedges cover the half-plane."""
-    for k in range(1, max_size + 1):
+    for k in range(1, _MAX_COVER_SIZE + 1):
         for subset in itertools.combinations(configs, k):
             if halfplane_covered([c.wedge() for c in subset], hp).covered:
                 return k
@@ -211,133 +194,3 @@ def classify_separated_pair(
     if x_a not in (2, 3) or x_b not in (2, 3):
         raise ValueError(f"unexpected cover numbers ({x_a}, {x_b})")
     return (1 if 2 in (x_a, x_b) else 2), x_a, x_b
-
-
-# ---------------------------------------------------------------------------
-# Searching for a non-separated pair with no cross edge
-# ---------------------------------------------------------------------------
-
-
-def _mutual_margin(pa: Point, oa: float, pb: Point, ob: float) -> float:
-    """How close points a and b are to forming a symmetric edge.
-
-    Positive means both containments hold with that much room (in length
-    units: distance to the nearest bounding line); negative means at
-    least one containment fails by that much.  Quarter-wedge apertures
-    assumed.
-    """
-
-    def depth(apex: Point, ori: float, p: Point) -> float:
-        vx, vy = p.x - apex.x, p.y - apex.y
-        if vx == 0.0 and vy == 0.0:
-            return math.inf
-        tr, tl = ori - 0.25 * math.pi, ori + 0.25 * math.pi
-        cr = math.cos(tr) * vy - math.sin(tr) * vx
-        cl = math.cos(tl) * vy - math.sin(tl) * vx
-        return min(cr, -cl)
-
-    return min(depth(pa, oa, pb), depth(pb, ob, pa))
-
-
-def _dead_pair_score(
-    a_pts: Sequence[Point], b_pts: Sequence[Point], slack: float
-) -> float:
-    """Sum of how far each cross pair still is from being edge-free."""
-    try:
-        asg_a = orient_quadruplet(a_pts)
-        asg_b = orient_quadruplet(b_pts)
-    except ValueError:
-        return math.inf
-    total = 0.0
-    for pa, oa in asg_a.entries:
-        for pb, ob in asg_b.entries:
-            total += max(0.0, _mutual_margin(pa, oa, pb, ob) + slack)
-    return total
-
-
-def _seed_configuration(rng: SplitMix64) -> tuple[list[Point], list[Point]]:
-    """A structured interleaved starting pair (never linearly separable)."""
-    family = rng.randrange(3)
-    cx, cy = rng.uniform(-1, 1), rng.uniform(-1, 1)
-    if family == 0:
-        # two crossing lines through a common neighborhood
-        phi_a = rng.uniform(0, math.pi)
-        phi_b = phi_a + rng.uniform(0.3, math.pi - 0.3)
-        mk = lambda phi, k, r: Point(
-            cx + r * math.cos(phi) * k + rng.gauss() * 0.2,
-            cy + r * math.sin(phi) * k + rng.gauss() * 0.2,
-        )
-        ra, rb = rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0)
-        a = [mk(phi_a, k, ra) for k in (-2, -1, 1, 2)]
-        b = [mk(phi_b, k, rb) for k in (-2, -1, 1, 2)]
-    elif family == 1:
-        # alternating around a circle
-        phi0 = rng.uniform(0, math.pi)
-        rad = rng.uniform(1.5, 4.0)
-        pts = []
-        for k in range(8):
-            ang = phi0 + k * math.pi / 4 + rng.gauss() * 0.1
-            rr = rad * (1.0 + 0.3 * rng.gauss())
-            pts.append(Point(cx + rr * math.cos(ang), cy + rr * math.sin(ang)))
-        a, b = pts[0::2], pts[1::2]
-    else:
-        # a small quadruplet nested inside a large rotated one
-        phi = rng.uniform(0, math.pi / 2)
-        big, small = rng.uniform(3.0, 5.0), rng.uniform(0.5, 1.5)
-        ring = lambda r, off: [
-            Point(
-                cx + r * math.cos(off + k * math.pi / 2) + 0.15 * rng.gauss(),
-                cy + r * math.sin(off + k * math.pi / 2) + 0.15 * rng.gauss(),
-            )
-            for k in range(4)
-        ]
-        a, b = ring(big, phi), ring(small, phi + rng.uniform(0.2, 1.2))
-    return a, b
-
-
-def search_nonseparated_counterexample(
-    trials: int, seed: int, slack: float = 1e-6
-) -> Optional[tuple[tuple[Point, ...], tuple[Point, ...]]]:
-    """Hunt for two quadruplets that defeat cross-group connectivity.
-
-    Draws structured interleaved starting pairs and locally perturbs one
-    point at a time, keeping changes that shrink the total remaining
-    cross-pair coverage, until all sixteen pairs fail mutual coverage by
-    at least ``slack`` (in length units).  ``trials`` bounds the total
-    number of candidate evaluations across restarts.  A returned pair is
-    re-verified from scratch: both groups orient successfully, no mutual
-    cover pair exists, and the groups are not weakly separable by any
-    line.  Returns None if the budget runs out.
-    """
-    rng = SplitMix64(seed)
-    evals = 0
-    while evals < trials:
-        a, b = _seed_configuration(rng)
-        score = _dead_pair_score(a, b, slack)
-        evals += 1
-        sigma = 0.4
-        stall = 0
-        while evals < trials and stall < 160:
-            which = rng.randrange(8)
-            side, idx = (a, which) if which < 4 else (b, which - 4)
-            old = side[idx]
-            side[idx] = Point(old.x + sigma * rng.gauss(), old.y + sigma * rng.gauss())
-            new_score = _dead_pair_score(a, b, slack)
-            evals += 1
-            if new_score < score:
-                score = new_score
-                stall = 0
-            else:
-                side[idx] = old
-                stall += 1
-            sigma = max(0.02, sigma * 0.995)
-            if score == 0.0:
-                a_t, b_t = tuple(a), tuple(b)
-                if weakly_separable(a_t, b_t):
-                    break  # a degenerate success; restart
-                cfg_a = configs_from_assignment(orient_quadruplet(a_t))
-                cfg_b = configs_from_assignment(orient_quadruplet(b_t))
-                if find_mutual_cover_pair(cfg_a, cfg_b) is None:
-                    return a_t, b_t
-                break
-    return None

@@ -1,0 +1,236 @@
+"""Reference oracles that only the tests call.
+
+* :func:`search_nonseparated_counterexample` finds two quadruplets that
+  are not linearly separable and share no symmetric edge, showing that
+  the separated-pair guarantee needs its separation hypothesis.
+* :func:`path_hits_full_cell` checks the path lemma behind the
+  replacement: a unit-step path leaving its starting 3x3 block crosses a
+  full cell of that block.
+* :func:`coverage_sample_check` refutes plane coverage by sampling; it
+  is the independent route the exact arrangement test is checked
+  against.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional, Sequence
+
+import numpy as np
+
+from sectornet.geometry import (
+    DIST_SQ_TOL,
+    TAU,
+    CoverageReport,
+    Point,
+    Wedge,
+    _first_uncovered,
+    squared_distance,
+    weakly_separable,
+)
+from sectornet.orientation import orient_quadruplet
+from sectornet.replacement import FULL, GridPartition
+from sectornet.rng import SplitMix64
+from sectornet.scg import configs_from_assignment, find_mutual_cover_pair
+
+# ---------------------------------------------------------------------------
+# Searching for a non-separated pair with no cross edge
+# ---------------------------------------------------------------------------
+
+#: How far (in length units) every cross pair must miss mutual coverage.
+_SLACK = 1e-6
+
+
+def _mutual_margin(pa: Point, oa: float, pb: Point, ob: float) -> float:
+    """How close points a and b are to forming a symmetric edge.
+
+    Positive means both containments hold with that much room (in length
+    units: distance to the nearest bounding line); negative means at
+    least one containment fails by that much.  Quarter-wedge apertures
+    assumed.
+    """
+
+    def depth(apex: Point, ori: float, p: Point) -> float:
+        vx, vy = p.x - apex.x, p.y - apex.y
+        if vx == 0.0 and vy == 0.0:
+            return math.inf
+        tr, tl = ori - 0.25 * math.pi, ori + 0.25 * math.pi
+        cr = math.cos(tr) * vy - math.sin(tr) * vx
+        cl = math.cos(tl) * vy - math.sin(tl) * vx
+        return min(cr, -cl)
+
+    return min(depth(pa, oa, pb), depth(pb, ob, pa))
+
+
+def _dead_pair_score(
+    a_pts: Sequence[Point], b_pts: Sequence[Point], slack: float
+) -> float:
+    """Sum of how far each cross pair still is from being edge-free."""
+    try:
+        asg_a = orient_quadruplet(a_pts)
+        asg_b = orient_quadruplet(b_pts)
+    except ValueError:
+        return math.inf
+    total = 0.0
+    for pa, oa in asg_a.entries:
+        for pb, ob in asg_b.entries:
+            total += max(0.0, _mutual_margin(pa, oa, pb, ob) + slack)
+    return total
+
+
+def _seed_configuration(rng: SplitMix64) -> tuple[list[Point], list[Point]]:
+    """A structured interleaved starting pair (never linearly separable)."""
+    family = rng.randrange(3)
+    cx, cy = rng.uniform(-1, 1), rng.uniform(-1, 1)
+    if family == 0:
+        # two crossing lines through a common neighborhood
+        phi_a = rng.uniform(0, math.pi)
+        phi_b = phi_a + rng.uniform(0.3, math.pi - 0.3)
+        mk = lambda phi, k, r: Point(
+            cx + r * math.cos(phi) * k + rng.gauss() * 0.2,
+            cy + r * math.sin(phi) * k + rng.gauss() * 0.2,
+        )
+        ra, rb = rng.uniform(1.0, 3.0), rng.uniform(1.0, 3.0)
+        a = [mk(phi_a, k, ra) for k in (-2, -1, 1, 2)]
+        b = [mk(phi_b, k, rb) for k in (-2, -1, 1, 2)]
+    elif family == 1:
+        # alternating around a circle
+        phi0 = rng.uniform(0, math.pi)
+        rad = rng.uniform(1.5, 4.0)
+        pts = []
+        for k in range(8):
+            ang = phi0 + k * math.pi / 4 + rng.gauss() * 0.1
+            rr = rad * (1.0 + 0.3 * rng.gauss())
+            pts.append(Point(cx + rr * math.cos(ang), cy + rr * math.sin(ang)))
+        a, b = pts[0::2], pts[1::2]
+    else:
+        # a small quadruplet nested inside a large rotated one
+        phi = rng.uniform(0, math.pi / 2)
+        big, small = rng.uniform(3.0, 5.0), rng.uniform(0.5, 1.5)
+        ring = lambda r, off: [
+            Point(
+                cx + r * math.cos(off + k * math.pi / 2) + 0.15 * rng.gauss(),
+                cy + r * math.sin(off + k * math.pi / 2) + 0.15 * rng.gauss(),
+            )
+            for k in range(4)
+        ]
+        a, b = ring(big, phi), ring(small, phi + rng.uniform(0.2, 1.2))
+    return a, b
+
+
+def search_nonseparated_counterexample(
+    trials: int, seed: int
+) -> Optional[tuple[tuple[Point, ...], tuple[Point, ...]]]:
+    """Hunt for two quadruplets that defeat cross-group connectivity.
+
+    Draws structured interleaved starting pairs and locally perturbs one
+    point at a time, keeping changes that shrink the total remaining
+    cross-pair coverage, until all sixteen pairs fail mutual coverage by
+    at least ``_SLACK`` (in length units).  ``trials`` bounds the total
+    number of candidate evaluations across restarts.  A returned pair is
+    re-verified from scratch: both groups orient successfully, no mutual
+    cover pair exists, and the groups are not weakly separable by any
+    line.  Returns None if the budget runs out.
+    """
+    rng = SplitMix64(seed)
+    evals = 0
+    while evals < trials:
+        a, b = _seed_configuration(rng)
+        score = _dead_pair_score(a, b, _SLACK)
+        evals += 1
+        sigma = 0.4
+        stall = 0
+        while evals < trials and stall < 160:
+            which = rng.randrange(8)
+            side, idx = (a, which) if which < 4 else (b, which - 4)
+            old = side[idx]
+            side[idx] = Point(old.x + sigma * rng.gauss(), old.y + sigma * rng.gauss())
+            new_score = _dead_pair_score(a, b, _SLACK)
+            evals += 1
+            if new_score < score:
+                score = new_score
+                stall = 0
+            else:
+                side[idx] = old
+                stall += 1
+            sigma = max(0.02, sigma * 0.995)
+            if score == 0.0:
+                a_t, b_t = tuple(a), tuple(b)
+                if weakly_separable(a_t, b_t):
+                    break  # a degenerate success; restart
+                cfg_a = configs_from_assignment(orient_quadruplet(a_t))
+                cfg_b = configs_from_assignment(orient_quadruplet(b_t))
+                if find_mutual_cover_pair(cfg_a, cfg_b) is None:
+                    return a_t, b_t
+                break
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The path lemma
+# ---------------------------------------------------------------------------
+
+
+def path_hits_full_cell(path: Sequence[Point], grid: GridPartition) -> bool:
+    """Does a unit-step path leaving its starting block visit a full cell?
+
+    ``path`` must be a walk in the unit-disk graph (consecutive points
+    at distance at most 1) that starts in some cell C and ends outside
+    the 3x3 block around C; anything else raises ``ValueError``.  Returns
+    True iff some vertex of the path lies in a full cell of the block
+    other than C itself.  For grids built from a connected point set
+    this always holds; it is the reason served full cells border the
+    cells they serve.
+    """
+    if len(path) < 2:
+        raise ValueError("path too short")
+    for p, q in zip(path, path[1:]):
+        if squared_distance(p, q) > 1.0 + DIST_SQ_TOL:
+            raise ValueError("not a unit-disk path: step longer than 1")
+    start = grid.cell_of(path[0])
+    block = set(grid.block(start))
+    if grid.cell_of(path[-1]) in block:
+        raise ValueError("path does not leave the starting block")
+    for p in path:
+        cell = grid.cell_of(p)
+        if cell in block and cell != start and grid.status(cell) == FULL:
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# Coverage by sampling
+# ---------------------------------------------------------------------------
+
+
+def coverage_sample_check(
+    wedges: Sequence[Wedge],
+    grid_points: int = 100_000,
+    ring_points: int = 10_000,
+) -> CoverageReport:
+    """Sampling-based coverage check, used to cross-validate the exact one.
+
+    Samples a dense grid over the apex bounding box inflated by the largest
+    pairwise apex distance, plus directions on a far ring.  Can only refute
+    coverage; agreement with :func:`plane_coverage_verify` on robust inputs
+    is checked in the test suite.
+    """
+    if not wedges:
+        return CoverageReport(False, witness_direction=0.0)
+    xs = [w.apex.x for w in wedges]
+    ys = [w.apex.y for w in wedges]
+    spread = max(
+        max(math.hypot(a.x - b.x, a.y - b.y) for a in (w.apex for w in wedges) for b in (v.apex for v in wedges)),
+        1.0,
+    )
+    lo_x, hi_x = min(xs) - spread, max(xs) + spread
+    lo_y, hi_y = min(ys) - spread, max(ys) + spread
+    side = max(1, int(math.sqrt(grid_points)))
+    gx, gy = np.meshgrid(np.linspace(lo_x, hi_x, side), np.linspace(lo_y, hi_y, side))
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    cx, cy = (lo_x + hi_x) / 2.0, (lo_y + hi_y) / 2.0
+    radius = 4.0 * spread + 1.0
+    theta = np.linspace(0.0, TAU, ring_points, endpoint=False)
+    ring = np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
+    pts = np.vstack([grid, ring])
+    return _first_uncovered(wedges, pts)

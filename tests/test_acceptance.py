@@ -2,14 +2,15 @@
 
 Each test exercises a guarantee end to end at the stated scale and
 tolerance, so a verbose run reads as a pass/fail line per guarantee.
-Artifacts (ratio tables) land in ``artifacts/`` at the repo root.
+Artifacts (ratio tables) are written to a temporary directory and must
+equal, byte for byte, the copies tracked in ``artifacts/``.
 """
 
 import csv
+import hashlib
 import itertools
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -24,7 +25,6 @@ from sectornet.geometry import (
     HalfPlane,
     Point,
     Wedge,
-    coverage_sample_check,
     distance,
     normalize_angle,
     plane_coverage_verify,
@@ -33,7 +33,6 @@ from sectornet.geometry import (
 )
 from sectornet.orientation import orient_quadruplet
 from sectornet.power import (
-    beta_edge_weight,
     cost_chain_check,
     mst_cost,
     orient_and_assign,
@@ -43,10 +42,8 @@ from sectornet.power import (
 from sectornet.replacement import (
     REPLACEMENT_RANGE,
     build_udg,
-    closest_full_cell,
     full_cell_labels,
     grid_partition,
-    path_hits_full_cell,
     replace,
     verify_hop_spanner,
 )
@@ -56,8 +53,9 @@ from sectornet.scg import (
     configs_from_assignment,
     find_mutual_cover_pair,
     is_connected,
-    search_nonseparated_counterexample,
 )
+
+from oracles import coverage_sample_check, path_hits_full_cell, search_nonseparated_counterexample
 
 ROOT = Path(__file__).resolve().parent.parent
 ARTIFACTS = ROOT / "artifacts"
@@ -168,7 +166,7 @@ def test_criterion_4_replacement_spanner_bounds():
 def _shortest_path_out_of_block(udg, grid, src):
     """BFS until some vertex leaves the 3x3 block of src's cell."""
     block = set(grid.block(grid.cell_of(udg.vertices[src])))
-    adj = udg.neighbor_lists()
+    adj = udg.neighbor_lists
     parent = {src: None}
     frontier = [src]
     while frontier:
@@ -217,7 +215,7 @@ def _full_cell_checks(pts, rng, samples):
     for p in pts:
         assert labels[p] in grid.block(grid.cell_of(p)), p
     probe = pts[rng.randrange(len(pts))]
-    assert closest_full_cell(probe, grid, udg) == labels[probe]
+    assert full_cell_labels(grid, udg)[probe] == labels[probe]
     paths = 0
     for _ in range(samples):
         src = rng.randrange(len(pts))
@@ -251,9 +249,8 @@ def test_criterion_5_exiting_paths_cross_full_cells():
     assert paths_checked >= 200
 
 
-def test_criterion_6_power_assignment_cost_chain():
+def test_criterion_6_power_assignment_cost_chain(tmp_path):
     """1000 power instances: connected, chained cost bounds, ratio table."""
-    ARTIFACTS.mkdir(exist_ok=True)
     rows = []
     for n, beta in itertools.product((8, 16, 64, 512), (1, 2, 3, 4, 5)):
         for rep_i in range(50):
@@ -270,12 +267,18 @@ def test_criterion_6_power_assignment_cost_chain():
                  chain.cost_over_tour, chain.cost_over_mst)
             )
     assert len(rows) == 1_000
-    with open(ARTIFACTS / "power_ratios.csv", "w", newline="") as fh:
+    with open(tmp_path / "power_ratios.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["n", "beta", "rep", "cost", "tour_cost", "mst_cost", "cost_over_tour", "cost_over_mst"]
         )
         writer.writerows(rows)
+    _assert_matches_artifact(tmp_path, "power_ratios.csv")
+
+
+def _assert_matches_artifact(tmp_path, name):
+    """The table just written equals the tracked copy byte for byte."""
+    assert (tmp_path / name).read_bytes() == (ARTIFACTS / name).read_bytes(), name
 
 
 def _far_point_in_direction(wedges, direction):
@@ -301,9 +304,8 @@ def _far_point_in_direction(wedges, direction):
     return Point(cx + r * math.cos(direction), cy + r * math.sin(direction))
 
 
-def test_criterion_7_independent_route_agreement():
+def test_criterion_7_independent_route_agreement(tmp_path):
     """Arrangement vs sampling, tree and tour vs exhaustive enumeration."""
-    ARTIFACTS.mkdir(exist_ok=True)
     rng = SplitMix64(7)
     covered = uncovered = 0
     for _ in range(1_000):
@@ -361,23 +363,19 @@ def test_criterion_7_independent_route_agreement():
         worst_ratio = max(worst_ratio, ratio)
         tour_sets += 1
 
-    with open(ARTIFACTS / "route_agreement.csv", "w", newline="") as fh:
+    with open(tmp_path / "route_agreement.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["check", "sets", "note"])
         writer.writerow(["coverage_exact_vs_sampling", covered + uncovered,
                          f"covered={covered} uncovered={uncovered}"])
         writer.writerow(["mst_vs_enumeration", mst_sets, "costs equal at beta 1 and 2"])
         writer.writerow(["tour_vs_factorial", tour_sets, f"worst_ratio={worst_ratio:.4f}"])
+    _assert_matches_artifact(tmp_path, "route_agreement.csv")
 
 
 def _run_cli(*argv):
-    env = dict(os.environ)
-    env.pop("ANTENNA_SEED", None)
     proc = subprocess.run(
-        [sys.executable, "-m", "sectornet", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-m", "sectornet", *argv], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -412,12 +410,31 @@ def _pipeline_outputs(workdir):
     return out
 
 
+#: sha256 of every pipeline output: a change to any output byte fails,
+#: even one that both runs repeat.
+PIPELINE_SHA256 = {
+    "quad": "da7517c6fb5c0d4873649ded1bb15b23a6ecb799b708f746ac207e1e20a5af66",
+    "udg": "509081d697bad11f600e40a369a86d5fb61394eb8fd616a21fdd0c0c6d745db3",
+    "pts": "668c0a3540234274c06c08c831c0638e032fc84fb0a99dd6a2c03c5e5401eae6",
+    "quad_cfg": "3ad07c33b94146a71f39cff5d1c1260eecb683a2123c04e6117e86db75fe008f",
+    "udg_cfg": "5e5e50366b2a2c43e6d6889c44c8e1b4c3a6eee16d7726633444d6e570c04d7d",
+    "pts_cfg": "758b63c681ff80045dc8da4745e67d72468b61fe86f2d86dc1f41fd4e4a47076",
+    "verify_quad": "f8e5c424a720328751b2e68bd070754607442f132d9b656327b33c1b233bbed1",
+    "verify_udg": "0a38ad0ff2f78dc52a9bbc4f48bc14599c3da810f32ebb586c05aade0d905860",
+    "verify_pts": "fd88181a6c2e0ac9558200a8a662f4db31a7895ef3528a461c37b094721ce8f9",
+    "render_quad": "70927b80dd3b844b07f1e3a6d0dcbc8182b9d3f9ad6969b4d96631b25262d483",
+    "render_udg": "726b89461a66d16ca20ba6b4bf81dc60792381be2ca8589eb89debcbb28d7836",
+}
+
+
 def test_criterion_8_cli_outputs_are_byte_identical(tmp_path):
     """The full command pipeline reproduces itself bit for bit."""
     run_a = _pipeline_outputs(tmp_path / "a")
     run_b = _pipeline_outputs(tmp_path / "b")
-    assert run_a.keys() == run_b.keys()
+    assert run_a.keys() == run_b.keys() == PIPELINE_SHA256.keys()
     for key in run_a:
         assert run_a[key] == run_b[key], f"{key} differs between runs"
+        out = run_a[key] if isinstance(run_a[key], bytes) else run_a[key].encode()
+        assert hashlib.sha256(out).hexdigest() == PIPELINE_SHA256[key], key
     assert json.loads(run_a["verify_udg"])["ok"]
     assert json.loads(run_a["verify_pts"])["ok"]

@@ -75,7 +75,7 @@ def test_connected_udg_is_connected():
         udg = build_udg(list(inst.points))
         comp = {0}
         frontier = [0]
-        adj = udg.neighbor_lists()
+        adj = udg.neighbor_lists
         while frontier:
             u = frontier.pop()
             for v in adj[u]:

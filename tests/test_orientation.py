@@ -182,11 +182,12 @@ def test_couple_halfplane_covers_and_anchors():
         while len(set(pts)) < 4:
             pts = [Point(rng.uniform(-8, 8), rng.uniform(-8, 8)) for _ in range(4)]
         asg = orient_quadruplet(pts)
+        oris = dict(asg.entries)
         for cp in couples(asg):
             hp = couple_halfplane(asg, cp)
             wedges = [
-                Wedge(cp.first, asg.orientation_of(cp.first), asg.aperture),
-                Wedge(cp.second, asg.orientation_of(cp.second), asg.aperture),
+                Wedge(cp.first, oris[cp.first], asg.aperture),
+                Wedge(cp.second, oris[cp.second], asg.aperture),
             ]
             assert halfplane_covered(wedges, hp).covered
             # boundary anchored at the apex deeper along the normal, so

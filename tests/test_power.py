@@ -10,7 +10,6 @@ from sectornet.geometry import Point, distance
 from sectornet.power import (
     PowerAssignment,
     Tour,
-    beta_edge_weight,
     cost_chain_check,
     make_sections,
     mst_cost,
@@ -29,15 +28,6 @@ def _random_distinct(rng, n, lo=-10.0, hi=10.0):
     while len(set(pts)) < n:
         pts = [Point(rng.uniform(lo, hi), rng.uniform(lo, hi)) for _ in range(n)]
     return pts
-
-
-def test_beta_edge_weight_values():
-    p, q = Point(0.0, 0.0), Point(3.0, 4.0)
-    assert beta_edge_weight(p, q, 1) == 5.0
-    assert beta_edge_weight(p, q, 2) == 25.0
-    assert beta_edge_weight(p, q, 3) == 125.0
-    with pytest.raises(ValueError):
-        beta_edge_weight(p, q, 0.5)
 
 
 def _prufer_tree_edges(seq, n):
@@ -62,11 +52,11 @@ def _brute_mst_cost(points, beta):
     """Minimum over every spanning tree, enumerated by label sequences."""
     n = len(points)
     if n == 2:
-        return beta_edge_weight(points[0], points[1], beta)
+        return distance(points[0], points[1]) ** beta
     best = math.inf
     for seq in itertools.product(range(n), repeat=n - 2):
         edges = _prufer_tree_edges(list(seq), n)
-        cost = sum(beta_edge_weight(points[i], points[j], beta) for i, j in edges)
+        cost = sum(distance(points[i], points[j]) ** beta for i, j in edges)
         best = min(best, cost)
     return best
 
@@ -88,7 +78,7 @@ def test_mst_edges_do_not_depend_on_beta():
     assert len(edges) == 39
     for beta in (1, 2, 5):
         assert mst_cost(pts, beta) == pytest.approx(
-            sum(beta_edge_weight(pts[i], pts[j], beta) for i, j in edges)
+            sum(distance(pts[i], pts[j]) ** beta for i, j in edges)
         )
 
 
@@ -170,9 +160,6 @@ def test_make_sections_sizes():
 def test_power_assignment_cost_is_sum_of_radius_powers():
     pa = PowerAssignment(2, ((Point(0.0, 0.0), 0.0, 3.0), (Point(1.0, 0.0), 1.0, 4.0)))
     assert pa.cost == pytest.approx(25.0)
-    assert pa.radius_of(Point(1.0, 0.0)) == 4.0
-    with pytest.raises(KeyError):
-        pa.radius_of(Point(9.0, 9.0))
     cfgs = pa.configs()
     assert [c.range for c in cfgs] == [3.0, 4.0]
 
@@ -208,6 +195,7 @@ def test_every_radius_covers_its_window_partners():
     rng = SplitMix64(95)
     pts = _random_distinct(rng, 32, lo=0.0, hi=20.0)
     pa = orient_and_assign(pts, 2)
+    radius = {p: r for p, _, r in pa.entries}
     tour = tsp_tour_approx(pts)
     secs = make_sections(tour)
     m = len(secs)
@@ -219,7 +207,7 @@ def test_every_radius_covers_its_window_partners():
         )
         for p in sec.members:
             need = max(distance(p, q) for q in window)
-            assert pa.radius_of(p) >= need - 1e-12
+            assert radius[p] >= need - 1e-12
 
 
 def test_cost_scales_exactly_with_beta_power_under_doubling():

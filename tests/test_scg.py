@@ -20,12 +20,12 @@ from sectornet.replacement import build_udg
 from sectornet.rng import SplitMix64
 from sectornet.scg import (
     AntennaConfig,
+    bfs,
     build_scg,
     classify_separated_pair,
     configs_from_assignment,
     find_mutual_cover_pair,
     halfplane_cover_number,
-    hop_distance,
     is_connected,
 )
 
@@ -48,21 +48,26 @@ def _zigzag_configs(rng=math.inf):
     return [AntennaConfig(p, o, range=rng) for p, o in zip(pts, oris)]
 
 
+def _hops(g, u, v):
+    dist = [math.inf] * len(g.vertices)
+    bfs(g.neighbor_lists, [u], dist)
+    return dist[v]
+
+
 def test_build_scg_mutual_edges_hand_case():
     g = build_scg(_zigzag_configs())
     assert g.edges == frozenset({(0, 1), (2, 3), (0, 3)})
     assert is_connected(g)
-    assert hop_distance(g, 1, 2) == 3
-    assert hop_distance(g, 0, 2) == 2
-    assert hop_distance(g, 2, 0) == 2
-    assert hop_distance(g, Point(1.0, 1.0), Point(2.0, 2.0)) == 3
+    assert _hops(g, 1, 2) == 3
+    assert _hops(g, 0, 2) == 2
+    assert _hops(g, 2, 0) == 2
 
 
 def test_build_scg_range_cuts_long_edges():
     g = build_scg(_zigzag_configs(rng=1.5))
     assert g.edges == frozenset({(0, 1), (2, 3)})
     assert not is_connected(g)
-    assert hop_distance(g, 1, 2) == math.inf
+    assert _hops(g, 1, 2) == math.inf
 
 
 def test_build_scg_rejects_duplicate_locations():
@@ -109,7 +114,7 @@ def test_build_scg_matches_naive_double_loop():
 def test_single_vertex_graph_is_connected():
     g = build_scg([AntennaConfig(Point(0.0, 0.0), 0.0)])
     assert is_connected(g)
-    assert hop_distance(g, 0, 0) == 0
+    assert _hops(g, 0, 0) == 0
 
 
 def test_find_mutual_cover_pair():
