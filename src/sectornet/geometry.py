@@ -282,9 +282,6 @@ class HalfPlane:
     def value(self, x: float, y: float) -> float:
         return self.nx * x + self.ny * y - self.c
 
-    def contains(self, p: Point) -> bool:
-        return self.value(p.x, p.y) >= 0.0
-
 
 # ---------------------------------------------------------------------------
 # Coverage verification

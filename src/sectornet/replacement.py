@@ -26,7 +26,6 @@ imported only when :func:`verify_hop_spanner` first runs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -220,9 +219,7 @@ class ReplacementResult:
     grid: GridPartition
 
 
-def orient_small_instance(
-    points: Sequence[Point], grid: Optional[GridPartition] = None
-) -> ReplacementResult:
+def orient_small_instance(points: Sequence[Point], grid: GridPartition) -> ReplacementResult:
     """Replacement for instances with no full cell.
 
     A connected unit-disk graph without a full cell fits in a 14x14
@@ -234,11 +231,7 @@ def orient_small_instance(
     configs = tuple(
         AntennaConfig(p, oris[p], range=REPLACEMENT_RANGE) for p in points
     )
-    return ReplacementResult(
-        configs=configs,
-        mode="small",
-        grid=grid if grid is not None else grid_partition(points),
-    )
+    return ReplacementResult(configs=configs, mode="small", grid=grid)
 
 
 def replace(
@@ -318,26 +311,19 @@ def verify_hop_spanner(udg: CommGraph, scg: CommGraph, limit: float) -> SpannerR
 
     if udg.vertices != scg.vertices:
         raise ValueError("graphs disagree on vertices")
-    if not udg.edges:
+    if not len(udg.edges):
         return SpannerReport(True, None, 0)
     n = len(scg.vertices)
-    s = _edge_array(scg)
+    s = scg.edges
     mat = csr_matrix((np.ones(len(s)), (s[:, 0], s[:, 1])), shape=(n, n))
     dist = shortest_path(mat, method="D", directed=False, unweighted=True)
-    e = _edge_array(udg)
+    e = udg.edges
     hops = dist[e[:, 0], e[:, 1]]
+    # edges are in row-major order, so the first maximum is the
+    # lexicographically smallest edge reaching it
+    i, j = e[hops.argmax()]
     max_hops = float(hops.max())
-    # the worst edge is the lexicographically smallest one reaching the maximum
-    ties = e[hops == max_hops]
-    i, j = ties[np.lexsort((ties[:, 1], ties[:, 0]))[0]]
     ok = bool(max_hops <= limit)
     if math.isfinite(max_hops):
         max_hops = int(max_hops)
     return SpannerReport(ok, (udg.vertices[i], udg.vertices[j]), max_hops)
-
-
-def _edge_array(g: CommGraph) -> np.ndarray:
-    """The edges of ``g`` as an (E, 2) integer array, in edge-set order."""
-    flat = itertools.chain.from_iterable(g.edges)
-    return np.fromiter(flat, dtype=np.intp, count=2 * len(g.edges)).reshape(-1, 2)
-

@@ -68,7 +68,3 @@ class SplitMix64:
         r = math.sqrt(-2.0 * math.log(u1))
         self._spare_gauss = r * math.sin(2.0 * math.pi * u2)
         return r * math.cos(2.0 * math.pi * u2)
-
-    def fork(self) -> "SplitMix64":
-        """An independent child stream seeded from this one."""
-        return SplitMix64(self.next_u64())

@@ -3,12 +3,13 @@
 An antenna hears another only if each lies inside the other's wedge, so
 the graph is undirected by construction.  This module builds that graph,
 owns the graph core the package shares (turning a symmetric adjacency
-matrix into edges, cached neighbour lists, and one breadth-first search
-behind connectivity and components), and provides the analysis of two
-antenna groups: finding a mutually-covering pair across them, and
-classifying a linearly separated pair by how many antennas of each side
-cover the other side.  The search for non-separated pairs with no such
-edge is a test oracle and lives in ``tests/oracles.py``.
+matrix into a sorted edge array, cached neighbour lists, and one
+breadth-first search behind connectivity and components), and provides
+the analysis of two antenna groups: finding a mutually-covering pair
+across them, and classifying a linearly separated pair by how many
+antennas of each side cover the other side.  The search for
+non-separated pairs with no such edge is a test oracle and lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -54,18 +55,23 @@ def configs_from_assignment(
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommGraph:
-    """Undirected graph over antenna locations, edges as index pairs (i < j)."""
+    """Undirected graph over antenna locations.
+
+    ``edges`` is a read-only (E, 2) integer array of vertex indices with
+    i < j on every row, the rows in row-major (lexicographic) order.
+    """
 
     vertices: tuple[Point, ...]
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
 
     @cached_property
     def neighbor_lists(self) -> list[list[int]]:
-        """Adjacency lists, built on first use; callers must not mutate them."""
+        """Ascending adjacency lists of Python ints, built on first use;
+        callers must not mutate them."""
         adj: list[list[int]] = [[] for _ in self.vertices]
-        for i, j in self.edges:
+        for i, j in self.edges.tolist():
             adj[i].append(j)
             adj[j].append(i)
         return adj
@@ -73,9 +79,10 @@ class CommGraph:
 
 def _graph_from_matrix(vertices: Sequence[Point], adjacent: np.ndarray) -> CommGraph:
     """The graph whose edges are the true entries of a symmetric boolean
-    matrix, as pairs of Python ints (i < j) in row-major order."""
-    rows, cols = np.nonzero(np.triu(adjacent, 1))
-    return CommGraph(tuple(vertices), frozenset(zip(rows.tolist(), cols.tolist())))
+    matrix, as a read-only array of index pairs (i < j) in row-major order."""
+    edges = np.argwhere(np.triu(adjacent, 1))
+    edges.flags.writeable = False
+    return CommGraph(tuple(vertices), edges)
 
 
 def build_scg(configs: Sequence[AntennaConfig]) -> CommGraph:
@@ -93,24 +100,21 @@ def bfs(adj: list[list[int]], sources: Iterable[int], dist: list[float]) -> list
     ``dist`` is still infinite.
 
     Writes into ``dist`` each reached vertex's hop count from the nearest
-    source and returns the reached vertices, sources first, in discovery
-    order.  Every layer is scanned in increasing vertex order, so that
-    order depends only on the graph and the source set.  A vertex the
-    caller marks with a finite ``dist`` beforehand is never entered.
+    source and returns the reached vertices in FIFO discovery order:
+    the sources in increasing order, then each vertex as it is first
+    reached, so distances never decrease along the list.  With ascending
+    neighbour lists that order depends only on the graph and the source
+    set.  A vertex the caller marks with a finite ``dist`` beforehand is
+    never entered.
     """
-    layer = sorted(sources)
-    for s in layer:
+    order = sorted(sources)
+    for s in order:
         dist[s] = 0
-    order = list(layer)
-    while layer:
-        nxt = []
-        for u in layer:
-            for w in adj[u]:
-                if dist[w] == math.inf:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        order += nxt
-        layer = sorted(nxt)
+    for u in order:
+        for w in adj[u]:
+            if dist[w] == math.inf:
+                dist[w] = dist[u] + 1
+                order.append(w)
     return order
 
 

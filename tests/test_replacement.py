@@ -23,7 +23,7 @@ from sectornet.replacement import (
     verify_hop_spanner,
 )
 from sectornet.rng import SplitMix64
-from sectornet.scg import build_scg, configs_from_assignment, is_connected
+from sectornet.scg import CommGraph, build_scg, configs_from_assignment, is_connected
 
 from oracles import path_hits_full_cell
 
@@ -87,7 +87,7 @@ def test_grid_full_cells_and_block():
 def test_build_udg_threshold_is_closed():
     pts = [Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0000001, 0.0)]
     g = build_udg(pts)
-    assert g.edges == frozenset({(0, 1)})
+    assert g.edges.tolist() == [[0, 1]]
     with pytest.raises(ValueError):
         build_udg([Point(0.0, 0.0), Point(0.0, 0.0)])
 
@@ -101,13 +101,13 @@ def test_build_udg_matches_distance_matrix():
         g = build_udg(pts)
         arr = np.array([p.as_tuple() for p in pts])
         dm = distance_matrix(arr, arr)
-        expect = {
-            (i, j)
+        expect = [
+            [i, j]
             for i in range(25)
             for j in range(i + 1, 25)
             if dm[i, j] <= 1.0 + 1e-9
-        }
-        assert set(g.edges) == expect
+        ]
+        assert g.edges.tolist() == expect
 
 
 def test_select_hubs_basic_takes_lex_smallest_four():
@@ -237,7 +237,7 @@ def test_replace_small_instance_path():
     result = replace(pts)
     assert result.mode == "small"
     assert is_connected(build_scg(list(result.configs)))
-    direct = orient_small_instance(pts)
+    direct = orient_small_instance(pts, grid_partition(pts))
     assert [c.orientation for c in direct.configs] == [c.orientation for c in result.configs]
 
 
@@ -265,6 +265,23 @@ def test_verify_hop_spanner_reports_worst_edge():
     assert rep.ok and rep.max_hops <= 5
     bad = verify_hop_spanner(udg, scg, 0)
     assert not bad.ok and bad.worst_edge is not None
+
+
+def test_verify_hop_spanner_report_rules():
+    pts = [Point(0.0, 0.0), Point(0.0, 0.9), Point(0.0, 1.8), Point(0.9, 0.0)]
+    udg = build_udg(pts)
+    assert udg.edges.tolist() == [[0, 1], [0, 3], [1, 2]]
+    # the path 0-1-3-2 spans (0, 3) and (1, 2) in two hops each: the
+    # lexicographically smallest of the tied edges is reported
+    path = CommGraph(udg.vertices, np.array([[0, 1], [1, 3], [2, 3]]))
+    assert verify_hop_spanner(udg, path, 2) == (True, (pts[0], pts[3]), 2)
+    assert verify_hop_spanner(udg, path, 1) == (False, (pts[0], pts[3]), 2)
+    # with 3 cut off from 0 and 1, both (0, 3) and (1, 2) are unreachable
+    split = CommGraph(udg.vertices, np.array([[0, 1], [2, 3]]))
+    assert verify_hop_spanner(udg, split, 9) == (False, (pts[0], pts[3]), math.inf)
+    # a unit-disk graph without edges has nothing to span
+    apart = build_udg([Point(0.0, 0.0), Point(2.0, 0.0)])
+    assert verify_hop_spanner(apart, apart, 0) == (True, None, 0)
 
 
 def test_path_hits_full_cell_hand_case():

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sectornet.geometry import (
@@ -56,7 +57,7 @@ def _hops(g, u, v):
 
 def test_build_scg_mutual_edges_hand_case():
     g = build_scg(_zigzag_configs())
-    assert g.edges == frozenset({(0, 1), (2, 3), (0, 3)})
+    assert g.edges.tolist() == [[0, 1], [0, 3], [2, 3]]
     assert is_connected(g)
     assert _hops(g, 1, 2) == 3
     assert _hops(g, 0, 2) == 2
@@ -65,7 +66,7 @@ def test_build_scg_mutual_edges_hand_case():
 
 def test_build_scg_range_cuts_long_edges():
     g = build_scg(_zigzag_configs(rng=1.5))
-    assert g.edges == frozenset({(0, 1), (2, 3)})
+    assert g.edges.tolist() == [[0, 1], [2, 3]]
     assert not is_connected(g)
     assert _hops(g, 1, 2) == math.inf
 
@@ -89,26 +90,34 @@ def test_build_scg_matches_naive_double_loop():
                 AntennaConfig(p, rng.uniform(0, 2 * PI), range=rng.choice([math.inf, 3.0, 6.0]))
             )
         g = build_scg(configs)
-        expect = set()
+        expect = []
         for i in range(8):
             for j in range(i + 1, 8):
                 if wedge_contains(configs[i].wedge(), configs[j].location) and wedge_contains(
                     configs[j].wedge(), configs[i].location
                 ):
-                    expect.add((i, j))
-        assert set(g.edges) == expect
+                    expect.append([i, j])
+        assert g.edges.tolist() == expect
         # the unit-disk graph shares the matrix-to-edges step; shrink the
         # points into [-1, 1]^2 so that it has plenty of edges
         pts = [Point(c.location.x / 4, c.location.y / 4) for c in configs]
         udg = build_udg(pts)
-        assert set(udg.edges) == {
-            (i, j)
+        assert udg.edges.tolist() == [
+            [i, j]
             for i in range(8)
             for j in range(i + 1, 8)
             if squared_distance(pts[i], pts[j]) <= 1.0 + DIST_SQ_TOL
-        }
-        for edge_set in (g.edges, udg.edges):
-            assert all(type(k) is int for e in edge_set for k in e)
+        ]
+        for graph in (g, udg):
+            e = graph.edges
+            assert e.shape == (len(e), 2) and np.issubdtype(e.dtype, np.integer)
+            assert (e[:, 0] < e[:, 1]).all()
+            rows = e.tolist()
+            assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly row-major
+            assert not e.flags.writeable
+            for nbrs in graph.neighbor_lists:
+                assert all(type(k) is int for k in nbrs)
+                assert nbrs == sorted(nbrs)
 
 
 def test_single_vertex_graph_is_connected():
