@@ -82,6 +82,11 @@ def cmd_power(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_number(x):
+    """A report value, with infinity written as "inf" like unbounded ranges."""
+    return "inf" if math.isinf(x) else x
+
+
 def _check_connected(configs, mode, instance_points, metadata, limit):
     return {"passed": is_connected(build_scg(configs))}
 
@@ -110,7 +115,7 @@ def _check_stretch(configs, mode, instance_points, metadata, limit):
     udg = build_udg(instance_points)
     scg = build_scg(configs)
     rep = verify_hop_spanner(udg, scg, limit)
-    out = {"passed": rep.ok, "max_hops": rep.max_hops, "limit": limit}
+    out = {"passed": rep.ok, "max_hops": _json_number(rep.max_hops), "limit": limit}
     if rep.worst_edge is not None:
         out["worst_edge"] = [list(rep.worst_edge[0].as_tuple()), list(rep.worst_edge[1].as_tuple())]
     return out
@@ -129,9 +134,9 @@ def _check_cost_chain(configs, mode, instance_points, metadata, limit):
     rep = cost_chain_check(pa, tour)
     return {
         "passed": rep.ok,
-        "cost": rep.cost,
-        "cost_over_tour": rep.cost_over_tour,
-        "cost_over_mst": rep.cost_over_mst,
+        "cost": _json_number(rep.cost),
+        "cost_over_tour": _json_number(rep.cost_over_tour),
+        "cost_over_mst": _json_number(rep.cost_over_mst),
         "max_index_gap": rep.max_index_gap,
     }
 
@@ -171,7 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             configs, mode, instance_points, metadata, args.limit
         )
     report["ok"] = all(c["passed"] for c in report["checks"].values())
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return 0 if report["ok"] else 1
 
 

@@ -466,20 +466,27 @@ def plane_coverage_verify(wedges: Sequence[Wedge]) -> CoverageReport:
     return _first_uncovered(wedges, pts)
 
 
-def halfplane_covered(wedges: Sequence[Wedge], hp: HalfPlane) -> CoverageReport:
-    """Decide whether the union of unbounded wedges covers a half-plane."""
+def _halfplane_test_points(wedges: Sequence[Wedge], hp: HalfPlane) -> np.ndarray:
+    """Rows: the test points in ``hp`` of the arrangement of its boundary
+    and every wedge's boundary lines.  That arrangement refines any
+    sub-group's, so the points decide coverage for each sub-group."""
     for w in wedges:
         if math.isfinite(w.range):
             raise ValueError("halfplane_covered requires unbounded wedges")
-    if not wedges:
-        # Any point of the half-plane witnesses non-coverage.
-        norm = math.hypot(hp.nx, hp.ny)
-        return CoverageReport(False, witness_point=Point(hp.nx * hp.c / norm**2, hp.ny * hp.c / norm**2))
     lines = [_canonical_line(hp.nx, hp.ny, hp.c)]
     lines.extend(ln for w in wedges for ln in _wedge_boundary_lines(w))
     lines = _dedupe_lines(lines)
     candidates = _coverage_candidates(lines, [w.apex for w in wedges])
-    pts = np.array([c for c in candidates if hp.value(c[0], c[1]) >= -1e-9], dtype=float)
+    return np.array([c for c in candidates if hp.value(c[0], c[1]) >= -1e-9], dtype=float)
+
+
+def halfplane_covered(wedges: Sequence[Wedge], hp: HalfPlane) -> CoverageReport:
+    """Decide whether the union of unbounded wedges covers a half-plane."""
+    if not wedges:
+        # Any point of the half-plane witnesses non-coverage.
+        norm = math.hypot(hp.nx, hp.ny)
+        return CoverageReport(False, witness_point=Point(hp.nx * hp.c / norm**2, hp.ny * hp.c / norm**2))
+    pts = _halfplane_test_points(wedges, hp)
     if pts.size == 0:
         return CoverageReport(True)
     return _first_uncovered(wedges, pts)

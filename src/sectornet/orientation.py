@@ -26,12 +26,12 @@ from .geometry import (
     HalfPlane,
     Point,
     Wedge,
+    containment_matrix,
     convex_hull,
     dot_sign,
     normalize_angle,
     squared_distance,
     vec_dot_sign,
-    wedge_contains,
 )
 
 #: Orientation offsets, relative to the base edge direction, of the four
@@ -216,35 +216,17 @@ def couple_halfplane(assignment: OrientationAssignment, couple: CouplePair) -> H
     return HalfPlane(nx, ny, nx * anchor.x + ny * anchor.y)
 
 
-def orient_toward(p: Point, hubs: Sequence[tuple[Point, float]]) -> float:
-    """Orientation for ``p`` centered on the first hub that covers it.
-
-    Hubs are (location, orientation) pairs with unbounded quarter wedges.
-    The chosen hub is the first in input order whose wedge contains ``p``;
-    a hub coincident with ``p`` counts as covering but cannot define a
-    direction, so it is used only if no later hub covers ``p`` (any
-    orientation then contains it, and 0 is returned).
-    """
-    coincident_covers = False
-    for hub, ori in hubs:
-        if not wedge_contains(Wedge(hub, ori), p):
-            continue
-        if hub == p:
-            coincident_covers = True
-            continue
-        return normalize_angle(math.atan2(hub.y - p.y, hub.x - p.x))
-    if coincident_covers:
-        return 0.0
-    raise ValueError("uncovered point: no hub wedge contains it")
-
-
 def aim_at_fan(fan: OrientationAssignment, points: Iterable[Point]) -> dict[Point, float]:
     """The fan's own orientations, then every other point aimed at the
-    first fan wedge that covers it (see :func:`orient_toward`)."""
+    first fan wedge, in entry order, that contains it (else ``ValueError``)."""
     oris = dict(fan.entries)
-    for p in points:
-        if p not in oris:
-            oris[p] = orient_toward(p, fan.entries)
+    rest = [p for p in points if p not in oris]
+    cover = containment_matrix(fan.wedges(), rest)
+    if not cover.any(axis=0).all():
+        raise ValueError("uncovered point: no hub wedge contains it")
+    hubs = fan.points()
+    for p, k in zip(rest, cover.argmax(axis=0).tolist()):
+        oris[p] = normalize_angle(math.atan2(hubs[k].y - p.y, hubs[k].x - p.x))
     return oris
 
 

@@ -46,7 +46,6 @@ from .orientation import (
     _pair_far_points,
     aim_at_fan,
     orient_cluster,
-    orient_toward,
     orient_quadruplet,
 )
 from .scg import AntennaConfig, CommGraph, _graph_from_matrix, bfs, components, is_connected
@@ -277,9 +276,7 @@ def replace(
         groups = [[i] for i in stray] if mode == "basic" else components(udg, stray)
         for comp in groups:
             rep = min((pts[i] for i in comp), key=Point.as_tuple)
-            target = hubs[labels[rep]].entries
-            for i in comp:
-                orientation[pts[i]] = orient_toward(pts[i], target)
+            orientation.update(aim_at_fan(hubs[labels[rep]], [pts[i] for i in comp]))
 
     configs = tuple(
         AntennaConfig(p, orientation[p], range=REPLACEMENT_RANGE) for p in pts

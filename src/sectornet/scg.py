@@ -27,8 +27,8 @@ from .geometry import (
     HalfPlane,
     Point,
     Wedge,
+    _halfplane_test_points,
     containment_matrix,
-    halfplane_covered,
 )
 from .orientation import OrientationAssignment
 
@@ -141,16 +141,20 @@ def find_mutual_cover_pair(
 
     These are exactly the cross-group edges of the symmetric graph, so a
     ``None`` means the two groups sit in different components when no
-    other antennas exist.
+    other antennas exist.  Coincident locations never pair up.
     """
-    for ca in side_a:
-        wa = ca.wedge()
-        for cb in side_b:
-            if ca.location == cb.location:
-                continue
-            if containment_matrix([wa, cb.wedge()], [cb.location, ca.location]).diagonal().all():
-                return ca.location, cb.location
-    return None
+    locs_a = [c.location for c in side_a]
+    locs_b = [c.location for c in side_b]
+    mutual = (
+        containment_matrix([c.wedge() for c in side_a], locs_b)
+        & containment_matrix([c.wedge() for c in side_b], locs_a).T
+    )
+    mutual &= np.array([[a != b for b in locs_b] for a in locs_a], bool).reshape(mutual.shape)
+    hits = np.argwhere(mutual)  # row-major: the input-order scan
+    if not len(hits):
+        return None
+    i, j = hits[0]
+    return locs_a[i], locs_b[j]
 
 
 #: Largest sub-group :func:`halfplane_cover_number` tries.
@@ -160,10 +164,13 @@ _MAX_COVER_SIZE = 4
 def halfplane_cover_number(
     configs: Sequence[AntennaConfig], hp: HalfPlane
 ) -> Optional[int]:
-    """Size of the smallest sub-group whose wedges cover the half-plane."""
+    """Size of the smallest sub-group whose wedges cover the half-plane,
+    each decided on the test points of the whole group's arrangement."""
+    wedges = [c.wedge() for c in configs]
+    hit = containment_matrix(wedges, _halfplane_test_points(wedges, hp))
     for k in range(1, _MAX_COVER_SIZE + 1):
-        for subset in itertools.combinations(configs, k):
-            if halfplane_covered([c.wedge() for c in subset], hp).covered:
+        for subset in itertools.combinations(range(len(wedges)), k):
+            if hit[list(subset)].any(axis=0).all():
                 return k
     return None
 

@@ -126,8 +126,28 @@ def test_verify_failure_exits_one(tmp_path):
     bad.write_text(json.dumps(doc))
     r = run_cli("verify", "--config", str(bad))
     assert r.returncode == 1
-    rep = json.loads(r.stdout)
+    rep = _strict_json(r.stdout)
     assert not rep["ok"] and not rep["checks"]["coverage"]["passed"]
+    # a disconnected SCG has no finite hop bound; the report stays strict JSON
+    udg = tmp_path / "udg.json"
+    run_cli("gen", "--family", "connected_udg", "--n", "60", "--seed", "7", "--out", str(udg))
+    run_cli("replace", "--instance", str(udg), "--out", str(cfg))
+    doc = json.loads(cfg.read_text())
+    for a in doc["antennas"]:
+        a["orientation_radians"] = 0.0
+    bad.write_text(json.dumps(doc))
+    r = run_cli("verify", "--config", str(bad), "--instance", str(udg))
+    assert r.returncode == 1
+    rep = _strict_json(r.stdout)
+    assert not rep["ok"] and not rep["checks"]["connected"]["passed"]
+    assert rep["checks"]["stretch"]["max_hops"] == "inf"
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_verify_connected_failure(tmp_path):

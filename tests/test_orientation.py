@@ -14,11 +14,12 @@ from sectornet.geometry import (
     wedge_contains,
 )
 from sectornet.orientation import (
+    OrientationAssignment,
+    aim_at_fan,
     couple_halfplane,
     couples,
     orient_cluster,
     orient_quadruplet,
-    orient_toward,
 )
 from sectornet.rng import SplitMix64
 from sectornet.scg import AntennaConfig, build_scg, configs_from_assignment, is_connected
@@ -196,25 +197,23 @@ def test_couple_halfplane_covers_and_anchors():
             assert max(vals) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_orient_toward_prefers_first_covering_hub():
-    hubs = [
+def test_aim_at_fan_prefers_first_covering_hub():
+    hubs = (
         (Point(10.0, 0.0), PI),          # covers the origin (aims left)
         (Point(0.0, 10.0), 1.5 * PI),    # also covers it (aims down)
-    ]
-    ang = orient_toward(Point(0.0, 0.0), hubs)
-    assert ang == pytest.approx(0.0)  # aims at the first hub
-    ang = orient_toward(Point(0.0, 0.0), list(reversed(hubs)))
-    assert ang == pytest.approx(0.5 * PI)
+    )
+    p = Point(0.0, 0.0)
+    got = aim_at_fan(OrientationAssignment(hubs), [p])
+    assert got[p] == pytest.approx(0.0)  # aims at the first hub
+    assert [got[h] for h, _ in hubs] == [PI, 1.5 * PI]  # hubs keep their own
+    got = aim_at_fan(OrientationAssignment(hubs[::-1]), [p])
+    assert got[p] == pytest.approx(0.5 * PI)
 
 
-def test_orient_toward_coincident_and_uncovered():
-    p = Point(1.0, 1.0)
-    assert orient_toward(p, [(p, 2.0)]) == 0.0
-    # a later real cover wins over an earlier coincident hub
-    ang = orient_toward(p, [(p, 2.0), (Point(2.0, 2.0), 1.25 * PI)])
-    assert ang == pytest.approx(0.25 * PI)
+def test_aim_at_fan_rejects_uncovered_point():
+    fan = OrientationAssignment(((Point(0.0, 0.0), PI),))
     with pytest.raises(ValueError):
-        orient_toward(Point(100.0, 0.0), [(Point(0.0, 0.0), PI)])
+        aim_at_fan(fan, [Point(100.0, 0.0)])
 
 
 def test_orient_cluster_singleton_and_pair():

@@ -1,5 +1,6 @@
 """Symmetric connectivity graphs and the separated-pair machinery."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -12,10 +13,12 @@ from sectornet.geometry import (
     QUARTER_TURN,
     HalfPlane,
     Point,
+    halfplane_covered,
     squared_distance,
     wedge_contains,
     weakly_separable,
 )
+from sectornet.generators import GenSpec, gen
 from sectornet.orientation import orient_quadruplet
 from sectornet.replacement import build_udg
 from sectornet.rng import SplitMix64
@@ -135,6 +138,14 @@ def test_find_mutual_cover_pair():
     # coincident locations are skipped rather than matched
     co = [AntennaConfig(Point(0.0, 0.0), PI)]
     assert find_mutual_cover_pair(a, co) is None
+    assert find_mutual_cover_pair([], b) is None
+    assert find_mutual_cover_pair(a, []) is None
+    # (a0, b0) coincide; (a0, b1) and (a1, b0) both link, and the scan
+    # runs over side A first, so (a0, b1) is the answer
+    a2 = a + [AntennaConfig(Point(-5.0, 0.0), 0.0)]
+    b2 = co + b
+    assert find_mutual_cover_pair(a2, b2) == (Point(0.0, 0.0), Point(5.0, 0.0))
+    assert find_mutual_cover_pair(b2, a2) == (Point(0.0, 0.0), Point(-5.0, 0.0))
 
 
 def _square_configs(x0, y0, rot=0.0):
@@ -152,6 +163,29 @@ def test_halfplane_cover_number_square():
     assert halfplane_cover_number(configs, HalfPlane(1.0, 0.0, 5.0)) == 2
     # a single quarter wedge never covers a half-plane
     assert halfplane_cover_number(configs[:1], HalfPlane(1.0, 0.0, 5.0)) is None
+
+
+def _cover_number_by_definition(configs, hp):
+    """The smallest k such that some k antennas cover ``hp`` on their own."""
+    for k in range(1, 5):
+        for subset in itertools.combinations(configs, k):
+            if halfplane_covered([c.wedge() for c in subset], hp).covered:
+                return k
+    return None
+
+
+def test_halfplane_cover_number_matches_its_definition():
+    specs = [GenSpec("separated_quads", 8, seed=s) for s in range(40)]
+    specs += [GenSpec("stratified_quads", 8, seed=s, case=c) for c in (1, 2) for s in range(20)]
+    for spec in specs:
+        inst = gen(spec)
+        sep = HalfPlane(**inst.metadata["separator"])
+        flipped = HalfPlane(-sep.nx, -sep.ny, -sep.c)
+        for side in (inst.points[:4], inst.points[4:]):
+            configs = configs_from_assignment(orient_quadruplet(list(side)))
+            for hp in (sep, flipped):
+                want = _cover_number_by_definition(configs, hp)
+                assert halfplane_cover_number(configs, hp) == want, spec
 
 
 def test_classify_separated_pair_aligned_is_case_one():
