@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -87,11 +88,11 @@ def _json_number(x):
     return "inf" if math.isinf(x) else x
 
 
-def _check_connected(configs, mode, instance_points, metadata, limit):
-    return {"passed": is_connected(build_scg(configs))}
+def _check_connected(configs, scg, mode, instance_points, metadata, limit):
+    return {"passed": is_connected(scg())}
 
 
-def _check_coverage(configs, mode, instance_points, metadata, limit):
+def _check_coverage(configs, scg, mode, instance_points, metadata, limit):
     if any(math.isfinite(c.range) for c in configs):
         raise ValueError("coverage check needs unbounded ranges")
     report = plane_coverage_verify([c.wedge() for c in configs])
@@ -103,7 +104,7 @@ def _check_coverage(configs, mode, instance_points, metadata, limit):
     return out
 
 
-def _check_stretch(configs, mode, instance_points, metadata, limit):
+def _check_stretch(configs, scg, mode, instance_points, metadata, limit):
     if instance_points is None:
         raise ValueError("stretch check needs --instance")
     if [c.location for c in configs] != instance_points:
@@ -113,15 +114,14 @@ def _check_stretch(configs, mode, instance_points, metadata, limit):
     if limit is None:
         raise ValueError(f"no default hop limit for mode {mode!r}; pass --limit")
     udg = build_udg(instance_points)
-    scg = build_scg(configs)
-    rep = verify_hop_spanner(udg, scg, limit)
+    rep = verify_hop_spanner(udg, scg(), limit)
     out = {"passed": rep.ok, "max_hops": _json_number(rep.max_hops), "limit": limit}
     if rep.worst_edge is not None:
         out["worst_edge"] = [list(rep.worst_edge[0].as_tuple()), list(rep.worst_edge[1].as_tuple())]
     return out
 
 
-def _check_cost_chain(configs, mode, instance_points, metadata, limit):
+def _check_cost_chain(configs, scg, mode, instance_points, metadata, limit):
     if instance_points is None:
         raise ValueError("cost-chain check needs --instance")
     beta = metadata.get("beta")
@@ -164,16 +164,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         instance_points, _ = fileio.read_instance(args.instance)
     names = (
         [s.strip() for s in args.checks.split(",") if s.strip()]
-        if args.checks
+        if args.checks is not None
         else _DEFAULT_CHECKS.get(mode, ["connected"])
     )
+    if not names:
+        raise ValueError("no checks given")
     for name in names:
         if name not in _CHECKS:
             raise ValueError(f"unknown check: {name!r}")
+    # built once, on first use: a check's usage error still comes first
+    scg = functools.cache(lambda: build_scg(configs))
     report = {"mode": mode, "checks": {}}
     for name in names:
         report["checks"][name] = _CHECKS[name](
-            configs, mode, instance_points, metadata, args.limit
+            configs, scg, mode, instance_points, metadata, args.limit
         )
     report["ok"] = all(c["passed"] for c in report["checks"].values())
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")

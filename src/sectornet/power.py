@@ -216,21 +216,20 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
     the vertical separator keeps each pair of fans linked, and ranges
     reaching the whole three-section window link adjacent sections.
     Fewer than eight points fall back to a single cluster whose ranges
-    span its diameter.
+    span its diameter.  At least two distinct points are needed: a lone
+    antenna would get range 0.
     """
     if beta < 1:
         raise ValueError("distance-power gradient must be at least 1")
     pts = list(points)
-    if not pts:
-        raise ValueError("empty point set")
+    if len(pts) < 2:
+        raise ValueError("power assignment needs at least two points")
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points")
 
     if len(pts) < 8:
         oris = orient_cluster(pts)
-        diameter = max(
-            (distance(p, q) for p in pts for q in pts), default=0.0
-        )
+        diameter = max(distance(p, q) for p in pts for q in pts)
         return PowerAssignment(
             beta, tuple((p, oris[p], diameter) for p in pts)
         )

@@ -20,8 +20,9 @@ dropping four consecutive points into one cell on the way.
 
 The unit-disk graph is built once per call and serves both the
 connectivity check and the grouping of points outside full cells.
-Graph building and traversal come from :mod:`sectornet.scg`; scipy is
-imported only when :func:`verify_hop_spanner` first runs.
+Graph building and traversal come from :mod:`sectornet.scg`;
+:func:`verify_hop_spanner` runs its own bit-parallel breadth-first
+search over the edge arrays, so the package needs only numpy.
 """
 
 from __future__ import annotations
@@ -295,27 +296,50 @@ class SpannerReport(NamedTuple):
     max_hops: float
 
 
+# Sources per bit-parallel search in verify_hop_spanner: one 64-bit word
+# of reach bits per vertex.  Wider chunks take memory in proportion and
+# were measured no faster, because numpy ORs one-word rows on a fast path.
+_CHUNK = 64
+
+
 def verify_hop_spanner(udg: CommGraph, scg: CommGraph, limit: float) -> SpannerReport:
     """Check every unit-disk edge is spanned by at most ``limit`` hops.
 
-    Both graphs must share the same vertex tuple.  All-pairs hop counts
-    come from breadth-first search over the symmetric graph, delegated
-    to scipy's compiled graph routines; scipy is imported here, on first
-    use, so that importing the package does not pay for it.
+    Both graphs must share the same vertex tuple.  Hops come from a
+    bit-parallel breadth-first search: ``_CHUNK`` sources advance one
+    level per pass over the symmetric graph's edge arrays until their
+    unit-disk edges are all spanned or nothing new is reached, so
+    ``max_hops`` is exact even when it exceeds ``limit``.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-
     if udg.vertices != scg.vertices:
         raise ValueError("graphs disagree on vertices")
-    if not len(udg.edges):
+    e = udg.edges
+    if not len(e):
         return SpannerReport(True, None, 0)
     n = len(scg.vertices)
-    s = scg.edges
-    mat = csr_matrix((np.ones(len(s)), (s[:, 0], s[:, 1])), shape=(n, n))
-    dist = shortest_path(mat, method="D", directed=False, unweighted=True)
-    e = udg.edges
-    hops = dist[e[:, 0], e[:, 1]]
+    src, dst = np.concatenate([scg.edges, scg.edges[:, ::-1]]).T
+    hops = np.full(len(e), math.inf)
+    for lo in range(0, n, _CHUNK):
+        # bit s - lo of reach[v] is set once v is within k hops of source
+        # s; the chunk serves the edges whose first endpoint is a source
+        size = min(_CHUNK, n - lo)
+        bit = np.arange(size)
+        reach = np.zeros((n, (size + 63) // 64), np.uint64)
+        reach[lo + bit, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
+        todo = np.arange(*np.searchsorted(e[:, 0], [lo, lo + size]))
+        word = (e[todo, 0] - lo) // 64
+        mask = np.uint64(1) << ((e[todo, 0] - lo) % 64).astype(np.uint64)
+        for k in range(n):
+            hit = (reach[e[todo, 1], word] & mask) != 0
+            hops[todo[hit]] = k
+            todo, word, mask = todo[~hit], word[~hit], mask[~hit]
+            if not len(todo):
+                break
+            new = reach.copy()
+            np.bitwise_or.at(new, dst, reach[src])
+            if np.array_equal(new, reach):
+                break
+            reach = new
     # edges are in row-major order, so the first maximum is the
     # lexicographically smallest edge reaching it
     i, j = e[hops.argmax()]

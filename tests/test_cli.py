@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from sectornet import fileio
+from sectornet import cli, fileio
 from sectornet.geometry import Point
-from sectornet.scg import AntennaConfig
+from sectornet.scg import AntennaConfig, build_scg
 
 
 def run_cli(*argv):
@@ -18,10 +18,47 @@ def run_cli(*argv):
     )
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is needed only by verify_hop_spanner, which imports it itself
-    code = "import sectornet, sys; assert 'scipy' not in sys.modules"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # numpy is the only runtime dependency: scipy serves the tests alone,
+    # so neither the replacement pipeline nor `verify` may load it
+    inst, cfg = str(tmp_path / "inst.json"), str(tmp_path / "cfg.json")
+    code = f"""
+import sys
+from sectornet import cli, fileio
+from sectornet.generators import GenSpec, gen
+from sectornet.replacement import build_udg, replace, verify_hop_spanner
+from sectornet.scg import build_scg
+pts = list(gen(GenSpec("connected_udg", 40, seed=3)).points)
+result = replace(pts)
+assert verify_hop_spanner(build_udg(pts), build_scg(result.configs), 8).ok
+fileio.write_instance(pts, {inst!r})
+fileio.write_config(result.configs, "replace-refined", {cfg!r})
+assert cli.main(["verify", "--config", {cfg!r}, "--instance", {inst!r}]) == 0
+assert "scipy" not in sys.modules
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_verify_builds_the_scg_once(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "udg.json"
+    cfg = tmp_path / "cfg.json"
+    assert cli.main(["gen", "--family", "connected_udg", "--n", "30", "--seed", "3", "--out", str(inst)]) == 0
+    assert cli.main(["replace", "--instance", str(inst), "--out", str(cfg)]) == 0
+    calls = []
+
+    def counting_build_scg(configs):
+        calls.append(len(configs))
+        return build_scg(configs)
+
+    monkeypatch.setattr(cli, "build_scg", counting_build_scg)
+    # connected and stretch both read the SCG
+    assert cli.main(["verify", "--config", str(cfg), "--instance", str(inst)]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"].keys() == {"connected", "stretch"}
+    assert calls == [30]
+    # a usage error comes before any build
+    assert cli.main(["verify", "--config", str(cfg), "--checks", "stretch"]) == 2
+    assert calls == [30]
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -172,6 +209,9 @@ def test_usage_errors_exit_two(tmp_path):
     assert run_cli("verify", "--config", str(tmp_path / "missing.json")).returncode == 2
     assert run_cli("verify", "--config", str(cfg), "--instance", str(inst), "--checks", "bogus").returncode == 2
     assert run_cli("verify", "--config", str(cfg), "--checks", "stretch").returncode == 2  # no instance
+    for empty in (",", ""):
+        r = run_cli("verify", "--config", str(cfg), "--instance", str(inst), "--checks", empty)
+        assert r.returncode == 2 and "no checks given" in r.stderr
     # coverage demands unbounded ranges
     assert run_cli("verify", "--config", str(cfg), "--checks", "coverage").returncode == 2
     # argparse-level misuse

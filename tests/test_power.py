@@ -234,5 +234,7 @@ def test_orient_and_assign_input_validation():
         orient_and_assign([], 2)
     with pytest.raises(ValueError):
         orient_and_assign([Point(0.0, 0.0)], 0.9)
+    with pytest.raises(ValueError, match="at least two points"):
+        orient_and_assign([Point(0.0, 0.0)], 2)
     with pytest.raises(ValueError):
         orient_and_assign([Point(0.0, 0.0), Point(0.0, 0.0)], 2)

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 from scipy.spatial import distance_matrix
 
+from sectornet import replacement
 from sectornet.geometry import Point, distance, wedge_contains
 from sectornet.orientation import orient_quadruplet
 from sectornet.replacement import (
@@ -282,6 +285,56 @@ def test_verify_hop_spanner_report_rules():
     # a unit-disk graph without edges has nothing to span
     apart = build_udg([Point(0.0, 0.0), Point(2.0, 0.0)])
     assert verify_hop_spanner(apart, apart, 0) == (True, None, 0)
+
+
+def _shortest_path_report(udg, scg, limit):
+    """The hop-spanner report read off scipy's all-pairs hop matrix."""
+    if not len(udg.edges):
+        return (True, None, 0)
+    n = len(scg.vertices)
+    s = scg.edges
+    mat = csr_matrix((np.ones(len(s)), (s[:, 0], s[:, 1])), shape=(n, n))
+    dist = shortest_path(mat, method="D", directed=False, unweighted=True)
+    worst, worst_edge = -1.0, None
+    for i, j in sorted(udg.edges.tolist()):
+        if dist[i, j] > worst:
+            worst, worst_edge = float(dist[i, j]), (udg.vertices[i], udg.vertices[j])
+    return (worst <= limit, worst_edge, worst if math.isinf(worst) else int(worst))
+
+
+def _random_graph(rng, vertices, p, chain):
+    """Random symmetric graph; ``chain`` adds a spanning tree whose every
+    vertex hangs off one of the four before it, so paths get long."""
+    n = len(vertices)
+    adj = rng.random((n, n)) < p
+    if chain:
+        for v in range(1, n):
+            adj[rng.integers(max(0, v - 4), v), v] = True
+    return CommGraph(vertices, np.argwhere(np.triu(adj | adj.T, 1)))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3, 64, 65, 130])
+def test_verify_hop_spanner_matches_shortest_path_oracle(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(replacement, "_CHUNK", chunk)
+    rng = np.random.default_rng(2024)
+    for n in [1, 2, 3, 5, 8, 13, 30, 63, 64, 65, 66, 90]:
+        vertices = tuple(Point(float(i), 0.0) for i in range(n))
+        # edgeless, disconnected, connected with long paths, and dense
+        for p, chain in ((0.0, False), (1.5 / n, False), (0.5 / n, True), (3.0 / n, True), (0.3, False)):
+            scg = _random_graph(rng, vertices, p, chain)
+            udg = _random_graph(rng, vertices, 0.2, False)
+            for limit in range(10):
+                assert verify_hop_spanner(udg, scg, limit) == _shortest_path_report(
+                    udg, scg, limit
+                ), (n, p, chain, limit)
+            # a report shows only the worst edge; one-edge graphs show the
+            # hops of edges on both sides of chunk and word boundaries
+            for k in rng.permutation(len(udg.edges))[:4]:
+                one = CommGraph(vertices, udg.edges[k : k + 1])
+                assert verify_hop_spanner(one, scg, 8) == _shortest_path_report(
+                    one, scg, 8
+                ), (n, p, chain, one.edges)
 
 
 def test_path_hits_full_cell_hand_case():
