@@ -27,6 +27,7 @@ from .replacement import build_udg, replace, verify_hop_spanner
 from .scg import AntennaConfig, build_scg, is_connected
 
 _DEFAULT_STRETCH = {"replace-basic": 9, "replace-refined": 8, "replace-small": 5}
+_MISMATCH = "config antennas do not match the instance points"
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -88,57 +89,74 @@ def _json_number(x):
     return "inf" if math.isinf(x) else x
 
 
-def _check_connected(configs, scg, mode, instance_points, metadata, limit):
-    return {"passed": is_connected(scg())}
+# A check takes the verify inputs, raises its usage errors, and returns
+# the run that reports on the configuration given a zero-argument SCG
+# builder; cmd_verify prepares every check before running any.
 
 
-def _check_coverage(configs, scg, mode, instance_points, metadata, limit):
+def _check_connected(configs, mode, instance_points, metadata, limit):
+    return lambda scg: {"passed": is_connected(scg())}
+
+
+def _check_coverage(configs, mode, instance_points, metadata, limit):
     if any(math.isfinite(c.range) for c in configs):
         raise ValueError("coverage check needs unbounded ranges")
-    report = plane_coverage_verify([c.wedge() for c in configs])
-    out: dict = {"passed": report.covered}
-    if report.witness_point is not None:
-        out["witness_point"] = [report.witness_point.x, report.witness_point.y]
-    if report.witness_direction is not None:
-        out["witness_direction"] = report.witness_direction
-    return out
+
+    def run(scg):
+        report = plane_coverage_verify([c.wedge() for c in configs])
+        out: dict = {"passed": report.covered}
+        if report.witness_point is not None:
+            out["witness_point"] = [report.witness_point.x, report.witness_point.y]
+        if report.witness_direction is not None:
+            out["witness_direction"] = report.witness_direction
+        return out
+
+    return run
 
 
-def _check_stretch(configs, scg, mode, instance_points, metadata, limit):
+def _check_stretch(configs, mode, instance_points, metadata, limit):
     if instance_points is None:
         raise ValueError("stretch check needs --instance")
     if [c.location for c in configs] != instance_points:
-        raise ValueError("config antennas do not match the instance points")
+        raise ValueError(_MISMATCH)
     if limit is None:
         limit = _DEFAULT_STRETCH.get(mode)
     if limit is None:
         raise ValueError(f"no default hop limit for mode {mode!r}; pass --limit")
-    udg = build_udg(instance_points)
-    rep = verify_hop_spanner(udg, scg(), limit)
-    out = {"passed": rep.ok, "max_hops": _json_number(rep.max_hops), "limit": limit}
-    if rep.worst_edge is not None:
-        out["worst_edge"] = [list(rep.worst_edge[0].as_tuple()), list(rep.worst_edge[1].as_tuple())]
-    return out
+
+    def run(scg):
+        rep = verify_hop_spanner(build_udg(instance_points), scg(), limit)
+        out = {"passed": rep.ok, "max_hops": _json_number(rep.max_hops), "limit": limit}
+        if rep.worst_edge is not None:
+            out["worst_edge"] = [list(rep.worst_edge[0].as_tuple()), list(rep.worst_edge[1].as_tuple())]
+        return out
+
+    return run
 
 
-def _check_cost_chain(configs, scg, mode, instance_points, metadata, limit):
+def _check_cost_chain(configs, mode, instance_points, metadata, limit):
     if instance_points is None:
         raise ValueError("cost-chain check needs --instance")
+    if {c.location for c in configs} != set(instance_points):
+        raise ValueError(_MISMATCH)
     beta = metadata.get("beta")
-    if beta is None:
-        raise ValueError("config metadata lacks beta")
+    if not isinstance(beta, (int, float)):
+        raise ValueError("config metadata lacks a numeric beta")
     pa = PowerAssignment(
         beta, tuple((c.location, c.orientation, c.range) for c in configs)
     )
-    tour = tsp_tour_approx(instance_points)
-    rep = cost_chain_check(pa, tour)
-    return {
-        "passed": rep.ok,
-        "cost": _json_number(rep.cost),
-        "cost_over_tour": _json_number(rep.cost_over_tour),
-        "cost_over_mst": _json_number(rep.cost_over_mst),
-        "max_index_gap": rep.max_index_gap,
-    }
+
+    def run(scg):
+        rep = cost_chain_check(pa, tsp_tour_approx(instance_points))
+        return {
+            "passed": rep.ok,
+            "cost": _json_number(rep.cost),
+            "cost_over_tour": _json_number(rep.cost_over_tour),
+            "cost_over_mst": _json_number(rep.cost_over_mst),
+            "max_index_gap": rep.max_index_gap,
+        }
+
+    return run
 
 
 _CHECKS = {
@@ -172,13 +190,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for name in names:
         if name not in _CHECKS:
             raise ValueError(f"unknown check: {name!r}")
-    # built once, on first use: a check's usage error still comes first
+    runs = [
+        (name, _CHECKS[name](configs, mode, instance_points, metadata, args.limit))
+        for name in names
+    ]
+    # built once, on first use, and only after every usage error
     scg = functools.cache(lambda: build_scg(configs))
-    report = {"mode": mode, "checks": {}}
-    for name in names:
-        report["checks"][name] = _CHECKS[name](
-            configs, scg, mode, instance_points, metadata, args.limit
-        )
+    report = {"mode": mode, "checks": {name: run(scg) for name, run in runs}}
     report["ok"] = all(c["passed"] for c in report["checks"].values())
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return 0 if report["ok"] else 1

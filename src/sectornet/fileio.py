@@ -11,12 +11,27 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .geometry import Point
 from .scg import AntennaConfig
 
 PathLike = Union[str, Path]
+
+
+def _read(path: PathLike, kind: str, parse: Callable[[dict], tuple]) -> tuple:
+    """``parse``'s fields of a ``kind`` file, then its metadata.  A wrong
+    kind, a missing key or a wrong shape is a ValueError naming the file."""
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise ValueError(f"{path}: not a sectornet {kind} file")
+    try:
+        metadata = doc.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise TypeError("metadata is not an object")
+        return parse(doc) + (metadata,)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed {kind} file: {exc!r}") from None
 
 
 def _dump(doc: dict, path: Optional[PathLike]) -> str:
@@ -38,11 +53,11 @@ def write_instance(
 
 
 def read_instance(path: PathLike) -> tuple[list[Point], dict]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("kind") != "instance":
-        raise ValueError(f"{path}: not an instance file")
-    pts = [Point(float(e["x"]), float(e["y"])) for e in doc["points"]]
-    return pts, doc.get("metadata", {})
+    return _read(
+        path,
+        "instance",
+        lambda doc: ([Point(float(e["x"]), float(e["y"])) for e in doc["points"]],),
+    )
 
 
 def write_config(
@@ -70,9 +85,13 @@ def write_config(
 
 
 def read_config(path: PathLike) -> tuple[list[AntennaConfig], str, dict]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("kind") != "config":
-        raise ValueError(f"{path}: not a config file")
+    return _read(path, "config", _parse_config)
+
+
+def _parse_config(doc: dict) -> tuple[list[AntennaConfig], str]:
+    mode = doc.get("mode", "")
+    if not isinstance(mode, str):
+        raise TypeError("mode is not a string")
     configs = []
     for e in doc["antennas"]:
         rng = e["range"]
@@ -84,4 +103,4 @@ def read_config(path: PathLike) -> tuple[list[AntennaConfig], str, dict]:
                 math.inf if rng == "inf" else float(rng),
             )
         )
-    return configs, doc.get("mode", ""), doc.get("metadata", {})
+    return configs, mode

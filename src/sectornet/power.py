@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Point, distance, squared_distance
+from .geometry import Point, distance
 from .orientation import aim_at_fan, orient_cluster, orient_quadruplet
 from .scg import AntennaConfig
 
@@ -33,21 +33,14 @@ from .scg import AntennaConfig
 # ---------------------------------------------------------------------------
 
 
-def _squared_distance_matrix(points: Sequence[Point]) -> np.ndarray:
-    xs = np.array([p.x for p in points])
-    ys = np.array([p.y for p in points])
-    dx = xs[:, None] - xs[None, :]
-    dy = ys[:, None] - ys[None, :]
-    return dx * dx + dy * dy
-
-
 def mst_edges(points: Sequence[Point]) -> list[tuple[int, int]]:
     """Prim's minimum spanning tree on the complete Euclidean graph.
 
-    The tree does not depend on beta: raising distances to a fixed power
-    is monotone, so the squared-distance tree is the r**beta tree for
-    every beta.  Ties go to the lowest-numbered vertex, which pins the
-    tree (and everything downstream of it) for equal inputs.
+    (parent, child) pairs in the order the tree grows from vertex 0;
+    each joining vertex adds one row of squared distances, so memory is
+    O(n).  The tree does not depend on beta: raising distances to a fixed
+    power is monotone.  Ties go to the lowest-numbered vertex, which pins
+    the tree (and everything downstream of it) for equal inputs.
     """
     pts = list(points)
     if len(set(pts)) != len(pts):
@@ -55,20 +48,24 @@ def mst_edges(points: Sequence[Point]) -> list[tuple[int, int]]:
     n = len(pts)
     if n < 2:
         return []
-    d2 = _squared_distance_matrix(pts)
+    xs = np.array([p.x for p in pts])
+    ys = np.array([p.y for p in pts])
     in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = d2[0].copy()
+    best = np.full(n, np.inf)  # in-tree vertices stay at inf
     parent = np.zeros(n, dtype=int)
     edges: list[tuple[int, int]] = []
+    nxt = 0
     for _ in range(n - 1):
-        masked = np.where(in_tree, np.inf, best)
-        nxt = int(np.argmin(masked))
         in_tree[nxt] = True
-        edges.append((int(parent[nxt]), nxt))
-        closer = ~in_tree & (d2[nxt] < best)
+        dx = xs[nxt] - xs
+        dy = ys[nxt] - ys
+        row = dx * dx + dy * dy
+        closer = ~in_tree & (row < best)
         parent[closer] = nxt
-        best[closer] = d2[nxt][closer]
+        best[closer] = row[closer]
+        nxt = int(np.argmin(best))
+        best[nxt] = np.inf
+        edges.append((int(parent[nxt]), nxt))
     return edges
 
 
@@ -82,9 +79,11 @@ def mst_cost(points: Sequence[Point], beta: float) -> float:
 
 @dataclass(frozen=True)
 class Tour:
-    """A cyclic visiting order (each point exactly once)."""
+    """A cyclic visiting order (each point exactly once) and the minimum
+    spanning tree it was walked from: (parent, child) pairs in Prim order."""
 
     order: tuple[Point, ...]
+    tree: tuple[tuple[Point, Point], ...]
 
     def __len__(self) -> int:
         return len(self.order)
@@ -117,7 +116,8 @@ def tsp_tour_approx(points: Sequence[Point]) -> Tour:
     order_idx = sorted(range(len(pts)), key=lambda i: pts[i].as_tuple())
     pts = [pts[i] for i in order_idx]  # root (index 0) is the lex smallest
     adj: dict[int, list[int]] = {i: [] for i in range(len(pts))}
-    for i, j in mst_edges(pts):
+    edges = mst_edges(pts)
+    for i, j in edges:
         adj[i].append(j)
         adj[j].append(i)
     for nbrs in adj.values():
@@ -134,7 +134,7 @@ def tsp_tour_approx(points: Sequence[Point]) -> Tour:
         stack.extend(adj[u])
     if len(walk) >= 3 and walk[1].as_tuple() > walk[-1].as_tuple():
         walk = [walk[0]] + walk[:0:-1]
-    return Tour(tuple(walk))
+    return Tour(tuple(walk), tuple((pts[i], pts[j]) for i, j in edges))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +188,14 @@ def make_sections(tour: Tour) -> list[Section]:
     return sections
 
 
+def _windows(groups: Sequence[tuple[Point, ...]]) -> list[tuple[Point, ...]]:
+    """Each section's window, in cyclic tour order from the previous
+    section through the next (the whole cycle for at most two)."""
+    m = len(groups)
+    steps = (-1, 0, 1) if m >= 3 else range(-1, m - 1)
+    return [tuple(p for d in steps for p in groups[(i + d) % m]) for i in range(m)]
+
+
 # ---------------------------------------------------------------------------
 # The assignment
 # ---------------------------------------------------------------------------
@@ -199,6 +207,10 @@ class PowerAssignment:
 
     beta: float
     entries: tuple[tuple[Point, float, float], ...]  # (point, orientation, radius)
+
+    def __post_init__(self) -> None:
+        if self.beta < 1:
+            raise ValueError("distance-power gradient must be at least 1")
 
     @property
     def cost(self) -> float:
@@ -234,9 +246,7 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
             beta, tuple((p, oris[p], diameter) for p in pts)
         )
 
-    tour = tsp_tour_approx(pts)
-    sections = make_sections(tour)
-    m = len(sections)
+    sections = make_sections(tsp_tour_approx(pts))
 
     orientation: dict[Point, float] = {}
     for sec in sections:
@@ -244,10 +254,7 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
         orientation.update(aim_at_fan(orient_quadruplet(sec.right[-4:]), sec.right))
 
     radius: dict[Point, float] = {}
-    for i, sec in enumerate(sections):
-        window = set(sections[(i - 1) % m].members) | set(sec.members) | set(
-            sections[(i + 1) % m].members
-        )
+    for sec, window in zip(sections, _windows([sec.members for sec in sections])):
         for p in sec.members:
             radius[p] = max(distance(p, q) for q in window)
 
@@ -282,45 +289,32 @@ def cost_chain_check(pa: PowerAssignment, tour: Tour) -> CostChainReport:
     ``S * G**beta * 3 * tour_cost`` with S the largest section size and
     G the largest index gap (8 * 15**beta * 3 when n is a multiple of
     8), since every tour edge lands in at most three windows.
+
+    Under eight points the one cluster is one section whose window is
+    the cycle: the diameter is at most floor(n/2), the least gap, times
+    the longest tour edge.  ``mst_cost`` sums over ``tour.tree``; without
+    tied distances that is ``mst_cost(tour.order)`` bit for bit, with
+    ties possibly another tree of equal weight.
     """
     n = len(tour)
-    sections = make_sections(tour)
+    if n < 2:
+        raise ValueError("cost chain needs at least two points")
     if {p for p, _, _ in pa.entries} != set(tour.order):
         raise ValueError("assignment and tour disagree on the points")
     radius = {p: r for p, _, r in pa.entries}
-    m = len(sections)
-    offsets = []
-    at = 0
-    for sec in sections:
-        offsets.append(at)
-        at += len(sec.members)
-    cyc = []
-    for sec in sections:
-        cyc.extend(sec.members)
-
-    def window_positions(i: int) -> list[int]:
-        if m <= 2:
-            start = offsets[(i - 1) % m]
-            return [(start + t) % n for t in range(n)]
-        start = offsets[(i - 1) % m]
-        length = sum(
-            len(sections[(i + d) % m].members) for d in (-1, 0, 1)
-        )
-        return [(start + t) % n for t in range(length)]
+    groups = [sec.members for sec in make_sections(tour)] if n >= 8 else [tour.order]
 
     pointwise_ok = True
     max_gap = 0
     eps = 1e-9
-    for i, sec in enumerate(sections):
-        pos = window_positions(i)
-        max_edge = max(
-            distance(cyc[pos[t]], cyc[pos[t + 1]]) for t in range(len(pos) - 1)
-        )
-        if len(pos) == n:  # window wraps the whole cycle
-            max_edge = max(max_edge, distance(cyc[pos[-1]], cyc[pos[0]]))
-        where = {cyc[q]: t for t, q in enumerate(pos)}
-        for p in sec.members:
-            gap = max(where[p], len(pos) - 1 - where[p])
+    for members, window in zip(groups, _windows(groups)):
+        steps = [distance(p, q) for p, q in zip(window, window[1:])]
+        if len(window) == n:  # window wraps the whole cycle
+            steps.append(distance(window[-1], window[0]))
+        max_edge = max(steps)
+        where = {q: t for t, q in enumerate(window)}
+        for p in members:
+            gap = max(where[p], len(window) - 1 - where[p])
             max_gap = max(max_gap, gap)
             if radius[p] > gap * max_edge + eps:
                 pointwise_ok = False
@@ -329,8 +323,8 @@ def cost_chain_check(pa: PowerAssignment, tour: Tour) -> CostChainReport:
         pointwise_ok = False  # the fixed-size argument must give exactly 15
 
     tour_cost = tour_power_cost(tour, pa.beta)
-    tree_cost = mst_cost(list(tour.order), pa.beta)
-    biggest = max(len(sec.members) for sec in sections)
+    tree_cost = sum(distance(p, q) ** pa.beta for p, q in tour.tree)
+    biggest = max(len(members) for members in groups)
     if n % 8 == 0:
         bound = 8 * 15**pa.beta * 3 * tour_cost
     else:

@@ -297,8 +297,8 @@ class SpannerReport(NamedTuple):
 
 
 # Sources per bit-parallel search in verify_hop_spanner: one 64-bit word
-# of reach bits per vertex.  Wider chunks take memory in proportion and
-# were measured no faster, because numpy ORs one-word rows on a fast path.
+# of reach bits per vertex, so at most 64.  Wider, multi-word chunks were
+# measured no faster.
 _CHUNK = 64
 
 
@@ -324,15 +324,14 @@ def verify_hop_spanner(udg: CommGraph, scg: CommGraph, limit: float) -> SpannerR
         # s; the chunk serves the edges whose first endpoint is a source
         size = min(_CHUNK, n - lo)
         bit = np.arange(size)
-        reach = np.zeros((n, (size + 63) // 64), np.uint64)
-        reach[lo + bit, bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
+        reach = np.zeros(n, np.uint64)
+        reach[lo + bit] = np.uint64(1) << bit.astype(np.uint64)
         todo = np.arange(*np.searchsorted(e[:, 0], [lo, lo + size]))
-        word = (e[todo, 0] - lo) // 64
-        mask = np.uint64(1) << ((e[todo, 0] - lo) % 64).astype(np.uint64)
+        mask = np.uint64(1) << (e[todo, 0] - lo).astype(np.uint64)
         for k in range(n):
-            hit = (reach[e[todo, 1], word] & mask) != 0
+            hit = (reach[e[todo, 1]] & mask) != 0
             hops[todo[hit]] = k
-            todo, word, mask = todo[~hit], word[~hit], mask[~hit]
+            todo, mask = todo[~hit], mask[~hit]
             if not len(todo):
                 break
             new = reach.copy()

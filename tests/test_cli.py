@@ -61,6 +61,37 @@ def test_verify_builds_the_scg_once(tmp_path, monkeypatch, capsys):
     assert calls == [30]
 
 
+def test_verify_reports_usage_errors_before_building(tmp_path, monkeypatch):
+    # every requested check raises its usage errors before any check
+    # builds an SCG, a unit-disk graph or a tour
+    udg = tmp_path / "udg.json"
+    rcfg = tmp_path / "rcfg.json"
+    pts = tmp_path / "pts.json"
+    pcfg = tmp_path / "pcfg.json"
+    assert cli.main(["gen", "--family", "connected_udg", "--n", "30", "--seed", "3", "--out", str(udg)]) == 0
+    assert cli.main(["replace", "--instance", str(udg), "--out", str(rcfg)]) == 0
+    assert cli.main(["gen", "--family", "random_square", "--n", "20", "--seed", "3", "--out", str(pts)]) == 0
+    assert cli.main(["power", "--instance", str(pts), "--beta", "2", "--out", str(pcfg)]) == 0
+    doc = json.loads(pcfg.read_text())
+    doc["metadata"]["beta"] = 0.5
+    low = tmp_path / "low.json"
+    low.write_text(json.dumps(doc))
+    builds = []
+    for name in ("build_scg", "build_udg", "tsp_tour_approx"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: builds.append(name))
+    for argv in (
+        ["--config", str(rcfg), "--checks", "connected,stretch"],  # no instance
+        ["--config", str(rcfg), "--instance", str(pts), "--checks", "connected,stretch"],
+        ["--config", str(pcfg), "--checks", "connected,cost-chain"],
+        ["--config", str(pcfg), "--instance", str(udg), "--checks", "connected,cost-chain"],
+        ["--config", str(rcfg), "--instance", str(udg), "--checks", "connected,cost-chain"],  # no beta
+        ["--config", str(low), "--instance", str(pts), "--checks", "connected,cost-chain"],
+        ["--config", str(pcfg), "--instance", str(pts), "--checks", "connected,coverage"],
+    ):
+        assert cli.main(["verify", *argv]) == 2, argv
+    assert builds == []
+
+
 def test_gen_is_deterministic(tmp_path):
     out = tmp_path / "inst.json"
     assert run_cli("gen", "--family", "random_square", "--n", "6", "--seed", "11", "--out", str(out)).returncode == 0
@@ -128,6 +159,18 @@ def test_power_then_verify_cost_chain(tmp_path):
     rep = json.loads(r.stdout)
     assert rep["ok"] and rep["checks"]["cost-chain"]["passed"]
     assert rep["checks"]["cost-chain"]["cost_over_mst"] >= 1.0
+
+
+def test_power_then_verify_below_eight_points(tmp_path):
+    # the single-cluster fallback is audited as one whole-cycle section
+    inst = tmp_path / "five.json"
+    cfg = tmp_path / "cfg.json"
+    assert run_cli("gen", "--family", "random_square", "--n", "5", "--seed", "1", "--out", str(inst)).returncode == 0
+    assert run_cli("power", "--instance", str(inst), "--beta", "2", "--out", str(cfg)).returncode == 0
+    r = run_cli("verify", "--config", str(cfg), "--instance", str(inst))
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["ok"] and rep["checks"]["cost-chain"]["max_index_gap"] == 4
 
 
 def test_render_is_deterministic_and_draws_grid(tmp_path):
@@ -214,5 +257,17 @@ def test_usage_errors_exit_two(tmp_path):
         assert r.returncode == 2 and "no checks given" in r.stderr
     # coverage demands unbounded ranges
     assert run_cli("verify", "--config", str(cfg), "--checks", "coverage").returncode == 2
+    # malformed files: a missing key and a wrong shape
+    doc = json.loads(inst.read_text())
+    del doc["points"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    r = run_cli("orient4", "--instance", str(bad))
+    assert r.returncode == 2 and str(bad) in r.stderr and "Traceback" not in r.stderr
+    doc = json.loads(cfg.read_text())
+    doc["antennas"] = [[0.0, 0.0]]
+    bad.write_text(json.dumps(doc))
+    r = run_cli("verify", "--config", str(bad), "--checks", "connected")
+    assert r.returncode == 2 and str(bad) in r.stderr and "Traceback" not in r.stderr
     # argparse-level misuse
     assert run_cli("gen", "--family", "nope", "--n", "4").returncode == 2

@@ -61,3 +61,27 @@ def test_output_is_stable_json(tmp_path):
     assert doc["kind"] == "instance"
     # keys are sorted so reruns are byte-identical
     assert path.read_text().index('"a"') < path.read_text().index('"b"')
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "instance"},
+        {"kind": "instance", "points": 3},
+        {"kind": "instance", "points": [{"x": 1.0}]},
+        {"kind": "instance", "points": [[1.0, 2.0]]},
+        {"kind": "instance", "points": [{"x": "one", "y": 2.0}]},
+        {"kind": "instance", "points": [], "metadata": [1]},
+        {"kind": "config", "mode": "power"},
+        {"kind": "config", "antennas": [{"x": 0.0, "y": 0.0}]},
+        {"kind": "config", "antennas": {"x": 0.0}},
+        {"kind": "config", "antennas": [], "mode": 7},
+        ["kind", "instance"],
+    ],
+)
+def test_malformed_files_are_value_errors_naming_the_file(tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    read = fileio.read_config if isinstance(doc, dict) and doc["kind"] == "config" else fileio.read_instance
+    with pytest.raises(ValueError, match="bad.json"):
+        read(path)

@@ -3,9 +3,12 @@
 import bisect
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
+from sectornet import power
+from sectornet.generators import GenSpec, gen
 from sectornet.geometry import Point, distance
 from sectornet.power import (
     PowerAssignment,
@@ -84,11 +87,11 @@ def test_mst_edges_do_not_depend_on_beta():
 
 def test_tour_cost_square():
     square = Tour(
-        (Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0), Point(0.0, 1.0))
+        (Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0), Point(0.0, 1.0)), ()
     )
     assert tour_power_cost(square, 1) == pytest.approx(4.0)
     assert tour_power_cost(square, 2) == pytest.approx(4.0)
-    assert tour_power_cost(Tour((Point(0.0, 0.0),)), 3) == 0.0
+    assert tour_power_cost(Tour((Point(0.0, 0.0),), ()), 3) == 0.0
 
 
 def _brute_best_tour_length(points):
@@ -162,6 +165,8 @@ def test_power_assignment_cost_is_sum_of_radius_powers():
     assert pa.cost == pytest.approx(25.0)
     cfgs = pa.configs()
     assert [c.range for c in cfgs] == [3.0, 4.0]
+    with pytest.raises(ValueError, match="gradient"):
+        PowerAssignment(0.5, ())
 
 
 def test_small_instances_use_cluster_with_diameter_range():
@@ -238,3 +243,77 @@ def test_orient_and_assign_input_validation():
         orient_and_assign([Point(0.0, 0.0)], 2)
     with pytest.raises(ValueError):
         orient_and_assign([Point(0.0, 0.0), Point(0.0, 0.0)], 2)
+
+
+def _tree_over_order(tour):
+    order = list(tour.order)
+    return tuple((order[i], order[j]) for i, j in mst_edges(order))
+
+
+def test_tour_keeps_the_tree_it_was_walked_from():
+    # without tied distances, Prim over the tour's order starts at the
+    # same lexicographically smallest point and adds the same edges in
+    # the same order, so the audit's tree sum is mst_cost bit for bit
+    rng = SplitMix64(99)
+    for n, beta in [(8, 1), (17, 2), (64, 3), (131, 2)]:
+        pts = _random_distinct(rng, n, lo=0.0, hi=30.0)
+        tour = tsp_tour_approx(pts)
+        assert tour.tree == _tree_over_order(tour)
+        rep = cost_chain_check(orient_and_assign(pts, beta), tour)
+        assert rep.mst_cost == mst_cost(tour.order, beta)
+
+
+def test_tied_distances_may_give_another_tree_of_equal_weight():
+    # on a lattice the tour's own point order breaks ties differently, so
+    # the audit may sum a different minimum tree; only the weight agrees
+    pts = [Point(0.7 * i, 0.7 * j) for i in range(6) for j in range(9)]
+    tour = tsp_tour_approx(pts)
+    assert {frozenset(e) for e in tour.tree} != {frozenset(e) for e in _tree_over_order(tour)}
+    for beta in (1, 2, 3):
+        rep = cost_chain_check(orient_and_assign(pts, beta), tour)
+        assert rep.ok
+        assert rep.mst_cost == pytest.approx(mst_cost(tour.order, beta), rel=1e-12)
+
+
+def test_mst_edges_memory_is_linear():
+    # one distance row at a time: a 2000 x 2000 float matrix alone is 32 MB
+    pts = list(gen(GenSpec("random_square", 2000, seed=1, side=60.0)).points)
+    tracemalloc.start()
+    try:
+        edges = mst_edges(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(edges) == 1999
+    assert peak < 4 * 2**20
+
+
+def test_power_pipeline_runs_prim_twice(monkeypatch):
+    # once in the assignment's tour, once in the audited tour; the audit
+    # reads the tree the tour kept
+    calls = []
+
+    def counting_mst_edges(points):
+        calls.append(len(points))
+        return mst_edges(points)
+
+    monkeypatch.setattr(power, "mst_edges", counting_mst_edges)
+    pts = _random_distinct(SplitMix64(100), 40, lo=0.0, hi=30.0)
+    pa = orient_and_assign(pts, 2)
+    assert cost_chain_check(pa, tsp_tour_approx(pts)).ok
+    assert calls == [40, 40]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_cost_chain_audits_the_small_cluster(n):
+    # under eight points the cluster is one section whose window is the
+    # whole cycle; every index gap is at least floor(n/2)
+    rng = SplitMix64(110 + n)
+    pts = _random_distinct(rng, n, lo=0.0, hi=5.0)
+    for beta in (1, 2, 3):
+        rep = cost_chain_check(orient_and_assign(pts, beta), tsp_tour_approx(pts))
+        assert rep.ok and rep.pointwise_ok and rep.total_ok
+        assert rep.max_index_gap == n - 1
+        assert rep.mst_cost == pytest.approx(mst_cost(pts, beta), rel=1e-12)
+    with pytest.raises(ValueError, match="at least two points"):
+        cost_chain_check(PowerAssignment(2, ((pts[0], 0.0, 1.0),)), Tour((pts[0],), ()))

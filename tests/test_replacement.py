@@ -313,7 +313,7 @@ def _random_graph(rng, vertices, p, chain):
     return CommGraph(vertices, np.argwhere(np.triu(adj | adj.T, 1)))
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 3, 64, 65, 130])
+@pytest.mark.parametrize("chunk", [None, 1, 3, 64])
 def test_verify_hop_spanner_matches_shortest_path_oracle(monkeypatch, chunk):
     if chunk is not None:
         monkeypatch.setattr(replacement, "_CHUNK", chunk)
