@@ -24,7 +24,7 @@ from .orientation import orient_quadruplet
 from .power import PowerAssignment, cost_chain_check, orient_and_assign, tsp_tour_approx
 from .render import render_svg
 from .replacement import build_udg, replace, verify_hop_spanner
-from .scg import AntennaConfig, build_scg, is_connected
+from .scg import build_scg, configs_from_assignment, is_connected
 
 _DEFAULT_STRETCH = {"replace-basic": 9, "replace-refined": 8, "replace-small": 5}
 _MISMATCH = "config antennas do not match the instance points"
@@ -55,9 +55,7 @@ def cmd_orient4(args: argparse.Namespace) -> int:
     if len(points) != 4:
         raise ValueError("orient4 needs an instance with exactly 4 points")
     assignment = orient_quadruplet(points)
-    configs = [
-        AntennaConfig(p, ang, assignment.aperture) for p, ang in assignment.entries
-    ]
+    configs = configs_from_assignment(assignment)
     text = fileio.write_config(configs, "orient4", args.out, metadata={"case": assignment.case})
     if args.out is None:
         sys.stdout.write(text)
@@ -66,8 +64,7 @@ def cmd_orient4(args: argparse.Namespace) -> int:
 
 def cmd_replace(args: argparse.Namespace) -> int:
     points, _ = fileio.read_instance(args.instance)
-    origin = tuple(args.origin) if args.origin else None
-    result = replace(points, mode=args.mode, origin=origin)
+    result = replace(points, mode=args.mode)
     meta = {"grid_origin": list(result.grid.origin)}
     text = fileio.write_config(result.configs, f"replace-{result.mode}", args.out, metadata=meta)
     if args.out is None:
@@ -242,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replace", help="replace unit disks by wedges")
     p.add_argument("--instance", required=True)
     p.add_argument("--mode", choices=("basic", "refined"), default="refined")
-    p.add_argument("--origin", type=float, nargs=2, default=None, metavar=("OX", "OY"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_replace)
 

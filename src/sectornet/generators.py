@@ -99,16 +99,6 @@ def _gen_connected_udg(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
     return GeneratedInstance(tuple(pts), spec)
 
 
-def _random_quad(rng: SplitMix64, x0: float, x1: float, y0: float, y1: float) -> list[Point]:
-    while True:
-        quad = _distinct_uniform(rng, 4, x0, x1, y0, y1)
-        try:
-            orient_quadruplet(quad)
-        except ValueError:
-            continue
-        return quad
-
-
 def _place_separated(
     rng: SplitMix64, spec: GenSpec, side_a: list[Point], side_b: list[Point]
 ) -> GeneratedInstance:
@@ -134,8 +124,8 @@ def _gen_separated_quads(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
         raise ValueError("separated quadruplet families need n = 8")
     half = 0.5 * spec.gap
     w = max(spec.side, 1.0)
-    side_a = _random_quad(rng, -half - w, -half, -w, w)
-    side_b = _random_quad(rng, half, half + w, -w, w)
+    side_a = _distinct_uniform(rng, 4, -half - w, -half, -w, w)
+    side_b = _distinct_uniform(rng, 4, half, half + w, -w, w)
     return _place_separated(rng, spec, side_a, side_b)
 
 
@@ -167,8 +157,8 @@ def _gen_stratified_quads(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
                 Point(ox, oy + rh),
             ]
         else:
-            side_a = _random_quad(rng, -half - w, -half, -w, w)
-        side_b = _random_quad(rng, half, half + w, -w, w)
+            side_a = _distinct_uniform(rng, 4, -half - w, -half, -w, w)
+        side_b = _distinct_uniform(rng, 4, half, half + w, -w, w)
         inst = _place_separated(rng, spec, side_a, side_b)
         sep = HalfPlane(**inst.metadata["separator"])
         cfg_a = configs_from_assignment(orient_quadruplet(inst.points[:4]))

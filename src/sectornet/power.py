@@ -142,50 +142,15 @@ def tsp_tour_approx(points: Sequence[Point]) -> Tour:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Section:
-    """A consecutive run of tour points split by a vertical line.
-
-    ``members`` keeps tour order; ``left`` and ``right`` are sorted by
-    (x, y, tour position), with the left half taking the ceiling when
-    the size is odd so both halves hold at least four points.
-    """
-
-    members: tuple[Point, ...]
-    left: tuple[Point, ...]
-    right: tuple[Point, ...]
-    separator_x: float
-
-
-def split_section(members: Sequence[Point]) -> Section:
-    mem = tuple(members)
-    if len(mem) < 8:
-        raise ValueError("a section needs at least 8 points")
-    ranked = sorted(range(len(mem)), key=lambda k: (mem[k].x, mem[k].y, k))
-    half = (len(mem) + 1) // 2
-    left = tuple(mem[k] for k in ranked[:half])
-    right = tuple(mem[k] for k in ranked[half:])
-    separator = 0.5 * (left[-1].x + right[0].x)
-    return Section(mem, left, right, separator)
-
-
-def make_sections(tour: Tour) -> list[Section]:
-    """Cut the tour into floor(n/8) consecutive sections of eight, the
-    last absorbing any remainder (size 8 to 15)."""
+def _sections(tour: Tour) -> list[tuple[Point, ...]]:
+    """The tour cut, from its lexicographically smallest point, into
+    max(1, floor(n/8)) consecutive runs of eight, the last taking the
+    remainder (a single run below 16 points)."""
     n = len(tour)
-    if n < 8:
-        raise ValueError("instance too small: need at least 8 points")
     start = min(range(n), key=lambda i: tour.order[i].as_tuple())
     cyc = tour.order[start:] + tour.order[:start]
-    m = n // 8
-    sizes = [8] * m
-    sizes[-1] += n % 8
-    sections = []
-    at = 0
-    for s in sizes:
-        sections.append(split_section(cyc[at : at + s]))
-        at += s
-    return sections
+    m = max(1, n // 8)
+    return [cyc[8 * i : 8 * i + 8] for i in range(m - 1)] + [cyc[8 * (m - 1) :]]
 
 
 def _windows(groups: Sequence[tuple[Point, ...]]) -> list[tuple[Point, ...]]:
@@ -223,13 +188,15 @@ class PowerAssignment:
 def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
     """Orientations plus ranges giving a connected symmetric graph.
 
-    Each section's left half hangs off its four leftmost points and the
-    right half off its four rightmost, oriented as perpendicular fans;
-    the vertical separator keeps each pair of fans linked, and ranges
-    reaching the whole three-section window link adjacent sections.
-    Fewer than eight points fall back to a single cluster whose ranges
-    span its diameter.  At least two distinct points are needed: a lone
-    antenna would get range 0.
+    Each section is sorted by (x, y) and split into a left half, which
+    takes the ceiling so both halves hold at least four points, and a
+    right half.  The left half hangs off its four leftmost points and
+    the right half off its four rightmost, oriented as perpendicular
+    fans; a vertical line between the halves keeps each pair of fans
+    linked, and ranges reaching the whole three-section window link
+    adjacent sections.  Fewer than eight points fall back to a single
+    cluster whose ranges span its diameter.  At least two distinct
+    points are needed: a lone antenna would get range 0.
     """
     if beta < 1:
         raise ValueError("distance-power gradient must be at least 1")
@@ -246,16 +213,16 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
             beta, tuple((p, oris[p], diameter) for p in pts)
         )
 
-    sections = make_sections(tsp_tour_approx(pts))
-
+    sections = _sections(tsp_tour_approx(pts))
     orientation: dict[Point, float] = {}
-    for sec in sections:
-        orientation.update(aim_at_fan(orient_quadruplet(sec.left[:4]), sec.left))
-        orientation.update(aim_at_fan(orient_quadruplet(sec.right[-4:]), sec.right))
-
     radius: dict[Point, float] = {}
-    for sec, window in zip(sections, _windows([sec.members for sec in sections])):
-        for p in sec.members:
+    for members, window in zip(sections, _windows(sections)):
+        ranked = sorted(members, key=Point.as_tuple)
+        half = (len(ranked) + 1) // 2
+        left, right = ranked[:half], ranked[half:]
+        orientation.update(aim_at_fan(orient_quadruplet(left[:4]), left))
+        orientation.update(aim_at_fan(orient_quadruplet(right[-4:]), right))
+        for p in members:
             radius[p] = max(distance(p, q) for q in window)
 
     return PowerAssignment(beta, tuple((p, orientation[p], radius[p]) for p in pts))
@@ -284,17 +251,19 @@ def cost_chain_check(pa: PowerAssignment, tour: Tour) -> CostChainReport:
     Pointwise: every radius is at most (window index gap) times the
     longest tour edge in its three-section window, where the index gap
     is the largest number of tour steps from the point to anything in
-    the window -- exactly 15 when all sections have eight points.
-    Total: the assignment cost is at most
-    ``S * G**beta * 3 * tour_cost`` with S the largest section size and
-    G the largest index gap (8 * 15**beta * 3 when n is a multiple of
-    8), since every tour edge lands in at most three windows.
+    the window.  The largest gap G depends only on the section sizes: it
+    is n - 1 below 16 points (one section, whose window is the cycle),
+    so 7 at n = 8, and 15 + (n mod 8) from 16 points on, so 15 when all
+    sections have eight points.  Total: the assignment cost
+    is at most ``S * G**beta * 3 * tour_cost`` with S the largest
+    section size, since every tour edge lands in at most three windows
+    (8 * 15**beta * 3 when n >= 16 is a multiple of 8).
 
-    Under eight points the one cluster is one section whose window is
-    the cycle: the diameter is at most floor(n/2), the least gap, times
-    the longest tour edge.  ``mst_cost`` sums over ``tour.tree``; without
-    tied distances that is ``mst_cost(tour.order)`` bit for bit, with
-    ties possibly another tree of equal weight.
+    Under eight points the one cluster gets the diameter, which is at
+    most floor(n/2), the least gap, times the longest tour edge.
+    ``mst_cost`` sums over ``tour.tree``; without tied distances that is
+    ``mst_cost(tour.order)`` bit for bit, with ties possibly another
+    tree of equal weight.
     """
     n = len(tour)
     if n < 2:
@@ -302,12 +271,12 @@ def cost_chain_check(pa: PowerAssignment, tour: Tour) -> CostChainReport:
     if {p for p, _, _ in pa.entries} != set(tour.order):
         raise ValueError("assignment and tour disagree on the points")
     radius = {p: r for p, _, r in pa.entries}
-    groups = [sec.members for sec in make_sections(tour)] if n >= 8 else [tour.order]
+    sections = _sections(tour)
 
     pointwise_ok = True
     max_gap = 0
     eps = 1e-9
-    for members, window in zip(groups, _windows(groups)):
+    for members, window in zip(sections, _windows(sections)):
         steps = [distance(p, q) for p, q in zip(window, window[1:])]
         if len(window) == n:  # window wraps the whole cycle
             steps.append(distance(window[-1], window[0]))
@@ -319,16 +288,10 @@ def cost_chain_check(pa: PowerAssignment, tour: Tour) -> CostChainReport:
             if radius[p] > gap * max_edge + eps:
                 pointwise_ok = False
 
-    if n % 8 == 0 and max_gap > 15:
-        pointwise_ok = False  # the fixed-size argument must give exactly 15
-
     tour_cost = tour_power_cost(tour, pa.beta)
     tree_cost = sum(distance(p, q) ** pa.beta for p, q in tour.tree)
-    biggest = max(len(members) for members in groups)
-    if n % 8 == 0:
-        bound = 8 * 15**pa.beta * 3 * tour_cost
-    else:
-        bound = biggest * max_gap**pa.beta * 3 * tour_cost
+    biggest = max(len(members) for members in sections)
+    bound = biggest * max_gap**pa.beta * 3 * tour_cost
     cost = pa.cost
     total_ok = cost <= bound * (1 + 1e-12) + eps
     return CostChainReport(

@@ -234,11 +234,7 @@ def orient_small_instance(points: Sequence[Point], grid: GridPartition) -> Repla
     return ReplacementResult(configs=configs, mode="small", grid=grid)
 
 
-def replace(
-    points: Sequence[Point],
-    mode: str = "refined",
-    origin: Optional[tuple[float, float]] = None,
-) -> ReplacementResult:
+def replace(points: Sequence[Point], mode: str = "refined") -> ReplacementResult:
     """Assign a wedge (range ``14*sqrt(2)``) to every point.
 
     Requires a connected unit-disk graph over distinct points.  In
@@ -256,7 +252,7 @@ def replace(
     udg = build_udg(pts)
     if not is_connected(udg):
         raise ValueError("unit-disk graph is not connected")
-    grid = grid_partition(pts, origin)
+    grid = grid_partition(pts)
     if not grid.full_cells():
         return orient_small_instance(pts, grid)
 

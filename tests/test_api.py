@@ -1,0 +1,107 @@
+"""The public surface, pinned: exported names and defaulted parameters.
+
+A change that adds an export or a knob (a parameter with a default) has
+to edit the lists below, so the growth shows in the diff.
+"""
+
+import ast
+from pathlib import Path
+
+import sectornet
+
+EXPORTS = [
+    "ANGLE_TOL",
+    "CELL_SIDE",
+    "DIST_SQ_TOL",
+    "FULL_CELL_MIN",
+    "QUARTER_TURN",
+    "REPLACEMENT_RANGE",
+    "TAU",
+    "AntennaConfig",
+    "CommGraph",
+    "CostChainReport",
+    "CouplePair",
+    "CoverageReport",
+    "GridPartition",
+    "HalfPlane",
+    "OrientationAssignment",
+    "Point",
+    "PowerAssignment",
+    "ReplacementResult",
+    "SpannerReport",
+    "SplitMix64",
+    "Tour",
+    "Wedge",
+    "build_scg",
+    "build_udg",
+    "classify_separated_pair",
+    "configs_from_assignment",
+    "containment_matrix",
+    "convex_hull",
+    "cost_chain_check",
+    "couple_halfplane",
+    "couples",
+    "distance",
+    "find_mutual_cover_pair",
+    "full_cell_labels",
+    "grid_partition",
+    "halfplane_cover_number",
+    "halfplane_covered",
+    "is_connected",
+    "mst_cost",
+    "mst_edges",
+    "orient_and_assign",
+    "orient_cluster",
+    "orient_quadruplet",
+    "orient_small_instance",
+    "plane_coverage_verify",
+    "replace",
+    "select_hubs_basic",
+    "select_hubs_refined",
+    "squared_distance",
+    "tour_power_cost",
+    "tsp_tour_approx",
+    "verify_hop_spanner",
+    "wedge_contains",
+    "weakly_separable",
+]
+
+# module.function.parameter for every function or lambda parameter that
+# has a default value, sorted
+DEFAULTED = [
+    "cli.main.argv",
+    "fileio.write_config.metadata",
+    "fileio.write_config.path",
+    "fileio.write_instance.metadata",
+    "fileio.write_instance.path",
+    "orientation.wedges.range",
+    "render.render_svg.grid_origin",
+    "replacement.grid_partition.origin",
+    "replacement.replace.mode",
+    "scg.configs_from_assignment.range",
+]
+
+
+def _defaulted(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        positional = a.posonlyargs + a.args
+        names = [x.arg for x in positional[len(positional) - len(a.defaults) :]]
+        names += [k.arg for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        found += [f"{path.stem}.{getattr(node, 'name', '<lambda>')}.{name}" for name in names]
+    return found
+
+
+def test_exports_are_pinned():
+    assert len(EXPORTS) == 54
+    assert sectornet.__all__ == EXPORTS
+    assert all(hasattr(sectornet, name) for name in EXPORTS)
+
+
+def test_defaulted_parameters_are_pinned():
+    src = Path(sectornet.__file__).parent
+    found = [name for path in sorted(src.glob("*.py")) for name in _defaulted(path)]
+    assert sorted(found) == DEFAULTED

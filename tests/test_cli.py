@@ -271,3 +271,13 @@ def test_usage_errors_exit_two(tmp_path):
     assert r.returncode == 2 and str(bad) in r.stderr and "Traceback" not in r.stderr
     # argparse-level misuse
     assert run_cli("gen", "--family", "nope", "--n", "4").returncode == 2
+
+
+def test_replace_has_no_origin_option(tmp_path, capsys):
+    # the grid origin is always the floored minimum of the points
+    inst = tmp_path / "udg.json"
+    assert cli.main(["gen", "--family", "connected_udg", "--n", "20", "--seed", "3", "--out", str(inst)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["replace", "--instance", str(inst), "--origin", "0", "0"])
+    assert exc.value.code == 2
+    assert "--origin" in capsys.readouterr().err

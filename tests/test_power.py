@@ -9,16 +9,16 @@ import pytest
 
 from sectornet import power
 from sectornet.generators import GenSpec, gen
-from sectornet.geometry import Point, distance
+from sectornet.geometry import Point, distance, normalize_angle
+from sectornet.orientation import orient_quadruplet
 from sectornet.power import (
     PowerAssignment,
     Tour,
+    _sections,
     cost_chain_check,
-    make_sections,
     mst_cost,
     mst_edges,
     orient_and_assign,
-    split_section,
     tour_power_cost,
     tsp_tour_approx,
 )
@@ -137,27 +137,31 @@ def test_tsp_tour_canonical_form():
         tsp_tour_approx([pts[0], pts[0]])
 
 
-def test_split_section_halves_and_separator():
-    members = tuple(Point(float(9 - k), 0.25 * k) for k in range(9))
-    sec = split_section(members)
-    assert sec.members == members
-    assert len(sec.left) == 5 and len(sec.right) == 4  # ceiling goes left
-    assert max(p.x for p in sec.left) <= min(p.x for p in sec.right)
-    assert max(p.x for p in sec.left) <= sec.separator_x <= min(p.x for p in sec.right)
-    with pytest.raises(ValueError):
-        split_section(members[:7])
+def test_one_section_splits_by_x_with_the_ceiling_on_the_left():
+    # nine points are one section: the four leftmost and the four
+    # rightmost by (x, y) are the two fans, and the middle point joins
+    # the left half, so it aims at a left hub
+    pts = _random_distinct(SplitMix64(74), 9)
+    ranked = sorted(pts, key=Point.as_tuple)
+    ori = {p: a for p, a, _ in orient_and_assign(pts, 2).entries}
+    for quad in (ranked[:4], ranked[5:]):
+        for p, a in orient_quadruplet(quad).entries:
+            assert ori[p] == a
+    mid = ranked[4]
+    aims = {q: normalize_angle(math.atan2(q.y - mid.y, q.x - mid.x)) for q in ranked}
+    assert ori[mid] in {aims[q] for q in ranked[:4]}
+    assert ori[mid] not in {aims[q] for q in ranked[5:]}
 
 
-def test_make_sections_sizes():
+def test_sections_sizes():
     rng = SplitMix64(75)
-    for n, expect in [(8, [8]), (15, [15]), (16, [8, 8]), (17, [8, 9]), (100, [8] * 11 + [12])]:
+    cases = [(2, [2]), (7, [7]), (8, [8]), (15, [15]), (16, [8, 8]), (17, [8, 9]), (100, [8] * 11 + [12])]
+    for n, expect in cases:
         pts = _random_distinct(rng, n)
-        secs = make_sections(tsp_tour_approx(pts))
-        assert [len(s.members) for s in secs] == expect
-        flat = [p for s in secs for p in s.members]
-        assert sorted(flat, key=lambda p: p.as_tuple()) == sorted(pts, key=lambda p: p.as_tuple())
-    with pytest.raises(ValueError):
-        make_sections(tsp_tour_approx(_random_distinct(rng, 7)))
+        tour = tsp_tour_approx(pts)
+        secs = _sections(tour)
+        assert [len(s) for s in secs] == expect
+        assert [p for s in secs for p in s] == list(tour.order)
 
 
 def test_power_assignment_cost_is_sum_of_radius_powers():
@@ -191,8 +195,9 @@ def test_orient_and_assign_connects_and_passes_cost_chain(n, beta):
     assert rep.cost == pytest.approx(pa.cost)
     assert rep.mst_cost <= rep.cost + 1e-9
     assert rep.cost_over_tour == pytest.approx(rep.cost / rep.tour_cost)
+    # the gap depends only on the section sizes
+    assert rep.max_index_gap == (n - 1 if n < 16 else 15 + n % 8)
     if n % 8 == 0:
-        assert rep.max_index_gap <= 15
         assert rep.cost <= 8 * 15**beta * 3 * rep.tour_cost + 1e-6
 
 
@@ -202,15 +207,11 @@ def test_every_radius_covers_its_window_partners():
     pa = orient_and_assign(pts, 2)
     radius = {p: r for p, _, r in pa.entries}
     tour = tsp_tour_approx(pts)
-    secs = make_sections(tour)
+    secs = _sections(tour)
     m = len(secs)
     for i, sec in enumerate(secs):
-        window = (
-            set(secs[(i - 1) % m].members)
-            | set(sec.members)
-            | set(secs[(i + 1) % m].members)
-        )
-        for p in sec.members:
+        window = set(secs[(i - 1) % m]) | set(sec) | set(secs[(i + 1) % m])
+        for p in sec:
             need = max(distance(p, q) for q in window)
             assert radius[p] >= need - 1e-12
 
