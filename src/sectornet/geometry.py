@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -201,6 +201,41 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
 # ---------------------------------------------------------------------------
 
 
+class _WedgeArrays(NamedTuple):
+    """Per-wedge arrays for the containment core: apex, unit directions
+    of the right and left bounding rays, aperture, and the squared range
+    plus ``DIST_SQ_TOL`` (``inf`` for an unbounded wedge)."""
+
+    ax: np.ndarray
+    ay: np.ndarray
+    rx: np.ndarray
+    ry: np.ndarray
+    lx: np.ndarray
+    ly: np.ndarray
+    aperture: np.ndarray
+    limit: np.ndarray
+
+    def take(self, idx) -> "_WedgeArrays":
+        """The wedges at ``idx``: a gather, or a reshape such as
+        ``(slice(None), None)`` for a column of wedges."""
+        return _WedgeArrays(*(a[idx] for a in self))
+
+
+def _wedge_arrays(wedges: Sequence[Wedge]) -> _WedgeArrays:
+    """The wedges as arrays, with the trigonometry done once per wedge."""
+    ax = np.array([w.apex.x for w in wedges], dtype=float)
+    ay = np.array([w.apex.y for w in wedges], dtype=float)
+    ori = np.array([w.orientation for w in wedges], dtype=float)
+    ape = np.array([w.aperture for w in wedges], dtype=float)
+    rng = np.array([w.range for w in wedges], dtype=float)
+    half = 0.5 * ape
+    tr = ori - half
+    tl = ori + half
+    return _WedgeArrays(
+        ax, ay, np.cos(tr), np.sin(tr), np.cos(tl), np.sin(tl), ape, rng**2 + DIST_SQ_TOL
+    )
+
+
 def containment_matrix(wedges: Sequence[Wedge], points: Sequence[Point] | np.ndarray) -> np.ndarray:
     """Boolean matrix M with M[i, j] true iff wedges[i] contains points[j]."""
     k = len(wedges)
@@ -211,50 +246,28 @@ def containment_matrix(wedges: Sequence[Wedge], points: Sequence[Point] | np.nda
     m = pts.shape[0]
     if k == 0 or m == 0:
         return np.zeros((k, m), dtype=bool)
-    ax = np.array([w.apex.x for w in wedges])
-    ay = np.array([w.apex.y for w in wedges])
-    ori = np.array([w.orientation for w in wedges])
-    ape = np.array([w.aperture for w in wedges])
-    rng = np.array([w.range for w in wedges])
-    return _containment_core(ax, ay, ori, ape, rng, pts[:, 0], pts[:, 1])
+    column = _wedge_arrays(wedges).take((slice(None), None))
+    return _containment_core(column, pts[:, 0], pts[:, 1])
 
 
-def _containment_core(
-    ax: np.ndarray,
-    ay: np.ndarray,
-    orientation: np.ndarray,
-    aperture: np.ndarray,
-    rng: np.ndarray,
-    px: np.ndarray,
-    py: np.ndarray,
-) -> np.ndarray:
-    """Core of the closed-wedge test on (k wedges) x (m points) arrays."""
-    half = 0.5 * aperture
-    tr = orientation - half
-    tl = orientation + half
-    rx, ry = np.cos(tr), np.sin(tr)
-    lx, ly = np.cos(tl), np.sin(tl)
-
-    dx = px[None, :] - ax[:, None]
-    dy = py[None, :] - ay[:, None]
+def _containment_core(w: _WedgeArrays, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """The closed-wedge test, elementwise over the broadcast of the wedge
+    arrays with the point coordinates: a (k, 1) column against m points
+    gives the (k, m) matrix, equal-length gathers give one answer per pair.
+    Both forms compute each entry with the same float operations."""
+    dx = px - w.ax
+    dy = py - w.ay
     d2 = dx * dx + dy * dy
     tol = ANGLE_TOL * np.sqrt(d2)
 
-    cr = rx[:, None] * dy - ry[:, None] * dx
-    cl = lx[:, None] * dy - ly[:, None] * dx
+    cr = w.rx * dy - w.ry * dx
+    cl = w.lx * dy - w.ly * dx
     convex_ok = (cr >= -tol) & (cl <= tol)
     reflex_ok = ~((cl > tol) & (cr < -tol))
-    is_convex = (aperture <= math.pi + ANGLE_TOL)[:, None]
-    ang_ok = np.where(is_convex, convex_ok, reflex_ok)
-    ang_ok |= (aperture >= TAU - ANGLE_TOL)[:, None]
+    ang_ok = np.where(w.aperture <= math.pi + ANGLE_TOL, convex_ok, reflex_ok)
+    ang_ok |= w.aperture >= TAU - ANGLE_TOL
     ang_ok |= d2 == 0.0  # the apex belongs to its own wedge
-
-    finite = np.isfinite(rng)
-    range_ok = np.ones_like(ang_ok)
-    if finite.any():
-        limit = np.where(finite, rng, 0.0) ** 2 + DIST_SQ_TOL
-        range_ok = ~finite[:, None] | (d2 <= limit[:, None])
-    return ang_ok & range_ok
+    return ang_ok & (d2 <= w.limit)
 
 
 def wedge_contains(w: Wedge, p: Point) -> bool:

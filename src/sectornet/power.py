@@ -215,17 +215,49 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
 
     sections = _sections(tsp_tour_approx(pts))
     orientation: dict[Point, float] = {}
-    radius: dict[Point, float] = {}
-    for members, window in zip(sections, _windows(sections)):
+    for members in sections:
         ranked = sorted(members, key=Point.as_tuple)
         half = (len(ranked) + 1) // 2
         left, right = ranked[:half], ranked[half:]
         orientation.update(aim_at_fan(orient_quadruplet(left[:4]), left))
         orientation.update(aim_at_fan(orient_quadruplet(right[-4:]), right))
-        for p in members:
-            radius[p] = max(distance(p, q) for q in window)
+    radius = _window_radii(sections, _windows(sections))
 
     return PowerAssignment(beta, tuple((p, orientation[p], radius[p]) for p in pts))
+
+
+#: Rows whose largest squared distance lies outside [2**-900, 2**900]
+#: may have lost entries to underflow or overflow; they skip the filter.
+_D2_SAFE = (2.0**-900, 2.0**900)
+
+
+def _window_radii(
+    sections: Sequence[tuple[Point, ...]], windows: Sequence[tuple[Point, ...]]
+) -> dict[Point, float]:
+    """Each member's largest ``distance`` to its section's window.
+
+    The squared distances of all (member, window point) pairs come in one
+    array pass, each window padded to the longest by repeating its first
+    point.  ``math.hypot`` then runs on the same float dx, dy, but only
+    for the entries whose squared distance is at least (1 - 1e-12) times
+    the row's largest: hypot errs by under 1 ulp and the float square by
+    a few, so no entry below that cut can hold the maximum.
+    """
+    width = max(map(len, windows))
+    wx = np.array([[q.x for q in w] + [w[0].x] * (width - len(w)) for w in windows])
+    wy = np.array([[q.y for q in w] + [w[0].y] * (width - len(w)) for w in windows])
+    members = [p for group in sections for p in group]
+    row = np.repeat(np.arange(len(sections)), [len(group) for group in sections])
+    dx = np.array([p.x for p in members])[:, None] - wx[row]
+    dy = np.array([p.y for p in members])[:, None] - wy[row]
+    d2 = dx * dx + dy * dy
+    top = d2.max(axis=1)
+    keep = d2 >= (top * (1 - 1e-12))[:, None]
+    keep[(top < _D2_SAFE[0]) | (top > _D2_SAFE[1])] = True
+    rows, cols = np.nonzero(keep)
+    hyp = np.array(list(map(math.hypot, dx[rows, cols].tolist(), dy[rows, cols].tolist())))
+    starts = np.searchsorted(rows, np.arange(len(members)))
+    return dict(zip(members, np.maximum.reduceat(hyp, starts).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Symmetric communication graphs of sector antennas.
 
 An antenna hears another only if each lies inside the other's wedge, so
-the graph is undirected by construction.  This module builds that graph,
-owns the graph core the package shares (turning a symmetric adjacency
-matrix into a sorted edge array, cached neighbour lists, and one
-breadth-first search behind connectivity and components), and provides
-the analysis of two antenna groups: finding a mutually-covering pair
-across them, and classifying a linearly separated pair by how many
-antennas of each side cover the other side.  The search for
-non-separated pairs with no such edge is a test oracle and lives in
-``tests/oracles.py``.
+the graph is undirected by construction.  This module builds that graph:
+from one containment matrix when some wedge is unbounded, and from the
+candidate pairs of an x-sorted sweep when every range is finite.  It
+owns the graph core the package shares (a sorted, read-only edge array,
+neighbour lists built with one stable sort, and one breadth-first
+search behind connectivity and components), and provides the analysis
+of two antenna groups: finding a mutually-covering pair across them,
+and classifying a linearly separated pair by how many antennas of each
+side cover the other side.  The search for non-separated pairs with no
+such edge is a test oracle and lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from .geometry import (
     HalfPlane,
     Point,
     Wedge,
+    _containment_core,
     _halfplane_test_points,
+    _wedge_arrays,
+    _WedgeArrays,
     containment_matrix,
 )
 from .orientation import OrientationAssignment
@@ -70,11 +74,12 @@ class CommGraph:
     def neighbor_lists(self) -> list[list[int]]:
         """Ascending adjacency lists of Python ints, built on first use;
         callers must not mutate them."""
-        adj: list[list[int]] = [[] for _ in self.vertices]
-        for i, j in self.edges.tolist():
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+        # both directions, (j, i) rows first: a stable sort by source then
+        # puts each vertex's lower neighbours (row-major) before its higher
+        src, dst = np.concatenate((self.edges[:, ::-1], self.edges)).T
+        dst = dst[src.argsort(kind="stable")].tolist()
+        ends = np.bincount(src, minlength=len(self.vertices)).cumsum().tolist()
+        return [dst[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _graph_from_matrix(vertices: Sequence[Point], adjacent: np.ndarray) -> CommGraph:
@@ -86,13 +91,76 @@ def _graph_from_matrix(vertices: Sequence[Point], adjacent: np.ndarray) -> CommG
 
 
 def build_scg(configs: Sequence[AntennaConfig]) -> CommGraph:
-    """The symmetric graph: an edge wherever coverage is mutual."""
+    """The symmetric graph: an edge wherever coverage is mutual.
+
+    With any unbounded wedge every pair is tested, as one containment
+    matrix.  When every range is finite an edge needs d <= min(r_i, r_j),
+    so only the pairs an x-sorted sweep finds within reach are tested
+    (:func:`_swept_edges`); both paths give the same edges.
+    """
     locations = [c.location for c in configs]
     if len(set(locations)) != len(locations):
         raise ValueError("duplicate antenna locations")
     wedges = [c.wedge() for c in configs]
-    M = containment_matrix(wedges, locations)
-    return _graph_from_matrix(locations, M & M.T)
+    if any(math.isinf(w.range) for w in wedges):
+        M = containment_matrix(wedges, locations)
+        return _graph_from_matrix(locations, M & M.T)
+    edges = _swept_edges(_wedge_arrays(wedges))
+    edges.flags.writeable = False
+    return CommGraph(tuple(locations), edges)
+
+
+#: Candidate pairs the sweep tests at once.  This bounds its working
+#: memory; on 300- and 512-antenna graphs 2**13 also ran faster than
+#: 2**11 or 2**16, its arrays staying in cache.
+_PAIR_CHUNK = 1 << 13
+
+
+def _swept_edges(w: _WedgeArrays) -> np.ndarray:
+    """Mutual-containment edges of finite-range wedges whose apexes are
+    the vertices, as an (E, 2) array in row-major order.
+
+    Walking the apexes by x, the pair of positions a < b is a candidate
+    when x_b <= fl(x_a + reach_a).  The reach is the square root of a's
+    squared-range limit, rounded up until its float square exceeds that
+    limit.  A float x_b beyond the threshold then has x_b - x_a > reach_a,
+    so fl(x_b - x_a) >= reach_a and the pair's float d2 fails the range
+    test: the sweep may over-include but never trims an edge.
+    Candidates go through the containment core in chunks of
+    ``_PAIR_CHUNK``: the range test on both limits first, then a -> b,
+    then b -> a on the pairs left.
+    """
+    n = len(w.ax)
+    order = np.argsort(w.ax, kind="stable")
+    s = w.take(order)
+    reach = np.sqrt(s.limit)
+    short = np.isfinite(reach) & (reach * reach <= s.limit)
+    while short.any():
+        reach[short] = np.nextafter(reach[short], np.inf)
+        short &= reach * reach <= s.limit
+    counts = np.searchsorted(s.ax, s.ax + reach, side="right") - np.arange(1, n + 1)
+    done = np.concatenate(([0], np.cumsum(counts)))
+    keys = [np.zeros(0, dtype=np.int64)]
+    a0 = 0
+    while a0 < n:
+        a1 = max(int(np.searchsorted(done, done[a0] + _PAIR_CHUNK, side="right")) - 1, a0 + 1)
+        c = counts[a0:a1]
+        a = np.repeat(np.arange(a0, a1), c)
+        b = np.arange(len(a)) + np.repeat(np.arange(a0 + 1, a1 + 1) - (done[a0:a1] - done[a0]), c)
+        xa, ya, la = (np.repeat(v[a0:a1], c) for v in (s.ax, s.ay, s.limit))
+        dx = s.ax[b] - xa
+        dy = s.ay[b] - ya
+        d2 = dx * dx + dy * dy
+        near = (d2 <= la) & (d2 <= s.limit[b])
+        a, b = a[near], b[near]
+        both = _containment_core(s.take(a), s.ax[b], s.ay[b])
+        a, b = a[both], b[both]
+        both = _containment_core(s.take(b), s.ax[a], s.ay[a])
+        i, j = order[a[both]], order[b[both]]
+        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+        a0 = a1
+    keys = np.sort(np.concatenate(keys))
+    return np.stack((keys // n, keys % n), axis=1)
 
 
 def bfs(adj: list[list[int]], sources: Iterable[int], dist: list[float]) -> list[int]:

@@ -201,19 +201,44 @@ def test_orient_and_assign_connects_and_passes_cost_chain(n, beta):
         assert rep.cost <= 8 * 15**beta * 3 * rep.tour_cost + 1e-6
 
 
-def test_every_radius_covers_its_window_partners():
-    rng = SplitMix64(95)
-    pts = _random_distinct(rng, 32, lo=0.0, hi=20.0)
-    pa = orient_and_assign(pts, 2)
-    radius = {p: r for p, _, r in pa.entries}
-    tour = tsp_tour_approx(pts)
-    secs = _sections(tour)
+def _radius_instance(name):
+    kind, _, arg = name.partition(" ")
+    if kind == "random_square":
+        return list(gen(GenSpec("random_square", int(arg), seed=int(arg))).points)
+    if kind == "random_distinct":
+        return _random_distinct(SplitMix64(95), 32, lo=0.0, hi=20.0)
+    if kind == "lattice":  # many tied window maxima
+        return [Point(0.7 * i, 0.7 * j) for i in range(6) for j in range(9)]
+    if kind == "inverted":
+        # seen from (0, 0) the first far point has the larger float
+        # squared distance, the second the larger hypot
+        far = [Point(4.098550258761337, 5.8404543708081365), Point(7.107827200910363, 0.6227471100561147)]
+        return far + [Point(0.1 * k, 0.05 * k * k) for k in range(6)]
+    # every squared distance outside [2**-900, 2**900], so no row is
+    # filtered; at 2**-539 they are subnormal and the float squares of
+    # seven rows rank another entry first
+    scale = 2.0 ** int(arg)
+    square = gen(GenSpec("random_square", 40, seed=5, side=4.0)).points
+    return [Point(scale * p.x, scale * p.y) for p in square]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"random_square {n}" for n in [*range(8, 18), 24, 100, 2000]]
+    + ["random_distinct", "lattice", "inverted", "scaled 500", "scaled -539"],
+)
+def test_every_radius_is_its_window_maximum(name):
+    # bit for bit the largest distance(p, q) over the window
+    pts = _radius_instance(name)
+    secs = _sections(tsp_tour_approx(pts))
     m = len(secs)
+    want = {}
     for i, sec in enumerate(secs):
         window = set(secs[(i - 1) % m]) | set(sec) | set(secs[(i + 1) % m])
         for p in sec:
-            need = max(distance(p, q) for q in window)
-            assert radius[p] >= need - 1e-12
+            want[p] = max(distance(p, q) for q in window)
+    pa = orient_and_assign(pts, 2)
+    assert [r.hex() for _, _, r in pa.entries] == [want[p].hex() for p, _, _ in pa.entries]
 
 
 def test_cost_scales_exactly_with_beta_power_under_doubling():

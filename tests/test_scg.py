@@ -1,18 +1,22 @@
 """Symmetric connectivity graphs and the separated-pair machinery."""
 
+import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sectornet import scg
 from sectornet.geometry import (
     DIST_SQ_TOL,
     QUARTER_TURN,
     HalfPlane,
     Point,
+    containment_matrix,
     halfplane_covered,
     squared_distance,
     wedge_contains,
@@ -20,7 +24,8 @@ from sectornet.geometry import (
 )
 from sectornet.generators import GenSpec, gen
 from sectornet.orientation import orient_quadruplet
-from sectornet.replacement import build_udg
+from sectornet.power import orient_and_assign
+from sectornet.replacement import build_udg, replace
 from sectornet.rng import SplitMix64
 from sectornet.scg import (
     AntennaConfig,
@@ -32,6 +37,7 @@ from sectornet.scg import (
     halfplane_cover_number,
     is_connected,
 )
+from test_replacement import _drifting_chain
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PI = math.pi
@@ -241,3 +247,133 @@ def test_pinned_nonseparated_pair_defeats_cross_linking():
     assert not weakly_separable(group_a, group_b)
     assert find_mutual_cover_pair(ca, cb) is None
     assert not is_connected(build_scg(ca + cb))
+
+
+def _matrix_edges(configs):
+    """The reference: every ordered pair tested, in one containment matrix."""
+    locs = [c.location for c in configs]
+    M = containment_matrix([c.wedge() for c in configs], locs)
+    return np.argwhere(np.triu(M & M.T, 1)).tolist()
+
+
+def _sweep_cases():
+    rng = SplitMix64(90)
+    cases = [
+        [],
+        [AntennaConfig(Point(0.0, 0.0), 0.0, range=1.0)],
+        [AntennaConfig(Point(0.0, 0.0), 0.0, range=2.0), AntennaConfig(Point(1.5, 0.0), PI, range=2.0)],
+        # the exact boundary: d2 = 25 against range 5
+        [
+            AntennaConfig(Point(0.0, 0.0), math.atan2(4.0, 3.0), range=5.0),
+            AntennaConfig(Point(3.0, 4.0), math.atan2(-4.0, -3.0), range=5.0),
+        ],
+        # d2 underflows to 0, so each point is the other's apex
+        [AntennaConfig(Point(0.0, 0.0), 0.0, range=0.05), AntennaConfig(Point(1e-200, 0.0), 0.0, range=0.05)],
+    ]
+
+    def random_configs(n, x_of, apertures, ranges):
+        seen, out = set(), []
+        while len(out) < n:
+            p = Point(x_of(), rng.uniform(0.0, 20.0))
+            if p not in seen:
+                seen.add(p)
+                out.append(
+                    AntennaConfig(p, rng.uniform(0, 2 * PI), rng.choice(apertures), rng.choice(ranges))
+                )
+        return out
+
+    uniform = lambda: rng.uniform(0.0, 20.0)  # noqa: E731
+    columns = lambda: float(rng.randrange(4))  # noqa: E731
+    spread = [0.05, 0.5, 2.0, 5.0, 9.0, 20.0]
+    for n in (3, 10, 40, 120):
+        cases.append(random_configs(n, uniform, [QUARTER_TURN], spread))
+        cases.append(random_configs(n, columns, [QUARTER_TURN], spread))
+        cases.append(random_configs(n, uniform, [QUARTER_TURN, 4.5, 2 * PI], spread))
+        cases.append(random_configs(n, uniform, [QUARTER_TURN, 4.5], spread + [math.inf]))
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 5])
+def test_swept_edges_match_the_containment_matrix(monkeypatch, chunk):
+    if chunk is not None:  # force many chunks, and sources larger than one
+        monkeypatch.setattr(scg, "_PAIR_CHUNK", chunk)
+    cases = _sweep_cases()
+    for configs in cases:
+        g = build_scg(configs)
+        assert g.edges.tolist() == _matrix_edges(configs), len(configs)
+        assert g.edges.shape == (len(g.edges), 2) and not g.edges.flags.writeable
+        adj = [[] for _ in configs]
+        for i, j in g.edges.tolist():
+            adj[i].append(j)
+            adj[j].append(i)
+        assert g.neighbor_lists == adj
+    assert build_scg(cases[3]).edges.tolist() == [[0, 1]]  # d2 == 25 at range 5
+    assert build_scg(cases[4]).edges.tolist() == [[0, 1]]  # d2 underflows to 0
+
+
+def test_sweep_reach_never_trims():
+    # a pair facing each other along x, some far from the origin, the
+    # second point stepped in ulps across the first one's reach
+    cases = list(itertools.product((0.0, 3.7, 1e6, 2.0**40 + 0.5), (0.05, 1.0, 7.0, 20.0)))
+    # here the float step past x0 + sqrt(r**2 + DIST_SQ_TOL) still squares
+    # to at most r**2 + DIST_SQ_TOL, so that threshold would trim an edge
+    cases += [(-61.676748195972955, 56.176336015404075), (-9.366850280684368, 9.377639910226685)]
+    for x0, r in cases:
+        edge = x0 + math.sqrt(r * r + DIST_SQ_TOL)
+        xb = edge
+        for _ in range(3):
+            xb = math.nextafter(xb, -math.inf)
+        for _ in range(7):
+            configs = [
+                AntennaConfig(Point(x0, 0.0), 0.0, range=r),
+                AntennaConfig(Point(xb, 0.0), PI, range=r),
+            ]
+            assert build_scg(configs).edges.tolist() == _matrix_edges(configs), (x0, r, xb)
+            xb = math.nextafter(xb, math.inf)
+
+
+def _pinned_edge_configs(case):
+    if case.startswith("power"):
+        n = int(case.split()[1])
+        pts = list(gen(GenSpec("random_square", n, seed=1, side=60.0)).points)
+        return [orient_and_assign(pts, 2).configs()]
+    if case == "replace connected_udg":
+        pts = list(gen(GenSpec("connected_udg", 300, seed=3)).points)
+        return [list(replace(pts, "refined").configs)]
+    return [
+        list(replace(_drifting_chain(seed, 140), mode).configs)
+        for seed in range(1, 9)
+        for mode in ("basic", "refined")
+    ]
+
+
+#: sha256 of the SCG edge lists, ``json.dumps(edges.tolist())`` joined by
+#: newlines, recorded while every SCG was still one full containment matrix.
+PINNED_EDGES_SHA256 = {
+    "power 512": "55d2bae1348e8ceceb48360183d992f80912293cd5a0c3fab05ad61d0d78b7d7",
+    "power 2048": "a69217603b37150871da46430f809d1bc9216330fa08b55804e41297f8e16043",
+    "replace connected_udg": "1a722e75e6b3a7ec914970cc08be7a501564a08708c26f086835c04f7a492b7b",
+    "replace drifting chains": "4ebf441e7ab2ab5e74a8bb1e630e9c4d95ac82e42239dd04b60c9d21084a3321",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EDGES_SHA256))
+def test_scg_edges_are_pinned(case):
+    text = "\n".join(
+        json.dumps(build_scg(configs).edges.tolist()) for configs in _pinned_edge_configs(case)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_EDGES_SHA256[case]
+
+
+def test_build_scg_memory_stays_below_the_matrix():
+    # one full containment matrix over these 2048 antennas peaks near 240 MB
+    pts = list(gen(GenSpec("random_square", 2048, seed=1, side=60.0)).points)
+    configs = orient_and_assign(pts, 2).configs()
+    tracemalloc.start()
+    try:
+        g = build_scg(configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges) > 2048
+    assert peak < 80 * 2**20
