@@ -20,11 +20,11 @@ from typing import Optional, Sequence
 from . import fileio
 from .generators import FAMILIES, GenSpec, gen
 from .geometry import plane_coverage_verify
-from .orientation import orient_quadruplet
+from .orientation import configs_from_assignment, orient_quadruplet
 from .power import PowerAssignment, cost_chain_check, orient_and_assign, tsp_tour_approx
 from .render import render_svg
 from .replacement import build_udg, replace, verify_hop_spanner
-from .scg import build_scg, configs_from_assignment, is_connected
+from .scg import build_scg, is_connected
 
 _DEFAULT_STRETCH = {"replace-basic": 9, "replace-refined": 8, "replace-small": 5}
 _MISMATCH = "config antennas do not match the instance points"
@@ -100,7 +100,7 @@ def _check_coverage(configs, mode, instance_points, metadata, limit):
         raise ValueError("coverage check needs unbounded ranges")
 
     def run(scg):
-        report = plane_coverage_verify([c.wedge() for c in configs])
+        report = plane_coverage_verify(configs)
         out: dict = {"passed": report.covered}
         if report.witness_point is not None:
             out["witness_point"] = [report.witness_point.x, report.witness_point.y]

@@ -13,8 +13,7 @@ import math
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from .geometry import Point
-from .scg import AntennaConfig
+from .geometry import AntennaConfig, Point
 
 PathLike = Union[str, Path]
 

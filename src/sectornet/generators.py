@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .geometry import HalfPlane, Point, orientation_sign, weakly_separable
-from .orientation import orient_quadruplet
+from .orientation import configs_from_assignment, orient_quadruplet
 from .rng import SplitMix64
 from .replacement import build_udg
-from .scg import classify_separated_pair, configs_from_assignment, is_connected
+from .scg import classify_separated_pair, is_connected
 
 RANDOM_SQUARE = "random_square"
 CONNECTED_UDG = "connected_udg"

@@ -1,16 +1,20 @@
-"""Planar primitives: points, quarter-plane wedges, hulls and coverage tests.
+"""Planar primitives: points, antenna sectors, hulls and coverage tests.
 
 Conventions used throughout the package:
 
+* An antenna (:class:`AntennaConfig`) is one closed circular sector, its
+  wedge: a location, an orientation, an aperture and a range.  It is
+  validated and its orientation normalized when it is constructed, so
+  every geometry function takes antennas as they are.
 * Angles are radians.  Stored orientations are normalized to ``[0, tau)``.
   A wedge's ``orientation`` is the direction of its bisector; the two
   bounding rays sit at ``orientation +/- aperture / 2``.
-* Wedges are closed: points on a bounding ray (and the apex itself) are
-  contained, and a point exactly at distance ``range`` is in range.
+* Wedges are closed: points on a bounding ray (and the location itself)
+  are contained, and a point exactly at distance ``range`` is in range.
 * Sign predicates (``orientation_sign``, ``dot_sign``) are exact for any
   float inputs: a floating-point filter decides the easy cases and the
   rest fall back to rational arithmetic.
-* Wedge containment cannot be made exact in the same sense because
+* Containment cannot be made exact in the same sense because
   orientations pass through ``atan2``/``cos``/``sin``.  Instead the
   angular test grants ``ANGLE_TOL`` radians of slack on both bounding
   rays, so a point constructed to lie on a ray stays inside after the
@@ -81,15 +85,18 @@ def squared_distance(p: Point, q: Point) -> float:
 
 
 @dataclass(frozen=True)
-class Wedge:
-    """A closed circular sector: apex, bisector orientation, aperture, range.
+class AntennaConfig:
+    """A placed antenna: the closed circular sector it covers, given by
+    its ``location``, bisector ``orientation``, ``aperture`` and ``range``.
 
-    ``range`` is ``math.inf`` for an unbounded wedge.  The default aperture
+    ``range`` is ``math.inf`` for an unbounded sector.  The default aperture
     is a quarter turn (pi/2), the only aperture the constructions in this
     package ever emit, but containment supports any aperture in (0, tau].
+    Construction rejects any other aperture and a range that is not
+    positive, and stores the orientation normalized to [0, tau).
     """
 
-    apex: Point
+    location: Point
     orientation: float
     aperture: float = QUARTER_TURN
     range: float = math.inf
@@ -101,12 +108,10 @@ class Wedge:
             raise ValueError(f"range must be positive, got {self.range}")
         object.__setattr__(self, "orientation", normalize_angle(self.orientation))
 
-    def boundary_directions(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Unit direction vectors of the right and left bounding rays."""
-        half = 0.5 * self.aperture
-        tr = self.orientation - half
-        tl = self.orientation + half
-        return (math.cos(tr), math.sin(tr)), (math.cos(tl), math.sin(tl))
+    def wedge(self) -> AntennaConfig:
+        """The antenna itself: it is its own sector.  Kept only because the
+        benchmark's workloads (``perfbench/workloads.py``) still call it."""
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +202,12 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
 
 
 # ---------------------------------------------------------------------------
-# Wedge containment (scalar and vectorized share one formula)
+# Containment (scalar and vectorized share one formula)
 # ---------------------------------------------------------------------------
 
 
 class _WedgeArrays(NamedTuple):
-    """Per-wedge arrays for the containment core: apex, unit directions
+    """Per-wedge arrays for the containment core: location, unit directions
     of the right and left bounding rays, aperture, and the squared range
     plus ``DIST_SQ_TOL`` (``inf`` for an unbounded wedge)."""
 
@@ -221,10 +226,10 @@ class _WedgeArrays(NamedTuple):
         return _WedgeArrays(*(a[idx] for a in self))
 
 
-def _wedge_arrays(wedges: Sequence[Wedge]) -> _WedgeArrays:
+def _wedge_arrays(wedges: Sequence[AntennaConfig]) -> _WedgeArrays:
     """The wedges as arrays, with the trigonometry done once per wedge."""
-    ax = np.array([w.apex.x for w in wedges], dtype=float)
-    ay = np.array([w.apex.y for w in wedges], dtype=float)
+    ax = np.array([w.location.x for w in wedges], dtype=float)
+    ay = np.array([w.location.y for w in wedges], dtype=float)
     ori = np.array([w.orientation for w in wedges], dtype=float)
     ape = np.array([w.aperture for w in wedges], dtype=float)
     rng = np.array([w.range for w in wedges], dtype=float)
@@ -236,7 +241,9 @@ def _wedge_arrays(wedges: Sequence[Wedge]) -> _WedgeArrays:
     )
 
 
-def containment_matrix(wedges: Sequence[Wedge], points: Sequence[Point] | np.ndarray) -> np.ndarray:
+def containment_matrix(
+    wedges: Sequence[AntennaConfig], points: Sequence[Point] | np.ndarray
+) -> np.ndarray:
     """Boolean matrix M with M[i, j] true iff wedges[i] contains points[j]."""
     k = len(wedges)
     if isinstance(points, np.ndarray):
@@ -270,7 +277,7 @@ def _containment_core(w: _WedgeArrays, px: np.ndarray, py: np.ndarray) -> np.nda
     return ang_ok & (d2 <= w.limit)
 
 
-def wedge_contains(w: Wedge, p: Point) -> bool:
+def wedge_contains(w: AntennaConfig, p: Point) -> bool:
     """True iff ``p`` lies in the closed sector of ``w`` and within range."""
     return bool(containment_matrix([w], [p])[0, 0])
 
@@ -315,7 +322,7 @@ class CoverageReport:
     witness_direction: Optional[float] = None
 
 
-def _direction_gap(wedges: Sequence[Wedge]) -> Optional[float]:
+def _direction_gap(wedges: Sequence[AntennaConfig]) -> Optional[float]:
     """A direction not covered by any wedge's closed angular interval.
 
     Returns None when the (slightly fattened) closed intervals cover the
@@ -365,10 +372,14 @@ def _canonical_line(nx: float, ny: float, c: float) -> tuple[float, float, float
     return nx, ny, c
 
 
-def _wedge_boundary_lines(w: Wedge) -> list[tuple[float, float, float]]:
+def _wedge_boundary_lines(w: AntennaConfig) -> list[tuple[float, float, float]]:
+    """The lines through the right and left bounding rays."""
+    half = 0.5 * w.aperture
+    x, y = w.location.x, w.location.y
     lines = []
-    for dx, dy in w.boundary_directions():
-        lines.append(_canonical_line(-dy, dx, -dy * w.apex.x + dx * w.apex.y))
+    for t in (w.orientation - half, w.orientation + half):
+        dx, dy = math.cos(t), math.sin(t)
+        lines.append(_canonical_line(-dy, dx, -dy * x + dx * y))
     return lines
 
 
@@ -442,7 +453,7 @@ def _coverage_candidates(
     return candidates
 
 
-def _first_uncovered(wedges: Sequence[Wedge], pts: np.ndarray) -> CoverageReport:
+def _first_uncovered(wedges: Sequence[AntennaConfig], pts: np.ndarray) -> CoverageReport:
     """Covered, or else the lexicographically smallest row of ``pts``
     that no wedge contains, as the witness."""
     hit = containment_matrix(wedges, pts).any(axis=0)
@@ -452,7 +463,7 @@ def _first_uncovered(wedges: Sequence[Wedge], pts: np.ndarray) -> CoverageReport
     return CoverageReport(False, witness_point=Point(float(wx), float(wy)))
 
 
-def plane_coverage_verify(wedges: Sequence[Wedge]) -> CoverageReport:
+def plane_coverage_verify(wedges: Sequence[AntennaConfig]) -> CoverageReport:
     """Decide whether the union of unbounded wedges covers the whole plane.
 
     Two stages: a circle-of-directions check (a direction missing from
@@ -474,26 +485,26 @@ def plane_coverage_verify(wedges: Sequence[Wedge]) -> CoverageReport:
         return CoverageReport(False, witness_direction=gap)
 
     lines = _dedupe_lines(ln for w in wedges for ln in _wedge_boundary_lines(w))
-    candidates = _coverage_candidates(lines, [w.apex for w in wedges])
+    candidates = _coverage_candidates(lines, [w.location for w in wedges])
     pts = np.array(candidates, dtype=float)
     return _first_uncovered(wedges, pts)
 
 
-def _halfplane_test_points(wedges: Sequence[Wedge], hp: HalfPlane) -> np.ndarray:
+def _halfplane_test_points(wedges: Sequence[AntennaConfig], hp: HalfPlane) -> np.ndarray:
     """Rows: the test points in ``hp`` of the arrangement of its boundary
     and every wedge's boundary lines.  That arrangement refines any
     sub-group's, so the points decide coverage for each sub-group."""
     for w in wedges:
         if math.isfinite(w.range):
-            raise ValueError("halfplane_covered requires unbounded wedges")
+            raise ValueError("half-plane coverage needs unbounded ranges")
     lines = [_canonical_line(hp.nx, hp.ny, hp.c)]
     lines.extend(ln for w in wedges for ln in _wedge_boundary_lines(w))
     lines = _dedupe_lines(lines)
-    candidates = _coverage_candidates(lines, [w.apex for w in wedges])
+    candidates = _coverage_candidates(lines, [w.location for w in wedges])
     return np.array([c for c in candidates if hp.value(c[0], c[1]) >= -1e-9], dtype=float)
 
 
-def halfplane_covered(wedges: Sequence[Wedge], hp: HalfPlane) -> CoverageReport:
+def halfplane_covered(wedges: Sequence[AntennaConfig], hp: HalfPlane) -> CoverageReport:
     """Decide whether the union of unbounded wedges covers a half-plane."""
     if not wedges:
         # Any point of the half-plane witnesses non-coverage.

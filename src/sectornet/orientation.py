@@ -23,9 +23,9 @@ from typing import Iterable, Optional, Sequence
 
 from .geometry import (
     QUARTER_TURN,
+    AntennaConfig,
     HalfPlane,
     Point,
-    Wedge,
     containment_matrix,
     convex_hull,
     dot_sign,
@@ -61,8 +61,10 @@ class OrientationAssignment:
     def points(self) -> tuple[Point, ...]:
         return tuple(p for p, _ in self.entries)
 
-    def wedges(self, range: float = math.inf) -> list[Wedge]:
-        return [Wedge(p, ang, self.aperture, range) for p, ang in self.entries]
+
+def configs_from_assignment(assignment: OrientationAssignment) -> list[AntennaConfig]:
+    """One unbounded antenna per entry, in entry order."""
+    return [AntennaConfig(p, ang, assignment.aperture) for p, ang in assignment.entries]
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ def aim_at_fan(fan: OrientationAssignment, points: Iterable[Point]) -> dict[Poin
     first fan wedge, in entry order, that contains it (else ``ValueError``)."""
     oris = dict(fan.entries)
     rest = [p for p in points if p not in oris]
-    cover = containment_matrix(fan.wedges(), rest)
+    cover = containment_matrix(configs_from_assignment(fan), rest)
     if not cover.any(axis=0).all():
         raise ValueError("uncovered point: no hub wedge contains it")
     hubs = fan.points()

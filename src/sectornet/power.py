@@ -23,9 +23,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Point, distance
+from .geometry import AntennaConfig, Point, distance
 from .orientation import aim_at_fan, orient_cluster, orient_quadruplet
-from .scg import AntennaConfig
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+from .geometry import AntennaConfig
 from .replacement import CELL_SIDE
-from .scg import AntennaConfig
 
 _PALETTE = (
     "#1f77b4",

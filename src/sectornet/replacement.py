@@ -35,6 +35,7 @@ import numpy as np
 
 from .geometry import (
     DIST_SQ_TOL,
+    AntennaConfig,
     Point,
     convex_hull,
     orientation_sign,
@@ -49,7 +50,7 @@ from .orientation import (
     orient_cluster,
     orient_quadruplet,
 )
-from .scg import AntennaConfig, CommGraph, _graph_from_matrix, bfs, components, is_connected
+from .scg import CommGraph, _graph_from_matrix, bfs, components, is_connected
 
 CELL_SIDE = 7.0
 REPLACEMENT_RANGE = 14.0 * math.sqrt(2.0)

@@ -1,7 +1,9 @@
 """Symmetric communication graphs of sector antennas.
 
 An antenna hears another only if each lies inside the other's wedge, so
-the graph is undirected by construction.  This module builds that graph:
+the graph is undirected by construction.  An antenna is a
+:class:`~sectornet.geometry.AntennaConfig`, validated and normalized
+when it is built, so it is used as is.  This module builds that graph:
 from one containment matrix when some wedge is unbounded, and from the
 candidate pairs of an x-sorted sweep when every range is finite.  It
 owns the graph core the package shares (a sorted, read-only edge array,
@@ -24,39 +26,15 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .geometry import (
-    QUARTER_TURN,
+    AntennaConfig,
     HalfPlane,
     Point,
-    Wedge,
     _containment_core,
     _halfplane_test_points,
     _wedge_arrays,
     _WedgeArrays,
     containment_matrix,
 )
-from .orientation import OrientationAssignment
-
-
-@dataclass(frozen=True)
-class AntennaConfig:
-    """A placed antenna: location plus the wedge parameters."""
-
-    location: Point
-    orientation: float
-    aperture: float = QUARTER_TURN
-    range: float = math.inf
-
-    def wedge(self) -> Wedge:
-        return Wedge(self.location, self.orientation, self.aperture, self.range)
-
-
-def configs_from_assignment(
-    assignment: OrientationAssignment, range: float = math.inf
-) -> list[AntennaConfig]:
-    return [
-        AntennaConfig(p, ang, assignment.aperture, range)
-        for p, ang in assignment.entries
-    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,11 +79,10 @@ def build_scg(configs: Sequence[AntennaConfig]) -> CommGraph:
     locations = [c.location for c in configs]
     if len(set(locations)) != len(locations):
         raise ValueError("duplicate antenna locations")
-    wedges = [c.wedge() for c in configs]
-    if any(math.isinf(w.range) for w in wedges):
-        M = containment_matrix(wedges, locations)
+    if any(math.isinf(c.range) for c in configs):
+        M = containment_matrix(configs, locations)
         return _graph_from_matrix(locations, M & M.T)
-    edges = _swept_edges(_wedge_arrays(wedges))
+    edges = _swept_edges(_wedge_arrays(configs))
     edges.flags.writeable = False
     return CommGraph(tuple(locations), edges)
 
@@ -213,10 +190,7 @@ def find_mutual_cover_pair(
     """
     locs_a = [c.location for c in side_a]
     locs_b = [c.location for c in side_b]
-    mutual = (
-        containment_matrix([c.wedge() for c in side_a], locs_b)
-        & containment_matrix([c.wedge() for c in side_b], locs_a).T
-    )
+    mutual = containment_matrix(side_a, locs_b) & containment_matrix(side_b, locs_a).T
     mutual &= np.array([[a != b for b in locs_b] for a in locs_a], bool).reshape(mutual.shape)
     hits = np.argwhere(mutual)  # row-major: the input-order scan
     if not len(hits):
@@ -234,10 +208,9 @@ def halfplane_cover_number(
 ) -> Optional[int]:
     """Size of the smallest sub-group whose wedges cover the half-plane,
     each decided on the test points of the whole group's arrangement."""
-    wedges = [c.wedge() for c in configs]
-    hit = containment_matrix(wedges, _halfplane_test_points(wedges, hp))
+    hit = containment_matrix(configs, _halfplane_test_points(configs, hp))
     for k in range(1, _MAX_COVER_SIZE + 1):
-        for subset in itertools.combinations(range(len(wedges)), k):
+        for subset in itertools.combinations(range(len(configs)), k):
             if hit[list(subset)].any(axis=0).all():
                 return k
     return None

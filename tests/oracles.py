@@ -21,17 +21,17 @@ import numpy as np
 from sectornet.geometry import (
     DIST_SQ_TOL,
     TAU,
+    AntennaConfig,
     CoverageReport,
     Point,
-    Wedge,
     _first_uncovered,
     squared_distance,
     weakly_separable,
 )
-from sectornet.orientation import orient_quadruplet
+from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.replacement import FULL, GridPartition
 from sectornet.rng import SplitMix64
-from sectornet.scg import configs_from_assignment, find_mutual_cover_pair
+from sectornet.scg import find_mutual_cover_pair
 
 # ---------------------------------------------------------------------------
 # Searching for a non-separated pair with no cross edge
@@ -204,7 +204,7 @@ def path_hits_full_cell(path: Sequence[Point], grid: GridPartition) -> bool:
 
 
 def coverage_sample_check(
-    wedges: Sequence[Wedge],
+    wedges: Sequence[AntennaConfig],
     grid_points: int = 100_000,
     ring_points: int = 10_000,
 ) -> CoverageReport:
@@ -217,10 +217,10 @@ def coverage_sample_check(
     """
     if not wedges:
         return CoverageReport(False, witness_direction=0.0)
-    xs = [w.apex.x for w in wedges]
-    ys = [w.apex.y for w in wedges]
+    xs = [w.location.x for w in wedges]
+    ys = [w.location.y for w in wedges]
     spread = max(
-        max(math.hypot(a.x - b.x, a.y - b.y) for a in (w.apex for w in wedges) for b in (v.apex for v in wedges)),
+        max(math.hypot(a.x - b.x, a.y - b.y) for a in (w.location for w in wedges) for b in (v.location for v in wedges)),
         1.0,
     )
     lo_x, hi_x = min(xs) - spread, max(xs) + spread

@@ -22,16 +22,16 @@ from sectornet.generators import GenSpec, gen
 from sectornet.geometry import (
     QUARTER_TURN,
     TAU,
+    AntennaConfig,
     HalfPlane,
     Point,
-    Wedge,
     distance,
     normalize_angle,
     plane_coverage_verify,
     wedge_contains,
     weakly_separable,
 )
-from sectornet.orientation import orient_quadruplet
+from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.power import (
     cost_chain_check,
     mst_cost,
@@ -50,7 +50,6 @@ from sectornet.replacement import (
 from sectornet.rng import SplitMix64
 from sectornet.scg import (
     build_scg,
-    configs_from_assignment,
     find_mutual_cover_pair,
     is_connected,
 )
@@ -80,8 +79,9 @@ def test_criterion_1_random_quadruplets_cover_and_connect():
     for pts in quads:
         asg = orient_quadruplet(pts)
         tally[asg.case] += 1
-        assert plane_coverage_verify(asg.wedges()).covered, pts
-        assert is_connected(build_scg(configs_from_assignment(asg))), pts
+        configs = configs_from_assignment(asg)
+        assert plane_coverage_verify(configs).covered, pts
+        assert is_connected(build_scg(configs)), pts
     elapsed = time.monotonic() - started
     assert tally["convex"] >= 1_000
     assert tally["triangle"] >= 1_000
@@ -131,8 +131,8 @@ def test_criterion_3_nonseparated_counterexample_is_reproducible():
     # re-verify every claimed property from scratch
     ca = configs_from_assignment(orient_quadruplet(group_a))
     cb = configs_from_assignment(orient_quadruplet(group_b))
-    assert plane_coverage_verify([c.wedge() for c in ca]).covered
-    assert plane_coverage_verify([c.wedge() for c in cb]).covered
+    assert plane_coverage_verify(ca).covered
+    assert plane_coverage_verify(cb).covered
     assert is_connected(build_scg(ca))
     assert is_connected(build_scg(cb))
     assert not weakly_separable(group_a, group_b)
@@ -295,10 +295,10 @@ def _far_point_in_direction(wedges, direction):
             off -= TAU
         margin = min(margin, abs(off) - w.aperture / 2.0)
     assert margin > 0.0, "claimed direction lies inside some wedge's arc"
-    cx = sum(w.apex.x for w in wedges) / len(wedges)
-    cy = sum(w.apex.y for w in wedges) / len(wedges)
+    cx = sum(w.location.x for w in wedges) / len(wedges)
+    cy = sum(w.location.y for w in wedges) / len(wedges)
     span = max(
-        (distance(a.apex, b.apex) for a in wedges for b in wedges), default=1.0
+        (distance(a.location, b.location) for a in wedges for b in wedges), default=1.0
     )
     r = 10.0 * (span + 1.0) / math.sin(min(margin, QUARTER_TURN))
     return Point(cx + r * math.cos(direction), cy + r * math.sin(direction))
@@ -311,7 +311,7 @@ def test_criterion_7_independent_route_agreement(tmp_path):
     for _ in range(1_000):
         k = 2 + rng.randrange(4)
         wedges = [
-            Wedge(
+            AntennaConfig(
                 Point(rng.uniform(-3, 3), rng.uniform(-3, 3)),
                 rng.uniform(0, TAU),
                 rng.choice([QUARTER_TURN, 2.0, math.pi, 4.5]),

@@ -31,7 +31,6 @@ EXPORTS = [
     "SpannerReport",
     "SplitMix64",
     "Tour",
-    "Wedge",
     "build_scg",
     "build_udg",
     "classify_separated_pair",
@@ -74,11 +73,9 @@ DEFAULTED = [
     "fileio.write_config.path",
     "fileio.write_instance.metadata",
     "fileio.write_instance.path",
-    "orientation.wedges.range",
     "render.render_svg.grid_origin",
     "replacement.grid_partition.origin",
     "replacement.replace.mode",
-    "scg.configs_from_assignment.range",
 ]
 
 
@@ -96,7 +93,7 @@ def _defaulted(path: Path) -> list[str]:
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 54
+    assert len(EXPORTS) == 53
     assert sectornet.__all__ == EXPORTS
     assert all(hasattr(sectornet, name) for name in EXPORTS)
 

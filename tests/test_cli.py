@@ -8,8 +8,8 @@ import sys
 import pytest
 
 from sectornet import cli, fileio
-from sectornet.geometry import Point
-from sectornet.scg import AntennaConfig, build_scg
+from sectornet.geometry import AntennaConfig, Point
+from sectornet.scg import build_scg
 
 
 def run_cli(*argv):
@@ -268,6 +268,12 @@ def test_usage_errors_exit_two(tmp_path):
     doc["antennas"] = [[0.0, 0.0]]
     bad.write_text(json.dumps(doc))
     r = run_cli("verify", "--config", str(bad), "--checks", "connected")
+    assert r.returncode == 2 and str(bad) in r.stderr and "Traceback" not in r.stderr
+    # an antenna with a zero aperture is malformed too, even for render
+    doc = json.loads(cfg.read_text())
+    doc["antennas"][0]["aperture_radians"] = 0.0
+    bad.write_text(json.dumps(doc))
+    r = run_cli("render", "--config", str(bad))
     assert r.returncode == 2 and str(bad) in r.stderr and "Traceback" not in r.stderr
     # argparse-level misuse
     assert run_cli("gen", "--family", "nope", "--n", "4").returncode == 2

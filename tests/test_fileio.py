@@ -6,8 +6,7 @@ import math
 import pytest
 
 from sectornet import fileio
-from sectornet.geometry import Point
-from sectornet.scg import AntennaConfig
+from sectornet.geometry import AntennaConfig, Point
 
 
 def test_instance_round_trip_is_byte_identical(tmp_path):
@@ -63,6 +62,9 @@ def test_output_is_stable_json(tmp_path):
     assert path.read_text().index('"a"') < path.read_text().index('"b"')
 
 
+_ANTENNA = {"x": 0.0, "y": 0.0, "orientation_radians": 0.0, "aperture_radians": 1.5, "range": "inf"}
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -76,6 +78,17 @@ def test_output_is_stable_json(tmp_path):
         {"kind": "config", "antennas": [{"x": 0.0, "y": 0.0}]},
         {"kind": "config", "antennas": {"x": 0.0}},
         {"kind": "config", "antennas": [], "mode": 7},
+        # out-of-range sectors fail when the antenna is built
+        *(
+            {"kind": "config", "antennas": [dict(_ANTENNA, **bad)]}
+            for bad in (
+                {"aperture_radians": 0.0},
+                {"aperture_radians": 7.0},
+                {"range": 0.0},
+                {"range": -1.0},
+                {"range": "nan"},
+            )
+        ),
         ["kind", "instance"],
     ],
 )

@@ -7,10 +7,10 @@ import pytest
 
 from sectornet.generators import FAMILIES, GenSpec, gen
 from sectornet.geometry import HalfPlane, Point, orientation_sign, weakly_separable
-from sectornet.orientation import orient_quadruplet
+from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.replacement import build_udg
 from sectornet.rng import SplitMix64
-from sectornet.scg import build_scg, classify_separated_pair, configs_from_assignment, is_connected
+from sectornet.scg import build_scg, classify_separated_pair, is_connected
 
 
 def test_splitmix_reference_stream():

@@ -12,9 +12,9 @@ from sectornet.geometry import (
     DIST_SQ_TOL,
     QUARTER_TURN,
     TAU,
+    AntennaConfig,
     HalfPlane,
     Point,
-    Wedge,
     containment_matrix,
     convex_hull,
     distance,
@@ -27,6 +27,7 @@ from sectornet.geometry import (
     weakly_separable,
     wedge_contains,
 )
+from sectornet.orientation import configs_from_assignment, orient_quadruplet
 
 from oracles import coverage_sample_check
 from sectornet.rng import SplitMix64
@@ -149,17 +150,29 @@ def test_convex_hull_matches_qhull_on_random_sets():
 def test_wedge_validation():
     apex = Point(0.0, 0.0)
     with pytest.raises(ValueError):
-        Wedge(apex, 0.0, 0.0)
+        AntennaConfig(apex, 0.0, 0.0)
     with pytest.raises(ValueError):
-        Wedge(apex, 0.0, TAU + 1e-6)
+        AntennaConfig(apex, 0.0, TAU + 1e-6)
     with pytest.raises(ValueError):
-        Wedge(apex, 0.0, QUARTER_TURN, 0.0)
-    w = Wedge(apex, -QUARTER_TURN, QUARTER_TURN)
+        AntennaConfig(apex, 0.0, QUARTER_TURN, 0.0)
+    with pytest.raises(ValueError):
+        AntennaConfig(apex, 0.0, QUARTER_TURN, math.nan)
+    w = AntennaConfig(apex, -QUARTER_TURN, QUARTER_TURN)
     assert 0.0 <= w.orientation < TAU
+    # the orientation is stored normalized, so equal sectors compare equal
+    assert AntennaConfig(apex, -0.5) == AntennaConfig(apex, TAU - 0.5)
+    assert w.wedge() is w
+
+
+def test_configs_from_assignment_is_one_antenna_per_entry():
+    asg = orient_quadruplet([Point(0.0, 0.0), Point(4.0, 1.0), Point(1.0, 5.0), Point(-2.0, 2.0)])
+    got = configs_from_assignment(asg)
+    assert got == [AntennaConfig(p, a, asg.aperture) for p, a in asg.entries]
+    assert all(math.isinf(c.range) for c in got)
 
 
 def test_wedge_contains_quarter_wedge():
-    w = Wedge(Point(0.0, 0.0), math.pi / 4.0, QUARTER_TURN)  # spans [0, pi/2]
+    w = AntennaConfig(Point(0.0, 0.0), math.pi / 4.0, QUARTER_TURN)  # spans [0, pi/2]
     assert wedge_contains(w, Point(0.0, 0.0))  # apex belongs
     assert wedge_contains(w, Point(1.0, 0.0))  # right boundary ray
     assert wedge_contains(w, Point(0.0, 1.0))  # left boundary ray
@@ -170,7 +183,7 @@ def test_wedge_contains_quarter_wedge():
 
 
 def test_wedge_range_uses_squared_distance_tolerance():
-    w = Wedge(Point(0.0, 0.0), math.pi / 4.0, QUARTER_TURN, range=5.0)
+    w = AntennaConfig(Point(0.0, 0.0), math.pi / 4.0, QUARTER_TURN, range=5.0)
     assert wedge_contains(w, Point(3.0, 4.0))  # exactly at range
     assert not wedge_contains(w, Point(3.0, 4.1))
     # squared distance within DIST_SQ_TOL of range**2 still counts
@@ -180,7 +193,7 @@ def test_wedge_range_uses_squared_distance_tolerance():
 
 def _contains_reference(w, p):
     """Angle-interval membership, written independently of the vector route."""
-    dx, dy = p.x - w.apex.x, p.y - w.apex.y
+    dx, dy = p.x - w.location.x, p.y - w.location.y
     d = math.hypot(dx, dy)
     if d == 0.0:
         return True
@@ -197,7 +210,7 @@ def test_containment_matrix_matches_angle_interval_reference():
     rng = SplitMix64(37)
     for _ in range(30):
         wedges = [
-            Wedge(
+            AntennaConfig(
                 Point(rng.uniform(-5, 5), rng.uniform(-5, 5)),
                 rng.uniform(0, TAU),
                 rng.choice([QUARTER_TURN, 1.0, math.pi, 5.0]),
@@ -215,7 +228,7 @@ def test_containment_matrix_matches_angle_interval_reference():
 
 
 def test_containment_matrix_accepts_ndarray():
-    w = Wedge(Point(0.0, 0.0), 0.0, math.pi)
+    w = AntennaConfig(Point(0.0, 0.0), 0.0, math.pi)
     arr = np.array([[1.0, 0.0], [-1.0, 0.5], [0.0, 2.0]])
     got = containment_matrix([w], arr)
     assert got.tolist() == [[True, False, True]]
@@ -230,14 +243,14 @@ def test_halfplane_value_and_contains():
 
 def test_plane_coverage_rejects_bounded_wedges():
     with pytest.raises(ValueError):
-        plane_coverage_verify([Wedge(Point(0.0, 0.0), 0.0, QUARTER_TURN, 5.0)])
+        plane_coverage_verify([AntennaConfig(Point(0.0, 0.0), 0.0, QUARTER_TURN, 5.0)])
 
 
 def test_plane_coverage_empty_and_direction_gap():
     rep = plane_coverage_verify([])
     assert not rep.covered and rep.witness_direction is not None
     # all wedges aimed the same way: a direction certificate must appear
-    wedges = [Wedge(Point(float(i), 0.0), 1.0, QUARTER_TURN) for i in range(4)]
+    wedges = [AntennaConfig(Point(float(i), 0.0), 1.0, QUARTER_TURN) for i in range(4)]
     rep = plane_coverage_verify(wedges)
     assert not rep.covered
     assert rep.witness_direction is not None
@@ -250,7 +263,7 @@ def test_plane_coverage_hole_despite_full_direction_circle():
     # Four quarter wedges pointing outward from a square leave the middle bare.
     corners = [Point(-10.0, -10.0), Point(10.0, -10.0), Point(10.0, 10.0), Point(-10.0, 10.0)]
     outward = [1.25 * math.pi, 1.75 * math.pi, 0.25 * math.pi, 0.75 * math.pi]
-    wedges = [Wedge(c, o, QUARTER_TURN) for c, o in zip(corners, outward)]
+    wedges = [AntennaConfig(c, o, QUARTER_TURN) for c, o in zip(corners, outward)]
     rep = plane_coverage_verify(wedges)
     assert not rep.covered
     assert rep.witness_point is not None
@@ -260,35 +273,35 @@ def test_plane_coverage_hole_despite_full_direction_circle():
 def test_plane_coverage_two_halfplane_wedges():
     # apex height decides: facing down from y=1 overlaps the upward half,
     # facing down from y=-1 leaves the slab -1 < y < 0 bare
-    up = Wedge(Point(0.0, 0.0), math.pi / 2.0, math.pi)
-    overlap = Wedge(Point(3.0, 1.0), 3.0 * math.pi / 2.0, math.pi)
+    up = AntennaConfig(Point(0.0, 0.0), math.pi / 2.0, math.pi)
+    overlap = AntennaConfig(Point(3.0, 1.0), 3.0 * math.pi / 2.0, math.pi)
     assert plane_coverage_verify([up, overlap]).covered
-    touching = Wedge(Point(3.0, 0.0), 3.0 * math.pi / 2.0, math.pi)
+    touching = AntennaConfig(Point(3.0, 0.0), 3.0 * math.pi / 2.0, math.pi)
     assert plane_coverage_verify([up, touching]).covered
-    apart = Wedge(Point(3.0, -1.0), 3.0 * math.pi / 2.0, math.pi)
+    apart = AntennaConfig(Point(3.0, -1.0), 3.0 * math.pi / 2.0, math.pi)
     rep = plane_coverage_verify([up, apart])
     assert not rep.covered and rep.witness_point is not None
     assert -1.0 < rep.witness_point.y < 0.0
 
 
 def test_full_circle_wedge_covers():
-    assert plane_coverage_verify([Wedge(Point(1.0, 1.0), 0.0, TAU)]).covered
+    assert plane_coverage_verify([AntennaConfig(Point(1.0, 1.0), 0.0, TAU)]).covered
 
 
 def test_halfplane_covered_cases():
     hp = HalfPlane(0.0, 1.0, 0.0)  # upper half-plane
-    up = Wedge(Point(0.0, 0.0), math.pi / 2.0, math.pi)
+    up = AntennaConfig(Point(0.0, 0.0), math.pi / 2.0, math.pi)
     assert halfplane_covered([up], hp).covered
     # one quarter wedge can never cover a half-plane
-    q = Wedge(Point(0.0, 0.0), math.pi / 2.0, QUARTER_TURN)
+    q = AntennaConfig(Point(0.0, 0.0), math.pi / 2.0, QUARTER_TURN)
     rep = halfplane_covered([q], hp)
     assert not rep.covered
     assert rep.witness_point is not None
     assert hp.value(rep.witness_point.x, rep.witness_point.y) >= -1e-9
     assert not wedge_contains(q, rep.witness_point)
     # two quarter wedges with apexes on the boundary line, fanned to split it
-    left = Wedge(Point(0.0, 0.0), 0.25 * math.pi, QUARTER_TURN)
-    right = Wedge(Point(0.0, 0.0), 0.75 * math.pi, QUARTER_TURN)
+    left = AntennaConfig(Point(0.0, 0.0), 0.25 * math.pi, QUARTER_TURN)
+    right = AntennaConfig(Point(0.0, 0.0), 0.75 * math.pi, QUARTER_TURN)
     assert halfplane_covered([left, right], hp).covered
     rep = halfplane_covered([], hp)
     assert not rep.covered and rep.witness_point is not None
@@ -299,7 +312,7 @@ def test_sampling_check_agrees_with_exact_decision():
     agree = 0
     for _ in range(20):
         wedges = [
-            Wedge(Point(rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.uniform(0, TAU), math.pi)
+            AntennaConfig(Point(rng.uniform(-3, 3), rng.uniform(-3, 3)), rng.uniform(0, TAU), math.pi)
             for _ in range(3)
         ]
         exact = plane_coverage_verify(wedges)

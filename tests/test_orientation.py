@@ -7,8 +7,8 @@ import pytest
 from sectornet.geometry import (
     QUARTER_TURN,
     TAU,
+    AntennaConfig,
     Point,
-    Wedge,
     halfplane_covered,
     plane_coverage_verify,
     wedge_contains,
@@ -16,13 +16,14 @@ from sectornet.geometry import (
 from sectornet.orientation import (
     OrientationAssignment,
     aim_at_fan,
+    configs_from_assignment,
     couple_halfplane,
     couples,
     orient_cluster,
     orient_quadruplet,
 )
 from sectornet.rng import SplitMix64
-from sectornet.scg import AntennaConfig, build_scg, configs_from_assignment, is_connected
+from sectornet.scg import build_scg, is_connected
 
 PI = math.pi
 
@@ -97,8 +98,9 @@ def _verify_guarantees(points):
     assert sorted(asg.points(), key=lambda p: (p.x, p.y)) == sorted(
         points, key=lambda p: (p.x, p.y)
     )
-    assert plane_coverage_verify(asg.wedges()).covered
-    assert is_connected(build_scg(configs_from_assignment(asg)))
+    configs = configs_from_assignment(asg)
+    assert plane_coverage_verify(configs).covered
+    assert is_connected(build_scg(configs))
     return asg
 
 
@@ -187,13 +189,13 @@ def test_couple_halfplane_covers_and_anchors():
         for cp in couples(asg):
             hp = couple_halfplane(asg, cp)
             wedges = [
-                Wedge(cp.first, oris[cp.first], asg.aperture),
-                Wedge(cp.second, oris[cp.second], asg.aperture),
+                AntennaConfig(cp.first, oris[cp.first], asg.aperture),
+                AntennaConfig(cp.second, oris[cp.second], asg.aperture),
             ]
             assert halfplane_covered(wedges, hp).covered
             # boundary anchored at the apex deeper along the normal, so
             # that apex scores zero and the other cannot score higher
-            vals = [hp.value(w.apex.x, w.apex.y) for w in wedges]
+            vals = [hp.value(w.location.x, w.location.y) for w in wedges]
             assert max(vals) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -233,7 +235,7 @@ def test_orient_cluster_triangle_frozen():
     assert got[a] == pytest.approx(0.5 * PI)
     assert got[b] == pytest.approx(math.atan2(4.0, -3.0))
     # the bisector wedge reaches both base points
-    w = Wedge(c, got[c], QUARTER_TURN)
+    w = AntennaConfig(c, got[c], QUARTER_TURN)
     assert wedge_contains(w, a) and wedge_contains(w, b)
 
 

@@ -2,10 +2,9 @@ import math
 
 import pytest
 
-from sectornet.geometry import QUARTER_TURN, Point
-from sectornet.orientation import orient_quadruplet
+from sectornet.geometry import QUARTER_TURN, AntennaConfig, Point
+from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.render import render_svg
-from sectornet.scg import AntennaConfig, configs_from_assignment
 
 SQUARE = [Point(0.0, 0.0), Point(10.0, 0.0), Point(10.0, 10.0), Point(0.0, 10.0)]
 

@@ -1,5 +1,6 @@
 """Grid partition, hub selection, and unit-disk replacement guarantees."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -11,7 +12,7 @@ from scipy.spatial import distance_matrix
 
 from sectornet import replacement
 from sectornet.geometry import Point, distance, wedge_contains
-from sectornet.orientation import orient_quadruplet
+from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.replacement import (
     CELL_SIDE,
     FULL_CELL_MIN,
@@ -26,7 +27,7 @@ from sectornet.replacement import (
     verify_hop_spanner,
 )
 from sectornet.rng import SplitMix64
-from sectornet.scg import CommGraph, build_scg, configs_from_assignment, is_connected
+from sectornet.scg import CommGraph, build_scg, is_connected
 
 from oracles import path_hits_full_cell
 
@@ -143,11 +144,13 @@ def test_select_hubs_refined_supporting_pair_covers_cell():
             pts = [Point(rng.uniform(0, CELL_SIDE), rng.uniform(0, CELL_SIDE)) for _ in range(8)]
         asg = select_hubs_refined(pts)
         a1, a2 = asg.base
-        w1, w2 = (w for w in asg.wedges(REPLACEMENT_RANGE) if w.apex in (a1, a2))
+        hub_configs = [
+            dataclasses.replace(c, range=REPLACEMENT_RANGE) for c in configs_from_assignment(asg)
+        ]
+        w1, w2 = (c for c in hub_configs if c.location in (a1, a2))
         for p in pts:
             assert wedge_contains(w1, p) or wedge_contains(w2, p)
         # the four hubs alone form a connected symmetric graph
-        hub_configs = configs_from_assignment(asg, range=REPLACEMENT_RANGE)
         assert is_connected(build_scg(hub_configs))
 
 

@@ -1,5 +1,6 @@
 """Symmetric connectivity graphs and the separated-pair machinery."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,6 +15,7 @@ from sectornet import scg
 from sectornet.geometry import (
     DIST_SQ_TOL,
     QUARTER_TURN,
+    AntennaConfig,
     HalfPlane,
     Point,
     containment_matrix,
@@ -23,16 +25,14 @@ from sectornet.geometry import (
     weakly_separable,
 )
 from sectornet.generators import GenSpec, gen
-from sectornet.orientation import orient_quadruplet
+from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.power import orient_and_assign
 from sectornet.replacement import build_udg, replace
 from sectornet.rng import SplitMix64
 from sectornet.scg import (
-    AntennaConfig,
     bfs,
     build_scg,
     classify_separated_pair,
-    configs_from_assignment,
     find_mutual_cover_pair,
     halfplane_cover_number,
     is_connected,
@@ -47,8 +47,7 @@ def test_antenna_config_defaults_and_wedge():
     c = AntennaConfig(Point(1.0, 2.0), 0.5)
     assert c.aperture == QUARTER_TURN
     assert math.isinf(c.range)
-    w = c.wedge()
-    assert w.apex == Point(1.0, 2.0) and w.orientation == 0.5
+    assert c.wedge() is c
 
 
 def _zigzag_configs(rng=math.inf):
@@ -102,8 +101,8 @@ def test_build_scg_matches_naive_double_loop():
         expect = []
         for i in range(8):
             for j in range(i + 1, 8):
-                if wedge_contains(configs[i].wedge(), configs[j].location) and wedge_contains(
-                    configs[j].wedge(), configs[i].location
+                if wedge_contains(configs[i], configs[j].location) and wedge_contains(
+                    configs[j], configs[i].location
                 ):
                     expect.append([i, j])
         assert g.edges.tolist() == expect
@@ -175,7 +174,7 @@ def _cover_number_by_definition(configs, hp):
     """The smallest k such that some k antennas cover ``hp`` on their own."""
     for k in range(1, 5):
         for subset in itertools.combinations(configs, k):
-            if halfplane_covered([c.wedge() for c in subset], hp).covered:
+            if halfplane_covered(subset, hp).covered:
                 return k
     return None
 
@@ -224,6 +223,22 @@ def test_classify_separated_pair_rejects_unseparated_input():
         classify_separated_pair(b, a, HalfPlane(1.0, 0.0, 5.0))  # sides swapped
 
 
+def test_half_plane_coverage_rejects_finite_ranges():
+    a = _square_configs(0.0, 0.0)
+    b = _square_configs(9.0, 0.0)
+    a_short, b_short = ([dataclasses.replace(c, range=20.0) for c in s] for s in (a, b))
+    sep = HalfPlane(1.0, 0.0, 5.0)
+    unbounded = "half-plane coverage needs unbounded ranges"
+    with pytest.raises(ValueError, match=unbounded):
+        halfplane_covered(b_short, sep)
+    with pytest.raises(ValueError, match=unbounded):
+        halfplane_cover_number(a_short, sep)
+    with pytest.raises(ValueError, match=unbounded):
+        classify_separated_pair(a_short, b, sep)
+    with pytest.raises(ValueError, match=unbounded):
+        classify_separated_pair(a, b_short, sep)
+
+
 def test_separated_squares_always_link_up():
     rng = SplitMix64(17)
     for _ in range(30):
@@ -252,7 +267,7 @@ def test_pinned_nonseparated_pair_defeats_cross_linking():
 def _matrix_edges(configs):
     """The reference: every ordered pair tested, in one containment matrix."""
     locs = [c.location for c in configs]
-    M = containment_matrix([c.wedge() for c in configs], locs)
+    M = containment_matrix(configs, locs)
     return np.argwhere(np.triu(M & M.T, 1)).tolist()
 
 
