@@ -134,7 +134,10 @@ def _check_stretch(configs, mode, instance_points, metadata, limit):
 def _check_cost_chain(configs, mode, instance_points, metadata, limit):
     if instance_points is None:
         raise ValueError("cost-chain check needs --instance")
-    if {c.location for c in configs} != set(instance_points):
+    # the lengths too: a repeated antenna would hide in the sets
+    if len(configs) != len(instance_points) or {c.location for c in configs} != set(
+        instance_points
+    ):
         raise ValueError(_MISMATCH)
     beta = metadata.get("beta")
     if not isinstance(beta, (int, float)):

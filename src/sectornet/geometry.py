@@ -92,8 +92,9 @@ class AntennaConfig:
     ``range`` is ``math.inf`` for an unbounded sector.  The default aperture
     is a quarter turn (pi/2), the only aperture the constructions in this
     package ever emit, but containment supports any aperture in (0, tau].
-    Construction rejects any other aperture and a range that is not
-    positive, and stores the orientation normalized to [0, tau).
+    Construction rejects a non-finite orientation, any other aperture
+    and a range that is not positive, and stores the orientation
+    normalized to [0, tau).
     """
 
     location: Point
@@ -102,6 +103,8 @@ class AntennaConfig:
     range: float = math.inf
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.orientation):
+            raise ValueError(f"orientation must be finite, got {self.orientation}")
         if not (0.0 < self.aperture <= TAU):
             raise ValueError(f"aperture must be in (0, tau], got {self.aperture}")
         if not (self.range > 0.0):
@@ -228,11 +231,24 @@ class _WedgeArrays(NamedTuple):
 
 def _wedge_arrays(wedges: Sequence[AntennaConfig]) -> _WedgeArrays:
     """The wedges as arrays, with the trigonometry done once per wedge."""
-    ax = np.array([w.location.x for w in wedges], dtype=float)
-    ay = np.array([w.location.y for w in wedges], dtype=float)
-    ori = np.array([w.orientation for w in wedges], dtype=float)
-    ape = np.array([w.aperture for w in wedges], dtype=float)
-    rng = np.array([w.range for w in wedges], dtype=float)
+    return _sector_arrays(
+        [w.location.x for w in wedges],
+        [w.location.y for w in wedges],
+        [w.orientation for w in wedges],
+        [w.aperture for w in wedges],
+        [w.range for w in wedges],
+    )
+
+
+def _sector_arrays(ax, ay, orientations, apertures, ranges) -> _WedgeArrays:
+    """Wedge arrays from per-wedge apex coordinates, orientation (already
+    normalized, as :class:`AntennaConfig` stores it), aperture and range,
+    for callers that hold these without the antennas."""
+    ax = np.array(ax, dtype=float)
+    ay = np.array(ay, dtype=float)
+    ori = np.array(orientations, dtype=float)
+    ape = np.array(apertures, dtype=float)
+    rng = np.array(ranges, dtype=float)
     half = 0.5 * ape
     tr = ori - half
     tl = ori + half

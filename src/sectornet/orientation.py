@@ -21,12 +21,15 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .geometry import (
     QUARTER_TURN,
     AntennaConfig,
     HalfPlane,
     Point,
-    containment_matrix,
+    _containment_core,
+    _sector_arrays,
     convex_hull,
     dot_sign,
     normalize_angle,
@@ -218,17 +221,59 @@ def couple_halfplane(assignment: OrientationAssignment, couple: CouplePair) -> H
     return HalfPlane(nx, ny, nx * anchor.x + ny * anchor.y)
 
 
-def aim_at_fan(fan: OrientationAssignment, points: Iterable[Point]) -> dict[Point, float]:
-    """The fan's own orientations, then every other point aimed at the
-    first fan wedge, in entry order, that contains it (else ``ValueError``)."""
-    oris = dict(fan.entries)
-    rest = [p for p in points if p not in oris]
-    cover = containment_matrix(configs_from_assignment(fan), rest)
-    if not cover.any(axis=0).all():
-        raise ValueError("uncovered point: no hub wedge contains it")
-    hubs = fan.points()
-    for p, k in zip(rest, cover.argmax(axis=0).tolist()):
-        oris[p] = normalize_angle(math.atan2(hubs[k].y - p.y, hubs[k].x - p.x))
+def aim_at_fan(
+    jobs: Iterable[tuple[OrientationAssignment, Iterable[Point]]],
+) -> dict[Point, float]:
+    """For every (fan, points) job, in order: the fan's own orientations,
+    then each other point of the job aimed at the first wedge of that fan,
+    in entry order, that contains it (else ``ValueError``).
+
+    A later job overrides an earlier one on a shared point.  One gathered
+    containment pass answers the (point, fan wedge) pairs of all jobs.
+    """
+    done: list[tuple[dict[Point, float], list[Point]]] = []
+    hubs: list[tuple[Point, float, float]] = []  # apex, orientation, aperture
+    first: list[int] = []  # per point to aim, the first wedge of its fan
+    count: list[int] = []  # and the number of wedges of that fan
+    for fan, points in jobs:
+        own = dict(fan.entries)
+        rest = [p for p in points if p not in own]
+        done.append((own, rest))
+        if rest:
+            first += [len(hubs)] * len(rest)
+            count += [len(fan.entries)] * len(rest)
+            hubs += [(q, a, fan.aperture) for q, a in fan.entries]
+    rest = [p for _, pts in done for p in pts]
+    aimed: list[float] = []
+    if rest:
+        runs = np.array(count)
+        seg = np.cumsum(runs) - runs  # each point's run of (point, wedge) pairs
+        total = int(runs.sum())
+        point_of = np.repeat(np.arange(len(rest)), runs)
+        wedge_of = np.repeat(np.array(first) - seg, runs) + np.arange(total)
+        wedges = _sector_arrays(
+            [q.x for q, _, _ in hubs],
+            [q.y for q, _, _ in hubs],
+            [normalize_angle(a) for _, a, _ in hubs],
+            [ape for _, _, ape in hubs],
+            [math.inf] * len(hubs),
+        ).take(wedge_of)
+        px = np.array([p.x for p in rest])
+        py = np.array([p.y for p in rest])
+        inside = _containment_core(wedges, px[point_of], py[point_of])
+        hits = np.append(np.flatnonzero(inside), total)
+        hit = hits[np.searchsorted(hits, seg)]
+        if (hit >= seg + runs).any():
+            raise ValueError("uncovered point: no hub wedge contains it")
+        for p, k in zip(rest, wedge_of[hit].tolist()):
+            q = hubs[k][0]
+            aimed.append(normalize_angle(math.atan2(q.y - p.y, q.x - p.x)))
+    oris: dict[Point, float] = {}
+    at = 0
+    for own, pts in done:
+        oris.update(own)
+        oris.update(zip(pts, aimed[at : at + len(pts)]))
+        at += len(pts)
     return oris
 
 
@@ -272,5 +317,5 @@ def orient_cluster(points: Sequence[Point]) -> dict[Point, float]:
             u: normalize_angle(math.atan2(v.y - u.y, v.x - u.x)),
             w: normalize_angle(math.atan2(v.y - w.y, v.x - w.x)),
         }
-    result = aim_at_fan(orient_quadruplet(pts[:4]), pts[4:])
+    result = aim_at_fan([(orient_quadruplet(pts[:4]), pts[4:])])
     return {p: result[p] for p in sorted(result, key=Point.as_tuple)}

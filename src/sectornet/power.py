@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,40 +32,68 @@ from .orientation import aim_at_fan, orient_cluster, orient_quadruplet
 # ---------------------------------------------------------------------------
 
 
+def _lex_order(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The positions of the points (xs, ys) in lexicographic order, the
+    order of ``Point.as_tuple``; a repeated point raises ``ValueError``."""
+    order = np.lexsort((ys, xs))
+    sx, sy = xs[order], ys[order]
+    if ((sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])).any():
+        raise ValueError("duplicate points")
+    return order
+
+
+def _coords(points: Iterable[Point]) -> tuple[np.ndarray, np.ndarray]:
+    """The x and the y coordinates of the points, as float arrays."""
+    pts = list(points)
+    return np.array([p.x for p in pts], dtype=float), np.array([p.y for p in pts], dtype=float)
+
+
 def mst_edges(points: Sequence[Point]) -> list[tuple[int, int]]:
     """Prim's minimum spanning tree on the complete Euclidean graph.
 
     (parent, child) pairs in the order the tree grows from vertex 0;
     each joining vertex adds one row of squared distances, so memory is
     O(n).  The tree does not depend on beta: raising distances to a fixed
-    power is monotone.  Ties go to the lowest-numbered vertex, which pins
-    the tree (and everything downstream of it) for equal inputs.
+    power is monotone.  Two tie rules pin the tree (and everything
+    downstream of it) for equal inputs: the next vertex is the
+    lowest-numbered one at the least distance from the tree, and its
+    parent is the earliest-added tree vertex at that distance.
+
+    A joined vertex is marked by a NaN x coordinate, so its entry in
+    every later row is NaN, which never tests ``<`` and which
+    ``np.fmin`` passes over.  Squared distances that overflow to inf
+    cannot be ranked: a step whose least distance is not finite raises
+    ``ValueError``.
     """
-    pts = list(points)
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate points")
-    n = len(pts)
+    xs, ys = _coords(points)
+    _lex_order(xs, ys)  # raises on duplicate points
+    n = len(xs)
     if n < 2:
         return []
-    xs = np.array([p.x for p in pts])
-    ys = np.array([p.y for p in pts])
-    in_tree = np.zeros(n, dtype=bool)
-    best = np.full(n, np.inf)  # in-tree vertices stay at inf
-    parent = np.zeros(n, dtype=int)
-    edges: list[tuple[int, int]] = []
+    best = np.full(n, np.inf)  # joined vertices stay at inf
+    parent = np.zeros(n, dtype=np.intp)
+    dx = np.empty(n)
+    dy = np.empty(n)
+    closer = np.empty(n, dtype=bool)
+    joined: list[int] = []
     nxt = 0
     for _ in range(n - 1):
-        in_tree[nxt] = True
-        dx = xs[nxt] - xs
-        dy = ys[nxt] - ys
-        row = dx * dx + dy * dy
-        closer = ~in_tree & (row < best)
+        x0 = xs[nxt]
+        xs[nxt] = np.nan
+        np.subtract(x0, xs, out=dx)
+        np.multiply(dx, dx, out=dx)
+        np.subtract(ys[nxt], ys, out=dy)
+        np.multiply(dy, dy, out=dy)
+        np.add(dx, dy, out=dx)
+        np.less(dx, best, out=closer)
         parent[closer] = nxt
-        best[closer] = row[closer]
-        nxt = int(np.argmin(best))
+        np.fmin(best, dx, out=best)
+        nxt = int(best.argmin())
+        if not best[nxt] < np.inf:
+            raise ValueError("squared distances overflow: the tree cannot be ranked")
         best[nxt] = np.inf
-        edges.append((int(parent[nxt]), nxt))
-    return edges
+        joined.append(nxt)
+    return list(zip(parent[joined].tolist(), joined))
 
 
 def mst_cost(points: Sequence[Point], beta: float) -> float:
@@ -88,15 +116,41 @@ class Tour:
         return len(self.order)
 
 
+def _steps(xs: np.ndarray, ys: np.ndarray) -> list[float]:
+    """The ``distance`` from each point of a cycle to the next, the
+    closing step last."""
+    dx = (xs - np.roll(xs, -1)).tolist()
+    dy = (ys - np.roll(ys, -1)).tolist()
+    return list(map(math.hypot, dx, dy))
+
+
 def tour_power_cost(tour: Tour, beta: float) -> float:
     """Sum of r**beta over the cyclic tour edges (including the closing one)."""
     if beta < 1:
         raise ValueError("distance-power gradient must be at least 1")
-    pts = tour.order
-    n = len(pts)
-    if n < 2:
+    if len(tour) < 2:
         return 0.0
-    return sum(distance(pts[i], pts[(i + 1) % n]) ** beta for i in range(n))
+    return sum(s**beta for s in _steps(*_coords(tour.order)))
+
+
+def _walk(pts: Sequence[Point]) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The tour of :func:`tsp_tour_approx` over lexicographic ranks: the
+    input positions in rank order, the walk, and the tree it was walked
+    from.  With a point's index its rank, the walk compares ints."""
+    lex = _lex_order(*_coords(pts)).tolist()
+    edges = mst_edges([pts[i] for i in lex])
+    children: list[list[int]] = [[] for _ in lex]
+    for i, j in edges:  # Prim grows from rank 0, so i is j's parent
+        children[i].append(j)
+    walk: list[int] = []
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        walk.append(u)
+        stack += sorted(children[u], reverse=True)
+    if len(walk) >= 3 and walk[1] > walk[-1]:
+        walk = [walk[0]] + walk[:0:-1]
+    return lex, walk, edges
 
 
 def tsp_tour_approx(points: Sequence[Point]) -> Tour:
@@ -110,30 +164,11 @@ def tsp_tour_approx(points: Sequence[Point]) -> Tour:
     pts = list(points)
     if not pts:
         raise ValueError("empty point set")
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate points")
-    order_idx = sorted(range(len(pts)), key=lambda i: pts[i].as_tuple())
-    pts = [pts[i] for i in order_idx]  # root (index 0) is the lex smallest
-    adj: dict[int, list[int]] = {i: [] for i in range(len(pts))}
-    edges = mst_edges(pts)
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    for nbrs in adj.values():
-        nbrs.sort(key=lambda i: pts[i].as_tuple(), reverse=True)
-    walk: list[Point] = []
-    seen = [False] * len(pts)
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        if seen[u]:
-            continue
-        seen[u] = True
-        walk.append(pts[u])
-        stack.extend(adj[u])
-    if len(walk) >= 3 and walk[1].as_tuple() > walk[-1].as_tuple():
-        walk = [walk[0]] + walk[:0:-1]
-    return Tour(tuple(walk), tuple((pts[i], pts[j]) for i, j in edges))
+    lex, walk, edges = _walk(pts)
+    ranked = [pts[i] for i in lex]
+    return Tour(
+        tuple(ranked[i] for i in walk), tuple((ranked[i], ranked[j]) for i, j in edges)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +176,22 @@ def tsp_tour_approx(points: Sequence[Point]) -> Tour:
 # ---------------------------------------------------------------------------
 
 
-def _sections(tour: Tour) -> list[tuple[Point, ...]]:
-    """The tour cut, from its lexicographically smallest point, into
-    max(1, floor(n/8)) consecutive runs of eight, the last taking the
-    remainder (a single run below 16 points)."""
-    n = len(tour)
-    start = min(range(n), key=lambda i: tour.order[i].as_tuple())
-    cyc = tour.order[start:] + tour.order[:start]
+def _cut(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sections of an n-point tour, as positions along the cycle read
+    from its lexicographically smallest point, and their windows.
+
+    Sections are max(1, floor(n/8)) consecutive runs of eight, the last
+    taking the remainder (a single run below 16 points), given by their
+    start positions followed by n.  A section's window runs in cycle
+    order from the previous section through the next (the whole cycle
+    for at most three sections), given by its start and its length.
+    """
     m = max(1, n // 8)
-    return [cyc[8 * i : 8 * i + 8] for i in range(m - 1)] + [cyc[8 * (m - 1) :]]
-
-
-def _windows(groups: Sequence[tuple[Point, ...]]) -> list[tuple[Point, ...]]:
-    """Each section's window, in cyclic tour order from the previous
-    section through the next (the whole cycle for at most two)."""
-    m = len(groups)
-    steps = (-1, 0, 1) if m >= 3 else range(-1, m - 1)
-    return [tuple(p for d in steps for p in groups[(i + d) % m]) for i in range(m)]
+    bounds = np.append(np.arange(0, 8 * m, 8), n)
+    sizes = np.diff(bounds)
+    start = np.roll(bounds[:-1], 1)
+    length = sizes + np.roll(sizes, 1) + np.roll(sizes, -1) if m >= 3 else np.full(m, n)
+    return bounds, start, length
 
 
 # ---------------------------------------------------------------------------
@@ -202,27 +236,35 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
     pts = list(points)
     if len(pts) < 2:
         raise ValueError("power assignment needs at least two points")
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate points")
 
     if len(pts) < 8:
+        if len(set(pts)) != len(pts):
+            raise ValueError("duplicate points")
         oris = orient_cluster(pts)
         diameter = max(distance(p, q) for p in pts for q in pts)
         return PowerAssignment(
             beta, tuple((p, oris[p], diameter) for p in pts)
         )
 
-    sections = _sections(tsp_tour_approx(pts))
-    orientation: dict[Point, float] = {}
-    for members in sections:
-        ranked = sorted(members, key=Point.as_tuple)
-        half = (len(ranked) + 1) // 2
-        left, right = ranked[:half], ranked[half:]
-        orientation.update(aim_at_fan(orient_quadruplet(left[:4]), left))
-        orientation.update(aim_at_fan(orient_quadruplet(right[-4:]), right))
-    radius = _window_radii(sections, _windows(sections))
+    lex, walk, _ = _walk(pts)  # raises on duplicate points
+    ranked = [pts[i] for i in lex]
+    bounds, start, length = _cut(len(pts))
+    jobs = []
+    for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
+        members = [ranked[r] for r in sorted(walk[a:b])]  # by rank is by (x, y)
+        half = (b - a + 1) // 2
+        left, right = members[:half], members[half:]
+        jobs.append((orient_quadruplet(left[:4]), left))
+        jobs.append((orient_quadruplet(right[-4:]), right))
+    orientation = aim_at_fan(jobs)
 
-    return PowerAssignment(beta, tuple((p, orientation[p], radius[p]) for p in pts))
+    along = [lex[r] for r in walk]  # input positions in tour order
+    xs, ys = _coords(pts)
+    radius = np.empty(len(pts))
+    radius[along] = _window_radii(xs[along], ys[along], bounds, start, length)
+    return PowerAssignment(
+        beta, tuple(zip(pts, [orientation[p] for p in pts], radius.tolist()))
+    )
 
 
 #: Rows whose largest squared distance lies outside [2**-900, 2**900]
@@ -231,32 +273,32 @@ _D2_SAFE = (2.0**-900, 2.0**900)
 
 
 def _window_radii(
-    sections: Sequence[tuple[Point, ...]], windows: Sequence[tuple[Point, ...]]
-) -> dict[Point, float]:
-    """Each member's largest ``distance`` to its section's window.
+    xs: np.ndarray, ys: np.ndarray, bounds: np.ndarray, start: np.ndarray, length: np.ndarray
+) -> np.ndarray:
+    """Each tour point's largest ``distance`` to its section's window,
+    with the points in cycle order and the sections as :func:`_cut`
+    gives them.
 
-    The squared distances of all (member, window point) pairs come in one
+    The squared distances of all (point, window point) pairs come in one
     array pass, each window padded to the longest by repeating its first
     point.  ``math.hypot`` then runs on the same float dx, dy, but only
     for the entries whose squared distance is at least (1 - 1e-12) times
     the row's largest: hypot errs by under 1 ulp and the float square by
     a few, so no entry below that cut can hold the maximum.
     """
-    width = max(map(len, windows))
-    wx = np.array([[q.x for q in w] + [w[0].x] * (width - len(w)) for w in windows])
-    wy = np.array([[q.y for q in w] + [w[0].y] * (width - len(w)) for w in windows])
-    members = [p for group in sections for p in group]
-    row = np.repeat(np.arange(len(sections)), [len(group) for group in sections])
-    dx = np.array([p.x for p in members])[:, None] - wx[row]
-    dy = np.array([p.y for p in members])[:, None] - wy[row]
+    n = len(xs)
+    step = np.arange(length.max())
+    window = np.where(step < length[:, None], (start[:, None] + step) % n, start[:, None])
+    row = window[np.repeat(np.arange(len(start)), np.diff(bounds))]
+    dx = xs[:, None] - xs[row]
+    dy = ys[:, None] - ys[row]
     d2 = dx * dx + dy * dy
     top = d2.max(axis=1)
     keep = d2 >= (top * (1 - 1e-12))[:, None]
     keep[(top < _D2_SAFE[0]) | (top > _D2_SAFE[1])] = True
     rows, cols = np.nonzero(keep)
     hyp = np.array(list(map(math.hypot, dx[rows, cols].tolist(), dy[rows, cols].tolist())))
-    starts = np.searchsorted(rows, np.arange(len(members)))
-    return dict(zip(members, np.maximum.reduceat(hyp, starts).tolist()))
+    return np.maximum.reduceat(hyp, np.searchsorted(rows, np.arange(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,33 +337,45 @@ def cost_chain_check(pa: PowerAssignment, tour: Tour) -> CostChainReport:
     ``mst_cost`` sums over ``tour.tree``; without tied distances that is
     ``mst_cost(tour.order)`` bit for bit, with ties possibly another
     tree of equal weight.
+
+    The assignment must list every tour point exactly once, and the tour
+    visit each point once; anything else raises ``ValueError``.
     """
     n = len(tour)
     if n < 2:
         raise ValueError("cost chain needs at least two points")
-    if {p for p, _, _ in pa.entries} != set(tour.order):
+    tx, ty = _coords(tour.order)
+    px, py = _coords(p for p, _, _ in pa.entries)
+    if len(px) != n:
         raise ValueError("assignment and tour disagree on the points")
-    radius = {p: r for p, _, r in pa.entries}
-    sections = _sections(tour)
+    at = _lex_order(tx, ty)  # raises if the tour repeats a point
+    by = np.lexsort((py, px))
+    if not (np.array_equal(px[by], tx[at]) and np.array_equal(py[by], ty[at])):
+        raise ValueError("assignment and tour disagree on the points")
+    radius = np.empty(n)
+    radius[at] = np.array([r for _, _, r in pa.entries])[by]
 
-    pointwise_ok = True
-    max_gap = 0
+    # positions along the cycle read from the lexicographically smallest
+    # point, the cut of orient_and_assign; steps[k] leaves position k
+    first = int(at[0])
+    steps = _steps(tx, ty)
+    ring = steps[first:] + steps[:first]
+    ring += ring
+    bounds, start, length = _cut(n)
+    max_edge = np.array([
+        max(ring[a : a + size - 1]) if size < n else max(steps)
+        for a, size in zip(start.tolist(), length.tolist())
+    ])
+    section = np.repeat(np.arange(len(start)), np.diff(bounds))
+    offset = (np.arange(n) - start[section]) % n  # index in the window
+    gap = np.maximum(offset, length[section] - 1 - offset)
+    max_gap = int(gap.max())
     eps = 1e-9
-    for members, window in zip(sections, _windows(sections)):
-        steps = [distance(p, q) for p, q in zip(window, window[1:])]
-        if len(window) == n:  # window wraps the whole cycle
-            steps.append(distance(window[-1], window[0]))
-        max_edge = max(steps)
-        where = {q: t for t, q in enumerate(window)}
-        for p in members:
-            gap = max(where[p], len(window) - 1 - where[p])
-            max_gap = max(max_gap, gap)
-            if radius[p] > gap * max_edge + eps:
-                pointwise_ok = False
+    pointwise_ok = not (np.roll(radius, -first) > gap * max_edge[section] + eps).any()
 
-    tour_cost = tour_power_cost(tour, pa.beta)
+    tour_cost = sum(s**pa.beta for s in steps)
     tree_cost = sum(distance(p, q) ** pa.beta for p, q in tour.tree)
-    biggest = max(len(members) for members in sections)
+    biggest = int(np.diff(bounds).max())
     bound = biggest * max_gap**pa.beta * 3 * tour_cost
     cost = pa.cost
     total_ok = cost <= bound * (1 + 1e-12) + eps

@@ -264,17 +264,17 @@ def replace(points: Sequence[Point], mode: str = "refined") -> ReplacementResult
             select_hubs_basic(cell_pts) if mode == "basic" else select_hubs_refined(cell_pts)
         )
 
-    orientation: dict[Point, float] = {}
-    for cell, assignment in hubs.items():
-        orientation.update(aim_at_fan(assignment, grid.points_in(cell)))
+    orientation = aim_at_fan((fan, grid.points_in(cell)) for cell, fan in hubs.items())
 
     stray = [i for i, p in enumerate(pts) if p not in orientation]
     if stray:
         labels = full_cell_labels(grid, udg)
         groups = [[i] for i in stray] if mode == "basic" else components(udg, stray)
+        jobs = []
         for comp in groups:
-            rep = min((pts[i] for i in comp), key=Point.as_tuple)
-            orientation.update(aim_at_fan(hubs[labels[rep]], [pts[i] for i in comp]))
+            members = [pts[i] for i in comp]
+            jobs.append((hubs[labels[min(members, key=Point.as_tuple)]], members))
+        orientation.update(aim_at_fan(jobs))
 
     configs = tuple(
         AntennaConfig(p, orientation[p], range=REPLACEMENT_RANGE) for p in pts

@@ -9,6 +9,9 @@
 * :func:`coverage_sample_check` refutes plane coverage by sampling; it
   is the independent route the exact arrangement test is checked
   against.
+* :func:`prim_reference` and :func:`tour_reference` build the minimum
+  spanning tree and its tour by the documented tie rules in plain
+  Python, the reference for inputs with exactly tied distances.
 """
 
 from __future__ import annotations
@@ -234,3 +237,51 @@ def coverage_sample_check(
     ring = np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
     pts = np.vstack([grid, ring])
     return _first_uncovered(wedges, pts)
+
+
+# ---------------------------------------------------------------------------
+# Prim's tree and its tour, tie rules spelled out
+# ---------------------------------------------------------------------------
+
+
+def prim_reference(points: Sequence[Point]) -> list[tuple[int, int]]:
+    """(parent, child) pairs in join order, grown from vertex 0.
+
+    The next vertex is the lowest-numbered one at the least squared
+    distance to the tree; its parent is the earliest-added tree vertex at
+    that distance.  Cubic time, for small inputs.
+    """
+    joined = [0]
+    rest = set(range(1, len(points)))
+    edges = []
+    while rest:
+        _, v, k = min(
+            (squared_distance(points[u], points[v]), v, k)
+            for v in rest
+            for k, u in enumerate(joined)
+        )
+        edges.append((joined[k], v))
+        joined.append(v)
+        rest.remove(v)
+    return edges
+
+
+def tour_reference(points: Sequence[Point]) -> list[Point]:
+    """The preorder walk of :func:`prim_reference` over the points in
+    (x, y) order, children in (x, y) order, flipped so that the second
+    point precedes the last."""
+    pts = sorted(points, key=Point.as_tuple)
+    children: dict[int, list[int]] = {i: [] for i in range(len(pts))}
+    for u, v in prim_reference(pts):
+        children[u].append(v)
+    walk: list[int] = []
+
+    def visit(u: int) -> None:
+        walk.append(u)
+        for v in sorted(children[u]):
+            visit(v)
+
+    visit(0)
+    if len(walk) >= 3 and walk[1] > walk[-1]:
+        walk = [walk[0]] + walk[:0:-1]
+    return [pts[i] for i in walk]

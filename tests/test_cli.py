@@ -279,6 +279,37 @@ def test_usage_errors_exit_two(tmp_path):
     assert run_cli("gen", "--family", "nope", "--n", "4").returncode == 2
 
 
+def test_verify_rejects_a_config_that_repeats_an_antenna(tmp_path, capsys):
+    # the point sets still agree, so only the count shows the repeat;
+    # the audit would read one of its two radii
+    inst = tmp_path / "pts.json"
+    cfg = tmp_path / "cfg.json"
+    assert cli.main(["gen", "--family", "random_square", "--n", "20", "--seed", "3", "--out", str(inst)]) == 0
+    assert cli.main(["power", "--instance", str(inst), "--beta", "2", "--out", str(cfg)]) == 0
+    doc = json.loads(cfg.read_text())
+    doc["antennas"].insert(0, dict(doc["antennas"][0], range=1e9))
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    argv = ["verify", "--config", str(cfg), "--instance", str(inst), "--checks", "cost-chain"]
+    assert cli.main(argv) == 2
+    assert "do not match" in capsys.readouterr().err
+
+
+def test_non_finite_orientation_is_a_malformed_config(tmp_path, capsys):
+    inst = tmp_path / "pts.json"
+    cfg = tmp_path / "cfg.json"
+    assert cli.main(["gen", "--family", "random_square", "--n", "4", "--seed", "1", "--out", str(inst)]) == 0
+    assert cli.main(["orient4", "--instance", str(inst), "--out", str(cfg)]) == 0
+    doc = json.loads(cfg.read_text())
+    doc["antennas"][0]["orientation_radians"] = "nan"
+    cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv in (["verify", "--checks", "connected"], ["verify", "--checks", "coverage"], ["render"]):
+        assert cli.main([*argv, "--config", str(cfg)]) == 2, argv
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "orientation must be finite" in err
+
+
 def test_replace_has_no_origin_option(tmp_path, capsys):
     # the grid origin is always the floored minimum of the points
     inst = tmp_path / "udg.json"

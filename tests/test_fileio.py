@@ -87,6 +87,8 @@ _ANTENNA = {"x": 0.0, "y": 0.0, "orientation_radians": 0.0, "aperture_radians": 
                 {"range": 0.0},
                 {"range": -1.0},
                 {"range": "nan"},
+                {"orientation_radians": "nan"},
+                {"orientation_radians": "inf"},
             )
         ),
         ["kind", "instance"],
@@ -98,3 +100,4 @@ def test_malformed_files_are_value_errors_naming_the_file(tmp_path, doc):
     read = fileio.read_config if isinstance(doc, dict) and doc["kind"] == "config" else fileio.read_instance
     with pytest.raises(ValueError, match="bad.json"):
         read(path)
+

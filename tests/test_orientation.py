@@ -10,6 +10,7 @@ from sectornet.geometry import (
     AntennaConfig,
     Point,
     halfplane_covered,
+    normalize_angle,
     plane_coverage_verify,
     wedge_contains,
 )
@@ -205,17 +206,58 @@ def test_aim_at_fan_prefers_first_covering_hub():
         (Point(0.0, 10.0), 1.5 * PI),    # also covers it (aims down)
     )
     p = Point(0.0, 0.0)
-    got = aim_at_fan(OrientationAssignment(hubs), [p])
+    got = aim_at_fan([(OrientationAssignment(hubs), [p])])
     assert got[p] == pytest.approx(0.0)  # aims at the first hub
     assert [got[h] for h, _ in hubs] == [PI, 1.5 * PI]  # hubs keep their own
-    got = aim_at_fan(OrientationAssignment(hubs[::-1]), [p])
+    got = aim_at_fan([(OrientationAssignment(hubs[::-1]), [p])])
     assert got[p] == pytest.approx(0.5 * PI)
 
 
 def test_aim_at_fan_rejects_uncovered_point():
     fan = OrientationAssignment(((Point(0.0, 0.0), PI),))
     with pytest.raises(ValueError):
-        aim_at_fan(fan, [Point(100.0, 0.0)])
+        aim_at_fan([(fan, [Point(100.0, 0.0)])])
+
+
+def _aim_one_by_one(fan, points):
+    """One fan's aims, a point and a wedge at a time."""
+    oris = dict(fan.entries)
+    for p in points:
+        if p not in dict(fan.entries):
+            hub = next(
+                q for q, a in fan.entries if wedge_contains(AntennaConfig(q, a, fan.aperture), p)
+            )
+            oris[p] = normalize_angle(math.atan2(hub.y - p.y, hub.x - p.x))
+    return oris
+
+
+def test_aim_at_fan_batches_like_one_fan_at_a_time():
+    # several groups share a fan, fans of two and four wedges mix, and a
+    # point in two jobs takes the later job's aim
+    rng = SplitMix64(103)
+
+    def spot(cx, cy, k):
+        return [Point(cx + rng.uniform(-2, 2), cy + rng.uniform(-2, 2)) for _ in range(k)]
+
+    quad = orient_quadruplet(spot(0.0, 0.0, 4))
+    pair = OrientationAssignment(((Point(10.0, 0.0), PI), (Point(0.0, 10.0), 1.5 * PI)))
+    shared = spot(-3.0, -3.0, 1)
+    jobs = [
+        (quad, spot(5.0, 5.0, 3) + shared),
+        (quad, spot(-5.0, 2.0, 4)),
+        (pair, spot(4.0, 4.0, 2) + shared),
+        (quad, list(quad.points()) + spot(0.0, -6.0, 2)),
+    ]
+    want = {}
+    for fan, points in jobs:
+        want.update(_aim_one_by_one(fan, points))
+    got = aim_at_fan(jobs)
+    assert list(got.items()) == list(want.items())
+    assert got[shared[0]] != aim_at_fan(jobs[:1])[shared[0]]
+    # one uncovered point fails the whole batch
+    with pytest.raises(ValueError, match="uncovered"):
+        aim_at_fan(jobs + [(pair, [Point(100.0, 0.0)])])
+    assert aim_at_fan([(pair, [])]) == dict(pair.entries)
 
 
 def test_orient_cluster_singleton_and_pair():

@@ -14,7 +14,7 @@ from sectornet.orientation import orient_quadruplet
 from sectornet.power import (
     PowerAssignment,
     Tour,
-    _sections,
+    _cut,
     cost_chain_check,
     mst_cost,
     mst_edges,
@@ -24,6 +24,16 @@ from sectornet.power import (
 )
 from sectornet.rng import SplitMix64
 from sectornet.scg import build_scg, is_connected
+
+from oracles import prim_reference, tour_reference
+
+
+def _sections(tour):
+    """The tour's sections as runs of points, by the package's cut."""
+    start = min(range(len(tour)), key=lambda i: tour.order[i].as_tuple())
+    cyc = tour.order[start:] + tour.order[:start]
+    bounds = _cut(len(tour))[0].tolist()
+    return [cyc[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _random_distinct(rng, n, lo=-10.0, hi=10.0):
@@ -251,6 +261,49 @@ def test_cost_scales_exactly_with_beta_power_under_doubling():
         assert scaled.cost == pytest.approx(2.0**beta * base.cost, rel=1e-12)
 
 
+def _pointwise_by_window_walk(pa, tour):
+    """(pointwise_ok, max_index_gap), a window and a point at a time."""
+    radius = {p: r for p, _, r in pa.entries}
+    secs = _sections(tour)
+    m, n = len(secs), len(tour)
+    ok, worst = True, 0
+    for i, sec in enumerate(secs):
+        around = (-1, 0, 1) if m >= 3 else range(-1, m - 1)
+        window = [p for d in around for p in secs[(i + d) % m]]
+        steps = [distance(p, q) for p, q in zip(window, window[1:])]
+        if len(window) == n:
+            steps.append(distance(window[-1], window[0]))
+        for p in sec:
+            t = window.index(p)
+            gap = max(t, len(window) - 1 - t)
+            worst = max(worst, gap)
+            ok = ok and radius[p] <= gap * max(steps) + 1e-9
+    return ok, worst
+
+
+@pytest.mark.parametrize("n", [8, 15, 16, 23, 24, 40, 131])
+def test_pointwise_audit_matches_a_window_walk(n):
+    # entries in any order, the tour rotated or reversed, and radii grown
+    # past their bound or not: the position arithmetic agrees with a walk
+    rng = SplitMix64(104 + n)
+    pts = _random_distinct(rng, n, lo=0.0, hi=30.0)
+    tour = tsp_tour_approx(pts)
+    entries = list(orient_and_assign(pts, 2).entries)
+    verdicts = set()
+    for k, scale in enumerate([1.0, 1.5, 3.0, 30.0] * 2):
+        grown = list(entries)
+        p, a, r = grown[k % n]
+        grown[k % n] = (p, a, r * scale)
+        rng.shuffle(grown)
+        pa = PowerAssignment(2, tuple(grown))
+        order = tour.order[k:] + tour.order[:k]
+        for t in (Tour(order, tour.tree), Tour(order[::-1], tour.tree)):
+            rep = cost_chain_check(pa, t)
+            assert (rep.pointwise_ok, rep.max_index_gap) == _pointwise_by_window_walk(pa, t)
+            verdicts.add(rep.pointwise_ok)
+    assert verdicts == {True, False}
+
+
 def test_cost_chain_check_rejects_foreign_tour():
     rng = SplitMix64(98)
     pts = _random_distinct(rng, 16)
@@ -299,6 +352,58 @@ def test_tied_distances_may_give_another_tree_of_equal_weight():
         rep = cost_chain_check(orient_and_assign(pts, beta), tour)
         assert rep.ok
         assert rep.mst_cost == pytest.approx(mst_cost(tour.order, beta), rel=1e-12)
+
+
+def _tied_instance(name, rng):
+    """Inputs with exactly tied distances, in a shuffled order."""
+    if name == "square lattice":
+        pts = [Point(float(i), float(j)) for i in range(7) for j in range(6)]
+    elif name == "half-step lattice":
+        pts = [Point(0.5 * i - 1.0, 0.5 * j) for i in range(5) for j in range(8)]
+    elif name == "collinear run":
+        pts = [Point(float(i), 3.0) for i in range(30)]
+    elif name == "diagonal run":
+        pts = [Point(float(i), float(-i)) for i in range(25)]
+    else:  # two parallel runs, one step apart
+        pts = [Point(float(i), float(j)) for i in range(20) for j in (0, 1)]
+    rng.shuffle(pts)
+    return pts
+
+
+@pytest.mark.parametrize(
+    "name", ["square lattice", "half-step lattice", "collinear run", "diagonal run", "ladder"]
+)
+def test_prim_tie_rules_match_the_reference(name):
+    rng = SplitMix64(102)
+    for _ in range(3):
+        pts = _tied_instance(name, rng)
+        assert mst_edges(pts) == prim_reference(pts)
+        assert list(tsp_tour_approx(pts).order) == tour_reference(pts)
+
+
+def test_overflowing_squared_distances_raise():
+    # every squared gap overflows to inf, so no nearest vertex can be ranked
+    pts = [Point(0.0, 0.0), Point(1e200, 0.0), Point(2e200, 0.0), Point(3e200, 1.0)]
+    with pytest.raises(ValueError, match="overflow"):
+        mst_edges(pts)
+    with pytest.raises(ValueError, match="overflow"):
+        tsp_tour_approx(pts)
+
+
+def test_cost_chain_check_rejects_a_repeated_point():
+    pts = _random_distinct(SplitMix64(101), 24, lo=0.0, hi=30.0)
+    pa = orient_and_assign(pts, 2)
+    tour = tsp_tour_approx(pts)
+    p, ori, _ = pa.entries[0]
+    # the point set agrees, but p comes twice, first with a huge radius
+    twice = PowerAssignment(2, ((p, ori, 1e9),) + pa.entries)
+    with pytest.raises(ValueError, match="disagree on the points"):
+        cost_chain_check(twice, tour)
+    # as many entries as points, one of them replaced by a repeat
+    with pytest.raises(ValueError, match="disagree on the points"):
+        cost_chain_check(PowerAssignment(2, (pa.entries[1],) + pa.entries[1:]), tour)
+    with pytest.raises(ValueError, match="duplicate"):
+        cost_chain_check(pa, Tour(tour.order[:-1] + tour.order[:1], tour.tree))
 
 
 def test_mst_edges_memory_is_linear():
