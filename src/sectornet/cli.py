@@ -120,10 +120,12 @@ def _check_stretch(configs, mode, instance_points, metadata, limit):
         limit = _DEFAULT_STRETCH.get(mode)
     if limit is None:
         raise ValueError(f"no default hop limit for mode {mode!r}; pass --limit")
+    if math.isnan(limit):
+        raise ValueError("--limit must be a number, not NaN")
 
     def run(scg):
         rep = verify_hop_spanner(build_udg(instance_points), scg(), limit)
-        out = {"passed": rep.ok, "max_hops": _json_number(rep.max_hops), "limit": limit}
+        out = {"passed": rep.ok, "max_hops": _json_number(rep.max_hops), "limit": _json_number(limit)}
         if rep.worst_edge is not None:
             out["worst_edge"] = [list(rep.worst_edge[0].as_tuple()), list(rep.worst_edge[1].as_tuple())]
         return out

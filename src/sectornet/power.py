@@ -96,10 +96,14 @@ def mst_edges(points: Sequence[Point]) -> list[tuple[int, int]]:
     return list(zip(parent[joined].tolist(), joined))
 
 
+def _check_beta(beta: float) -> None:
+    if not 1 <= beta < math.inf:  # NaN fails both comparisons
+        raise ValueError("distance-power gradient must be finite and at least 1")
+
+
 def mst_cost(points: Sequence[Point], beta: float) -> float:
     """Total r**beta weight of the minimum spanning tree."""
-    if beta < 1:
-        raise ValueError("distance-power gradient must be at least 1")
+    _check_beta(beta)
     pts = list(points)
     return sum(distance(pts[i], pts[j]) ** beta for i, j in mst_edges(pts))
 
@@ -126,8 +130,7 @@ def _steps(xs: np.ndarray, ys: np.ndarray) -> list[float]:
 
 def tour_power_cost(tour: Tour, beta: float) -> float:
     """Sum of r**beta over the cyclic tour edges (including the closing one)."""
-    if beta < 1:
-        raise ValueError("distance-power gradient must be at least 1")
+    _check_beta(beta)
     if len(tour) < 2:
         return 0.0
     return sum(s**beta for s in _steps(*_coords(tour.order)))
@@ -207,8 +210,7 @@ class PowerAssignment:
     entries: tuple[tuple[Point, float, float], ...]  # (point, orientation, radius)
 
     def __post_init__(self) -> None:
-        if self.beta < 1:
-            raise ValueError("distance-power gradient must be at least 1")
+        _check_beta(self.beta)
 
     @property
     def cost(self) -> float:
@@ -231,8 +233,7 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
     cluster whose ranges span its diameter.  At least two distinct
     points are needed: a lone antenna would get range 0.
     """
-    if beta < 1:
-        raise ValueError("distance-power gradient must be at least 1")
+    _check_beta(beta)
     pts = list(points)
     if len(pts) < 2:
         raise ValueError("power assignment needs at least two points")

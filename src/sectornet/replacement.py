@@ -18,11 +18,11 @@ guarantees such a bordering full cell exists, because a unit-step path
 cannot cross the three-cell band around its starting cell without
 dropping four consecutive points into one cell on the way.
 
-The unit-disk graph is built once per call and serves both the
-connectivity check and the grouping of points outside full cells.
-Graph building and traversal come from :mod:`sectornet.scg`;
-:func:`verify_hop_spanner` runs its own bit-parallel breadth-first
-search over the edge arrays, so the package needs only numpy.
+The unit-disk graph, the SCG sweep's graph of full circles of range 1,
+is built once per call and serves both the connectivity check and the
+grouping of points outside full cells.  Graph building and traversal
+come from :mod:`sectornet.scg`; :func:`verify_hop_spanner` runs its own
+bit-parallel breadth-first search over the edge arrays.
 """
 
 from __future__ import annotations
@@ -34,9 +34,10 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .geometry import (
-    DIST_SQ_TOL,
+    TAU,
     AntennaConfig,
     Point,
+    _sector_arrays,
     convex_hull,
     orientation_sign,
     squared_distance,
@@ -50,7 +51,7 @@ from .orientation import (
     orient_cluster,
     orient_quadruplet,
 )
-from .scg import CommGraph, _graph_from_matrix, bfs, components, is_connected
+from .scg import CommGraph, _swept_edges, bfs, components, is_connected
 
 CELL_SIDE = 7.0
 REPLACEMENT_RANGE = 14.0 * math.sqrt(2.0)
@@ -91,11 +92,6 @@ class GridPartition:
     def full_cells(self) -> list[tuple[int, int]]:
         return sorted(c for c, pts in self.cells.items() if len(pts) >= FULL_CELL_MIN)
 
-    def block(self, index: tuple[int, int]) -> list[tuple[int, int]]:
-        """The 3x3 block of cell indices centered on ``index``."""
-        i, j = index
-        return [(i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
-
 
 def grid_partition(
     points: Sequence[Point], origin: Optional[tuple[float, float]] = None
@@ -107,26 +103,22 @@ def grid_partition(
             float(math.floor(min(p.x for p in points))),
             float(math.floor(min(p.y for p in points))),
         )
+    cell_of = GridPartition(origin, {}).cell_of
     buckets: dict[tuple[int, int], list[Point]] = {}
     for p in points:
-        idx = (
-            math.floor((p.x - origin[0]) / CELL_SIDE),
-            math.floor((p.y - origin[1]) / CELL_SIDE),
-        )
-        buckets.setdefault(idx, []).append(p)
+        buckets.setdefault(cell_of(p), []).append(p)
     return GridPartition(origin, {c: tuple(pts) for c, pts in sorted(buckets.items())})
 
 
 def build_udg(points: Sequence[Point]) -> CommGraph:
-    """Unit-disk graph: an edge wherever two points are at distance <= 1."""
-    pts = list(points)
+    """Unit-disk graph: an edge wherever two points are at distance <= 1,
+    found as the sweep's symmetric graph of full circles of range 1."""
+    pts = tuple(points)
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points")
-    xs = np.array([p.x for p in pts])
-    ys = np.array([p.y for p in pts])
-    dx = xs[:, None] - xs[None, :]
-    dy = ys[:, None] - ys[None, :]
-    return _graph_from_matrix(pts, dx * dx + dy * dy <= 1.0 + DIST_SQ_TOL)
+    ones = np.ones(len(pts))
+    circles = _sector_arrays([p.x for p in pts], [p.y for p in pts], 0 * ones, TAU * ones, ones)
+    return CommGraph(pts, _swept_edges(circles))
 
 
 # ---------------------------------------------------------------------------

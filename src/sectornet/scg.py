@@ -5,7 +5,8 @@ the graph is undirected by construction.  An antenna is a
 :class:`~sectornet.geometry.AntennaConfig`, validated and normalized
 when it is built, so it is used as is.  This module builds that graph:
 from one containment matrix when some wedge is unbounded, and from the
-candidate pairs of an x-sorted sweep when every range is finite.  It
+candidate pairs of an x-sorted sweep when every range is finite; the
+unit-disk graph is that sweep's graph of full circles of range 1.  It
 owns the graph core the package shares (a sorted, read-only edge array,
 neighbour lists built with one stable sort, and one breadth-first
 search behind connectivity and components), and provides the analysis
@@ -26,6 +27,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .geometry import (
+    ANGLE_TOL,
+    TAU,
     AntennaConfig,
     HalfPlane,
     Point,
@@ -48,6 +51,9 @@ class CommGraph:
     vertices: tuple[Point, ...]
     edges: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.edges.flags.writeable = False
+
     @cached_property
     def neighbor_lists(self) -> list[list[int]]:
         """Ascending adjacency lists of Python ints, built on first use;
@@ -58,14 +64,6 @@ class CommGraph:
         dst = dst[src.argsort(kind="stable")].tolist()
         ends = np.bincount(src, minlength=len(self.vertices)).cumsum().tolist()
         return [dst[a:b] for a, b in zip([0] + ends, ends)]
-
-
-def _graph_from_matrix(vertices: Sequence[Point], adjacent: np.ndarray) -> CommGraph:
-    """The graph whose edges are the true entries of a symmetric boolean
-    matrix, as a read-only array of index pairs (i < j) in row-major order."""
-    edges = np.argwhere(np.triu(adjacent, 1))
-    edges.flags.writeable = False
-    return CommGraph(tuple(vertices), edges)
 
 
 def build_scg(configs: Sequence[AntennaConfig]) -> CommGraph:
@@ -81,9 +79,9 @@ def build_scg(configs: Sequence[AntennaConfig]) -> CommGraph:
         raise ValueError("duplicate antenna locations")
     if any(math.isinf(c.range) for c in configs):
         M = containment_matrix(configs, locations)
-        return _graph_from_matrix(locations, M & M.T)
-    edges = _swept_edges(_wedge_arrays(configs))
-    edges.flags.writeable = False
+        edges = np.argwhere(np.triu(M & M.T, 1))
+    else:
+        edges = _swept_edges(_wedge_arrays(configs))
     return CommGraph(tuple(locations), edges)
 
 
@@ -105,9 +103,11 @@ def _swept_edges(w: _WedgeArrays) -> np.ndarray:
     test: the sweep may over-include but never trims an edge.
     Candidates go through the containment core in chunks of
     ``_PAIR_CHUNK``: the range test on both limits first, then a -> b,
-    then b -> a on the pairs left.
+    then b -> a on the pairs left.  Full circles need only the range
+    test: the core would pass every angle and repeat it on the same d2.
     """
     n = len(w.ax)
+    circles = bool((w.aperture >= TAU - ANGLE_TOL).all())
     order = np.argsort(w.ax, kind="stable")
     s = w.take(order)
     reach = np.sqrt(s.limit)
@@ -130,10 +130,12 @@ def _swept_edges(w: _WedgeArrays) -> np.ndarray:
         d2 = dx * dx + dy * dy
         near = (d2 <= la) & (d2 <= s.limit[b])
         a, b = a[near], b[near]
-        both = _containment_core(s.take(a), s.ax[b], s.ay[b])
-        a, b = a[both], b[both]
-        both = _containment_core(s.take(b), s.ax[a], s.ay[a])
-        i, j = order[a[both]], order[b[both]]
+        if not circles:
+            both = _containment_core(s.take(a), s.ax[b], s.ay[b])
+            a, b = a[both], b[both]
+            both = _containment_core(s.take(b), s.ax[a], s.ay[a])
+            a, b = a[both], b[both]
+        i, j = order[a], order[b]
         keys.append(np.minimum(i, j) * n + np.maximum(i, j))
         a0 = a1
     keys = np.sort(np.concatenate(keys))

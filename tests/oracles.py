@@ -4,8 +4,8 @@
   are not linearly separable and share no symmetric edge, showing that
   the separated-pair guarantee needs its separation hypothesis.
 * :func:`path_hits_full_cell` checks the path lemma behind the
-  replacement: a unit-step path leaving its starting 3x3 block crosses a
-  full cell of that block.
+  replacement: a unit-step path leaving its starting 3x3 block (see
+  :func:`block`) crosses a full cell of that block.
 * :func:`coverage_sample_check` refutes plane coverage by sampling; it
   is the independent route the exact arrangement test is checked
   against.
@@ -174,6 +174,12 @@ def search_nonseparated_counterexample(
 # ---------------------------------------------------------------------------
 
 
+def block(index: tuple[int, int]) -> list[tuple[int, int]]:
+    """The 3x3 block of grid cell indices centered on ``index``."""
+    i, j = index
+    return [(i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+
+
 def path_hits_full_cell(path: Sequence[Point], grid: GridPartition) -> bool:
     """Does a unit-step path leaving its starting block visit a full cell?
 
@@ -191,12 +197,12 @@ def path_hits_full_cell(path: Sequence[Point], grid: GridPartition) -> bool:
         if squared_distance(p, q) > 1.0 + DIST_SQ_TOL:
             raise ValueError("not a unit-disk path: step longer than 1")
     start = grid.cell_of(path[0])
-    block = set(grid.block(start))
-    if grid.cell_of(path[-1]) in block:
+    cells = set(block(start))
+    if grid.cell_of(path[-1]) in cells:
         raise ValueError("path does not leave the starting block")
     for p in path:
         cell = grid.cell_of(p)
-        if cell in block and cell != start and grid.status(cell) == FULL:
+        if cell in cells and cell != start and grid.status(cell) == FULL:
             return True
     return False
 

@@ -54,7 +54,12 @@ from sectornet.scg import (
     is_connected,
 )
 
-from oracles import coverage_sample_check, path_hits_full_cell, search_nonseparated_counterexample
+from oracles import (
+    block,
+    coverage_sample_check,
+    path_hits_full_cell,
+    search_nonseparated_counterexample,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 ARTIFACTS = ROOT / "artifacts"
@@ -165,7 +170,7 @@ def test_criterion_4_replacement_spanner_bounds():
 
 def _shortest_path_out_of_block(udg, grid, src):
     """BFS until some vertex leaves the 3x3 block of src's cell."""
-    block = set(grid.block(grid.cell_of(udg.vertices[src])))
+    cells = set(block(grid.cell_of(udg.vertices[src])))
     adj = udg.neighbor_lists
     parent = {src: None}
     frontier = [src]
@@ -176,7 +181,7 @@ def _shortest_path_out_of_block(udg, grid, src):
                 if v in parent:
                     continue
                 parent[v] = u
-                if grid.cell_of(udg.vertices[v]) not in block:
+                if grid.cell_of(udg.vertices[v]) not in cells:
                     path = [v]
                     while parent[path[-1]] is not None:
                         path.append(parent[path[-1]])
@@ -213,7 +218,7 @@ def _full_cell_checks(pts, rng, samples):
         return 0, 0
     labels = full_cell_labels(grid, udg)
     for p in pts:
-        assert labels[p] in grid.block(grid.cell_of(p)), p
+        assert labels[p] in block(grid.cell_of(p)), p
     probe = pts[rng.randrange(len(pts))]
     assert full_cell_labels(grid, udg)[probe] == labels[probe]
     paths = 0

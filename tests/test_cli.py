@@ -318,3 +318,39 @@ def test_replace_has_no_origin_option(tmp_path, capsys):
         cli.main(["replace", "--instance", str(inst), "--origin", "0", "0"])
     assert exc.value.code == 2
     assert "--origin" in capsys.readouterr().err
+
+
+def test_verify_writes_an_infinite_limit_as_a_string(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "udg.json"
+    cfg = tmp_path / "cfg.json"
+    assert cli.main(["gen", "--family", "connected_udg", "--n", "30", "--seed", "3", "--out", str(inst)]) == 0
+    assert cli.main(["replace", "--instance", str(inst), "--out", str(cfg)]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--config", str(cfg), "--instance", str(inst), "--checks", "stretch"]
+    assert cli.main([*argv, "--limit", "inf"]) == 0
+    rep = _strict_json(capsys.readouterr().out)
+    assert rep["checks"]["stretch"]["limit"] == "inf" and rep["ok"]
+    # a NaN limit is a usage error, raised before any graph is built
+    builds = []
+    for name in ("build_scg", "build_udg"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: builds.append(name))
+    assert cli.main([*argv, "--limit", "nan"]) == 2
+    assert "NaN" in capsys.readouterr().err and builds == []
+
+
+def test_non_finite_beta_is_a_usage_error(tmp_path, capsys):
+    inst = tmp_path / "pts.json"
+    cfg = tmp_path / "cfg.json"
+    assert cli.main(["gen", "--family", "random_square", "--n", "20", "--seed", "3", "--out", str(inst)]) == 0
+    for beta in ("nan", "inf"):
+        assert cli.main(["power", "--instance", str(inst), "--beta", beta, "--out", str(cfg)]) == 2, beta
+        assert "gradient" in capsys.readouterr().err
+    assert not cfg.exists()
+    assert cli.main(["power", "--instance", str(inst), "--beta", "2", "--out", str(cfg)]) == 0
+    doc = json.loads(cfg.read_text())
+    doc["metadata"]["beta"] = math.nan
+    cfg.write_text(json.dumps(doc))  # json writes the bare NaN that Python reads back
+    capsys.readouterr()
+    argv = ["verify", "--config", str(cfg), "--instance", str(inst), "--checks", "cost-chain"]
+    assert cli.main(argv) == 2
+    assert "gradient" in capsys.readouterr().err

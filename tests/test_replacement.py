@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.sparse.csgraph import shortest_path
 from scipy.spatial import distance_matrix
 
 from sectornet import replacement
-from sectornet.geometry import Point, distance, wedge_contains
+from sectornet.geometry import DIST_SQ_TOL, Point, distance, squared_distance, wedge_contains
 from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.replacement import (
     CELL_SIDE,
@@ -29,7 +30,7 @@ from sectornet.replacement import (
 from sectornet.rng import SplitMix64
 from sectornet.scg import CommGraph, build_scg, is_connected
 
-from oracles import path_hits_full_cell
+from oracles import block, path_hits_full_cell
 
 PI = math.pi
 
@@ -84,8 +85,8 @@ def test_grid_full_cells_and_block():
     grid = grid_partition(pts, origin=(0.0, 0.0))
     assert grid.full_cells() == [(0, 0)]
     assert grid.status((0, 0)) == "full"
-    assert len(grid.block((0, 0))) == 9
-    assert (1, 1) in grid.block((0, 0))
+    assert len(block((0, 0))) == 9
+    assert (1, 1) in block((0, 0))
 
 
 def test_build_udg_threshold_is_closed():
@@ -94,6 +95,58 @@ def test_build_udg_threshold_is_closed():
     assert g.edges.tolist() == [[0, 1]]
     with pytest.raises(ValueError):
         build_udg([Point(0.0, 0.0), Point(0.0, 0.0)])
+
+
+def _brute_udg_edges(pts):
+    return [
+        [i, j]
+        for i in range(len(pts))
+        for j in range(i + 1, len(pts))
+        if squared_distance(pts[i], pts[j]) <= 1.0 + DIST_SQ_TOL
+    ]
+
+
+def test_build_udg_boundary_cases_match_brute_force():
+    # the largest float x whose square stays within the limit, and the next
+    inside = math.sqrt(1.0 + DIST_SQ_TOL)
+    while inside * inside > 1.0 + DIST_SQ_TOL:
+        inside = math.nextafter(inside, 0.0)
+    while math.nextafter(inside, math.inf) ** 2 <= 1.0 + DIST_SQ_TOL:
+        inside = math.nextafter(inside, math.inf)
+    outside = math.nextafter(inside, math.inf)
+    columns = [Point(float(i % 3) * 0.5, 0.3 * (i // 3)) for i in range(15)]
+    cases = {
+        "unit along x": [Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 0.0)],
+        "unit along y": [Point(0.0, 0.0), Point(0.0, 1.0), Point(0.0, 2.0)],
+        "just inside": [Point(0.0, 0.0), Point(inside, 0.0), Point(0.0, inside)],
+        "just outside": [Point(0.0, 0.0), Point(outside, 0.0), Point(0.0, outside)],
+        "shared columns": columns,
+        "near 1e6": [Point(p.x + 1e6, p.y - 1e6) for p in columns],
+        "scaled by 2**-50": [Point(p.x * 2.0**-50, p.y * 2.0**-50) for p in columns],
+        "empty": [],
+        "one point": [Point(3.0, 4.0)],
+    }
+    for name, pts in cases.items():
+        g = build_udg(pts)
+        assert g.vertices == tuple(pts), name
+        assert g.edges.shape == (len(g.edges), 2) and not g.edges.flags.writeable, name
+        assert g.edges.tolist() == _brute_udg_edges(pts), name
+    assert build_udg(cases["just inside"]).edges.tolist() == [[0, 1], [0, 2]]
+    assert build_udg(cases["just outside"]).edges.tolist() == []
+    assert len(build_udg(cases["scaled by 2**-50"]).edges) == 15 * 14 // 2
+
+
+def test_build_udg_memory_is_linear():
+    # an n x n float matrix over these 3000 points alone is 72 MB
+    pts = _drifting_chain(2, 3000)
+    tracemalloc.start()
+    try:
+        g = build_udg(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(g.edges) >= 2999
+    assert peak < 8 * 2**20
 
 
 def test_build_udg_matches_distance_matrix():

@@ -106,8 +106,8 @@ def test_build_scg_matches_naive_double_loop():
                 ):
                     expect.append([i, j])
         assert g.edges.tolist() == expect
-        # the unit-disk graph shares the matrix-to-edges step; shrink the
-        # points into [-1, 1]^2 so that it has plenty of edges
+        # the unit-disk graph comes from the same sweep as finite-range
+        # SCGs; shrink the points into [-1, 1]^2 so that it has plenty of edges
         pts = [Point(c.location.x / 4, c.location.y / 4) for c in configs]
         udg = build_udg(pts)
         assert udg.edges.tolist() == [
@@ -305,6 +305,13 @@ def _sweep_cases():
         cases.append(random_configs(n, columns, [QUARTER_TURN], spread))
         cases.append(random_configs(n, uniform, [QUARTER_TURN, 4.5, 2 * PI], spread))
         cases.append(random_configs(n, uniform, [QUARTER_TURN, 4.5], spread + [math.inf]))
+    # full circles of finite range, where the sweep skips the containment
+    # core, and the same circles with one turned into a wedge, where it
+    # must not; the last two cases are the largest such pair
+    for n in (3, 10, 40, 120):
+        circles = random_configs(n, columns, [2 * PI], spread)
+        cases.append(circles)
+        cases.append([dataclasses.replace(circles[0], aperture=QUARTER_TURN)] + circles[1:])
     return cases
 
 
@@ -324,6 +331,8 @@ def test_swept_edges_match_the_containment_matrix(monkeypatch, chunk):
         assert g.neighbor_lists == adj
     assert build_scg(cases[3]).edges.tolist() == [[0, 1]]  # d2 == 25 at range 5
     assert build_scg(cases[4]).edges.tolist() == [[0, 1]]  # d2 underflows to 0
+    circles, mixed = (build_scg(configs).edges.tolist() for configs in cases[-2:])
+    assert set(map(tuple, mixed)) < set(map(tuple, circles))  # the wedge drops edges
 
 
 def test_sweep_reach_never_trims():
