@@ -142,7 +142,7 @@ def _check_cost_chain(configs, mode, instance_points, metadata, limit):
     ):
         raise ValueError(_MISMATCH)
     beta = metadata.get("beta")
-    if not isinstance(beta, (int, float)):
+    if isinstance(beta, bool) or not isinstance(beta, (int, float)):
         raise ValueError("config metadata lacks a numeric beta")
     pa = PowerAssignment(
         beta, tuple((c.location, c.orientation, c.range) for c in configs)

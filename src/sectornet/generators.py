@@ -63,6 +63,8 @@ class GeneratedInstance:
 
 
 def _distinct_uniform(rng: SplitMix64, n: int, x0: float, x1: float, y0: float, y1: float) -> list[Point]:
+    if not (0 < x1 - x0 < math.inf and 0 < y1 - y0 < math.inf):  # else one point, redrawn forever
+        raise ValueError(f"points need a finite positive side, got {x1 - x0!r} by {y1 - y0!r}")
     pts: list[Point] = []
     taken = set()
     while len(pts) < n:

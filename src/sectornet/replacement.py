@@ -19,10 +19,10 @@ cannot cross the three-cell band around its starting cell without
 dropping four consecutive points into one cell on the way.
 
 The unit-disk graph, the SCG sweep's graph of full circles of range 1,
-is built once per call and serves both the connectivity check and the
-grouping of points outside full cells.  Graph building and traversal
-come from :mod:`sectornet.scg`; :func:`verify_hop_spanner` runs its own
-bit-parallel breadth-first search over the edge arrays.
+is built once per call and serves the connectivity check and the
+grouping and labelling of points outside full cells.  Graph building
+and traversal come from :mod:`sectornet.scg`, whose one level step also
+drives the bit-parallel search of :func:`verify_hop_spanner`.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .orientation import (
     orient_cluster,
     orient_quadruplet,
 )
-from .scg import CommGraph, _swept_edges, bfs, components, is_connected
+from .scg import CommGraph, _level_step, _swept_edges, components, is_connected
 
 CELL_SIDE = 7.0
 REPLACEMENT_RANGE = 14.0 * math.sqrt(2.0)
@@ -93,16 +93,14 @@ class GridPartition:
         return sorted(c for c, pts in self.cells.items() if len(pts) >= FULL_CELL_MIN)
 
 
-def grid_partition(
-    points: Sequence[Point], origin: Optional[tuple[float, float]] = None
-) -> GridPartition:
+def grid_partition(points: Sequence[Point]) -> GridPartition:
+    """The 7x7 cells of ``points``, anchored at their floored minimum."""
     if not points:
         raise ValueError("empty point set")
-    if origin is None:
-        origin = (
-            float(math.floor(min(p.x for p in points))),
-            float(math.floor(min(p.y for p in points))),
-        )
+    origin = (
+        float(math.floor(min(p.x for p in points))),
+        float(math.floor(min(p.y for p in points))),
+    )
     cell_of = GridPartition(origin, {}).cell_of
     buckets: dict[tuple[int, int], list[Point]] = {}
     for p in points:
@@ -183,19 +181,20 @@ def full_cell_labels(grid: GridPartition, udg: CommGraph) -> dict[Point, tuple[i
     points at minimal distance the smallest cell index wins, so the
     result is independent of traversal order.
     """
-    cells = [grid.cell_of(p) for p in udg.vertices]
-    sources = [i for i, cell in enumerate(cells) if grid.status(cell) == FULL]
-    if not sources:
+    full = grid.full_cells()
+    rank = {cell: k for k, cell in enumerate(full)}  # sorted: rank order is cell order
+    unreached = len(full)
+    word = np.array([rank.get(grid.cell_of(p), unreached) for p in udg.vertices], dtype=np.intp)
+    if not (word < unreached).any():
         raise ValueError("no full cell")
-    adj = udg.neighbor_lists
-    dist = [math.inf] * len(adj)
-    label: dict[int, tuple[int, int]] = {}
-    for w in bfs(adj, sources, dist):
-        if dist[w] == 0:
-            label[w] = cells[w]
-        else:
-            label[w] = min(label[u] for u in adj[w] if dist[u] == dist[w] - 1)
-    return {udg.vertices[i]: cell for i, cell in label.items()}
+    # a hop per step: a point first reached takes the least rank of the
+    # neighbours reached a level before, and keeps it
+    while True:
+        new = np.where(word < unreached, word, _level_step(udg, word, np.minimum))
+        if np.array_equal(new, word):
+            break
+        word = new
+    return {udg.vertices[i]: full[k] for i, k in enumerate(word.tolist()) if k < unreached}
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +294,10 @@ def verify_hop_spanner(udg: CommGraph, scg: CommGraph, limit: float) -> SpannerR
     """Check every unit-disk edge is spanned by at most ``limit`` hops.
 
     Both graphs must share the same vertex tuple.  Hops come from a
-    bit-parallel breadth-first search: ``_CHUNK`` sources advance one
-    level per pass over the symmetric graph's edge arrays until their
-    unit-disk edges are all spanned or nothing new is reached, so
-    ``max_hops`` is exact even when it exceeds ``limit``.
+    bit-parallel breadth-first search: ``_CHUNK`` sources, one bit each,
+    advance one level per OR step over the symmetric graph's CSR rows
+    until their unit-disk edges are all spanned or nothing new is
+    reached, so ``max_hops`` is exact even when it exceeds ``limit``.
     """
     if udg.vertices != scg.vertices:
         raise ValueError("graphs disagree on vertices")
@@ -306,7 +305,6 @@ def verify_hop_spanner(udg: CommGraph, scg: CommGraph, limit: float) -> SpannerR
     if not len(e):
         return SpannerReport(True, None, 0)
     n = len(scg.vertices)
-    src, dst = np.concatenate([scg.edges, scg.edges[:, ::-1]]).T
     hops = np.full(len(e), math.inf)
     for lo in range(0, n, _CHUNK):
         # bit s - lo of reach[v] is set once v is within k hops of source
@@ -323,8 +321,7 @@ def verify_hop_spanner(udg: CommGraph, scg: CommGraph, limit: float) -> SpannerR
             todo, mask = todo[~hit], mask[~hit]
             if not len(todo):
                 break
-            new = reach.copy()
-            np.bitwise_or.at(new, dst, reach[src])
+            new = _level_step(scg, reach, np.bitwise_or)
             if np.array_equal(new, reach):
                 break
             reach = new

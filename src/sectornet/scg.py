@@ -8,12 +8,12 @@ from one containment matrix when some wedge is unbounded, and from the
 candidate pairs of an x-sorted sweep when every range is finite; the
 unit-disk graph is that sweep's graph of full circles of range 1.  It
 owns the graph core the package shares (a sorted, read-only edge array,
-neighbour lists built with one stable sort, and one breadth-first
-search behind connectivity and components), and provides the analysis
-of two antenna groups: finding a mutually-covering pair across them,
-and classifying a linearly separated pair by how many antennas of each
-side cover the other side.  The search for non-separated pairs with no
-such edge is a test oracle and lives in ``tests/oracles.py``.
+its CSR rows, and one array level step behind every traversal in the
+package), and provides the analysis of two antenna groups: finding a
+mutually-covering pair across them, and classifying a linearly
+separated pair by how many antennas of each side cover the other
+side.  The search for non-separated pairs with no such edge is a test
+oracle and lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,15 +55,16 @@ class CommGraph:
         self.edges.flags.writeable = False
 
     @cached_property
-    def neighbor_lists(self) -> list[list[int]]:
-        """Ascending adjacency lists of Python ints, built on first use;
-        callers must not mutate them."""
-        # both directions, (j, i) rows first: a stable sort by source then
-        # puts each vertex's lower neighbours (row-major) before its higher
-        src, dst = np.concatenate((self.edges[:, ::-1], self.edges)).T
-        dst = dst[src.argsort(kind="stable")].tolist()
-        ends = np.bincount(src, minlength=len(self.vertices)).cumsum().tolist()
-        return [dst[a:b] for a, b in zip([0] + ends, ends)]
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(indptr, indices)``, built on first use: vertex v's row
+        ``indices[indptr[v]:indptr[v + 1]]`` is v and its neighbours, ascending."""
+        n = len(self.vertices)
+        i, j = self.edges.T
+        keys = np.sort(np.concatenate((i * n + j, j * n + i, np.arange(n) * (n + 1))))
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)  # keys are source * n + target
+        indices = keys % n
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices
 
 
 def build_scg(configs: Sequence[AntennaConfig]) -> CommGraph:
@@ -142,43 +143,42 @@ def _swept_edges(w: _WedgeArrays) -> np.ndarray:
     return np.stack((keys // n, keys % n), axis=1)
 
 
-def bfs(adj: list[list[int]], sources: Iterable[int], dist: list[float]) -> list[int]:
-    """Breadth-first search from ``sources`` through the vertices whose
-    ``dist`` is still infinite.
-
-    Writes into ``dist`` each reached vertex's hop count from the nearest
-    source and returns the reached vertices in FIFO discovery order:
-    the sources in increasing order, then each vertex as it is first
-    reached, so distances never decrease along the list.  With ascending
-    neighbour lists that order depends only on the graph and the source
-    set.  A vertex the caller marks with a finite ``dist`` beforehand is
-    never entered.
-    """
-    order = sorted(sources)
-    for s in order:
-        dist[s] = 0
-    for u in order:
-        for w in adj[u]:
-            if dist[w] == math.inf:
-                dist[w] = dist[u] + 1
-                order.append(w)
-    return order
+def _level_step(g: CommGraph, word: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """One level of a breadth-first search on arrays: each vertex's word
+    combined by ``ufunc`` with its neighbours', one ``reduceat`` over the
+    CSR rows (never empty, as each row holds its own vertex)."""
+    indptr, indices = g.csr
+    return ufunc.reduceat(word[indices], indptr[:-1])
 
 
 def is_connected(g: CommGraph) -> bool:
-    if not g.vertices:
-        return True
-    n = len(g.vertices)
-    return len(bfs(g.neighbor_lists, [0], [math.inf] * n)) == n
+    return len(components(g, range(len(g.vertices)))) <= 1
 
 
 def components(g: CommGraph, members: Sequence[int]) -> list[list[int]]:
     """Connected components of the subgraph induced on ``members``, as
-    sorted index lists in order of their first member."""
-    dist = [0.0] * len(g.vertices)  # non-members count as already reached
-    for i in members:
-        dist[i] = math.inf
-    return [sorted(bfs(g.neighbor_lists, [s], dist)) for s in members if dist[s] == math.inf]
+    sorted index lists in order of their first member.
+
+    Each member's label falls, a level step at a time, to the least member
+    index it reaches; non-members stay pinned above every index.  A label
+    also takes its own label's label, so long chains settle in few steps.
+    """
+    n = len(g.vertices)
+    m = np.asarray(members, dtype=np.intp)
+    inside = np.zeros(n, bool)
+    inside[m] = True
+    verts = np.flatnonzero(inside)
+    label = np.where(inside, np.arange(n), n)
+    while True:
+        new = np.where(inside, _level_step(g, label, np.minimum), n)
+        new[verts] = new[new[verts]]
+        if np.array_equal(new, label):
+            break
+        label = new
+    found: dict[int, list[int]] = {}
+    for v, k in zip(verts.tolist(), label[verts].tolist()):
+        found.setdefault(k, []).append(v)
+    return [found[k] for k in dict.fromkeys(label[m].tolist())]
 
 
 def find_mutual_cover_pair(

@@ -12,12 +12,15 @@
 * :func:`prim_reference` and :func:`tour_reference` build the minimum
   spanning tree and its tour by the documented tie rules in plain
   Python, the reference for inputs with exactly tied distances.
+* :func:`neighbor_lists` and :func:`bfs` walk a graph in plain Python,
+  the reference for the array traversal of connectivity, components,
+  full-cell labels and the hop-spanner check.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from sectornet.geometry import (
 from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.replacement import FULL, GridPartition
 from sectornet.rng import SplitMix64
-from sectornet.scg import find_mutual_cover_pair
+from sectornet.scg import CommGraph, find_mutual_cover_pair
 
 # ---------------------------------------------------------------------------
 # Searching for a non-separated pair with no cross edge
@@ -291,3 +294,38 @@ def tour_reference(points: Sequence[Point]) -> list[Point]:
     if len(walk) >= 3 and walk[1] > walk[-1]:
         walk = [walk[0]] + walk[:0:-1]
     return [pts[i] for i in walk]
+
+
+# ---------------------------------------------------------------------------
+# Breadth-first search on Python lists
+# ---------------------------------------------------------------------------
+
+
+def neighbor_lists(g: CommGraph) -> list[list[int]]:
+    """Ascending adjacency lists of Python ints, read off ``g.edges``."""
+    adj: list[list[int]] = [[] for _ in g.vertices]
+    for i, j in g.edges.tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    return [sorted(nbrs) for nbrs in adj]
+
+
+def bfs(adj: list[list[int]], sources: Iterable[int], dist: list[float]) -> list[int]:
+    """Breadth-first search from ``sources`` through the vertices whose
+    ``dist`` is still infinite.
+
+    Writes into ``dist`` each reached vertex's hop count from the nearest
+    source and returns the reached vertices in FIFO discovery order:
+    the sources in increasing order, then each vertex as it is first
+    reached, so distances never decrease along the list.  A vertex the
+    caller marks with a finite ``dist`` beforehand is never entered.
+    """
+    order = sorted(sources)
+    for s in order:
+        dist[s] = 0
+    for u in order:
+        for w in adj[u]:
+            if dist[w] == math.inf:
+                dist[w] = dist[u] + 1
+                order.append(w)
+    return order

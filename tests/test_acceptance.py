@@ -57,6 +57,7 @@ from sectornet.scg import (
 from oracles import (
     block,
     coverage_sample_check,
+    neighbor_lists,
     path_hits_full_cell,
     search_nonseparated_counterexample,
 )
@@ -171,7 +172,7 @@ def test_criterion_4_replacement_spanner_bounds():
 def _shortest_path_out_of_block(udg, grid, src):
     """BFS until some vertex leaves the 3x3 block of src's cell."""
     cells = set(block(grid.cell_of(udg.vertices[src])))
-    adj = udg.neighbor_lists
+    adj = neighbor_lists(udg)
     parent = {src: None}
     frontier = [src]
     while frontier:

@@ -1,7 +1,9 @@
-"""The public surface, pinned: exported names and defaulted parameters.
+"""The public surface, pinned: exported names, defaulted parameters and
+class fields with defaults.
 
-A change that adds an export or a knob (a parameter with a default) has
-to edit the lists below, so the growth shows in the diff.
+A change that adds an export or a knob (a parameter or a data-class
+field with a default) has to edit the lists below, so the growth shows
+in the diff.
 """
 
 import ast
@@ -74,8 +76,24 @@ DEFAULTED = [
     "fileio.write_instance.metadata",
     "fileio.write_instance.path",
     "render.render_svg.grid_origin",
-    "replacement.grid_partition.origin",
     "replacement.replace.mode",
+]
+
+# module.Class.field for every field declared with a default value in a
+# class body (data classes and named tuples), sorted
+FIELD_DEFAULTS = [
+    "generators.GenSpec.case",
+    "generators.GenSpec.clusters",
+    "generators.GenSpec.gap",
+    "generators.GenSpec.side",
+    "generators.GeneratedInstance.metadata",
+    "geometry.AntennaConfig.aperture",
+    "geometry.AntennaConfig.range",
+    "geometry.CoverageReport.witness_direction",
+    "geometry.CoverageReport.witness_point",
+    "orientation.OrientationAssignment.aperture",
+    "orientation.OrientationAssignment.base",
+    "orientation.OrientationAssignment.case",
 ]
 
 
@@ -102,3 +120,21 @@ def test_defaulted_parameters_are_pinned():
     src = Path(sectornet.__file__).parent
     found = [name for path in sorted(src.glob("*.py")) for name in _defaulted(path)]
     assert sorted(found) == DEFAULTED
+
+
+def _field_defaults(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ClassDef):
+            found += [
+                f"{path.stem}.{node.name}.{item.target.id}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign) and item.value is not None
+            ]
+    return found
+
+
+def test_field_defaults_are_pinned():
+    src = Path(sectornet.__file__).parent
+    found = [name for path in sorted(src.glob("*.py")) for name in _field_defaults(path)]
+    assert sorted(found) == FIELD_DEFAULTS

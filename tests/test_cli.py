@@ -354,3 +354,29 @@ def test_non_finite_beta_is_a_usage_error(tmp_path, capsys):
     argv = ["verify", "--config", str(cfg), "--instance", str(inst), "--checks", "cost-chain"]
     assert cli.main(argv) == 2
     assert "gradient" in capsys.readouterr().err
+
+
+def test_boolean_beta_is_a_usage_error(tmp_path, capsys):
+    # json's true is a Python bool, and so an int; it is no beta
+    inst = tmp_path / "pts.json"
+    cfg = tmp_path / "cfg.json"
+    assert cli.main(["gen", "--family", "random_square", "--n", "16", "--seed", "3", "--out", str(inst)]) == 0
+    assert cli.main(["power", "--instance", str(inst), "--beta", "1", "--out", str(cfg)]) == 0
+    doc = json.loads(cfg.read_text())
+    argv = ["verify", "--config", str(cfg), "--instance", str(inst), "--checks", "cost-chain"]
+    for beta in (True, False):
+        doc["metadata"]["beta"] = beta
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(argv) == 2, beta
+        assert "numeric beta" in capsys.readouterr().err
+
+
+def test_generating_on_a_side_that_is_not_positive_is_a_usage_error(tmp_path, capsys):
+    # the zero last: unchecked, it leaves one point to redraw forever
+    out = tmp_path / "pts.json"
+    for side in ("-1", "0"):
+        argv = ["gen", "--family", "random_square", "--n", "3", "--side", side, "--out", str(out)]
+        assert cli.main(argv) == 2, side
+        assert "finite positive side" in capsys.readouterr().err
+    assert not out.exists()

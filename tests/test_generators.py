@@ -12,6 +12,8 @@ from sectornet.replacement import build_udg
 from sectornet.rng import SplitMix64
 from sectornet.scg import build_scg, classify_separated_pair, is_connected
 
+from oracles import neighbor_lists
+
 
 def test_splitmix_reference_stream():
     # first outputs of the well-known 64-bit stream for seed 0
@@ -64,13 +66,21 @@ def test_random_square_stays_in_bounds():
     assert all(0.0 <= p.x <= 50.0 and 0.0 <= p.y <= 50.0 for p in inst.points)
 
 
+@pytest.mark.parametrize("family", ["random_square", "clustered"])
+def test_uniform_families_reject_a_side_that_is_not_finite_and_positive(family):
+    # the zeros last: unchecked, they leave one point to redraw forever
+    for side in (-1.0, math.nan, math.inf, 0.0, -0.0):
+        with pytest.raises(ValueError, match="finite positive side"):
+            gen(GenSpec(family, 3, seed=1, side=side))
+
+
 def test_connected_udg_is_connected():
     for seed in range(5):
         inst = gen(GenSpec("connected_udg", 60, seed=seed))
         udg = build_udg(list(inst.points))
         comp = {0}
         frontier = [0]
-        adj = udg.neighbor_lists
+        adj = neighbor_lists(udg)
         while frontier:
             u = frontier.pop()
             for v in adj[u]:

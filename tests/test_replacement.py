@@ -59,10 +59,10 @@ def test_grid_partition_cells_are_half_open():
         Point(0.0, 0.0),
         Point(6.999999, 0.0),
         Point(7.0, 0.0),
-        Point(-0.5, 0.0),
         Point(0.0, 14.0),
     ]
-    grid = grid_partition(pts, origin=(0.0, 0.0))
+    grid = grid_partition(pts)
+    assert grid.origin == (0.0, 0.0)  # the floored minimum
     assert grid.cell_of(Point(0.0, 0.0)) == (0, 0)
     assert grid.cell_of(Point(6.999999, 0.0)) == (0, 0)
     assert grid.cell_of(Point(7.0, 0.0)) == (1, 0)
@@ -82,7 +82,7 @@ def test_grid_partition_default_origin_floors_the_minimum():
 
 def test_grid_full_cells_and_block():
     pts = [Point(0.1 * k, 0.1 * k) for k in range(FULL_CELL_MIN)] + [Point(10.0, 10.0)]
-    grid = grid_partition(pts, origin=(0.0, 0.0))
+    grid = grid_partition(pts)
     assert grid.full_cells() == [(0, 0)]
     assert grid.status((0, 0)) == "full"
     assert len(block((0, 0))) == 9
@@ -398,7 +398,7 @@ def test_path_hits_full_cell_hand_case():
     cell = [Point(0.5 + 0.3 * k, 0.5) for k in range(4)]
     corridor = [Point(2.0 + 0.9 * k, 0.5) for k in range(22)]
     pts = cell + corridor
-    grid = grid_partition(pts, origin=(0.0, 0.0))
+    grid = grid_partition(pts)
     assert grid.status((0, 0)) == "full"
     path = cell + corridor
     assert grid.cell_of(path[-1])[0] >= 2  # genuinely leaves the 3x3 block

@@ -27,16 +27,25 @@ from sectornet.geometry import (
 from sectornet.generators import GenSpec, gen
 from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.power import orient_and_assign
-from sectornet.replacement import build_udg, replace
+from sectornet.replacement import (
+    FULL,
+    build_udg,
+    full_cell_labels,
+    grid_partition,
+    replace,
+    verify_hop_spanner,
+)
 from sectornet.rng import SplitMix64
 from sectornet.scg import (
-    bfs,
+    CommGraph,
     build_scg,
     classify_separated_pair,
+    components,
     find_mutual_cover_pair,
     halfplane_cover_number,
     is_connected,
 )
+from oracles import bfs, neighbor_lists
 from test_replacement import _drifting_chain
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -59,8 +68,22 @@ def _zigzag_configs(rng=math.inf):
 
 def _hops(g, u, v):
     dist = [math.inf] * len(g.vertices)
-    bfs(g.neighbor_lists, [u], dist)
+    bfs(neighbor_lists(g), [u], dist)
     return dist[v]
+
+
+def _csr_rows(g):
+    """The CSR rows as lists, after checking their shape."""
+    indptr, indices = g.csr
+    assert indptr.shape == (len(g.vertices) + 1,) and indptr[0] == 0
+    assert indptr[-1] == len(indices) == 2 * len(g.edges) + len(g.vertices)
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    return [indices[a:b].tolist() for a, b in zip(indptr, indptr[1:])]
+
+
+def _closed_rows(g):
+    """Each vertex followed by its neighbours, from the oracle, in order."""
+    return [sorted(nbrs + [v]) for v, nbrs in enumerate(neighbor_lists(g))]
 
 
 def test_build_scg_mutual_edges_hand_case():
@@ -123,15 +146,129 @@ def test_build_scg_matches_naive_double_loop():
             rows = e.tolist()
             assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly row-major
             assert not e.flags.writeable
-            for nbrs in graph.neighbor_lists:
-                assert all(type(k) is int for k in nbrs)
-                assert nbrs == sorted(nbrs)
+            assert _csr_rows(graph) == _closed_rows(graph)
 
 
 def test_single_vertex_graph_is_connected():
     g = build_scg([AntennaConfig(Point(0.0, 0.0), 0.0)])
     assert is_connected(g)
     assert _hops(g, 0, 0) == 0
+
+
+def _components_reference(g, members):
+    dist = [0.0] * len(g.vertices)  # non-members count as already reached
+    for i in members:
+        dist[i] = math.inf
+    adj = neighbor_lists(g)
+    return [sorted(bfs(adj, [s], dist)) for s in members if dist[s] == math.inf]
+
+
+def _labels_reference(grid, udg):
+    """Nearest full cell by hop count, the smallest cell among the tied."""
+    cells = [grid.cell_of(p) for p in udg.vertices]
+    sources = [i for i, cell in enumerate(cells) if grid.status(cell) == FULL]
+    if not sources:
+        raise ValueError("no full cell")
+    adj = neighbor_lists(udg)
+    dist = [math.inf] * len(adj)
+    label = {}
+    for w in bfs(adj, sources, dist):
+        if dist[w] == 0:
+            label[w] = cells[w]
+        else:
+            label[w] = min(label[u] for u in adj[w] if dist[u] == dist[w] - 1)
+    return {udg.vertices[i]: cell for i, cell in label.items()}
+
+
+def _spanner_reference(udg, scg_graph):
+    """The worst unit-disk edge and its hops, one plain search per edge;
+    ties go to the first edge in row-major order."""
+    adj = neighbor_lists(scg_graph)
+    worst, worst_edge = -1.0, None
+    for i, j in udg.edges.tolist():
+        dist = [math.inf] * len(adj)
+        bfs(adj, [i], dist)
+        if dist[j] > worst:
+            worst, worst_edge = dist[j], (udg.vertices[i], udg.vertices[j])
+    return worst_edge, worst
+
+
+def _random_graph(rng, vertices, p, isolated):
+    """Edges drawn with probability ``p``, none at the ``isolated`` vertices."""
+    n = len(vertices)
+    adj = np.triu(rng.random((n, n)) < p, 1)
+    adj[isolated, :] = adj[:, isolated] = False
+    return CommGraph(vertices, np.argwhere(adj))
+
+
+def _traversal_graphs(rng):
+    """Pairs of random graphs over clumped points, so that some 7x7 cells
+    are full and others not: no edges, one vertex, isolated vertices,
+    sparse graphs in many pieces and dense ones in one."""
+    for n in (1, 2, 3, 6, 17, 40, 70, 130):
+        for p in (0.0, 1.0 / n, 2.5 / n, 0.3):
+            centres = rng.uniform(0.0, 28.0, (3, 2))
+            xy = centres[rng.integers(3, size=n)] + rng.normal(0.0, 2.0, (n, 2))
+            vertices = tuple(dict.fromkeys(Point(float(x), float(y)) for x, y in xy))
+            isolated = rng.permutation(len(vertices))[: len(vertices) // 5]
+            yield (
+                _random_graph(rng, vertices, p, isolated),
+                _random_graph(rng, vertices, 1.5 * p, isolated[:1]),
+            )
+
+
+def test_array_traversal_matches_the_oracle_bfs():
+    rng = np.random.default_rng(13)
+    seen_full = seen_no_full = seen_split = 0
+    for g, h in _traversal_graphs(rng):
+        n = len(g.vertices)
+        adj = neighbor_lists(g)
+        assert is_connected(g) == (len(bfs(adj, [0], [math.inf] * n)) == n)
+        assert components(g, range(n)) == _components_reference(g, range(n))
+        for _ in range(3):  # members in shuffled order; non-members bridge them
+            members = rng.permutation(n)[: rng.integers(n + 1)].tolist()
+            assert components(g, members) == _components_reference(g, members), members
+        grid = grid_partition(g.vertices)
+        try:
+            expect = _labels_reference(grid, g)
+        except ValueError:
+            seen_no_full += 1
+            with pytest.raises(ValueError):
+                full_cell_labels(grid, g)
+        else:
+            seen_full += 1
+            assert full_cell_labels(grid, g) == expect
+        seen_split += not is_connected(h)
+        worst_edge, worst = _spanner_reference(g, h)
+        for limit in range(10):
+            expect = (worst <= limit, worst_edge, worst) if worst_edge else (True, None, 0)
+            assert verify_hop_spanner(g, h, limit) == expect, limit
+    assert min(seen_full, seen_no_full, seen_split) > 0
+
+
+def test_components_keep_non_members_out():
+    vertices = tuple(Point(float(k), 0.0) for k in range(5))
+    g = CommGraph(vertices, np.array([[0, 1], [1, 2], [3, 4]]))
+    assert components(g, [2, 0]) == [[2], [0]]  # 1 is the only bridge
+    assert components(g, [2, 4, 0]) == [[2], [4], [0]]
+    assert components(g, [4, 1, 3, 0, 2]) == [[3, 4], [0, 1, 2]]
+    assert components(g, []) == []
+    assert not is_connected(g)
+    empty = CommGraph((), np.zeros((0, 2), dtype=np.intp))
+    assert is_connected(empty) and components(empty, []) == []
+
+
+def test_connectivity_leaves_a_small_adjacency():
+    # Python neighbour lists over these 366,733 edges held 24.9 MB
+    udg = build_udg(list(gen(GenSpec("connected_udg", 2000, seed=3)).points))
+    tracemalloc.start()
+    try:
+        assert is_connected(udg)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(udg.edges) == 366_733
+    assert kept < 10 * 2**20
 
 
 def test_find_mutual_cover_pair():
@@ -324,11 +461,7 @@ def test_swept_edges_match_the_containment_matrix(monkeypatch, chunk):
         g = build_scg(configs)
         assert g.edges.tolist() == _matrix_edges(configs), len(configs)
         assert g.edges.shape == (len(g.edges), 2) and not g.edges.flags.writeable
-        adj = [[] for _ in configs]
-        for i, j in g.edges.tolist():
-            adj[i].append(j)
-            adj[j].append(i)
-        assert g.neighbor_lists == adj
+        assert _csr_rows(g) == _closed_rows(g)
     assert build_scg(cases[3]).edges.tolist() == [[0, 1]]  # d2 == 25 at range 5
     assert build_scg(cases[4]).edges.tolist() == [[0, 1]]  # d2 underflows to 0
     circles, mixed = (build_scg(configs).edges.tolist() for configs in cases[-2:])
