@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .geometry import HalfPlane, Point, orientation_sign, weakly_separable
 from .orientation import configs_from_assignment, orient_quadruplet
@@ -62,17 +62,34 @@ class GeneratedInstance:
     metadata: dict = field(default_factory=dict)
 
 
-def _distinct_uniform(rng: SplitMix64, n: int, x0: float, x1: float, y0: float, y1: float) -> list[Point]:
-    if not (0 < x1 - x0 < math.inf and 0 < y1 - y0 < math.inf):  # else one point, redrawn forever
-        raise ValueError(f"points need a finite positive side, got {x1 - x0!r} by {y1 - y0!r}")
+#: Repeated draws in a row after which :func:`_distinct` gives up: a side
+#: too small to hold n distinct floats (a subnormal one, say) would be
+#: redrawn forever, while on a normal side one repeat is already rare.
+_MAX_REPEATS = 10_000
+
+
+def _distinct(draw: Callable[[], Point], n: int) -> list[Point]:
+    """The first n distinct points that ``draw`` returns, in draw order."""
     pts: list[Point] = []
     taken = set()
+    repeats = 0
     while len(pts) < n:
-        p = Point(rng.uniform(x0, x1), rng.uniform(y0, y1))
+        p = draw()
         if p not in taken:
             taken.add(p)
             pts.append(p)
+            repeats = 0
+            continue
+        repeats += 1
+        if repeats == _MAX_REPEATS:
+            raise ValueError(f"the side is too small for {n} distinct points")
     return pts
+
+
+def _distinct_uniform(rng: SplitMix64, n: int, x0: float, x1: float, y0: float, y1: float) -> list[Point]:
+    if not (0 < x1 - x0 < math.inf and 0 < y1 - y0 < math.inf):  # else one point, redrawn forever
+        raise ValueError(f"points need a finite positive side, got {x1 - x0!r} by {y1 - y0!r}")
+    return _distinct(lambda: Point(rng.uniform(x0, x1), rng.uniform(y0, y1)), n)
 
 
 def _rotate_translate(p: Point, ang: float, tx: float, ty: float) -> Point:
@@ -177,15 +194,12 @@ def _gen_clustered(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
     k = max(1, spec.clusters)
     centers = _distinct_uniform(rng, k, 0.0, spec.side, 0.0, spec.side)
     spread = spec.side / (4.0 * k)
-    pts: list[Point] = []
-    taken = set()
-    while len(pts) < spec.n:
+
+    def draw() -> Point:
         c = centers[rng.randrange(k)]
-        p = Point(c.x + spread * rng.gauss(), c.y + spread * rng.gauss())
-        if p not in taken:
-            taken.add(p)
-            pts.append(p)
-    return GeneratedInstance(tuple(pts), spec)
+        return Point(c.x + spread * rng.gauss(), c.y + spread * rng.gauss())
+
+    return GeneratedInstance(tuple(_distinct(draw, spec.n)), spec)
 
 
 def _gen_collinear(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:

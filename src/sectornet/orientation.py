@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,18 +47,16 @@ _FAN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class OrientationAssignment:
-    """An orientation per point, all apertures equal.
+    """An orientation per point, each the axis of a quarter-wedge.
 
     ``entries`` preserves construction order: the two base points first
-    (offsets +1/8 and +3/8 turn from the base direction), then the two
-    points carrying the opposite orientations.  ``base`` is the directed
-    edge that frames the construction and ``case`` records which hull
-    shape was handled ("convex", "triangle" or "collinear").
+    (offsets +1/8 and +3/8 turn from the base direction, so the first two
+    entries are the directed edge that frames the construction), then the
+    two points carrying the opposite orientations.  ``case`` records which
+    hull shape was handled ("convex", "triangle" or "collinear").
     """
 
     entries: tuple[tuple[Point, float], ...]
-    aperture: float = QUARTER_TURN
-    base: Optional[tuple[Point, Point]] = None
     case: str = ""
 
     def points(self) -> tuple[Point, ...]:
@@ -66,8 +64,8 @@ class OrientationAssignment:
 
 
 def configs_from_assignment(assignment: OrientationAssignment) -> list[AntennaConfig]:
-    """One unbounded antenna per entry, in entry order."""
-    return [AntennaConfig(p, ang, assignment.aperture) for p, ang in assignment.entries]
+    """One unbounded quarter-wedge antenna per entry, in entry order."""
+    return [AntennaConfig(p, ang) for p, ang in assignment.entries]
 
 
 @dataclass(frozen=True)
@@ -181,7 +179,7 @@ def _fan(slots: Sequence[Point], case: str) -> OrientationAssignment:
     entries = tuple(
         (p, normalize_angle(theta + off)) for p, off in zip(slots, _FAN_OFFSETS)
     )
-    return OrientationAssignment(entries=entries, base=(a, b), case=case)
+    return OrientationAssignment(entries=entries, case=case)
 
 
 def couples(assignment: OrientationAssignment) -> list[CouplePair]:
@@ -214,7 +212,7 @@ def couple_halfplane(assignment: OrientationAssignment, couple: CouplePair) -> H
     first_ori, second_ori = oris[couple.first], oris[couple.second]
     if abs(normalize_angle(second_ori - first_ori) - QUARTER_TURN) > _FAN_TOL:
         raise ValueError("not a counterclockwise-adjacent couple of this assignment")
-    u = first_ori - 0.5 * assignment.aperture
+    u = first_ori - 0.5 * QUARTER_TURN
     nx, ny = -math.sin(u), math.cos(u)
     p, q = couple.first, couple.second
     anchor = p if nx * p.x + ny * p.y >= nx * q.x + ny * q.y else q
@@ -222,59 +220,39 @@ def couple_halfplane(assignment: OrientationAssignment, couple: CouplePair) -> H
 
 
 def aim_at_fan(
-    jobs: Iterable[tuple[OrientationAssignment, Iterable[Point]]],
-) -> dict[Point, float]:
-    """For every (fan, points) job, in order: the fan's own orientations,
-    then each other point of the job aimed at the first wedge of that fan,
-    in entry order, that contains it (else ``ValueError``).
+    fans: Sequence[OrientationAssignment], points: Sequence[Point], fan_of: Sequence[int]
+) -> list[float]:
+    """One orientation per point, in input order: ``points[k]`` is served
+    by the perpendicular fan ``fans[fan_of[k]]`` of four quarter-wedges.
 
-    A later job overrides an earlier one on a shared point.  One gathered
-    containment pass answers the (point, fan wedge) pairs of all jobs.
+    A point equal to one of its fan's apexes keeps that entry's
+    orientation; any other point aims at the apex of the first wedge of
+    its fan, in entry order, that contains it (else ``ValueError``).  One
+    broadcast containment pass tests each point against its fan's four
+    wedges.
     """
-    done: list[tuple[dict[Point, float], list[Point]]] = []
-    hubs: list[tuple[Point, float, float]] = []  # apex, orientation, aperture
-    first: list[int] = []  # per point to aim, the first wedge of its fan
-    count: list[int] = []  # and the number of wedges of that fan
-    for fan, points in jobs:
-        own = dict(fan.entries)
-        rest = [p for p in points if p not in own]
-        done.append((own, rest))
-        if rest:
-            first += [len(hubs)] * len(rest)
-            count += [len(fan.entries)] * len(rest)
-            hubs += [(q, a, fan.aperture) for q, a in fan.entries]
-    rest = [p for _, pts in done for p in pts]
-    aimed: list[float] = []
-    if rest:
-        runs = np.array(count)
-        seg = np.cumsum(runs) - runs  # each point's run of (point, wedge) pairs
-        total = int(runs.sum())
-        point_of = np.repeat(np.arange(len(rest)), runs)
-        wedge_of = np.repeat(np.array(first) - seg, runs) + np.arange(total)
-        wedges = _sector_arrays(
-            [q.x for q, _, _ in hubs],
-            [q.y for q, _, _ in hubs],
-            [normalize_angle(a) for _, a, _ in hubs],
-            [ape for _, _, ape in hubs],
-            [math.inf] * len(hubs),
-        ).take(wedge_of)
-        px = np.array([p.x for p in rest])
-        py = np.array([p.y for p in rest])
-        inside = _containment_core(wedges, px[point_of], py[point_of])
-        hits = np.append(np.flatnonzero(inside), total)
-        hit = hits[np.searchsorted(hits, seg)]
-        if (hit >= seg + runs).any():
-            raise ValueError("uncovered point: no hub wedge contains it")
-        for p, k in zip(rest, wedge_of[hit].tolist()):
-            q = hubs[k][0]
-            aimed.append(normalize_angle(math.atan2(q.y - p.y, q.x - p.x)))
-    oris: dict[Point, float] = {}
-    at = 0
-    for own, pts in done:
-        oris.update(own)
-        oris.update(zip(pts, aimed[at : at + len(pts)]))
-        at += len(pts)
-    return oris
+    hubs = [e for fan in fans for e in fan.entries]
+    first = 4 * np.asarray(fan_of, dtype=np.intp)  # each point's first fan wedge
+    wedges = _sector_arrays(
+        [q.x for q, _ in hubs],
+        [q.y for q, _ in hubs],
+        [normalize_angle(a) for _, a in hubs],
+        [QUARTER_TURN] * len(hubs),
+        [math.inf] * len(hubs),
+    ).take(first[:, None] + np.arange(4))
+    px = np.array([p.x for p in points])[:, None]
+    py = np.array([p.y for p in points])[:, None]
+    inside = _containment_core(wedges, px, py)
+    if not inside.any(axis=1).all():
+        raise ValueError("uncovered point: no hub wedge contains it")
+    # an apex entry scores 3 (its wedge holds its apex), any other hit 1
+    apex = (wedges.ax == px) & (wedges.ay == py)
+    pick = first + np.argmax(2 * apex + inside, axis=1)
+    aimed = []
+    for p, k in zip(points, pick.tolist()):
+        q, a = hubs[k]
+        aimed.append(a if q == p else normalize_angle(math.atan2(q.y - p.y, q.x - p.x)))
+    return aimed
 
 
 def orient_cluster(points: Sequence[Point]) -> dict[Point, float]:
@@ -317,5 +295,4 @@ def orient_cluster(points: Sequence[Point]) -> dict[Point, float]:
             u: normalize_angle(math.atan2(v.y - u.y, v.x - u.x)),
             w: normalize_angle(math.atan2(v.y - w.y, v.x - w.x)),
         }
-    result = aim_at_fan([(orient_quadruplet(pts[:4]), pts[4:])])
-    return {p: result[p] for p in sorted(result, key=Point.as_tuple)}
+    return dict(zip(pts, aim_at_fan([orient_quadruplet(pts[:4])], pts, [0] * len(pts))))

@@ -248,23 +248,24 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
         )
 
     lex, walk, _ = _walk(pts)  # raises on duplicate points
-    ranked = [pts[i] for i in lex]
     bounds, start, length = _cut(len(pts))
-    jobs = []
+    fans = []
+    fan_of = np.empty(len(pts), dtype=np.intp)
     for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
-        members = [ranked[r] for r in sorted(walk[a:b])]  # by rank is by (x, y)
+        members = [lex[r] for r in sorted(walk[a:b])]  # positions by rank: by (x, y)
         half = (b - a + 1) // 2
         left, right = members[:half], members[half:]
-        jobs.append((orient_quadruplet(left[:4]), left))
-        jobs.append((orient_quadruplet(right[-4:]), right))
-    orientation = aim_at_fan(jobs)
+        fan_of[left] = len(fans)
+        fans.append(orient_quadruplet([pts[i] for i in left[:4]]))
+        fan_of[right] = len(fans)
+        fans.append(orient_quadruplet([pts[i] for i in right[-4:]]))
 
     along = [lex[r] for r in walk]  # input positions in tour order
     xs, ys = _coords(pts)
     radius = np.empty(len(pts))
     radius[along] = _window_radii(xs[along], ys[along], bounds, start, length)
     return PowerAssignment(
-        beta, tuple(zip(pts, [orientation[p] for p in pts], radius.tolist()))
+        beta, tuple(zip(pts, aim_at_fan(fans, pts, fan_of), radius.tolist()))
     )
 
 

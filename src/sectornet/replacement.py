@@ -245,30 +245,26 @@ def replace(points: Sequence[Point], mode: str = "refined") -> ReplacementResult
     if not is_connected(udg):
         raise ValueError("unit-disk graph is not connected")
     grid = grid_partition(pts)
-    if not grid.full_cells():
+    full = grid.full_cells()
+    if not full:
         return orient_small_instance(pts, grid)
 
-    hubs: dict[tuple[int, int], OrientationAssignment] = {}
-    for cell in grid.full_cells():
-        cell_pts = grid.points_in(cell)
-        hubs[cell] = (
-            select_hubs_basic(cell_pts) if mode == "basic" else select_hubs_refined(cell_pts)
-        )
+    select = select_hubs_basic if mode == "basic" else select_hubs_refined
+    hubs = [select(grid.points_in(cell)) for cell in full]
+    rank = {cell: k for k, cell in enumerate(full)}
+    # each point's fan: its own full cell's, else (-1) its stray group's
+    fan_of = np.array([rank.get(grid.cell_of(p), -1) for p in pts], dtype=np.intp)
 
-    orientation = aim_at_fan((fan, grid.points_in(cell)) for cell, fan in hubs.items())
-
-    stray = [i for i, p in enumerate(pts) if p not in orientation]
+    stray = np.flatnonzero(fan_of < 0).tolist()
     if stray:
         labels = full_cell_labels(grid, udg)
         groups = [[i] for i in stray] if mode == "basic" else components(udg, stray)
-        jobs = []
         for comp in groups:
-            members = [pts[i] for i in comp]
-            jobs.append((hubs[labels[min(members, key=Point.as_tuple)]], members))
-        orientation.update(aim_at_fan(jobs))
+            fan_of[comp] = rank[labels[min((pts[i] for i in comp), key=Point.as_tuple)]]
 
     configs = tuple(
-        AntennaConfig(p, orientation[p], range=REPLACEMENT_RANGE) for p in pts
+        AntennaConfig(p, a, range=REPLACEMENT_RANGE)
+        for p, a in zip(pts, aim_at_fan(hubs, pts, fan_of))
     )
     return ReplacementResult(configs=configs, mode=mode, grid=grid)
 

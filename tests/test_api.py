@@ -91,8 +91,6 @@ FIELD_DEFAULTS = [
     "geometry.AntennaConfig.range",
     "geometry.CoverageReport.witness_direction",
     "geometry.CoverageReport.witness_point",
-    "orientation.OrientationAssignment.aperture",
-    "orientation.OrientationAssignment.base",
     "orientation.OrientationAssignment.case",
 ]
 

@@ -380,3 +380,16 @@ def test_generating_on_a_side_that_is_not_positive_is_a_usage_error(tmp_path, ca
         assert cli.main(argv) == 2, side
         assert "finite positive side" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_generating_on_a_subnormal_side_is_a_usage_error(tmp_path):
+    # too few floats for n distinct points: once a hang, so under a bound
+    out = tmp_path / "pts.json"
+    for family in (["random_square", "--n", "10"], ["clustered", "--n", "3", "--clusters", "1"]):
+        argv = ["gen", "--family", *family, "--side", "5e-324", "--out", str(out)]
+        r = subprocess.run(
+            [sys.executable, "-m", "sectornet", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert r.returncode == 2, family
+        assert "too small for" in r.stderr
+    assert not out.exists()

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -72,6 +74,24 @@ def test_uniform_families_reject_a_side_that_is_not_finite_and_positive(family):
     for side in (-1.0, math.nan, math.inf, 0.0, -0.0):
         with pytest.raises(ValueError, match="finite positive side"):
             gen(GenSpec(family, 3, seed=1, side=side))
+
+
+def test_a_side_too_small_for_n_distinct_points_raises():
+    # a subnormal side holds four distinct points, and one cluster's
+    # spread of side / 4 rounds to 0; both were once redrawn forever, so
+    # they run in a child process under a time bound
+    code = """
+import pytest
+from sectornet.generators import GenSpec, gen
+for spec in (
+    GenSpec("random_square", 10, seed=1, side=5e-324),
+    GenSpec("clustered", 3, seed=1, side=5e-324, clusters=1),
+):
+    with pytest.raises(ValueError, match="too small for"):
+        gen(spec)
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
 
 
 def test_connected_udg_is_connected():

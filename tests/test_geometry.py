@@ -167,7 +167,7 @@ def test_wedge_validation():
 def test_configs_from_assignment_is_one_antenna_per_entry():
     asg = orient_quadruplet([Point(0.0, 0.0), Point(4.0, 1.0), Point(1.0, 5.0), Point(-2.0, 2.0)])
     got = configs_from_assignment(asg)
-    assert got == [AntennaConfig(p, a, asg.aperture) for p, a in asg.entries]
+    assert got == [AntennaConfig(p, a, QUARTER_TURN) for p, a in asg.entries]
     assert all(math.isinf(c.range) for c in got)
 
 

@@ -44,7 +44,7 @@ def test_unit_square_frozen_fan():
     assert got[Point(1.0, 1.0)] == pytest.approx(1.25 * PI)
     assert got[Point(0.0, 1.0)] == pytest.approx(1.75 * PI)
     assert asg.case == "convex"
-    assert asg.aperture == QUARTER_TURN
+    assert all(c.aperture == QUARTER_TURN for c in configs_from_assignment(asg))
 
 
 def test_obtuse_triangle_frozen_fan():
@@ -174,7 +174,7 @@ def test_couples_reject_malformed_fan():
         (Point(2.0, 0.0), PI),
         (Point(3.0, 0.0), 1.5 * PI),
     )
-    bad = OrientationAssignment(entries, QUARTER_TURN, Point(0.0, 0.0), "convex")
+    bad = OrientationAssignment(entries, "convex")
     with pytest.raises(ValueError):
         couples(bad)
 
@@ -190,8 +190,8 @@ def test_couple_halfplane_covers_and_anchors():
         for cp in couples(asg):
             hp = couple_halfplane(asg, cp)
             wedges = [
-                AntennaConfig(cp.first, oris[cp.first], asg.aperture),
-                AntennaConfig(cp.second, oris[cp.second], asg.aperture),
+                AntennaConfig(cp.first, oris[cp.first]),
+                AntennaConfig(cp.second, oris[cp.second]),
             ]
             assert halfplane_covered(wedges, hp).covered
             # boundary anchored at the apex deeper along the normal, so
@@ -202,62 +202,66 @@ def test_couple_halfplane_covers_and_anchors():
 
 def test_aim_at_fan_prefers_first_covering_hub():
     hubs = (
-        (Point(10.0, 0.0), PI),          # covers the origin (aims left)
-        (Point(0.0, 10.0), 1.5 * PI),    # also covers it (aims down)
+        (Point(10.0, 0.0), PI),  # covers the origin (aims left)
+        (Point(0.0, 10.0), 1.5 * PI),  # also covers it (aims down)
+        (Point(20.0, 20.0), 0.0),  # these two face away from it
+        (Point(-20.0, 20.0), 0.5 * PI),
     )
     p = Point(0.0, 0.0)
-    got = aim_at_fan([(OrientationAssignment(hubs), [p])])
-    assert got[p] == pytest.approx(0.0)  # aims at the first hub
-    assert [got[h] for h, _ in hubs] == [PI, 1.5 * PI]  # hubs keep their own
-    got = aim_at_fan([(OrientationAssignment(hubs[::-1]), [p])])
-    assert got[p] == pytest.approx(0.5 * PI)
+    points = [p] + [h for h, _ in hubs]
+    got = aim_at_fan([OrientationAssignment(hubs)], points, [0] * 5)
+    assert got[0] == pytest.approx(0.0)  # aims at the first hub
+    assert got[1:] == [PI, 1.5 * PI, 0.0, 0.5 * PI]  # hubs keep their own
+    swapped = (hubs[1], hubs[0]) + hubs[2:]
+    got = aim_at_fan([OrientationAssignment(swapped)], points, [0] * 5)
+    assert got[0] == pytest.approx(0.5 * PI)
+    assert got[1:] == [PI, 1.5 * PI, 0.0, 0.5 * PI]
 
 
 def test_aim_at_fan_rejects_uncovered_point():
-    fan = OrientationAssignment(((Point(0.0, 0.0), PI),))
-    with pytest.raises(ValueError):
-        aim_at_fan([(fan, [Point(100.0, 0.0)])])
+    # four wedges, each facing away from the origin
+    away = OrientationAssignment(
+        (
+            (Point(10.0, 0.0), 0.0),
+            (Point(0.0, 10.0), 0.5 * PI),
+            (Point(-10.0, 0.0), PI),
+            (Point(0.0, -10.0), 1.5 * PI),
+        )
+    )
+    with pytest.raises(ValueError, match="uncovered"):
+        aim_at_fan([away], [Point(0.0, 0.0)], [0])
+    # one uncovered point fails the whole batch
+    quad = orient_quadruplet([Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0), Point(0.0, 1.0)])
+    with pytest.raises(ValueError, match="uncovered"):
+        aim_at_fan([quad, away], [Point(5.0, 5.0), Point(0.0, 0.0)], [0, 1])
 
 
-def _aim_one_by_one(fan, points):
-    """One fan's aims, a point and a wedge at a time."""
-    oris = dict(fan.entries)
-    for p in points:
-        if p not in dict(fan.entries):
-            hub = next(
-                q for q, a in fan.entries if wedge_contains(AntennaConfig(q, a, fan.aperture), p)
-            )
-            oris[p] = normalize_angle(math.atan2(hub.y - p.y, hub.x - p.x))
-    return oris
+def _aim_one_by_one(fan, p):
+    """A point's aim at one fan, a wedge at a time."""
+    own = dict(fan.entries)
+    if p in own:
+        return own[p]
+    hub = next(q for q, a in fan.entries if wedge_contains(AntennaConfig(q, a), p))
+    return normalize_angle(math.atan2(hub.y - p.y, hub.x - p.x))
 
 
 def test_aim_at_fan_batches_like_one_fan_at_a_time():
-    # several groups share a fan, fans of two and four wedges mix, and a
-    # point in two jobs takes the later job's aim
+    # points of several fans interleave; a hub served by its own fan keeps
+    # its entry, served by another fan it is aimed like any point
     rng = SplitMix64(103)
 
     def spot(cx, cy, k):
         return [Point(cx + rng.uniform(-2, 2), cy + rng.uniform(-2, 2)) for _ in range(k)]
 
-    quad = orient_quadruplet(spot(0.0, 0.0, 4))
-    pair = OrientationAssignment(((Point(10.0, 0.0), PI), (Point(0.0, 10.0), 1.5 * PI)))
-    shared = spot(-3.0, -3.0, 1)
-    jobs = [
-        (quad, spot(5.0, 5.0, 3) + shared),
-        (quad, spot(-5.0, 2.0, 4)),
-        (pair, spot(4.0, 4.0, 2) + shared),
-        (quad, list(quad.points()) + spot(0.0, -6.0, 2)),
-    ]
-    want = {}
-    for fan, points in jobs:
-        want.update(_aim_one_by_one(fan, points))
-    got = aim_at_fan(jobs)
-    assert list(got.items()) == list(want.items())
-    assert got[shared[0]] != aim_at_fan(jobs[:1])[shared[0]]
-    # one uncovered point fails the whole batch
-    with pytest.raises(ValueError, match="uncovered"):
-        aim_at_fan(jobs + [(pair, [Point(100.0, 0.0)])])
-    assert aim_at_fan([(pair, [])]) == dict(pair.entries)
+    fans = [orient_quadruplet(spot(cx, cy, 4)) for cx, cy in ((0.0, 0.0), (8.0, 3.0), (-6.0, 5.0))]
+    served = [(q, k) for k, fan in enumerate(fans) for q in fan.points()]
+    served += [(q, 0) for q in fans[1].points()]
+    served += [(p, rng.randrange(3)) for p in spot(1.0, 2.0, 30)]
+    rng.shuffle(served)
+    points = [p for p, _ in served]
+    fan_of = [k for _, k in served]
+    assert aim_at_fan(fans, points, fan_of) == [_aim_one_by_one(fans[k], p) for p, k in served]
+    assert aim_at_fan(fans, [], []) == []
 
 
 def test_orient_cluster_singleton_and_pair():

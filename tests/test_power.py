@@ -1,6 +1,7 @@
 """Power assignment: trees, tours, sections, ranges, and cost bounds."""
 
 import bisect
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -433,6 +434,22 @@ def test_power_pipeline_runs_prim_twice(monkeypatch):
     pa = orient_and_assign(pts, 2)
     assert cost_chain_check(pa, tsp_tour_approx(pts)).ok
     assert calls == [40, 40]
+
+
+#: sha256 of the entries below, recorded before fans were aimed by input
+#: position; the sizes cover one section with and without a remainder
+#: (the left half takes the ceiling) and the last of many sections
+#: taking the remainder.
+POWER_ENTRIES_SHA256 = "ad3c57caff4d272538eef8ec3ed683d03b3b1d6c4991ec7adbc3310cea979592"
+
+
+def test_orient_and_assign_output_is_pinned():
+    lines = []
+    for n in (8, 9, 15, 16, 23, 517):
+        pts = list(gen(GenSpec("random_square", n, seed=n, side=60.0)).points)
+        for p, ang, r in orient_and_assign(pts, 2).entries:
+            lines.append(f"{n} {p.x.hex()} {p.y.hex()} {ang.hex()} {r.hex()}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == POWER_ENTRIES_SHA256
 
 
 @pytest.mark.parametrize("n", range(2, 8))

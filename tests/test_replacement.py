@@ -13,7 +13,7 @@ from scipy.spatial import distance_matrix
 
 from sectornet import replacement
 from sectornet.geometry import DIST_SQ_TOL, Point, distance, squared_distance, wedge_contains
-from sectornet.orientation import configs_from_assignment, orient_quadruplet
+from sectornet.orientation import aim_at_fan, configs_from_assignment, orient_quadruplet
 from sectornet.replacement import (
     CELL_SIDE,
     FULL_CELL_MIN,
@@ -181,7 +181,7 @@ def test_select_hubs_refined_frozen_square_cell():
     pts = [Point(0.0, 0.0), Point(6.0, 0.0), Point(0.0, 6.0), Point(6.0, 6.0), Point(3.0, 3.0)]
     asg = select_hubs_refined(pts)
     got = dict(asg.entries)
-    assert asg.base == (Point(0.0, 0.0), Point(6.0, 0.0))
+    assert asg.points()[:2] == (Point(0.0, 0.0), Point(6.0, 0.0))  # the base edge
     assert got[Point(0.0, 0.0)] == pytest.approx(0.25 * PI)
     assert got[Point(6.0, 0.0)] == pytest.approx(0.75 * PI)
     assert got[Point(3.0, 3.0)] == pytest.approx(1.25 * PI)  # farther along base
@@ -196,7 +196,7 @@ def test_select_hubs_refined_supporting_pair_covers_cell():
         while len(set(pts)) < 8:
             pts = [Point(rng.uniform(0, CELL_SIDE), rng.uniform(0, CELL_SIDE)) for _ in range(8)]
         asg = select_hubs_refined(pts)
-        a1, a2 = asg.base
+        a1, a2 = asg.points()[:2]  # the supporting pair
         hub_configs = [
             dataclasses.replace(c, range=REPLACEMENT_RANGE) for c in configs_from_assignment(asg)
         ]
@@ -289,6 +289,23 @@ def test_replace_output_is_pinned_on_instances_with_stray_points():
             for c in replace(pts, mode=mode).configs:
                 lines.append(f"{mode} {c.location.x.hex()} {c.location.y.hex()} {c.orientation.hex()}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == STRAY_CONFIGS_SHA256
+
+
+def test_replace_aims_once(monkeypatch):
+    # full cells and stray groups alike are aimed in one call per run
+    calls = []
+
+    def counting_aim_at_fan(fans, points, fan_of):
+        calls.append(len(points))
+        return aim_at_fan(fans, points, fan_of)
+
+    monkeypatch.setattr(replacement, "aim_at_fan", counting_aim_at_fan)
+    pts = _drifting_chain(1, 140)
+    grid = grid_partition(pts)
+    assert any(grid.status(grid.cell_of(p)) != "full" for p in pts)
+    for mode in ("basic", "refined"):
+        replace(pts, mode=mode)
+    assert calls == [140, 140]
 
 
 def test_replace_small_instance_path():
