@@ -15,10 +15,14 @@
 * :func:`neighbor_lists` and :func:`bfs` walk a graph in plain Python,
   the reference for the array traversal of connectivity, components,
   full-cell labels and the hop-spanner check.
+* :func:`dump_reference` writes a document with the plain indent
+  encoder, and :func:`instance_doc` and :func:`config_doc` build the
+  documents row by row: the reference for the files ``fileio`` writes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Iterable, Optional, Sequence
 
@@ -329,3 +333,37 @@ def bfs(adj: list[list[int]], sources: Iterable[int], dist: list[float]) -> list
                 dist[w] = dist[u] + 1
                 order.append(w)
     return order
+
+
+# ---------------------------------------------------------------------------
+# Instance and config files, one dict per row
+# ---------------------------------------------------------------------------
+
+
+def instance_doc(points: Sequence[Point], metadata: Optional[dict]) -> dict:
+    return {"kind": "instance", "points": [{"x": p.x, "y": p.y} for p in points], "metadata": metadata or {}}
+
+
+def config_doc(configs: Sequence[AntennaConfig], mode: str, metadata: Optional[dict]) -> dict:
+    return {
+        "kind": "config",
+        "mode": mode,
+        "antennas": [
+            {
+                "x": c.location.x,
+                "y": c.location.y,
+                "orientation_radians": c.orientation,
+                "aperture_radians": c.aperture,
+                "range": "inf" if math.isinf(c.range) else c.range,
+            }
+            for c in configs
+        ],
+        "metadata": metadata or {},
+    }
+
+
+def dump_reference(doc: dict) -> str:
+    """``doc`` as an instance or config file: sorted keys, two-space
+    indent, floats by ``repr``, every value through the pure-Python
+    encoder."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -301,13 +301,37 @@ def test_non_finite_orientation_is_a_malformed_config(tmp_path, capsys):
     assert cli.main(["gen", "--family", "random_square", "--n", "4", "--seed", "1", "--out", str(inst)]) == 0
     assert cli.main(["orient4", "--instance", str(inst), "--out", str(cfg)]) == 0
     doc = json.loads(cfg.read_text())
-    doc["antennas"][0]["orientation_radians"] = "nan"
+    doc["antennas"][0]["orientation_radians"] = math.nan  # written as the token NaN
     cfg.write_text(json.dumps(doc))
     capsys.readouterr()
     for argv in (["verify", "--checks", "connected"], ["verify", "--checks", "coverage"], ["render"]):
         assert cli.main([*argv, "--config", str(cfg)]) == 2, argv
         err = capsys.readouterr().err
         assert str(cfg) in err and "orientation must be finite" in err
+
+
+def test_a_number_written_as_a_string_or_bool_is_a_malformed_file(tmp_path, capsys):
+    inst = tmp_path / "pts.json"
+    cfg = tmp_path / "cfg.json"
+    bad_inst = tmp_path / "bad_pts.json"
+    bad_cfg = tmp_path / "bad_cfg.json"
+    assert cli.main(["gen", "--family", "random_square", "--n", "4", "--seed", "1", "--out", str(inst)]) == 0
+    assert cli.main(["orient4", "--instance", str(inst), "--out", str(cfg)]) == 0
+    doc = json.loads(inst.read_text())
+    doc["points"][0]["x"] = "0"
+    bad_inst.write_text(json.dumps(doc))
+    doc = json.loads(cfg.read_text())
+    doc["antennas"][0]["y"] = True
+    bad_cfg.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for argv, bad in (
+        (["verify", "--checks", "connected", "--config", str(bad_cfg)], bad_cfg),
+        (["render", "--config", str(bad_cfg)], bad_cfg),
+        (["verify", "--checks", "connected", "--config", str(cfg), "--instance", str(bad_inst)], bad_inst),
+    ):
+        assert cli.main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert str(bad) in err and "must be JSON numbers" in err
 
 
 def test_replace_has_no_origin_option(tmp_path, capsys):

@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from oracles import config_doc, dump_reference, instance_doc
 from sectornet import fileio
 from sectornet.geometry import AntennaConfig, Point
 
@@ -86,12 +88,27 @@ _ANTENNA = {"x": 0.0, "y": 0.0, "orientation_radians": 0.0, "aperture_radians": 
                 {"aperture_radians": 7.0},
                 {"range": 0.0},
                 {"range": -1.0},
-                {"range": "nan"},
-                {"orientation_radians": "nan"},
-                {"orientation_radians": "inf"},
+                {"range": math.nan},
+                {"orientation_radians": math.nan},
+                {"orientation_radians": math.inf},
             )
         ),
         ["kind", "instance"],
+        # only JSON numbers are numbers (no strings, no bools), and they must fit a float
+        *(
+            {"kind": "config", "antennas": [dict(_ANTENNA, **bad)]}
+            for bad in (
+                {"x": "0"},
+                {"y": True},
+                {"orientation_radians": "0.5"},
+                {"aperture_radians": True},
+                {"range": "1e3"},
+                {"range": "Infinity"},
+                {"x": 10**400},
+            )
+        ),
+        {"kind": "instance", "points": [{"x": "0", "y": 2.0}]},
+        {"kind": "instance", "points": [{"x": 1.0, "y": True}]},
     ],
 )
 def test_malformed_files_are_value_errors_naming_the_file(tmp_path, doc):
@@ -101,3 +118,68 @@ def test_malformed_files_are_value_errors_naming_the_file(tmp_path, doc):
     with pytest.raises(ValueError, match="bad.json"):
         read(path)
 
+
+def _reference_cases():
+    rng = np.random.default_rng(15)
+    many = [Point(float(x), float(y)) for x, y in rng.uniform(-50.0, 50.0, (513, 2))]
+    edge = [Point(-0.0, 5e-324), Point(1.7976931348623157e308, -1.7976931348623157e308)]
+    nested = {"b": [1, 2.5, {"c": None}], "a": {"d": True, "e": -0.0}, "s": 'héllo, "wörld"'}
+    return [
+        ([], None),
+        ([Point(0.1, -2.5)], {}),
+        ([Point(0.1, -2.5), Point(3.25, 4.0)], {"family": "demo", "seed": 7}),
+        (many, {"grid_origin": [0.0, 0.0]}),
+        (edge, None),
+        ([Point(1, 2), Point(-3, 0)], {}),
+        ([Point(np.float64(0.1), np.float64(-7.25)), Point(np.float64(1e-300), np.float64(2.0))], None),
+        (many[:3], nested),
+        (many[:2], {"points": [], "antennas": [], "metadata": {"points": []}}),
+        (many[:2], {"antennas": [{"x": 1.0}], "kind": "config", "\n  \"points\": []": "\n  \"antennas\": []"}),
+    ]
+
+
+@pytest.mark.parametrize("points, metadata", _reference_cases())
+def test_writers_match_the_reference_encoder(tmp_path, points, metadata):
+    path = tmp_path / "out.json"
+    text = fileio.write_instance(points, path, metadata=metadata)
+    assert text == dump_reference(instance_doc(points, metadata)) == path.read_text(encoding="utf-8")
+    back, _ = fileio.read_instance(path)
+    assert back == points and all(type(v) is float for p in back for v in (p.x, p.y))
+    # finite and infinite ranges mixed, orientations and apertures varied
+    apertures, ranges = (0.5, math.pi / 2, 2 * math.pi), (math.inf, 5e-324, 14.0, 1e308)
+    configs = [AntennaConfig(p, 0.37 * k - 1.0, apertures[k % 3], ranges[k % 4]) for k, p in enumerate(points)]
+    text = fileio.write_config(configs, "power", path, metadata=metadata)
+    assert text == dump_reference(config_doc(configs, "power", metadata)) == path.read_text(encoding="utf-8")
+    back, _, _ = fileio.read_config(path)
+    assert back == configs and all(type(c.location.x) is type(c.location.y) is float for c in back)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writers_refuse_non_finite_metadata(tmp_path, bad):
+    path = tmp_path / "out.json"
+    metadata = {"beta": {"values": [1.0, bad]}}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        fileio.write_instance([Point(0.0, 0.0)], path, metadata=metadata)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        fileio.write_config([AntennaConfig(Point(0.0, 0.0), 0.0)], "orient4", path, metadata=metadata)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("n", [1, 2000])
+def test_rows_take_the_c_encoder(monkeypatch, n):
+    # the pure-Python encoder may format the head once, but no row value:
+    # those go through the C encoder, however many rows there are
+    entries, floats = [], []
+    make = json.encoder._make_iterencode
+
+    def counting(markers, default, encoder, indent, floatstr, *rest):
+        entries.append(1)
+        return make(markers, default, encoder, indent, lambda o: floats.append(o) or floatstr(o), *rest)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
+    points = [Point(float(k), 0.5 * k) for k in range(n)]
+    fileio.write_instance(points)
+    assert len(entries) <= 1 and floats == []
+    entries.clear()
+    fileio.write_config([AntennaConfig(p, 1.0, range=2.0) for p in points], "power")
+    assert len(entries) <= 1 and floats == []
