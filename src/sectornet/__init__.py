@@ -22,18 +22,13 @@ from .geometry import (
     containment_matrix,
     convex_hull,
     distance,
-    halfplane_covered,
     plane_coverage_verify,
     squared_distance,
     weakly_separable,
-    wedge_contains,
 )
 from .orientation import (
-    CouplePair,
     OrientationAssignment,
     configs_from_assignment,
-    couple_halfplane,
-    couples,
     orient_cluster,
     orient_quadruplet,
 )
@@ -42,10 +37,8 @@ from .power import (
     PowerAssignment,
     Tour,
     cost_chain_check,
-    mst_cost,
     mst_edges,
     orient_and_assign,
-    tour_power_cost,
     tsp_tour_approx,
 )
 from .replacement import (
@@ -58,7 +51,6 @@ from .replacement import (
     build_udg,
     full_cell_labels,
     grid_partition,
-    orient_small_instance,
     replace,
     select_hubs_basic,
     select_hubs_refined,
@@ -87,7 +79,6 @@ __all__ = [
     "AntennaConfig",
     "CommGraph",
     "CostChainReport",
-    "CouplePair",
     "CoverageReport",
     "GridPartition",
     "HalfPlane",
@@ -105,29 +96,22 @@ __all__ = [
     "containment_matrix",
     "convex_hull",
     "cost_chain_check",
-    "couple_halfplane",
-    "couples",
     "distance",
     "find_mutual_cover_pair",
     "full_cell_labels",
     "grid_partition",
     "halfplane_cover_number",
-    "halfplane_covered",
     "is_connected",
-    "mst_cost",
     "mst_edges",
     "orient_and_assign",
     "orient_cluster",
     "orient_quadruplet",
-    "orient_small_instance",
     "plane_coverage_verify",
     "replace",
     "select_hubs_basic",
     "select_hubs_refined",
     "squared_distance",
-    "tour_power_cost",
     "tsp_tour_approx",
     "verify_hop_spanner",
-    "wedge_contains",
     "weakly_separable",
 ]

@@ -22,7 +22,9 @@ Conventions used throughout the package:
   comparisons get an absolute ``DIST_SQ_TOL`` of slack.
 * Plane and half-plane coverage are decided by testing one point per
   cell of the wedges' line arrangement.  The sampling oracle the tests
-  cross-check that decision against lives in ``tests/oracles.py``.
+  cross-check that decision against lives in ``tests/oracles.py``, with
+  the scalar ``wedge_contains`` and the half-plane checker
+  ``halfplane_covered`` that only the tests call.
 """
 
 from __future__ import annotations
@@ -293,11 +295,6 @@ def _containment_core(w: _WedgeArrays, px: np.ndarray, py: np.ndarray) -> np.nda
     return ang_ok & (d2 <= w.limit)
 
 
-def wedge_contains(w: AntennaConfig, p: Point) -> bool:
-    """True iff ``p`` lies in the closed sector of ``w`` and within range."""
-    return bool(containment_matrix([w], [p])[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # Half-planes
 # ---------------------------------------------------------------------------
@@ -518,18 +515,6 @@ def _halfplane_test_points(wedges: Sequence[AntennaConfig], hp: HalfPlane) -> np
     lines = _dedupe_lines(lines)
     candidates = _coverage_candidates(lines, [w.location for w in wedges])
     return np.array([c for c in candidates if hp.value(c[0], c[1]) >= -1e-9], dtype=float)
-
-
-def halfplane_covered(wedges: Sequence[AntennaConfig], hp: HalfPlane) -> CoverageReport:
-    """Decide whether the union of unbounded wedges covers a half-plane."""
-    if not wedges:
-        # Any point of the half-plane witnesses non-coverage.
-        norm = math.hypot(hp.nx, hp.ny)
-        return CoverageReport(False, witness_point=Point(hp.nx * hp.c / norm**2, hp.ny * hp.c / norm**2))
-    pts = _halfplane_test_points(wedges, hp)
-    if pts.size == 0:
-        return CoverageReport(True)
-    return _first_uncovered(wedges, pts)
 
 
 # ---------------------------------------------------------------------------

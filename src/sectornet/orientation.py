@@ -26,7 +26,6 @@ import numpy as np
 from .geometry import (
     QUARTER_TURN,
     AntennaConfig,
-    HalfPlane,
     Point,
     _containment_core,
     _sector_arrays,
@@ -40,9 +39,6 @@ from .geometry import (
 #: Orientation offsets, relative to the base edge direction, of the four
 #: wedges in entry order: base start, base end, then the two far points.
 _FAN_OFFSETS = (0.25 * math.pi, 0.75 * math.pi, 1.25 * math.pi, 1.75 * math.pi)
-
-#: Tolerance when validating that four orientations form a quarter-turn fan.
-_FAN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,22 +55,10 @@ class OrientationAssignment:
     entries: tuple[tuple[Point, float], ...]
     case: str = ""
 
-    def points(self) -> tuple[Point, ...]:
-        return tuple(p for p, _ in self.entries)
-
 
 def configs_from_assignment(assignment: OrientationAssignment) -> list[AntennaConfig]:
     """One unbounded quarter-wedge antenna per entry, in entry order."""
     return [AntennaConfig(p, ang) for p, ang in assignment.entries]
-
-
-@dataclass(frozen=True)
-class CouplePair:
-    """Two points whose wedge orientations differ by a quarter turn,
-    counterclockwise from ``first`` to ``second``."""
-
-    first: Point
-    second: Point
 
 
 def _convex_slots(hull: list[Point]) -> tuple[Point, Point, Point, Point]:
@@ -182,43 +166,6 @@ def _fan(slots: Sequence[Point], case: str) -> OrientationAssignment:
     return OrientationAssignment(entries=entries, case=case)
 
 
-def couples(assignment: OrientationAssignment) -> list[CouplePair]:
-    """The four pairs of points with counterclockwise-adjacent orientations.
-
-    Pairs are listed starting from the point with the smallest normalized
-    orientation; each point appears in exactly two pairs (once as first,
-    once as second).  Raises ``ValueError`` unless the four orientations
-    form a quarter-turn fan.
-    """
-    if len(assignment.entries) != 4:
-        raise ValueError("malformed assignment: exactly four entries required")
-    ordered = sorted(assignment.entries, key=lambda e: (e[1], e[0].as_tuple()))
-    lowest = ordered[0][1]
-    for k, (_, ang) in enumerate(ordered):
-        if abs((ang - lowest) - k * QUARTER_TURN) > _FAN_TOL:
-            raise ValueError("malformed assignment: orientations must form a quarter-turn fan")
-    return [CouplePair(ordered[i][0], ordered[(i + 1) % 4][0]) for i in range(4)]
-
-
-def couple_halfplane(assignment: OrientationAssignment, couple: CouplePair) -> HalfPlane:
-    """The closed half-plane that a couple's two wedges jointly cover.
-
-    Its boundary runs parallel to the right bounding ray of the first
-    wedge, through whichever of the two apexes lies deeper inside the
-    half-plane (for the base couple that is the first apex itself, making
-    the boundary the right bounding line of the first wedge).
-    """
-    oris = dict(assignment.entries)
-    first_ori, second_ori = oris[couple.first], oris[couple.second]
-    if abs(normalize_angle(second_ori - first_ori) - QUARTER_TURN) > _FAN_TOL:
-        raise ValueError("not a counterclockwise-adjacent couple of this assignment")
-    u = first_ori - 0.5 * QUARTER_TURN
-    nx, ny = -math.sin(u), math.cos(u)
-    p, q = couple.first, couple.second
-    anchor = p if nx * p.x + ny * p.y >= nx * q.x + ny * q.y else q
-    return HalfPlane(nx, ny, nx * anchor.x + ny * anchor.y)
-
-
 def aim_at_fan(
     fans: Sequence[OrientationAssignment], points: Sequence[Point], fan_of: Sequence[int]
 ) -> list[float]:
@@ -255,8 +202,9 @@ def aim_at_fan(
     return aimed
 
 
-def orient_cluster(points: Sequence[Point]) -> dict[Point, float]:
-    """Orient a small group so its symmetric graph is connected.
+def orient_cluster(points: Sequence[Point]) -> list[float]:
+    """Orient a small group so its symmetric graph is connected: one
+    orientation per point, in input order.
 
     Intended for instances that fit in one neighborhood, where every
     pairwise distance is within range.  Four or more points: the four
@@ -267,32 +215,32 @@ def orient_cluster(points: Sequence[Point]) -> dict[Point, float]:
     at most a third of a turn, so a wedge along its bisector covers both
     others, which aim back at it.  Two points face each other.
     """
-    pts = sorted(set(points), key=Point.as_tuple)
-    if len(pts) != len(list(points)):
+    pts = list(points)
+    ranked = sorted(set(pts), key=Point.as_tuple)
+    if len(ranked) != len(pts):
         raise ValueError("duplicate points")
     if not pts:
         raise ValueError("empty point set")
+    if len(pts) >= 4:
+        return aim_at_fan([orient_quadruplet(ranked[:4])], pts, [0] * len(pts))
     if len(pts) == 1:
-        return {pts[0]: 0.0}
+        return [0.0]
     if len(pts) == 2:
         p, q = pts
-        return {
-            p: normalize_angle(math.atan2(q.y - p.y, q.x - p.x)),
-            q: normalize_angle(math.atan2(p.y - q.y, p.x - q.x)),
-        }
-    if len(pts) == 3:
-        pairs = [(pts[i], pts[j]) for i in range(3) for j in range(i + 1, 3)]
-        u, w = min(
-            pairs, key=lambda pr: (squared_distance(*pr), pr[0].as_tuple(), pr[1].as_tuple())
-        )
-        (v,) = [p for p in pts if p != u and p != w]
-        du = math.hypot(u.x - v.x, u.y - v.y)
-        dw = math.hypot(w.x - v.x, w.y - v.y)
-        bx = (u.x - v.x) / du + (w.x - v.x) / dw
-        by = (u.y - v.y) / du + (w.y - v.y) / dw
-        return {
-            v: normalize_angle(math.atan2(by, bx)),
-            u: normalize_angle(math.atan2(v.y - u.y, v.x - u.x)),
-            w: normalize_angle(math.atan2(v.y - w.y, v.x - w.x)),
-        }
-    return dict(zip(pts, aim_at_fan([orient_quadruplet(pts[:4])], pts, [0] * len(pts))))
+        return [
+            normalize_angle(math.atan2(q.y - p.y, q.x - p.x)),
+            normalize_angle(math.atan2(p.y - q.y, p.x - q.x)),
+        ]
+    pairs = [(ranked[i], ranked[j]) for i in range(3) for j in range(i + 1, 3)]
+    u, w = min(
+        pairs, key=lambda pr: (squared_distance(*pr), pr[0].as_tuple(), pr[1].as_tuple())
+    )
+    (v,) = [p for p in ranked if p != u and p != w]
+    du = math.hypot(u.x - v.x, u.y - v.y)
+    dw = math.hypot(w.x - v.x, w.y - v.y)
+    bx = (u.x - v.x) / du + (w.x - v.x) / dw
+    by = (u.y - v.y) / du + (w.y - v.y) / dw
+    return [
+        normalize_angle(math.atan2(by, bx) if p == v else math.atan2(v.y - p.y, v.x - p.x))
+        for p in pts
+    ]

@@ -101,13 +101,6 @@ def _check_beta(beta: float) -> None:
         raise ValueError("distance-power gradient must be finite and at least 1")
 
 
-def mst_cost(points: Sequence[Point], beta: float) -> float:
-    """Total r**beta weight of the minimum spanning tree."""
-    _check_beta(beta)
-    pts = list(points)
-    return sum(distance(pts[i], pts[j]) ** beta for i, j in mst_edges(pts))
-
-
 @dataclass(frozen=True)
 class Tour:
     """A cyclic visiting order (each point exactly once) and the minimum
@@ -126,14 +119,6 @@ def _steps(xs: np.ndarray, ys: np.ndarray) -> list[float]:
     dx = (xs - np.roll(xs, -1)).tolist()
     dy = (ys - np.roll(ys, -1)).tolist()
     return list(map(math.hypot, dx, dy))
-
-
-def tour_power_cost(tour: Tour, beta: float) -> float:
-    """Sum of r**beta over the cyclic tour edges (including the closing one)."""
-    _check_beta(beta)
-    if len(tour) < 2:
-        return 0.0
-    return sum(s**beta for s in _steps(*_coords(tour.order)))
 
 
 def _walk(pts: Sequence[Point]) -> tuple[list[int], list[int], list[tuple[int, int]]]:
@@ -239,13 +224,9 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
         raise ValueError("power assignment needs at least two points")
 
     if len(pts) < 8:
-        if len(set(pts)) != len(pts):
-            raise ValueError("duplicate points")
-        oris = orient_cluster(pts)
+        aims = orient_cluster(pts)  # raises on duplicate points
         diameter = max(distance(p, q) for p in pts for q in pts)
-        return PowerAssignment(
-            beta, tuple((p, oris[p], diameter) for p in pts)
-        )
+        return PowerAssignment(beta, tuple((p, a, diameter) for p, a in zip(pts, aims)))
 
     lex, walk, _ = _walk(pts)  # raises on duplicate points
     bounds, start, length = _cut(len(pts))
@@ -336,9 +317,9 @@ def cost_chain_check(pa: PowerAssignment, tour: Tour) -> CostChainReport:
 
     Under eight points the one cluster gets the diameter, which is at
     most floor(n/2), the least gap, times the longest tour edge.
-    ``mst_cost`` sums over ``tour.tree``; without tied distances that is
-    ``mst_cost(tour.order)`` bit for bit, with ties possibly another
-    tree of equal weight.
+    The report's ``mst_cost`` sums over ``tour.tree``; without tied
+    distances that is the r**beta weight of ``mst_edges(tour.order)``
+    bit for bit, with ties possibly another tree of equal weight.
 
     The assignment must list every tour point exactly once, and the tour
     visit each point once; anything else raises ``ValueError``.

@@ -57,10 +57,6 @@ CELL_SIDE = 7.0
 REPLACEMENT_RANGE = 14.0 * math.sqrt(2.0)
 FULL_CELL_MIN = 4
 
-FULL = "full"
-NON_FULL = "non_full"
-EMPTY = "empty"
-
 
 @dataclass(frozen=True)
 class GridPartition:
@@ -82,12 +78,6 @@ class GridPartition:
 
     def points_in(self, index: tuple[int, int]) -> tuple[Point, ...]:
         return self.cells.get(index, ())
-
-    def status(self, index: tuple[int, int]) -> str:
-        count = len(self.cells.get(index, ()))
-        if count >= FULL_CELL_MIN:
-            return FULL
-        return NON_FULL if count else EMPTY
 
     def full_cells(self) -> list[tuple[int, int]]:
         return sorted(c for c, pts in self.cells.items() if len(pts) >= FULL_CELL_MIN)
@@ -211,21 +201,6 @@ class ReplacementResult:
     grid: GridPartition
 
 
-def orient_small_instance(points: Sequence[Point], grid: GridPartition) -> ReplacementResult:
-    """Replacement for instances with no full cell.
-
-    A connected unit-disk graph without a full cell fits in a 14x14
-    square (leaving the starting cell's block would create one), so the
-    replacement range spans every pairwise distance and a single
-    connected cluster orientation suffices.
-    """
-    oris = orient_cluster(points)
-    configs = tuple(
-        AntennaConfig(p, oris[p], range=REPLACEMENT_RANGE) for p in points
-    )
-    return ReplacementResult(configs=configs, mode="small", grid=grid)
-
-
 def replace(points: Sequence[Point], mode: str = "refined") -> ReplacementResult:
     """Assign a wedge (range ``14*sqrt(2)``) to every point.
 
@@ -247,7 +222,14 @@ def replace(points: Sequence[Point], mode: str = "refined") -> ReplacementResult
     grid = grid_partition(pts)
     full = grid.full_cells()
     if not full:
-        return orient_small_instance(pts, grid)
+        # without a full cell a connected unit-disk graph stays in one
+        # cell (a unit-step walk out of the first cell fills a cell on the
+        # way), so at most three points, all in range of one another, and
+        # one connected cluster suffices
+        configs = tuple(
+            AntennaConfig(p, a, range=REPLACEMENT_RANGE) for p, a in zip(pts, orient_cluster(pts))
+        )
+        return ReplacementResult(configs=configs, mode="small", grid=grid)
 
     select = select_hubs_basic if mode == "basic" else select_hubs_refined
     hubs = [select(grid.points_in(cell)) for cell in full]

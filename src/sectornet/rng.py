@@ -44,17 +44,6 @@ class SplitMix64:
             raise ValueError("randrange needs a positive bound")
         return (self.next_u64() * n) >> 64
 
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("choice from an empty sequence")
-        return seq[self.randrange(len(seq))]
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by this stream."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def gauss(self) -> float:
         """Standard normal deviate (Box-Muller, one value cached)."""
         if self._spare_gauss is not None:

@@ -18,28 +18,45 @@
 * :func:`dump_reference` writes a document with the plain indent
   encoder, and :func:`instance_doc` and :func:`config_doc` build the
   documents row by row: the reference for the files ``fileio`` writes.
+* :func:`wedge_contains` asks the containment matrix about one antenna
+  and one point.
+* :func:`couples`, :func:`couple_halfplane` and :func:`halfplane_covered`
+  check the couple lemma: the two wedges of each counterclockwise-adjacent
+  couple of a quadruplet cover a closed half-plane.
+* :func:`mst_cost` and :func:`tour_power_cost` weigh a tree and a tour
+  by r**beta, the routes the power bounds are checked against.
+* :func:`choice` and :func:`shuffle` draw from a seeded stream through
+  ``randrange`` alone, so a seeded test is reproducible.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from sectornet.geometry import (
     DIST_SQ_TOL,
+    QUARTER_TURN,
     TAU,
     AntennaConfig,
     CoverageReport,
+    HalfPlane,
     Point,
     _first_uncovered,
+    _halfplane_test_points,
+    containment_matrix,
+    distance,
+    normalize_angle,
     squared_distance,
     weakly_separable,
 )
-from sectornet.orientation import configs_from_assignment, orient_quadruplet
-from sectornet.replacement import FULL, GridPartition
+from sectornet.orientation import OrientationAssignment, configs_from_assignment, orient_quadruplet
+from sectornet.power import Tour, _check_beta, _coords, _steps, mst_edges
+from sectornet.replacement import FULL_CELL_MIN, GridPartition
 from sectornet.rng import SplitMix64
 from sectornet.scg import CommGraph, find_mutual_cover_pair
 
@@ -209,7 +226,7 @@ def path_hits_full_cell(path: Sequence[Point], grid: GridPartition) -> bool:
         raise ValueError("path does not leave the starting block")
     for p in path:
         cell = grid.cell_of(p)
-        if cell in cells and cell != start and grid.status(cell) == FULL:
+        if cell in cells and cell != start and len(grid.points_in(cell)) >= FULL_CELL_MIN:
             return True
     return False
 
@@ -367,3 +384,118 @@ def dump_reference(doc: dict) -> str:
     indent, floats by ``repr``, every value through the pure-Python
     encoder."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# One antenna and one point
+# ---------------------------------------------------------------------------
+
+
+def wedge_contains(w: AntennaConfig, p: Point) -> bool:
+    """True iff ``p`` lies in the closed sector of ``w`` and within range."""
+    return bool(containment_matrix([w], [p])[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# The couple lemma
+# ---------------------------------------------------------------------------
+
+#: Tolerance when validating that four orientations form a quarter-turn fan.
+_FAN_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class CouplePair:
+    """Two points whose wedge orientations differ by a quarter turn,
+    counterclockwise from ``first`` to ``second``."""
+
+    first: Point
+    second: Point
+
+
+def couples(assignment: OrientationAssignment) -> list[CouplePair]:
+    """The four pairs of points with counterclockwise-adjacent orientations.
+
+    Pairs are listed starting from the point with the smallest normalized
+    orientation; each point appears in exactly two pairs (once as first,
+    once as second).  Raises ``ValueError`` unless the four orientations
+    form a quarter-turn fan.
+    """
+    if len(assignment.entries) != 4:
+        raise ValueError("malformed assignment: exactly four entries required")
+    ordered = sorted(assignment.entries, key=lambda e: (e[1], e[0].as_tuple()))
+    lowest = ordered[0][1]
+    for k, (_, ang) in enumerate(ordered):
+        if abs((ang - lowest) - k * QUARTER_TURN) > _FAN_TOL:
+            raise ValueError("malformed assignment: orientations must form a quarter-turn fan")
+    return [CouplePair(ordered[i][0], ordered[(i + 1) % 4][0]) for i in range(4)]
+
+
+def couple_halfplane(assignment: OrientationAssignment, couple: CouplePair) -> HalfPlane:
+    """The closed half-plane that a couple's two wedges jointly cover.
+
+    Its boundary runs parallel to the right bounding ray of the first
+    wedge, through whichever of the two apexes lies deeper inside the
+    half-plane (for the base couple that is the first apex itself, making
+    the boundary the right bounding line of the first wedge).
+    """
+    oris = dict(assignment.entries)
+    first_ori, second_ori = oris[couple.first], oris[couple.second]
+    if abs(normalize_angle(second_ori - first_ori) - QUARTER_TURN) > _FAN_TOL:
+        raise ValueError("not a counterclockwise-adjacent couple of this assignment")
+    u = first_ori - 0.5 * QUARTER_TURN
+    nx, ny = -math.sin(u), math.cos(u)
+    p, q = couple.first, couple.second
+    anchor = p if nx * p.x + ny * p.y >= nx * q.x + ny * q.y else q
+    return HalfPlane(nx, ny, nx * anchor.x + ny * anchor.y)
+
+
+def halfplane_covered(wedges: Sequence[AntennaConfig], hp: HalfPlane) -> CoverageReport:
+    """Decide whether the union of unbounded wedges covers a half-plane."""
+    if not wedges:
+        # Any point of the half-plane witnesses non-coverage.
+        norm = math.hypot(hp.nx, hp.ny)
+        return CoverageReport(False, witness_point=Point(hp.nx * hp.c / norm**2, hp.ny * hp.c / norm**2))
+    pts = _halfplane_test_points(wedges, hp)
+    if pts.size == 0:
+        return CoverageReport(True)
+    return _first_uncovered(wedges, pts)
+
+
+# ---------------------------------------------------------------------------
+# Tree and tour weights
+# ---------------------------------------------------------------------------
+
+
+def mst_cost(points: Sequence[Point], beta: float) -> float:
+    """Total r**beta weight of the minimum spanning tree."""
+    _check_beta(beta)
+    pts = list(points)
+    return sum(distance(pts[i], pts[j]) ** beta for i, j in mst_edges(pts))
+
+
+def tour_power_cost(tour: Tour, beta: float) -> float:
+    """Sum of r**beta over the cyclic tour edges (including the closing one)."""
+    _check_beta(beta)
+    if len(tour) < 2:
+        return 0.0
+    return sum(s**beta for s in _steps(*_coords(tour.order)))
+
+
+# ---------------------------------------------------------------------------
+# Seeded draws
+# ---------------------------------------------------------------------------
+
+
+def choice(rng: SplitMix64, seq):
+    """One element of ``seq``, drawn by ``rng.randrange``."""
+    if not seq:
+        raise ValueError("choice from an empty sequence")
+    return seq[rng.randrange(len(seq))]
+
+
+def shuffle(rng: SplitMix64, items: list) -> None:
+    """In-place Fisher-Yates shuffle driven by ``rng``."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]

@@ -28,15 +28,12 @@ from sectornet.geometry import (
     distance,
     normalize_angle,
     plane_coverage_verify,
-    wedge_contains,
     weakly_separable,
 )
 from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.power import (
     cost_chain_check,
-    mst_cost,
     orient_and_assign,
-    tour_power_cost,
     tsp_tour_approx,
 )
 from sectornet.replacement import (
@@ -56,10 +53,14 @@ from sectornet.scg import (
 
 from oracles import (
     block,
+    choice,
     coverage_sample_check,
+    mst_cost,
     neighbor_lists,
     path_hits_full_cell,
     search_nonseparated_counterexample,
+    tour_power_cost,
+    wedge_contains,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -320,7 +321,7 @@ def test_criterion_7_independent_route_agreement(tmp_path):
             AntennaConfig(
                 Point(rng.uniform(-3, 3), rng.uniform(-3, 3)),
                 rng.uniform(0, TAU),
-                rng.choice([QUARTER_TURN, 2.0, math.pi, 4.5]),
+                choice(rng, [QUARTER_TURN, 2.0, math.pi, 4.5]),
             )
             for _ in range(k)
         ]

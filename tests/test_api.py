@@ -3,7 +3,9 @@ class fields with defaults.
 
 A change that adds an export or a knob (a parameter or a data-class
 field with a default) has to edit the lists below, so the growth shows
-in the diff.
+in the diff.  Every export must also have a caller in the package or in
+the benchmark: a name that only the tests use belongs in
+``tests/oracles.py``.
 """
 
 import ast
@@ -22,7 +24,6 @@ EXPORTS = [
     "AntennaConfig",
     "CommGraph",
     "CostChainReport",
-    "CouplePair",
     "CoverageReport",
     "GridPartition",
     "HalfPlane",
@@ -40,30 +41,23 @@ EXPORTS = [
     "containment_matrix",
     "convex_hull",
     "cost_chain_check",
-    "couple_halfplane",
-    "couples",
     "distance",
     "find_mutual_cover_pair",
     "full_cell_labels",
     "grid_partition",
     "halfplane_cover_number",
-    "halfplane_covered",
     "is_connected",
-    "mst_cost",
     "mst_edges",
     "orient_and_assign",
     "orient_cluster",
     "orient_quadruplet",
-    "orient_small_instance",
     "plane_coverage_verify",
     "replace",
     "select_hubs_basic",
     "select_hubs_refined",
     "squared_distance",
-    "tour_power_cost",
     "tsp_tour_approx",
     "verify_hop_spanner",
-    "wedge_contains",
     "weakly_separable",
 ]
 
@@ -109,9 +103,34 @@ def _defaulted(path: Path) -> list[str]:
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 53
+    assert len(EXPORTS) == 45
     assert sectornet.__all__ == EXPORTS
     assert all(hasattr(sectornet, name) for name in EXPORTS)
+
+
+def _loaded_names(tree: ast.Module, skip: str) -> set[str]:
+    """Names read anywhere in the module outside its top-level
+    definition of ``skip``."""
+    found = set()
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name == skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                found.add(node.attr)
+    return found
+
+
+def test_every_export_has_a_runtime_caller():
+    src = Path(sectornet.__file__).parent
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    assert bench.is_dir()
+    paths = [p for p in sorted(src.glob("*.py")) if p.name != "__init__.py"]
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in paths + sorted(bench.glob("*.py"))]
+    unused = [name for name in sectornet.__all__ if not any(name in _loaded_names(t, name) for t in trees)]
+    assert unused == []
 
 
 def test_defaulted_parameters_are_pinned():

@@ -19,17 +19,15 @@ from sectornet.geometry import (
     convex_hull,
     distance,
     dot_sign,
-    halfplane_covered,
     normalize_angle,
     orientation_sign,
     plane_coverage_verify,
     squared_distance,
     weakly_separable,
-    wedge_contains,
 )
 from sectornet.orientation import configs_from_assignment, orient_quadruplet
 
-from oracles import coverage_sample_check
+from oracles import choice, coverage_sample_check, halfplane_covered, wedge_contains
 from sectornet.rng import SplitMix64
 
 
@@ -213,8 +211,8 @@ def test_containment_matrix_matches_angle_interval_reference():
             AntennaConfig(
                 Point(rng.uniform(-5, 5), rng.uniform(-5, 5)),
                 rng.uniform(0, TAU),
-                rng.choice([QUARTER_TURN, 1.0, math.pi, 5.0]),
-                rng.choice([math.inf, 3.0, 8.0]),
+                choice(rng, [QUARTER_TURN, 1.0, math.pi, 5.0]),
+                choice(rng, [math.inf, 3.0, 8.0]),
             )
             for _ in range(6)
         ]

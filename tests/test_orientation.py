@@ -1,30 +1,30 @@
 """Quadruplet and cluster orientation: frozen hand cases plus invariants."""
 
+import hashlib
 import math
 
 import pytest
 
+from sectornet.generators import GenSpec, gen
 from sectornet.geometry import (
     QUARTER_TURN,
     TAU,
     AntennaConfig,
     Point,
-    halfplane_covered,
     normalize_angle,
     plane_coverage_verify,
-    wedge_contains,
 )
 from sectornet.orientation import (
     OrientationAssignment,
     aim_at_fan,
     configs_from_assignment,
-    couple_halfplane,
-    couples,
     orient_cluster,
     orient_quadruplet,
 )
 from sectornet.rng import SplitMix64
 from sectornet.scg import build_scg, is_connected
+
+from oracles import couple_halfplane, couples, halfplane_covered, shuffle, wedge_contains
 
 PI = math.pi
 
@@ -96,7 +96,7 @@ def test_degenerate_quadruplets_raise():
 
 def _verify_guarantees(points):
     asg = orient_quadruplet(points)
-    assert sorted(asg.points(), key=lambda p: (p.x, p.y)) == sorted(
+    assert sorted((p for p, _ in asg.entries), key=lambda p: (p.x, p.y)) == sorted(
         points, key=lambda p: (p.x, p.y)
     )
     configs = configs_from_assignment(asg)
@@ -254,10 +254,10 @@ def test_aim_at_fan_batches_like_one_fan_at_a_time():
         return [Point(cx + rng.uniform(-2, 2), cy + rng.uniform(-2, 2)) for _ in range(k)]
 
     fans = [orient_quadruplet(spot(cx, cy, 4)) for cx, cy in ((0.0, 0.0), (8.0, 3.0), (-6.0, 5.0))]
-    served = [(q, k) for k, fan in enumerate(fans) for q in fan.points()]
-    served += [(q, 0) for q in fans[1].points()]
+    served = [(q, k) for k, fan in enumerate(fans) for q, _ in fan.entries]
+    served += [(q, 0) for q, _ in fans[1].entries]
     served += [(p, rng.randrange(3)) for p in spot(1.0, 2.0, 30)]
-    rng.shuffle(served)
+    shuffle(rng, served)
     points = [p for p, _ in served]
     fan_of = [k for _, k in served]
     assert aim_at_fan(fans, points, fan_of) == [_aim_one_by_one(fans[k], p) for p, k in served]
@@ -266,22 +266,24 @@ def test_aim_at_fan_batches_like_one_fan_at_a_time():
 
 def test_orient_cluster_singleton_and_pair():
     p, q = Point(2.0, 3.0), Point(5.0, 7.0)
-    assert orient_cluster([p]) == {p: 0.0}
+    assert orient_cluster([p]) == [0.0]
     got = orient_cluster([p, q])
-    assert got[p] == pytest.approx(math.atan2(4.0, 3.0))
-    assert got[q] == pytest.approx(math.atan2(-4.0, -3.0) % TAU)
+    assert got[0] == pytest.approx(math.atan2(4.0, 3.0))
+    assert got[1] == pytest.approx(math.atan2(-4.0, -3.0) % TAU)
+    assert orient_cluster([q, p]) == got[::-1]
 
 
 def test_orient_cluster_triangle_frozen():
     # 3-4-5 triangle: shortest side is (0,0)-(3,0), so (0,4) takes the
     # bisector of its angle and the base points aim back at it.
     a, b, c = Point(0.0, 0.0), Point(3.0, 0.0), Point(0.0, 4.0)
-    got = orient_cluster([a, b, c])
-    assert got[c] == pytest.approx(math.atan2(-1.8, 0.6) % TAU)
-    assert got[a] == pytest.approx(0.5 * PI)
-    assert got[b] == pytest.approx(math.atan2(4.0, -3.0))
+    ga, gb, gc = orient_cluster([a, b, c])
+    assert gc == pytest.approx(math.atan2(-1.8, 0.6) % TAU)
+    assert ga == pytest.approx(0.5 * PI)
+    assert gb == pytest.approx(math.atan2(4.0, -3.0))
+    assert orient_cluster([c, a, b]) == [gc, ga, gb]
     # the bisector wedge reaches both base points
-    w = AntennaConfig(c, got[c], QUARTER_TURN)
+    w = AntennaConfig(c, gc, QUARTER_TURN)
     assert wedge_contains(w, a) and wedge_contains(w, b)
 
 
@@ -293,9 +295,27 @@ def test_orient_cluster_connects_every_size(n):
         while len(set(pts)) < n:
             pts = [Point(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(n)]
         got = orient_cluster(pts)
-        assert set(got) == set(pts)
-        configs = [AntennaConfig(p, ang) for p, ang in got.items()]
+        assert len(got) == n
+        # one orientation per input position, whatever the input order
+        assert orient_cluster(pts[::-1]) == got[::-1]
+        configs = [AntennaConfig(p, ang) for p, ang in zip(pts, got)]
         assert is_connected(build_scg(configs))
+
+
+#: sha256 of the orientations below, by input position, recorded while
+#: the cluster still returned a point-keyed dict; sizes 1 to 12 reach
+#: every branch, the collinear family the degenerate quadruplet.
+CLUSTER_ORIENTATIONS_SHA256 = "25171dd1bfffc94ec3ec1a5bc4e9f997f49a18b111490dab1cb0392b04503fd9"
+
+
+def test_orient_cluster_output_is_pinned():
+    lines = []
+    for family in ("random_square", "collinear"):
+        for n in range(1 if family == "random_square" else 2, 13):
+            for seed in (1, 2, 3):
+                pts = list(gen(GenSpec(family, n, seed=seed, side=10.0)).points)
+                lines += [f"{family} {n} {seed} {a.hex()}" for a in orient_cluster(pts)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CLUSTER_ORIENTATIONS_SHA256
 
 
 def test_orient_cluster_rejects_bad_input():

@@ -17,16 +17,14 @@ from sectornet.power import (
     Tour,
     _cut,
     cost_chain_check,
-    mst_cost,
     mst_edges,
     orient_and_assign,
-    tour_power_cost,
     tsp_tour_approx,
 )
 from sectornet.rng import SplitMix64
 from sectornet.scg import build_scg, is_connected
 
-from oracles import prim_reference, tour_reference
+from oracles import mst_cost, prim_reference, shuffle, tour_power_cost, tour_reference
 
 
 def _sections(tour):
@@ -140,7 +138,7 @@ def test_tsp_tour_canonical_form():
     assert tour.order[1].as_tuple() < tour.order[-1].as_tuple()
     # deterministic under input shuffling
     shuffled = list(pts)
-    rng.shuffle(shuffled)
+    shuffle(rng, shuffled)
     assert tsp_tour_approx(shuffled).order == tour.order
     with pytest.raises(ValueError):
         tsp_tour_approx([])
@@ -295,7 +293,7 @@ def test_pointwise_audit_matches_a_window_walk(n):
         grown = list(entries)
         p, a, r = grown[k % n]
         grown[k % n] = (p, a, r * scale)
-        rng.shuffle(grown)
+        shuffle(rng, grown)
         pa = PowerAssignment(2, tuple(grown))
         order = tour.order[k:] + tour.order[:k]
         for t in (Tour(order, tour.tree), Tour(order[::-1], tour.tree)):
@@ -367,7 +365,7 @@ def _tied_instance(name, rng):
         pts = [Point(float(i), float(-i)) for i in range(25)]
     else:  # two parallel runs, one step apart
         pts = [Point(float(i), float(j)) for i in range(20) for j in (0, 1)]
-    rng.shuffle(pts)
+    shuffle(rng, pts)
     return pts
 
 
@@ -450,6 +448,22 @@ def test_orient_and_assign_output_is_pinned():
         for p, ang, r in orient_and_assign(pts, 2).entries:
             lines.append(f"{n} {p.x.hex()} {p.y.hex()} {ang.hex()} {r.hex()}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == POWER_ENTRIES_SHA256
+
+
+#: sha256 of the entries below, recorded while the cluster under eight
+#: points still returned a point-keyed dict of orientations.
+SMALL_ENTRIES_SHA256 = "f696fade4ffd9f410c34a0e3013964b8cf777f4f2b4c1288b86ea123716f608f"
+
+
+def test_orient_and_assign_output_is_pinned_under_eight_points():
+    lines = []
+    for family in ("random_square", "collinear"):
+        for n in range(2, 8):
+            for seed in (1, 2, 3):
+                pts = list(gen(GenSpec(family, n, seed=seed, side=10.0)).points)
+                for p, ang, r in orient_and_assign(pts, 2).entries:
+                    lines.append(f"{family} {n} {p.x.hex()} {p.y.hex()} {ang.hex()} {r.hex()}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SMALL_ENTRIES_SHA256
 
 
 @pytest.mark.parametrize("n", range(2, 8))

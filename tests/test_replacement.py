@@ -12,7 +12,8 @@ from scipy.sparse.csgraph import shortest_path
 from scipy.spatial import distance_matrix
 
 from sectornet import replacement
-from sectornet.geometry import DIST_SQ_TOL, Point, distance, squared_distance, wedge_contains
+from sectornet.generators import GenSpec, gen
+from sectornet.geometry import DIST_SQ_TOL, Point, distance, squared_distance
 from sectornet.orientation import aim_at_fan, configs_from_assignment, orient_quadruplet
 from sectornet.replacement import (
     CELL_SIDE,
@@ -21,7 +22,6 @@ from sectornet.replacement import (
     build_udg,
     full_cell_labels,
     grid_partition,
-    orient_small_instance,
     replace,
     select_hubs_basic,
     select_hubs_refined,
@@ -30,7 +30,7 @@ from sectornet.replacement import (
 from sectornet.rng import SplitMix64
 from sectornet.scg import CommGraph, build_scg, is_connected
 
-from oracles import block, path_hits_full_cell
+from oracles import block, path_hits_full_cell, wedge_contains
 
 PI = math.pi
 
@@ -69,8 +69,8 @@ def test_grid_partition_cells_are_half_open():
     assert grid.cell_of(Point(-0.5, 0.0)) == (-1, 0)
     assert grid.cell_of(Point(0.0, 14.0)) == (0, 2)
     assert grid.points_in((0, 0)) == (Point(0.0, 0.0), Point(6.999999, 0.0))
-    assert grid.status((0, 0)) == "non_full"
-    assert grid.status((5, 5)) == "empty"
+    assert grid.full_cells() == []
+    assert grid.points_in((5, 5)) == ()
 
 
 def test_grid_partition_default_origin_floors_the_minimum():
@@ -84,7 +84,7 @@ def test_grid_full_cells_and_block():
     pts = [Point(0.1 * k, 0.1 * k) for k in range(FULL_CELL_MIN)] + [Point(10.0, 10.0)]
     grid = grid_partition(pts)
     assert grid.full_cells() == [(0, 0)]
-    assert grid.status((0, 0)) == "full"
+    assert len(grid.points_in((0, 0))) == FULL_CELL_MIN
     assert len(block((0, 0))) == 9
     assert (1, 1) in block((0, 0))
 
@@ -170,7 +170,7 @@ def test_build_udg_matches_distance_matrix():
 def test_select_hubs_basic_takes_lex_smallest_four():
     pts = [Point(5.0, 5.0), Point(1.0, 1.0), Point(2.0, 0.5), Point(0.0, 3.0), Point(4.0, 4.0)]
     asg = select_hubs_basic(pts)
-    assert set(asg.points()) == {Point(0.0, 3.0), Point(1.0, 1.0), Point(2.0, 0.5), Point(4.0, 4.0)}
+    assert {p for p, _ in asg.entries} == {Point(0.0, 3.0), Point(1.0, 1.0), Point(2.0, 0.5), Point(4.0, 4.0)}
     with pytest.raises(ValueError):
         select_hubs_basic(pts[:3])
 
@@ -181,7 +181,7 @@ def test_select_hubs_refined_frozen_square_cell():
     pts = [Point(0.0, 0.0), Point(6.0, 0.0), Point(0.0, 6.0), Point(6.0, 6.0), Point(3.0, 3.0)]
     asg = select_hubs_refined(pts)
     got = dict(asg.entries)
-    assert asg.points()[:2] == (Point(0.0, 0.0), Point(6.0, 0.0))  # the base edge
+    assert [p for p, _ in asg.entries[:2]] == [Point(0.0, 0.0), Point(6.0, 0.0)]  # the base edge
     assert got[Point(0.0, 0.0)] == pytest.approx(0.25 * PI)
     assert got[Point(6.0, 0.0)] == pytest.approx(0.75 * PI)
     assert got[Point(3.0, 3.0)] == pytest.approx(1.25 * PI)  # farther along base
@@ -196,7 +196,7 @@ def test_select_hubs_refined_supporting_pair_covers_cell():
         while len(set(pts)) < 8:
             pts = [Point(rng.uniform(0, CELL_SIDE), rng.uniform(0, CELL_SIDE)) for _ in range(8)]
         asg = select_hubs_refined(pts)
-        a1, a2 = asg.points()[:2]  # the supporting pair
+        (a1, _), (a2, _) = asg.entries[:2]  # the supporting pair
         hub_configs = [
             dataclasses.replace(c, range=REPLACEMENT_RANGE) for c in configs_from_assignment(asg)
         ]
@@ -220,7 +220,7 @@ def test_full_cell_labels_cover_everyone():
         full = set(grid.full_cells())
         for p, cell in labels.items():
             assert cell in full
-            if grid.status(grid.cell_of(p)) == "full":
+            if grid.cell_of(p) in full:
                 assert cell == grid.cell_of(p)
         assert full_cell_labels(grid, udg) == labels
 
@@ -284,7 +284,7 @@ def test_replace_output_is_pinned_on_instances_with_stray_points():
     for seed in range(1, 9):
         pts = _drifting_chain(seed, 140)
         grid = grid_partition(pts)
-        assert any(grid.status(grid.cell_of(p)) != "full" for p in pts), seed
+        assert any(len(grid.points_in(grid.cell_of(p))) < FULL_CELL_MIN for p in pts), seed
         for mode in ("basic", "refined"):
             for c in replace(pts, mode=mode).configs:
                 lines.append(f"{mode} {c.location.x.hex()} {c.location.y.hex()} {c.orientation.hex()}")
@@ -302,7 +302,7 @@ def test_replace_aims_once(monkeypatch):
     monkeypatch.setattr(replacement, "aim_at_fan", counting_aim_at_fan)
     pts = _drifting_chain(1, 140)
     grid = grid_partition(pts)
-    assert any(grid.status(grid.cell_of(p)) != "full" for p in pts)
+    assert any(len(grid.points_in(grid.cell_of(p))) < FULL_CELL_MIN for p in pts)
     for mode in ("basic", "refined"):
         replace(pts, mode=mode)
     assert calls == [140, 140]
@@ -313,8 +313,27 @@ def test_replace_small_instance_path():
     result = replace(pts)
     assert result.mode == "small"
     assert is_connected(build_scg(list(result.configs)))
-    direct = orient_small_instance(pts, grid_partition(pts))
-    assert [c.orientation for c in direct.configs] == [c.orientation for c in result.configs]
+
+
+#: sha256 of the configs below, recorded while the instances without a
+#: full cell went through their own wrapper.  A connected unit-disk graph
+#: without a full cell has at most three points, so one to three cover
+#: the whole path.
+SMALL_CONFIGS_SHA256 = "877ef0a42d8905a24caa5b3efeb183c877c93f4e3511e3a458ceaeb06c4918da"
+
+
+def test_replace_output_is_pinned_on_instances_without_full_cells():
+    lines = []
+    for n in (1, 2, 3):
+        for seed in range(1, 9):
+            pts = list(gen(GenSpec("connected_udg", n, seed=seed)).points)
+            result = replace(pts)
+            assert result.mode == "small"
+            for c in result.configs:
+                lines.append(
+                    f"{n} {c.location.x.hex()} {c.location.y.hex()} {c.orientation.hex()} {c.range.hex()}"
+                )
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SMALL_CONFIGS_SHA256
 
 
 def test_replace_rejects_disconnected_and_bad_mode():
@@ -416,7 +435,7 @@ def test_path_hits_full_cell_hand_case():
     corridor = [Point(2.0 + 0.9 * k, 0.5) for k in range(22)]
     pts = cell + corridor
     grid = grid_partition(pts)
-    assert grid.status((0, 0)) == "full"
+    assert len(grid.points_in((0, 0))) >= FULL_CELL_MIN
     path = cell + corridor
     assert grid.cell_of(path[-1])[0] >= 2  # genuinely leaves the 3x3 block
     # crossing the middle column takes at least seven unit steps, so the

@@ -19,16 +19,14 @@ from sectornet.geometry import (
     HalfPlane,
     Point,
     containment_matrix,
-    halfplane_covered,
     squared_distance,
-    wedge_contains,
     weakly_separable,
 )
 from sectornet.generators import GenSpec, gen
 from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.power import orient_and_assign
 from sectornet.replacement import (
-    FULL,
+    FULL_CELL_MIN,
     build_udg,
     full_cell_labels,
     grid_partition,
@@ -45,7 +43,7 @@ from sectornet.scg import (
     halfplane_cover_number,
     is_connected,
 )
-from oracles import bfs, neighbor_lists
+from oracles import bfs, choice, halfplane_covered, neighbor_lists, wedge_contains
 from test_replacement import _drifting_chain
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -118,7 +116,7 @@ def test_build_scg_matches_naive_double_loop():
                 continue
             seen.add(p)
             configs.append(
-                AntennaConfig(p, rng.uniform(0, 2 * PI), range=rng.choice([math.inf, 3.0, 6.0]))
+                AntennaConfig(p, rng.uniform(0, 2 * PI), range=choice(rng, [math.inf, 3.0, 6.0]))
             )
         g = build_scg(configs)
         expect = []
@@ -166,7 +164,7 @@ def _components_reference(g, members):
 def _labels_reference(grid, udg):
     """Nearest full cell by hop count, the smallest cell among the tied."""
     cells = [grid.cell_of(p) for p in udg.vertices]
-    sources = [i for i, cell in enumerate(cells) if grid.status(cell) == FULL]
+    sources = [i for i, cell in enumerate(cells) if len(grid.points_in(cell)) >= FULL_CELL_MIN]
     if not sources:
         raise ValueError("no full cell")
     adj = neighbor_lists(udg)
@@ -430,7 +428,7 @@ def _sweep_cases():
             if p not in seen:
                 seen.add(p)
                 out.append(
-                    AntennaConfig(p, rng.uniform(0, 2 * PI), rng.choice(apertures), rng.choice(ranges))
+                    AntennaConfig(p, rng.uniform(0, 2 * PI), choice(rng, apertures), choice(rng, ranges))
                 )
         return out
 
