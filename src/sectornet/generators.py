@@ -58,7 +58,6 @@ class GenSpec:
 @dataclass(frozen=True)
 class GeneratedInstance:
     points: tuple[Point, ...]
-    spec: GenSpec
     metadata: dict = field(default_factory=dict)
 
 
@@ -99,7 +98,7 @@ def _rotate_translate(p: Point, ang: float, tx: float, ty: float) -> Point:
 
 def _gen_random_square(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
     pts = _distinct_uniform(rng, spec.n, 0.0, spec.side, 0.0, spec.side)
-    return GeneratedInstance(tuple(pts), spec)
+    return GeneratedInstance(tuple(pts))
 
 
 def _gen_connected_udg(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
@@ -115,12 +114,10 @@ def _gen_connected_udg(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
             pts.append(q)
     if not is_connected(build_udg(pts)):
         raise AssertionError("generator failed its connectivity guarantee")
-    return GeneratedInstance(tuple(pts), spec)
+    return GeneratedInstance(tuple(pts))
 
 
-def _place_separated(
-    rng: SplitMix64, spec: GenSpec, side_a: list[Point], side_b: list[Point]
-) -> GeneratedInstance:
+def _place_separated(rng: SplitMix64, side_a: list[Point], side_b: list[Point]) -> GeneratedInstance:
     """Apply a seeded rigid motion to a pair built around the y-axis."""
     ang = rng.uniform(0.0, 2.0 * math.pi)
     tx, ty = rng.uniform(-50, 50), rng.uniform(-50, 50)
@@ -135,7 +132,7 @@ def _place_separated(
         "rotation": ang,
         "sides": [list(range(4)), list(range(4, 8))],
     }
-    return GeneratedInstance(tuple(a + b), spec, meta)
+    return GeneratedInstance(tuple(a + b), meta)
 
 
 def _gen_separated_quads(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
@@ -145,7 +142,7 @@ def _gen_separated_quads(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
     w = max(spec.side, 1.0)
     side_a = _distinct_uniform(rng, 4, -half - w, -half, -w, w)
     side_b = _distinct_uniform(rng, 4, half, half + w, -w, w)
-    return _place_separated(rng, spec, side_a, side_b)
+    return _place_separated(rng, side_a, side_b)
 
 
 def _gen_stratified_quads(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
@@ -178,7 +175,7 @@ def _gen_stratified_quads(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
         else:
             side_a = _distinct_uniform(rng, 4, -half - w, -half, -w, w)
         side_b = _distinct_uniform(rng, 4, half, half + w, -w, w)
-        inst = _place_separated(rng, spec, side_a, side_b)
+        inst = _place_separated(rng, side_a, side_b)
         sep = HalfPlane(**inst.metadata["separator"])
         cfg_a = configs_from_assignment(orient_quadruplet(inst.points[:4]))
         cfg_b = configs_from_assignment(orient_quadruplet(inst.points[4:]))
@@ -199,12 +196,14 @@ def _gen_clustered(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
         c = centers[rng.randrange(k)]
         return Point(c.x + spread * rng.gauss(), c.y + spread * rng.gauss())
 
-    return GeneratedInstance(tuple(_distinct(draw, spec.n)), spec)
+    return GeneratedInstance(tuple(_distinct(draw, spec.n)))
 
 
 def _gen_collinear(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
     """Exactly collinear points: dyadic direction times integer steps,
-    so the collinearity survives floating point untouched."""
+    so the collinearity survives floating point untouched.  One or two
+    points are collinear by definition; more are checked against the
+    line through the first two."""
     while True:
         dx = rng.randrange(17) - 8
         dy = rng.randrange(17) - 8
@@ -220,11 +219,10 @@ def _gen_collinear(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
             seen.add(t)
             steps.append(t)
     pts = [Point(x0 + t * dx / 8.0, y0 + t * dy / 8.0) for t in steps]
-    anchor_a, anchor_b = pts[0], pts[1]
     for p in pts[2:]:
-        if orientation_sign(anchor_a, anchor_b, p) != 0:
+        if orientation_sign(pts[0], pts[1], p) != 0:
             raise AssertionError("generator failed its collinearity guarantee")
-    return GeneratedInstance(tuple(pts), spec)
+    return GeneratedInstance(tuple(pts))
 
 
 _GENERATORS = {

@@ -20,11 +20,11 @@ Conventions used throughout the package:
   rays, so a point constructed to lie on a ray stays inside after the
   orientation is rounded, serialized and re-read.  Squared-distance
   comparisons get an absolute ``DIST_SQ_TOL`` of slack.
-* Plane and half-plane coverage are decided by testing one point per
-  cell of the wedges' line arrangement.  The sampling oracle the tests
-  cross-check that decision against lives in ``tests/oracles.py``, with
-  the scalar ``wedge_contains`` and the half-plane checker
-  ``halfplane_covered`` that only the tests call.
+* Plane and half-plane coverage are decided by testing the vertices of
+  the wedges' line arrangement and one point inside each of its faces.
+  The sampling oracle the tests cross-check that decision against lives
+  in ``tests/oracles.py``, with the scalar ``wedge_contains`` and the
+  half-plane checker ``halfplane_covered`` that only the tests call.
 """
 
 from __future__ import annotations
@@ -407,21 +407,22 @@ def _dedupe_lines(lines: Iterable[tuple[float, float, float]]) -> list[tuple[flo
     return uniq
 
 
-def _coverage_candidates(
-    lines: Sequence[tuple[float, float, float]],
-    anchors: Sequence[Point],
-) -> list[tuple[float, float]]:
-    """Test points hitting every vertex, edge and face of the arrangement.
+def _coverage_candidates(lines: Sequence[tuple[float, float, float]]) -> list[tuple[float, float]]:
+    """The vertices of the lines' arrangement and a point inside each face.
 
-    For each line we take the midpoints of consecutive intersection points
-    (edge representatives) plus a representative on each unbounded ray, and
-    offset each representative to both sides by less than the distance to
-    the nearest other line, which lands inside the two incident faces.
+    The wedges are closed, so the uncovered set is open: if not empty, it
+    meets an open face, on which coverage is constant.  An open set meeting
+    a closed half-plane bounded by one of the lines meets its interior, a
+    union of faces.  A point on each edge (``far`` past the end vertex on a
+    ray) moves to both sides by half its distance to the nearest other line,
+    into the incident faces.  ``far`` scales with the box of the vertices,
+    or of the lines' feet when all are parallel.  Vertices stay because
+    ``_dedupe_lines`` merges lines an ulp apart, and only a rounded vertex
+    can land in the sliver between them.
     """
-    n = len(lines)
     vertices: list[tuple[float, float]] = []
-    on_line: list[list[tuple[float, float]]] = [[] for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
+    on_line: list[list[tuple[float, float]]] = [[] for _ in lines]
+    for i, j in itertools.combinations(range(len(lines)), 2):
         (ai, bi, ci), (aj, bj, cj) = lines[i], lines[j]
         det = ai * bj - aj * bi
         if abs(det) <= 1e-12:
@@ -432,24 +433,15 @@ def _coverage_candidates(
         on_line[i].append((x, y))
         on_line[j].append((x, y))
 
-    hub = [(p.x, p.y) for p in anchors] + vertices
-    span = 1.0
-    for (x1, y1), (x2, y2) in itertools.combinations(hub, 2):
-        span = max(span, math.hypot(x1 - x2, y1 - y2))
-    far = 2.0 * span + 1.0
-
+    xs, ys = zip(*(vertices or [(a * c, b * c) for a, b, c in lines]))
+    far = 1.0 + 2.0 * (max(xs) - min(xs) + max(ys) - min(ys))
     candidates: list[tuple[float, float]] = list(vertices)
-    candidates.extend((p.x, p.y) for p in anchors)
     for i, (a, b, c) in enumerate(lines):
         anchor = (a * c, b * c)  # foot of the origin perpendicular
         dx, dy = -b, a
         ts = sorted((v[0] - anchor[0]) * dx + (v[1] - anchor[1]) * dy for v in on_line[i])
-        reps = []
-        if ts:
-            reps.extend([ts[0] - far, ts[-1] + far])
-            reps.extend(0.5 * (ts[k] + ts[k + 1]) for k in range(len(ts) - 1))
-        else:
-            reps.append(0.0)
+        reps = [0.5 * (s + t) for s, t in zip(ts, ts[1:])]
+        reps += [ts[0] - far, ts[-1] + far] if ts else [0.0]
         for t in reps:
             mx, my = anchor[0] + t * dx, anchor[1] + t * dy
             step = far
@@ -460,7 +452,6 @@ def _coverage_candidates(
                 denom = ka * a + kb * b
                 if abs(denom) > 1e-12 and abs(val) > 1e-12:
                     step = min(step, 0.5 * abs(val) / abs(denom))
-            candidates.append((mx, my))
             candidates.append((mx + step * a, my + step * b))
             candidates.append((mx - step * a, my - step * b))
     return candidates
@@ -481,9 +472,9 @@ def plane_coverage_verify(wedges: Sequence[AntennaConfig]) -> CoverageReport:
 
     Two stages: a circle-of-directions check (a direction missing from
     every wedge's closed angular interval certifies non-coverage), then an
-    arrangement test.  Coverage is constant on every cell of the
-    arrangement of the wedges' boundary lines, so testing one point per
-    vertex, edge and face is an exact decision for the represented wedges.
+    arrangement test: coverage is constant on each open face of the
+    wedges' boundary-line arrangement, so its vertices and one point per
+    face decide exactly for the represented wedges.
     """
     for w in wedges:
         if math.isfinite(w.range):
@@ -498,8 +489,7 @@ def plane_coverage_verify(wedges: Sequence[AntennaConfig]) -> CoverageReport:
         return CoverageReport(False, witness_direction=gap)
 
     lines = _dedupe_lines(ln for w in wedges for ln in _wedge_boundary_lines(w))
-    candidates = _coverage_candidates(lines, [w.location for w in wedges])
-    pts = np.array(candidates, dtype=float)
+    pts = np.array(_coverage_candidates(lines), dtype=float)
     return _first_uncovered(wedges, pts)
 
 
@@ -513,7 +503,7 @@ def _halfplane_test_points(wedges: Sequence[AntennaConfig], hp: HalfPlane) -> np
     lines = [_canonical_line(hp.nx, hp.ny, hp.c)]
     lines.extend(ln for w in wedges for ln in _wedge_boundary_lines(w))
     lines = _dedupe_lines(lines)
-    candidates = _coverage_candidates(lines, [w.location for w in wedges])
+    candidates = _coverage_candidates(lines)
     return np.array([c for c in candidates if hp.value(c[0], c[1]) >= -1e-9], dtype=float)
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from sectornet import cli, fileio
+from sectornet.generators import FAMILIES
 from sectornet.geometry import AntennaConfig, Point
 from sectornet.scg import build_scg
 
@@ -417,3 +418,14 @@ def test_generating_on_a_subnormal_side_is_a_usage_error(tmp_path):
         assert r.returncode == 2, family
         assert "too small for" in r.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generating_one_point_exits_cleanly(tmp_path, family):
+    # one point: a usage error where the family needs more, never a crash
+    out = tmp_path / "one.json"
+    code = cli.main(["gen", "--family", family, "--n", "1", "--seed", "1", "--out", str(out)])
+    assert code in (0, 2)
+    if family == "collinear":
+        assert code == 0
+        assert len(fileio.read_instance(str(out))[0]) == 1

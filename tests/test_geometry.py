@@ -280,6 +280,13 @@ def test_plane_coverage_two_halfplane_wedges():
     rep = plane_coverage_verify([up, apart])
     assert not rep.covered and rep.witness_point is not None
     assert -1.0 < rep.witness_point.y < 0.0
+    # parallel boundaries 1e9 apart and 1e13 along them from the origin:
+    # with no vertex, the lines' spread sets how far the test points move
+    right = AntennaConfig(Point(0.0, 1e13), 0.0, math.pi)
+    left = AntennaConfig(Point(-1e9, 1e13), math.pi, math.pi)
+    rep = plane_coverage_verify([right, left])
+    assert not rep.covered and rep.witness_point is not None
+    assert -1e9 < rep.witness_point.x < 0.0
 
 
 def test_full_circle_wedge_covers():

@@ -450,13 +450,15 @@ def test_path_hits_full_cell_hand_case():
 
 
 def test_small_instances_never_exceed_range():
-    # without a full cell, all pairwise distances stay under the range
+    # a connected instance without a full cell has one to three points:
+    # each antenna's range reaches every other point and the SCG connects
     rng = SplitMix64(77)
-    for _ in range(20):
-        pts = _connected_blob(rng, 10, spread=3.0)
-        grid = grid_partition(pts)
-        if grid.full_cells():
-            continue
+    for k in range(24):
+        pts = _connected_blob(rng, 1 + k % 3, spread=3.0)
+        result = replace(pts)
+        assert result.mode == "small"
+        assert all(c.range == REPLACEMENT_RANGE for c in result.configs)
         for p in pts:
             for q in pts:
                 assert distance(p, q) <= REPLACEMENT_RANGE
+        assert is_connected(build_scg(list(result.configs)))

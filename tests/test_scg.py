@@ -19,6 +19,7 @@ from sectornet.geometry import (
     HalfPlane,
     Point,
     containment_matrix,
+    plane_coverage_verify,
     squared_distance,
     weakly_separable,
 )
@@ -326,6 +327,57 @@ def test_halfplane_cover_number_matches_its_definition():
             for hp in (sep, flipped):
                 want = _cover_number_by_definition(configs, hp)
                 assert halfplane_cover_number(configs, hp) == want, spec
+
+
+def test_sliver_between_merged_lines_keeps_its_cover_number():
+    # the last two points are an ulp apart, so two boundary lines of their
+    # wedges merge into one and the sliver between them is no face; only a
+    # rounded vertex lands in it, and without it two wedges would pass
+    pts = [Point(4.0, 0.0), Point(2.0, 2.0), Point(2.0, 1.0), Point(2.0000000000000004, 1.0)]
+    configs = configs_from_assignment(orient_quadruplet(pts))
+    assert halfplane_cover_number(configs, HalfPlane(1.0, 1.0, 3.0)) == 3
+
+
+def test_cover_numbers_do_not_depend_on_the_scale():
+    # the test points move by amounts that grow with the arrangement, so
+    # the decisions at 1e12 and 1e15 are those at unit scale
+    for quad in ([(0, 0), (0, 1), (0, 2), (0, 3)], [(0, 0), (0, 1), (0, 2), (1, 0)]):
+        for s in (1e-6, 1.0, 1e12, 1e15):
+            configs = configs_from_assignment(orient_quadruplet([Point(x * s, y * s) for x, y in quad]))
+            hps = [HalfPlane(1.0, 0.0, 2 * s), HalfPlane(0.0, -1.0, -s), HalfPlane(1.0, 1.0, 3 * s)]
+            assert [halfplane_cover_number(configs, hp) for hp in hps] == [2, 2, 3], (quad, s)
+            assert not plane_coverage_verify(configs[:3]).covered
+
+
+#: sha256 of the coverage decisions below, recorded while the arrangement
+#: test still tried every apex and a point on every edge.
+COVERAGE_DECISIONS_SHA256 = "51d5d17b59c0507a981829761784a0444bc9806e616ef00aed38165f06dbddb0"
+
+
+def _nudged_lattice_quadruplet(rng):
+    """Four distinct points of {0, ..., 4}^2, each x moved up by one ulp
+    with probability 1/3: near-degenerate quadruplets whose boundary lines
+    nearly coincide."""
+    while True:
+        pts = []
+        for _ in range(4):
+            x, y = float(rng.randrange(5)), float(rng.randrange(5))
+            if rng.randrange(3) == 0:
+                x = math.nextafter(x, math.inf)
+            pts.append(Point(x, y))
+        if len(set(pts)) == 4:
+            return pts
+
+
+def test_coverage_decisions_on_nudged_lattice_are_pinned():
+    hps = [HalfPlane(1.0, 0.0, 2.0), HalfPlane(0.0, -1.0, -1.0), HalfPlane(1.0, 1.0, 3.0)]
+    lines = []
+    for seed in range(2000):
+        configs = configs_from_assignment(orient_quadruplet(_nudged_lattice_quadruplet(SplitMix64(seed))))
+        row = [plane_coverage_verify(configs).covered, plane_coverage_verify(configs[:3]).covered]
+        row += [halfplane_cover_number(configs, hp) for hp in hps]
+        lines.append(" ".join(map(str, row)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == COVERAGE_DECISIONS_SHA256
 
 
 def test_classify_separated_pair_aligned_is_case_one():
