@@ -212,9 +212,11 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
 
 
 class _WedgeArrays(NamedTuple):
-    """Per-wedge arrays for the containment core: location, unit directions
-    of the right and left bounding rays, aperture, and the squared range
-    plus ``DIST_SQ_TOL`` (``inf`` for an unbounded wedge)."""
+    """Per-wedge arrays for the containment test: location, unit directions
+    of the right and left bounding rays and aperture (which the angular
+    test :func:`_angles_ok` reads), and the squared range plus
+    ``DIST_SQ_TOL`` (``inf`` for an unbounded wedge) that the range test
+    compares d2 with."""
 
     ax: np.ndarray
     ay: np.ndarray
@@ -279,20 +281,50 @@ def _containment_core(w: _WedgeArrays, px: np.ndarray, py: np.ndarray) -> np.nda
     """The closed-wedge test, elementwise over the broadcast of the wedge
     arrays with the point coordinates: a (k, 1) column against m points
     gives the (k, m) matrix, equal-length gathers give one answer per pair.
-    Both forms compute each entry with the same float operations."""
+    Both forms compute each entry with the same float operations: the
+    displacement from the apex, :func:`_angles_ok`, then the range test.
+    A d2 that overflowed to inf beyond a finite range is decided by the
+    range test alone; within range the angular test raises on it."""
     dx = px - w.ax
     dy = py - w.ay
     d2 = dx * dx + dy * dy
-    tol = ANGLE_TOL * np.sqrt(d2)
+    near = d2 <= w.limit
+    seen = np.where(near, d2, 0.0) if d2.max(initial=0.0) == np.inf else d2
+    reflex, full = _aperture_branches(w.aperture)
+    return _angles_ok((w.rx, w.ry, w.lx, w.ly), w.aperture, reflex, full, dx, dy, seen) & near
 
-    cr = w.rx * dy - w.ry * dx
-    cl = w.lx * dy - w.ly * dx
-    convex_ok = (cr >= -tol) & (cl <= tol)
-    reflex_ok = ~((cl > tol) & (cr < -tol))
-    ang_ok = np.where(w.aperture <= math.pi + ANGLE_TOL, convex_ok, reflex_ok)
-    ang_ok |= w.aperture >= TAU - ANGLE_TOL
-    ang_ok |= d2 == 0.0  # the apex belongs to its own wedge
-    return ang_ok & (d2 <= w.limit)
+
+def _aperture_branches(aperture: np.ndarray) -> tuple[bool, bool]:
+    """Whether some wedge is reflex (wider than a half-turn, past the
+    slack) and whether some wedge is a full circle: the two branches of
+    :func:`_angles_ok` that its caller's wedges need."""
+    return bool((aperture > math.pi + ANGLE_TOL).any()), bool((aperture >= TAU - ANGLE_TOL).any())
+
+
+def _angles_ok(rays, aperture, reflex: bool, full: bool, dx, dy, d2) -> np.ndarray:
+    """The angular half of the closed-wedge test, elementwise: is the
+    displacement ``(dx, dy)``, of squared length ``d2``, from each apex
+    within its wedge's bounding rays ``rays = (rx, ry, lx, ly)``?
+
+    ``reflex`` and ``full`` say whether any wedge of the call is reflex or
+    a full circle (:func:`_aperture_branches`); without them those
+    branches, and ``aperture``, are not read, and every element's answer
+    is the same.  A d2 that overflowed to inf would make the slack
+    infinite and pass every angle, so it raises ``ValueError`` instead.
+    """
+    if d2.max(initial=0.0) == np.inf:
+        raise ValueError("squared distances overflow: containment cannot be decided")
+    rx, ry, lx, ly = rays
+    tol = ANGLE_TOL * np.sqrt(d2)
+    cr = rx * dy - ry * dx
+    cl = lx * dy - ly * dx
+    ok = (cr >= -tol) & (cl <= tol)
+    if reflex:
+        ok = np.where(aperture <= math.pi + ANGLE_TOL, ok, ~((cl > tol) & (cr < -tol)))
+    if full:
+        ok |= aperture >= TAU - ANGLE_TOL
+    ok |= d2 == 0.0  # the apex belongs to its own wedge
+    return ok
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,9 @@ def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
     sit inside the closed strip over the base (a point there always
     exists, else some hull edge would beat the longest), ordered so that
     the one further along the base faces back over the base start; that
-    ordering is what keeps all four hubs mutually connected.
+    ordering is what keeps all four hubs mutually connected.  The third
+    hub is the first strip point in lexicographic order, so the scan of
+    the sorted points stops there; the fourth is the least point left.
     """
     pts = sorted(set(cell_points), key=Point.as_tuple)
     if len(pts) < FULL_CELL_MIN or len(pts) != len(list(cell_points)):
@@ -145,17 +147,19 @@ def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
     a1, a2 = min(tied, key=lambda e: (e[0].as_tuple(), e[1].as_tuple()))
 
     rest = [p for p in pts if p != a1 and p != a2]
-    strip = [
-        p
-        for p in rest
-        if vec_dot_sign(a1, p, a1, a2) >= 0
-        and vec_dot_sign(a2, p, a1, a2) <= 0
-        and orientation_sign(a1, a2, p) >= 0
-    ]
-    if not strip:
+    a3 = next(
+        (
+            p
+            for p in rest
+            if vec_dot_sign(a1, p, a1, a2) >= 0
+            and vec_dot_sign(a2, p, a1, a2) <= 0
+            and orientation_sign(a1, a2, p) >= 0
+        ),
+        None,
+    )
+    if a3 is None:
         raise ValueError("no point over the longest hull edge; cell is not full")
-    a3 = min(strip, key=Point.as_tuple)
-    a4 = min((p for p in rest if p != a3), key=Point.as_tuple)
+    a4 = rest[1] if rest[0] == a3 else rest[0]
     return _fan((a1, a2, *_pair_far_points(a1, a2, a3, a4)), "refined")
 
 

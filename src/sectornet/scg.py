@@ -5,8 +5,11 @@ the graph is undirected by construction.  An antenna is a
 :class:`~sectornet.geometry.AntennaConfig`, validated and normalized
 when it is built, so it is used as is.  This module builds that graph:
 from one containment matrix when some wedge is unbounded, and from the
-candidate pairs of an x-sorted sweep when every range is finite; the
-unit-disk graph is that sweep's graph of full circles of range 1.  It
+candidate pairs of an x-sorted sweep when every range is finite.  Both
+decide a pair with the same angular test and range test of
+:mod:`~sectornet.geometry`; the sweep runs the range test once per
+pair and reuses its displacement for the angles.  The unit-disk graph
+is that sweep's graph of full circles of range 1.  It
 owns the graph core the package shares (a sorted, read-only edge array,
 its CSR rows, and one array level step behind every traversal in the
 package), and provides the analysis of two antenna groups: finding a
@@ -32,7 +35,8 @@ from .geometry import (
     AntennaConfig,
     HalfPlane,
     Point,
-    _containment_core,
+    _angles_ok,
+    _aperture_branches,
     _halfplane_test_points,
     _wedge_arrays,
     _WedgeArrays,
@@ -102,15 +106,27 @@ def _swept_edges(w: _WedgeArrays) -> np.ndarray:
     limit.  A float x_b beyond the threshold then has x_b - x_a > reach_a,
     so fl(x_b - x_a) >= reach_a and the pair's float d2 fails the range
     test: the sweep may over-include but never trims an edge.
-    Candidates go through the containment core in chunks of
-    ``_PAIR_CHUNK``: the range test on both limits first, then a -> b,
-    then b -> a on the pairs left.  Full circles need only the range
-    test: the core would pass every angle and repeat it on the same d2.
+
+    Candidates are decided in chunks of ``_PAIR_CHUNK``.  The range step
+    computes each pair's displacement (dx, dy) from a to b and its d2,
+    and keeps the pairs within both limits.  The angular test
+    (:func:`~sectornet.geometry._angles_ok`) then runs once per direction
+    on that displacement: a -> b on (dx, dy, d2), then b -> a on
+    (-dx, -dy, d2) for the pairs left.  Rounding is sign-symmetric, so
+    -fl(x_b - x_a) = fl(x_a - x_b) (a zero may change sign, which no
+    comparison sees) and the squares are unchanged: every answer is the
+    one the containment matrix gives from the coordinates.  Whether any
+    wedge is reflex or a full circle is decided once per call, from the
+    apertures.  When all wedges are full circles the range step alone
+    decides, unless a squared range overflowed to inf: a d2 that
+    overflowed would then pass it, and the angular test raises on it.
     """
     n = len(w.ax)
-    circles = bool((w.aperture >= TAU - ANGLE_TOL).all())
+    reflex, full = _aperture_branches(w.aperture)
+    circles = bool((w.aperture >= TAU - ANGLE_TOL).all() and np.isfinite(w.limit).all())
     order = np.argsort(w.ax, kind="stable")
     s = w.take(order)
+    rays = np.stack((s.rx, s.ry, s.lx, s.ly))
     reach = np.sqrt(s.limit)
     short = np.isfinite(reach) & (reach * reach <= s.limit)
     while short.any():
@@ -126,16 +142,20 @@ def _swept_edges(w: _WedgeArrays) -> np.ndarray:
         a = np.repeat(np.arange(a0, a1), c)
         b = np.arange(len(a)) + np.repeat(np.arange(a0 + 1, a1 + 1) - (done[a0:a1] - done[a0]), c)
         xa, ya, la = (np.repeat(v[a0:a1], c) for v in (s.ax, s.ay, s.limit))
-        dx = s.ax[b] - xa
-        dy = s.ay[b] - ya
+        dx = s.ax.take(b) - xa
+        dy = s.ay.take(b) - ya
         d2 = dx * dx + dy * dy
-        near = (d2 <= la) & (d2 <= s.limit[b])
-        a, b = a[near], b[near]
+        # gathers by index run faster here than boolean masks
+        near = np.flatnonzero((d2 <= la) & (d2 <= s.limit.take(b)))
+        a, b = a.take(near), b.take(near)
         if not circles:
-            both = _containment_core(s.take(a), s.ax[b], s.ay[b])
-            a, b = a[both], b[both]
-            both = _containment_core(s.take(b), s.ax[a], s.ay[a])
-            a, b = a[both], b[both]
+            dx, dy, d2 = dx.take(near), dy.take(near), d2.take(near)
+            ape = s.aperture.take(a) if reflex or full else None
+            ok = np.flatnonzero(_angles_ok(rays.take(a, axis=1), ape, reflex, full, dx, dy, d2))
+            a, b, dx, dy, d2 = (v.take(ok) for v in (a, b, dx, dy, d2))
+            ape = s.aperture.take(b) if reflex or full else None
+            ok = np.flatnonzero(_angles_ok(rays.take(b, axis=1), ape, reflex, full, -dx, -dy, d2))
+            a, b = a.take(ok), b.take(ok)
         i, j = order[a], order[b]
         keys.append(np.minimum(i, j) * n + np.maximum(i, j))
         a0 = a1

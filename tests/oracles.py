@@ -20,6 +20,9 @@
   documents row by row: the reference for the files ``fileio`` writes.
 * :func:`wedge_contains` asks the containment matrix about one antenna
   and one point.
+* :func:`hubs_refined_reference` picks refined hubs by their definition,
+  from the whole strip over the longest hull edge: the reference for
+  the early-stopping scan of ``select_hubs_refined``.
 * :func:`couples`, :func:`couple_halfplane` and :func:`halfplane_covered`
   check the couple lemma: the two wedges of each counterclockwise-adjacent
   couple of a quadruplet cover a closed half-plane.
@@ -49,12 +52,21 @@ from sectornet.geometry import (
     _first_uncovered,
     _halfplane_test_points,
     containment_matrix,
+    convex_hull,
     distance,
     normalize_angle,
+    orientation_sign,
     squared_distance,
+    vec_dot_sign,
     weakly_separable,
 )
-from sectornet.orientation import OrientationAssignment, configs_from_assignment, orient_quadruplet
+from sectornet.orientation import (
+    OrientationAssignment,
+    _fan,
+    _pair_far_points,
+    configs_from_assignment,
+    orient_quadruplet,
+)
 from sectornet.power import Tour, _check_beta, _coords, _steps, mst_edges
 from sectornet.replacement import FULL_CELL_MIN, GridPartition
 from sectornet.rng import SplitMix64
@@ -394,6 +406,42 @@ def dump_reference(doc: dict) -> str:
 def wedge_contains(w: AntennaConfig, p: Point) -> bool:
     """True iff ``p`` lies in the closed sector of ``w`` and within range."""
     return bool(containment_matrix([w], [p])[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# Refined hubs by their definition
+# ---------------------------------------------------------------------------
+
+
+def hubs_refined_reference(cell_points: Sequence[Point]) -> OrientationAssignment:
+    """Refined hubs from the whole strip: the supporting pair is the
+    lexicographically least longest hull edge, the third hub the least
+    point of the closed strip over it, the fourth the least other point."""
+    pts = sorted(set(cell_points), key=Point.as_tuple)
+    if len(pts) < FULL_CELL_MIN or len(pts) != len(list(cell_points)):
+        raise ValueError("hub selection needs a full cell of distinct points")
+    hull = convex_hull(pts)
+    if len(hull) == 2:
+        edges = [(hull[0], hull[1])]
+    else:
+        edges = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
+    best = max(squared_distance(*e) for e in edges)
+    tied = [e for e in edges if squared_distance(*e) == best]
+    a1, a2 = min(tied, key=lambda e: (e[0].as_tuple(), e[1].as_tuple()))
+
+    rest = [p for p in pts if p != a1 and p != a2]
+    strip = [
+        p
+        for p in rest
+        if vec_dot_sign(a1, p, a1, a2) >= 0
+        and vec_dot_sign(a2, p, a1, a2) <= 0
+        and orientation_sign(a1, a2, p) >= 0
+    ]
+    if not strip:
+        raise ValueError("no point over the longest hull edge; cell is not full")
+    a3 = min(strip, key=Point.as_tuple)
+    a4 = min((p for p in rest if p != a3), key=Point.as_tuple)
+    return _fan((a1, a2, *_pair_far_points(a1, a2, a3, a4)), "refined")
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,17 @@ def test_verify_connected_failure(tmp_path):
     assert r.returncode == 1
 
 
+def test_verify_rejects_an_overflowing_squared_distance(tmp_path):
+    cfg = tmp_path / "far.json"
+    fileio.write_config(
+        [AntennaConfig(Point(-1e155, 0.0), math.pi), AntennaConfig(Point(1e155, 0.0), 0.0)],
+        "custom",
+        cfg,
+    )
+    r = run_cli("verify", "--config", str(cfg), "--checks", "connected")
+    assert r.returncode == 2 and "overflow" in r.stderr
+
+
 def test_usage_errors_exit_two(tmp_path):
     inst = tmp_path / "udg.json"
     cfg = tmp_path / "cfg.json"

@@ -30,7 +30,7 @@ from sectornet.replacement import (
 from sectornet.rng import SplitMix64
 from sectornet.scg import CommGraph, build_scg, is_connected
 
-from oracles import block, path_hits_full_cell, wedge_contains
+from oracles import block, hubs_refined_reference, path_hits_full_cell, shuffle, wedge_contains
 
 PI = math.pi
 
@@ -205,6 +205,59 @@ def test_select_hubs_refined_supporting_pair_covers_cell():
             assert wedge_contains(w1, p) or wedge_contains(w2, p)
         # the four hubs alone form a connected symmetric graph
         assert is_connected(build_scg(hub_configs))
+
+
+def _hub_cells():
+    """Seeded full cells: the clouds of 300-point connected_udg instances,
+    4-30 uniform points in a cell, lattice cells (tied longest hull
+    edges, collinear strips, all points on one line) and the same
+    lattice points moved by an ulp, each in a shuffled input order."""
+    rng = SplitMix64(18)
+    for seed in (1, 2, 3):
+        grid = grid_partition(list(gen(GenSpec("connected_udg", 300, seed=seed)).points))
+        for cell in grid.full_cells():
+            yield list(grid.points_in(cell))
+
+    def distinct(draw, k):
+        pts = []
+        while len(pts) < k:
+            p = draw()
+            if p not in pts:
+                pts.append(p)
+        return pts
+
+    def lattice_point():
+        return Point(float(rng.randrange(7)), float(rng.randrange(7)))
+
+    def nudged_point():
+        p = lattice_point()
+        up = [math.inf if rng.randrange(2) else -math.inf for _ in range(2)]
+        x = math.nextafter(p.x, up[0]) if rng.randrange(3) == 0 else p.x
+        y = math.nextafter(p.y, up[1]) if rng.randrange(3) == 0 else p.y
+        return Point(x, y)
+
+    for _ in range(60):
+        yield distinct(lambda: Point(rng.uniform(0, CELL_SIDE), rng.uniform(0, CELL_SIDE)), 4 + rng.randrange(27))
+    for _ in range(60):
+        yield distinct(lattice_point, 4 + rng.randrange(12))
+        yield distinct(nudged_point, 4 + rng.randrange(12))
+    # all on one line, so the hull is a segment and the strip holds
+    # every point; and squares and rectangles whose sides tie
+    for line in ([(k, 0) for k in range(7)], [(k, k) for k in range(5)], [(0, k) for k in range(6)]):
+        yield [Point(float(x), float(y)) for x, y in line]
+    for w, h in ((6, 6), (6, 3), (4, 4)):
+        corners = [(0, 0), (w, 0), (0, h), (w, h)]
+        yield [Point(float(x), float(y)) for x, y in corners + [(w // 2, h // 2), (w // 2, 0), (0, h // 2)]]
+
+
+def test_select_hubs_refined_matches_the_whole_strip_reference():
+    rng = SplitMix64(81)
+    cells = 0
+    for pts in _hub_cells():
+        shuffle(rng, pts)
+        assert select_hubs_refined(pts) == hubs_refined_reference(pts), pts
+        cells += 1
+    assert cells > 180
 
 
 def test_full_cell_labels_cover_everyone():

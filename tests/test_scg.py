@@ -13,8 +13,10 @@ import pytest
 
 from sectornet import scg
 from sectornet.geometry import (
+    ANGLE_TOL,
     DIST_SQ_TOL,
     QUARTER_TURN,
+    TAU,
     AntennaConfig,
     HalfPlane,
     Point,
@@ -458,6 +460,14 @@ def _matrix_edges(configs):
     return np.argwhere(np.triu(M & M.T, 1)).tolist()
 
 
+#: Apertures at the angular test's branch thresholds: a half-turn and
+#: the floats either side of the reflex cutoff (convex, then reflex), and
+#: the full-circle cutoff with its neighbours (reflex, full, full).
+_CONVEX = [PI, math.nextafter(PI + ANGLE_TOL, -math.inf)]
+_REFLEX = [math.nextafter(PI + ANGLE_TOL, math.inf), math.nextafter(TAU - ANGLE_TOL, -math.inf)]
+_FULL = [TAU - ANGLE_TOL, math.nextafter(TAU - ANGLE_TOL, math.inf)]
+
+
 def _sweep_cases():
     rng = SplitMix64(90)
     cases = [
@@ -492,8 +502,23 @@ def _sweep_cases():
         cases.append(random_configs(n, columns, [QUARTER_TURN], spread))
         cases.append(random_configs(n, uniform, [QUARTER_TURN, 4.5, 2 * PI], spread))
         cases.append(random_configs(n, uniform, [QUARTER_TURN, 4.5], spread + [math.inf]))
-    # full circles of finite range, where the sweep skips the containment
-    # core, and the same circles with one turned into a wedge, where it
+    # every aperture at a branch threshold: each of the call's branch
+    # choices (some wedge reflex, some a full circle, all full circles)
+    # on both sides of its cutoff
+    for apertures in (
+        _CONVEX,
+        _REFLEX,
+        _REFLEX + _FULL,
+        _FULL,
+        _CONVEX + _REFLEX,
+        _CONVEX + _FULL,
+        _CONVEX + _REFLEX + _FULL,
+    ):
+        for n in (10, 40):
+            cases.append(random_configs(n, uniform, apertures, spread))
+            cases.append(random_configs(n, columns, apertures, spread))
+    # full circles of finite range, where the sweep skips the angular
+    # test, and the same circles with one turned into a wedge, where it
     # must not; the last two cases are the largest such pair
     for n in (3, 10, 40, 120):
         circles = random_configs(n, columns, [2 * PI], spread)
@@ -516,6 +541,38 @@ def test_swept_edges_match_the_containment_matrix(monkeypatch, chunk):
     assert build_scg(cases[4]).edges.tolist() == [[0, 1]]  # d2 underflows to 0
     circles, mixed = (build_scg(configs).edges.tolist() for configs in cases[-2:])
     assert set(map(tuple, mixed)) < set(map(tuple, circles))  # the wedge drops edges
+
+
+def test_branch_choices_give_each_wedge_its_own_answer():
+    # the containment matrix picks its reflex and full-circle branches
+    # once for all its wedges; asked about one wedge at a time, each
+    # wedge picks its own, and no entry may differ
+    thresholds = set(_CONVEX + _REFLEX + _FULL)
+    cases = [c for c in _sweep_cases() if c and all(w.aperture in thresholds for w in c)]
+    assert len(cases) == 28
+    for configs in cases:
+        locs = [c.location for c in configs]
+        rows = np.array([containment_matrix([c], locs)[0] for c in configs])
+        assert np.array_equal(containment_matrix(configs, locs), rows)
+
+
+def test_an_overflowing_squared_distance_raises():
+    # back to back, 2e155 apart: d2 overflows to inf, which would make
+    # the angular slack infinite, and passes an unbounded or overflowed
+    # squared range, so the pair cannot be decided
+    for r, aperture in itertools.product((math.inf, 1e160), (QUARTER_TURN, 2 * PI)):
+        configs = [
+            AntennaConfig(Point(-1e155, 0.0), PI, aperture, range=r),
+            AntennaConfig(Point(1e155, 0.0), 0.0, aperture, range=r),
+        ]
+        with pytest.raises(ValueError, match="overflow"):
+            build_scg(configs)
+        with pytest.raises(ValueError, match="overflow"):
+            containment_matrix(configs, [c.location for c in configs])
+    # facing each other, out of a finite range: the range decides
+    far = [AntennaConfig(Point(-1e155, 0.0), 0.0, range=1.0), AntennaConfig(Point(1e155, 0.0), PI, range=1.0)]
+    assert build_scg(far).edges.tolist() == []
+    assert containment_matrix(far, [c.location for c in far]).tolist() == [[True, False], [False, True]]
 
 
 def test_sweep_reach_never_trims():
