@@ -285,9 +285,10 @@ def _containment_core(w: _WedgeArrays, px: np.ndarray, py: np.ndarray) -> np.nda
     displacement from the apex, :func:`_angles_ok`, then the range test.
     A d2 that overflowed to inf beyond a finite range is decided by the
     range test alone; within range the angular test raises on it."""
-    dx = px - w.ax
-    dy = py - w.ay
-    d2 = dx * dx + dy * dy
+    with np.errstate(over="ignore"):  # an inf d2 raises below instead
+        dx = px - w.ax
+        dy = py - w.ay
+        d2 = dx * dx + dy * dy
     near = d2 <= w.limit
     seen = np.where(near, d2, 0.0) if d2.max(initial=0.0) == np.inf else d2
     reflex, full = _aperture_branches(w.aperture)

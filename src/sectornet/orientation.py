@@ -5,14 +5,14 @@ be assigned orientations (one quarter-wedge each, mutually perpendicular)
 so that the induced symmetric communication graph on the four points is
 connected and the four unbounded wedges cover the whole plane.
 
-The construction picks a directed hull edge (a, b) whose two adjacent
-"split" angles are at most a quarter turn, aims the wedges of ``a`` and
-``b`` at each other so they jointly cover the closed half-plane left of
-the line a-b, and gives the remaining two points the opposite
-orientations, paired so that the other half-plane is covered as well.
-Opposite wedges have the property that if one apex lies in the other's
-wedge, the containment is automatically mutual, which is what produces
-the graph edges.
+One rule serves every hull shape (quadrilateral, triangle or segment): it
+picks a directed hull edge (a, b) whose two adjacent angles are at most a
+quarter turn, aims the wedges of ``a`` and ``b`` at each other so they
+jointly cover the closed half-plane left of the line a-b, and gives the
+other two points the opposite orientations, paired so that the other
+half-plane is covered as well.  Opposite wedges have the property that if
+one apex lies in the other's wedge, the containment is automatically
+mutual, which is what produces the graph edges.
 """
 
 from __future__ import annotations
@@ -61,30 +61,8 @@ def configs_from_assignment(assignment: OrientationAssignment) -> list[AntennaCo
     return [AntennaConfig(p, ang) for p, ang in assignment.entries]
 
 
-def _convex_slots(hull: list[Point]) -> tuple[Point, Point, Point, Point]:
-    """Distribute four convex-position points over the fan slots.
-
-    A directed hull edge (a, b) qualifies when the diagonal out of each
-    endpoint makes an angle of at most a quarter turn with the edge; at
-    least one of the four edges qualifies because the eight diagonal-split
-    angles sum to one full turn, so at most three can exceed a quarter
-    turn and each edge is charged two of them.  The hull vertex after b
-    takes the orientation opposite a, and the vertex before a takes the
-    one opposite b; qualification makes both containments (and hence both
-    diagonal edges of the graph) mutual.
-    """
-    candidates = []
-    for i in range(4):
-        a, b, c, d = (hull[(i + k) % 4] for k in range(4))
-        if dot_sign(a, b, c) >= 0 and dot_sign(b, a, d) >= 0:
-            candidates.append((a, b, c, d))
-    if not candidates:
-        raise AssertionError("no qualifying hull edge on a convex quadrilateral")
-    return min(candidates, key=lambda t: (t[0].as_tuple(), t[1].as_tuple()))
-
-
 def _pair_far_points(a: Point, b: Point, p: Point, q: Point) -> tuple[Point, Point]:
-    """Order two base-strip points as (far-left-facing, far-right-facing).
+    """Order the two points off the base as (far-left-facing, far-right-facing).
 
     The point with the larger projection on the base direction receives
     the orientation opposite ``a`` (it faces down-left in base frame and
@@ -93,7 +71,8 @@ def _pair_far_points(a: Point, b: Point, p: Point, q: Point) -> tuple[Point, Poi
     down-left wedge covers frame x below its apex, the down-right wedge
     covers x above its apex, and the split point orders correctly exactly
     when the larger projection faces left.  Ties fall back to coordinate
-    order.
+    order.  The same rule serves every hull shape; on a quadrilateral it
+    keeps hull order (see :func:`orient_quadruplet`).
     """
     s = vec_dot_sign(p, q, a, b)  # sign of proj(q) - proj(p) on the base
     if s > 0:
@@ -103,37 +82,6 @@ def _pair_far_points(a: Point, b: Point, p: Point, q: Point) -> tuple[Point, Poi
     return max(p, q, key=Point.as_tuple), min(p, q, key=Point.as_tuple)
 
 
-def _triangle_slots(hull: list[Point], pts: Sequence[Point]) -> tuple[Point, Point, Point, Point]:
-    """Slot assignment when the hull is a triangle with one inner point.
-
-    The base is a hull edge whose two adjacent triangle angles are at most
-    a quarter turn (the edge opposite the largest angle always works).
-    Both remaining points project onto the closed base segment, so either
-    can take either opposite orientation as far as connectivity goes; the
-    pairing rule in :func:`_pair_far_points` settles coverage.
-    """
-    interior = next(p for p in pts if p not in set(hull))
-    candidates = []
-    for i in range(3):
-        a, b, v = hull[i], hull[(i + 1) % 3], hull[(i + 2) % 3]
-        if dot_sign(a, b, v) >= 0 and dot_sign(b, a, v) >= 0:
-            candidates.append((a, b, v))
-    if not candidates:
-        raise AssertionError("triangle with two angles above a quarter turn")
-    a, b, v = min(candidates, key=lambda t: (t[0].as_tuple(), t[1].as_tuple()))
-    c, d = _pair_far_points(a, b, v, interior)
-    return a, b, c, d
-
-
-def _collinear_slots(hull: list[Point], pts: Sequence[Point]) -> tuple[Point, Point, Point, Point]:
-    """Slot assignment for four collinear points: the two extremes form
-    the base and the inner points pair like the triangle case."""
-    a, b = hull
-    inner = [p for p in pts if p != a and p != b]
-    c, d = _pair_far_points(a, b, inner[0], inner[1])
-    return a, b, c, d
-
-
 def orient_quadruplet(points: Sequence[Point]) -> OrientationAssignment:
     """Orient four antennas for a connected graph and full plane coverage.
 
@@ -141,18 +89,38 @@ def orient_quadruplet(points: Sequence[Point]) -> OrientationAssignment:
     orientations always form a perpendicular fan {t, t+pi/2, t+pi,
     t+3pi/2}.  With unbounded ranges, the induced symmetric graph on the
     four points is connected and the four wedges cover the plane.
+
+    The hull is walked as a cycle of k = 4, 3 or 2 vertices, indices mod
+    k, so a segment yields both directions.  A directed edge (a, b)
+    qualifies when ``dot_sign(a, b, next(b)) >= 0`` and
+    ``dot_sign(b, a, prev(a)) >= 0``; the base is the least qualifying
+    edge, and :func:`_pair_far_points` orders the other two points.  On a
+    triangle next(b) = prev(a), and the edge opposite the largest angle
+    qualifies; on a segment both directions qualify, and the least is
+    (hull[0], hull[1]).  On a quadrilateral an edge qualifies, as the
+    eight angles the diagonals split off the corners sum to a full turn.
+    The tests put c = next(b) at or past a along a->b, and d = prev(a) at
+    or before b; projection along a convex boundary rises to one maximum
+    and falls to one minimum, so c lies strictly past d (a tie needs three
+    collinear hull vertices).  The pairing thus keeps hull order (c, d),
+    which makes both diagonal containments mutual.  Every predicate is
+    exact, so this holds bit for bit.
     """
     pts = list(points)
     if len(pts) != 4 or len(set(pts)) != 4:
         raise ValueError("degenerate quadruplet: four distinct points required")
     hull = convex_hull(pts)
-    if len(hull) == 4:
-        slots, case = _convex_slots(hull), "convex"
-    elif len(hull) == 3:
-        slots, case = _triangle_slots(hull, pts), "triangle"
-    else:
-        slots, case = _collinear_slots(hull, pts), "collinear"
-    return _fan(slots, case)
+    k = len(hull)
+    bases = [
+        (a, b)
+        for i, (a, b) in enumerate(zip(hull, hull[1:] + hull[:1]))
+        if dot_sign(a, b, hull[(i + 2) % k]) >= 0 and dot_sign(b, a, hull[i - 1]) >= 0
+    ]
+    if not bases:
+        raise AssertionError("no qualifying hull edge")
+    a, b = min(bases, key=lambda e: (e[0].as_tuple(), e[1].as_tuple()))
+    p, q = (v for v in pts if v != a and v != b)
+    return _fan((a, b, *_pair_far_points(a, b, p, q)), ("collinear", "triangle", "convex")[k - 2])
 
 
 def _fan(slots: Sequence[Point], case: str) -> OrientationAssignment:

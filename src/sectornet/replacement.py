@@ -138,10 +138,7 @@ def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
     if len(pts) < FULL_CELL_MIN or len(pts) != len(list(cell_points)):
         raise ValueError("hub selection needs a full cell of distinct points")
     hull = convex_hull(pts)
-    if len(hull) == 2:
-        edges = [(hull[0], hull[1])]
-    else:
-        edges = [(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
+    edges = list(zip(hull, hull[1:] + hull[:1]))  # a segment gives both directions
     best = max(squared_distance(*e) for e in edges)
     tied = [e for e in edges if squared_distance(*e) == best]
     a1, a2 = min(tied, key=lambda e: (e[0].as_tuple(), e[1].as_tuple()))

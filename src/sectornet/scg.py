@@ -4,8 +4,8 @@ An antenna hears another only if each lies inside the other's wedge, so
 the graph is undirected by construction.  An antenna is a
 :class:`~sectornet.geometry.AntennaConfig`, validated and normalized
 when it is built, so it is used as is.  This module builds that graph:
-from one containment matrix when some wedge is unbounded, and from the
-candidate pairs of an x-sorted sweep when every range is finite.  Both
+from one containment matrix when every wedge is unbounded, and from the
+candidate pairs of an x-sorted sweep when some range is finite.  Both
 decide a pair with the same angular test and range test of
 :mod:`~sectornet.geometry`; the sweep runs the range test once per
 pair and reuses its displacement for the angles.  The unit-disk graph
@@ -74,15 +74,16 @@ class CommGraph:
 def build_scg(configs: Sequence[AntennaConfig]) -> CommGraph:
     """The symmetric graph: an edge wherever coverage is mutual.
 
-    With any unbounded wedge every pair is tested, as one containment
-    matrix.  When every range is finite an edge needs d <= min(r_i, r_j),
-    so only the pairs an x-sorted sweep finds within reach are tested
-    (:func:`_swept_edges`); both paths give the same edges.
+    When every wedge is unbounded every pair is tested, as one
+    containment matrix.  Otherwise an edge needs d <= min(r_i, r_j), so
+    only the pairs an x-sorted sweep finds within reach are tested
+    (:func:`_swept_edges`), and a pair one finite range rules out is
+    never asked about its angles; both paths give the same edges.
     """
     locations = [c.location for c in configs]
     if len(set(locations)) != len(locations):
         raise ValueError("duplicate antenna locations")
-    if any(math.isinf(c.range) for c in configs):
+    if all(math.isinf(c.range) for c in configs):
         M = containment_matrix(configs, locations)
         edges = np.argwhere(np.triu(M & M.T, 1))
     else:
@@ -142,9 +143,10 @@ def _swept_edges(w: _WedgeArrays) -> np.ndarray:
         a = np.repeat(np.arange(a0, a1), c)
         b = np.arange(len(a)) + np.repeat(np.arange(a0 + 1, a1 + 1) - (done[a0:a1] - done[a0]), c)
         xa, ya, la = (np.repeat(v[a0:a1], c) for v in (s.ax, s.ay, s.limit))
-        dx = s.ax.take(b) - xa
-        dy = s.ay.take(b) - ya
-        d2 = dx * dx + dy * dy
+        with np.errstate(over="ignore"):  # an inf d2 is decided below
+            dx = s.ax.take(b) - xa
+            dy = s.ay.take(b) - ya
+            d2 = dx * dx + dy * dy
         # gathers by index run faster here than boolean masks
         near = np.flatnonzero((d2 <= la) & (d2 <= s.limit.take(b)))
         a, b = a.take(near), b.take(near)

@@ -23,6 +23,10 @@
 * :func:`hubs_refined_reference` picks refined hubs by their definition,
   from the whole strip over the longest hull edge: the reference for
   the early-stopping scan of ``select_hubs_refined``.
+* :func:`orient_quadruplet_reference` orients a quadruplet by a separate
+  construction per hull shape (:func:`_convex_slots`,
+  :func:`_triangle_slots` and :func:`_collinear_slots`): the reference
+  for the single base-edge rule of ``orient_quadruplet``.
 * :func:`couples`, :func:`couple_halfplane` and :func:`halfplane_covered`
   check the couple lemma: the two wedges of each counterclockwise-adjacent
   couple of a quadruplet cover a closed half-plane.
@@ -54,6 +58,7 @@ from sectornet.geometry import (
     containment_matrix,
     convex_hull,
     distance,
+    dot_sign,
     normalize_angle,
     orientation_sign,
     squared_distance,
@@ -442,6 +447,80 @@ def hubs_refined_reference(cell_points: Sequence[Point]) -> OrientationAssignmen
     a3 = min(strip, key=Point.as_tuple)
     a4 = min((p for p in rest if p != a3), key=Point.as_tuple)
     return _fan((a1, a2, *_pair_far_points(a1, a2, a3, a4)), "refined")
+
+
+# ---------------------------------------------------------------------------
+# Quadruplets by one construction per hull shape
+# ---------------------------------------------------------------------------
+
+
+def _convex_slots(hull: list[Point]) -> tuple[Point, Point, Point, Point]:
+    """Distribute four convex-position points over the fan slots.
+
+    A directed hull edge (a, b) qualifies when the diagonal out of each
+    endpoint makes an angle of at most a quarter turn with the edge; at
+    least one of the four edges qualifies because the eight diagonal-split
+    angles sum to one full turn, so at most three can exceed a quarter
+    turn and each edge is charged two of them.  The hull vertex after b
+    takes the orientation opposite a, and the vertex before a takes the
+    one opposite b; qualification makes both containments (and hence both
+    diagonal edges of the graph) mutual.
+    """
+    candidates = []
+    for i in range(4):
+        a, b, c, d = (hull[(i + k) % 4] for k in range(4))
+        if dot_sign(a, b, c) >= 0 and dot_sign(b, a, d) >= 0:
+            candidates.append((a, b, c, d))
+    if not candidates:
+        raise AssertionError("no qualifying hull edge on a convex quadrilateral")
+    return min(candidates, key=lambda t: (t[0].as_tuple(), t[1].as_tuple()))
+
+
+def _triangle_slots(hull: list[Point], pts: Sequence[Point]) -> tuple[Point, Point, Point, Point]:
+    """Slot assignment when the hull is a triangle with one inner point.
+
+    The base is a hull edge whose two adjacent triangle angles are at most
+    a quarter turn (the edge opposite the largest angle always works).
+    Both remaining points project onto the closed base segment, so either
+    can take either opposite orientation as far as connectivity goes; the
+    pairing rule in :func:`_pair_far_points` settles coverage.
+    """
+    interior = next(p for p in pts if p not in set(hull))
+    candidates = []
+    for i in range(3):
+        a, b, v = hull[i], hull[(i + 1) % 3], hull[(i + 2) % 3]
+        if dot_sign(a, b, v) >= 0 and dot_sign(b, a, v) >= 0:
+            candidates.append((a, b, v))
+    if not candidates:
+        raise AssertionError("triangle with two angles above a quarter turn")
+    a, b, v = min(candidates, key=lambda t: (t[0].as_tuple(), t[1].as_tuple()))
+    c, d = _pair_far_points(a, b, v, interior)
+    return a, b, c, d
+
+
+def _collinear_slots(hull: list[Point], pts: Sequence[Point]) -> tuple[Point, Point, Point, Point]:
+    """Slot assignment for four collinear points: the two extremes form
+    the base and the inner points pair like the triangle case."""
+    a, b = hull
+    inner = [p for p in pts if p != a and p != b]
+    c, d = _pair_far_points(a, b, inner[0], inner[1])
+    return a, b, c, d
+
+
+def orient_quadruplet_reference(points: Sequence[Point]) -> OrientationAssignment:
+    """The quadruplet fan with its slots chosen by the hull's size: a
+    convex quadrilateral, a triangle around one point, or a segment."""
+    pts = list(points)
+    if len(pts) != 4 or len(set(pts)) != 4:
+        raise ValueError("degenerate quadruplet: four distinct points required")
+    hull = convex_hull(pts)
+    if len(hull) == 4:
+        slots, case = _convex_slots(hull), "convex"
+    elif len(hull) == 3:
+        slots, case = _triangle_slots(hull, pts), "triangle"
+    else:
+        slots, case = _collinear_slots(hull, pts), "collinear"
+    return _fan(slots, case)
 
 
 # ---------------------------------------------------------------------------

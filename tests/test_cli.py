@@ -254,6 +254,7 @@ def test_verify_rejects_an_overflowing_squared_distance(tmp_path):
     )
     r = run_cli("verify", "--config", str(cfg), "--checks", "connected")
     assert r.returncode == 2 and "overflow" in r.stderr
+    assert "RuntimeWarning" not in r.stderr
 
 
 def test_usage_errors_exit_two(tmp_path):

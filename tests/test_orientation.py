@@ -1,7 +1,9 @@
 """Quadruplet and cluster orientation: frozen hand cases plus invariants."""
 
 import hashlib
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -24,7 +26,14 @@ from sectornet.orientation import (
 from sectornet.rng import SplitMix64
 from sectornet.scg import build_scg, is_connected
 
-from oracles import couple_halfplane, couples, halfplane_covered, shuffle, wedge_contains
+from oracles import (
+    couple_halfplane,
+    couples,
+    halfplane_covered,
+    orient_quadruplet_reference,
+    shuffle,
+    wedge_contains,
+)
 
 PI = math.pi
 
@@ -113,6 +122,41 @@ def test_random_quadruplets_cover_and_connect(seed):
         while len(set(pts)) < 4:
             pts = [Point(rng.uniform(-20, 20), rng.uniform(-20, 20)) for _ in range(4)]
         _verify_guarantees(pts)
+
+
+def _reference_quadruplets():
+    """Every 4-subset of the 5x5 lattice in both input orders, lattice
+    quadruplets with coordinates moved by an ulp, and seeded random_square
+    and collinear instances."""
+    lattice = [Point(float(x), float(y)) for x in range(5) for y in range(5)]
+    for quad in itertools.combinations(lattice, 4):
+        yield list(quad)
+        yield list(quad[::-1])
+    rng = SplitMix64(19)
+
+    def nudge(v):
+        k = rng.randrange(3)
+        return v if k == 0 else math.nextafter(v, math.inf if k == 1 else -math.inf)
+
+    made = 0
+    while made < 2000:
+        quad = [Point(nudge(float(rng.randrange(5))), nudge(float(rng.randrange(5)))) for _ in range(4)]
+        if len(set(quad)) == 4:
+            made += 1
+            yield quad
+    for seed in range(1, 301):
+        yield list(gen(GenSpec("random_square", 4, seed=seed)).points)
+        yield list(gen(GenSpec("collinear", 4, seed=seed)).points)
+
+
+def test_orient_quadruplet_matches_the_per_shape_reference():
+    cases = Counter()
+    for quad in _reference_quadruplets():
+        asg = orient_quadruplet(quad)
+        assert asg == orient_quadruplet_reference(quad), quad
+        cases[asg.case] += 1
+    assert sum(cases.values()) == 2 * 12650 + 2000 + 600
+    assert min(cases[c] for c in ("convex", "triangle", "collinear")) > 400, cases
 
 
 def test_triangle_case_right_angle_base_is_allowed():

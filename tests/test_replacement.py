@@ -30,7 +30,7 @@ from sectornet.replacement import (
 from sectornet.rng import SplitMix64
 from sectornet.scg import CommGraph, build_scg, is_connected
 
-from oracles import block, hubs_refined_reference, path_hits_full_cell, shuffle, wedge_contains
+from oracles import block, choice, hubs_refined_reference, path_hits_full_cell, shuffle, wedge_contains
 
 PI = math.pi
 
@@ -210,8 +210,10 @@ def test_select_hubs_refined_supporting_pair_covers_cell():
 def _hub_cells():
     """Seeded full cells: the clouds of 300-point connected_udg instances,
     4-30 uniform points in a cell, lattice cells (tied longest hull
-    edges, collinear strips, all points on one line) and the same
-    lattice points moved by an ulp, each in a shuffled input order."""
+    edges, collinear strips, all points on one line), the same lattice
+    points moved by an ulp, and seeded cells whose points all lie on one
+    axis-aligned or slanted line (the hull is a segment), each in a
+    shuffled input order."""
     rng = SplitMix64(18)
     for seed in (1, 2, 3):
         grid = grid_partition(list(gen(GenSpec("connected_udg", 300, seed=seed)).points))
@@ -248,6 +250,13 @@ def _hub_cells():
     for w, h in ((6, 6), (6, 3), (4, 4)):
         corners = [(0, 0), (w, 0), (0, h), (w, h)]
         yield [Point(float(x), float(y)) for x, y in corners + [(w // 2, h // 2), (w // 2, 0), (0, h // 2)]]
+    # dyadic steps along a line keep every point exactly on it
+    directions = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (2.0, 1.0), (-1.0, 2.0), (0.75, 0.25))
+    for _ in range(40):
+        dx, dy = choice(rng, directions)
+        x0, y0 = 0.25 * rng.randrange(8), 3.0 + 0.25 * rng.randrange(8)
+        steps = distinct(lambda: 0.5 * rng.randrange(7), 4 + rng.randrange(4))
+        yield [Point(x0 + t * dx, y0 + t * dy) for t in steps]
 
 
 def test_select_hubs_refined_matches_the_whole_strip_reference():

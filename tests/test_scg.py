@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -565,14 +566,24 @@ def test_an_overflowing_squared_distance_raises():
             AntennaConfig(Point(-1e155, 0.0), PI, aperture, range=r),
             AntennaConfig(Point(1e155, 0.0), 0.0, aperture, range=r),
         ]
-        with pytest.raises(ValueError, match="overflow"):
-            build_scg(configs)
-        with pytest.raises(ValueError, match="overflow"):
-            containment_matrix(configs, [c.location for c in configs])
-    # facing each other, out of a finite range: the range decides
-    far = [AntennaConfig(Point(-1e155, 0.0), 0.0, range=1.0), AntennaConfig(Point(1e155, 0.0), PI, range=1.0)]
-    assert build_scg(far).edges.tolist() == []
-    assert containment_matrix(far, [c.location for c in far]).tolist() == [[True, False], [False, True]]
+        with warnings.catch_warnings():
+            if math.isinf(r):  # the ValueError alone, no numpy overflow warning
+                warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                build_scg(configs)
+            with pytest.raises(ValueError, match="overflow"):
+                containment_matrix(configs, [c.location for c in configs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # facing each other, out of a finite range: the range decides
+        far = [AntennaConfig(Point(-1e155, 0.0), 0.0, range=1.0), AntennaConfig(Point(1e155, 0.0), PI, range=1.0)]
+        assert build_scg(far).edges.tolist() == []
+        assert containment_matrix(far, [c.location for c in far]).tolist() == [[True, False], [False, True]]
+        # one finite range already rules the pair out, in either order, so
+        # the unbounded side is never asked about the far point
+        mixed = [AntennaConfig(Point(-1e155, 0.0), 0.0, range=1.0), AntennaConfig(Point(1e155, 0.0), PI)]
+        assert build_scg(mixed).edges.tolist() == []
+        assert build_scg(mixed[::-1]).edges.tolist() == []
 
 
 def test_sweep_reach_never_trims():
