@@ -16,6 +16,7 @@ from .geometry import (
     QUARTER_TURN,
     TAU,
     AntennaConfig,
+    Antennas,
     CoverageReport,
     HalfPlane,
     Point,
@@ -77,6 +78,7 @@ __all__ = [
     "REPLACEMENT_RANGE",
     "TAU",
     "AntennaConfig",
+    "Antennas",
     "CommGraph",
     "CostChainReport",
     "CoverageReport",

@@ -96,7 +96,7 @@ def _check_connected(configs, mode, instance_points, metadata, limit):
 
 
 def _check_coverage(configs, mode, instance_points, metadata, limit):
-    if any(math.isfinite(c.range) for c in configs):
+    if any(map(math.isfinite, configs.range.tolist())):
         raise ValueError("coverage check needs unbounded ranges")
 
     def run(scg):
@@ -114,7 +114,7 @@ def _check_coverage(configs, mode, instance_points, metadata, limit):
 def _check_stretch(configs, mode, instance_points, metadata, limit):
     if instance_points is None:
         raise ValueError("stretch check needs --instance")
-    if [c.location for c in configs] != instance_points:
+    if list(configs.locations) != instance_points:
         raise ValueError(_MISMATCH)
     if limit is None:
         limit = _DEFAULT_STRETCH.get(mode)
@@ -137,15 +137,13 @@ def _check_cost_chain(configs, mode, instance_points, metadata, limit):
     if instance_points is None:
         raise ValueError("cost-chain check needs --instance")
     # the lengths too: a repeated antenna would hide in the sets
-    if len(configs) != len(instance_points) or {c.location for c in configs} != set(
-        instance_points
-    ):
+    if len(configs) != len(instance_points) or set(configs.locations) != set(instance_points):
         raise ValueError(_MISMATCH)
     beta = metadata.get("beta")
     if isinstance(beta, bool) or not isinstance(beta, (int, float)):
         raise ValueError("config metadata lacks a numeric beta")
     pa = PowerAssignment(
-        beta, tuple((c.location, c.orientation, c.range) for c in configs)
+        beta, tuple(zip(configs.locations, configs.orientation.tolist(), configs.range.tolist()))
     )
 
     def run(scg):

@@ -10,13 +10,18 @@ ValueError: the output is strict JSON.
 
 The row lists (``points``, ``antennas``) are most of a file, and an
 ``indent`` turns off the C encoder.  So ``_dump`` formats the small head
-with the indent encoder, formats every row value in one C-encoder call,
-and fills the values into a fixed per-row template.
+with the indent encoder, formats the row values a column at a time with
+the C encoder, and fills them into a fixed per-row template.  A
+configuration is written from its :class:`~sectornet.geometry.Antennas`
+columns, and each distinct orientation, aperture and range is formatted
+once: a replacement gives every antenna the same aperture and range.
+Coordinates are written as the points hold them.
 
 On read, every coordinate, angle and range must be a JSON number (a
 bool is not one); ``range`` may also be ``"inf"``.  Anything else, like
 a wrong kind, a missing key or a wrong shape, is a ValueError naming the
-file.
+file.  A configuration is read column by column into one
+:class:`~sectornet.geometry.Antennas` set, validated in bulk.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ import math
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
-from .geometry import AntennaConfig, Point
+import numpy as np
+
+from .geometry import AntennaConfig, Antennas, Point, _antennas, _points
 
 PathLike = Union[str, Path]
 
@@ -53,31 +60,61 @@ def _read(path: PathLike, kind: str, parse: Callable[[dict], tuple]) -> tuple:
         raise ValueError(f"{path}: malformed {kind} file: {exc!r}") from None
 
 
-def _numbers(*values) -> list[float]:
+def _numbers(values: list) -> list:
     """``values`` as floats, if each is a JSON number: an int or a float as
-    ``json.loads`` gives them, and not a bool.  The parsers call it only
-    for a row that is not all floats, such as one with integer
-    coordinates."""
+    ``json.loads`` gives them, and not a bool.  A column of floats alone
+    is returned as it is."""
+    if set(map(type, values)) <= {float}:
+        return values
     for v in values:
         if type(v) not in (int, float):
             raise TypeError(f"coordinates, angles and ranges must be JSON numbers, got {v!r}")
     return [float(v) for v in values]
 
 
-def _dump(doc: dict, key: str, fields: tuple[str, ...], values: list, path: Optional[PathLike]) -> str:
+def _locations(xs: list, ys: list) -> list[Point]:
+    """The points of two coordinate columns of JSON numbers, checked
+    finite as :class:`~sectornet.geometry.Point` checks them."""
+    xs, ys = _numbers(xs), _numbers(ys)
+    finite = np.isfinite(np.array(xs, dtype=float)) & np.isfinite(np.array(ys, dtype=float))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValueError(f"point coordinates must be finite, got ({xs[k]}, {ys[k]})")
+    return _points(xs, ys)
+
+
+def _encode(values: list) -> list[str]:
+    """Each of ``values`` (numbers, or the string ``"inf"``) as JSON, in
+    one C-encoder call; no encoded value contains a comma."""
+    return _encode_flat(values)[1:-1].split(",") if values else []
+
+
+def _encode_column(column: np.ndarray) -> list[str]:
+    """Each value of a float column as JSON, infinity as ``"inf"``.  Each
+    distinct value is formatted once, keyed by its bits, because ``-0.0``
+    and ``0.0`` are equal but print differently."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    distinct = ["inf" if v == math.inf else v for v in bits.view(float).tolist()]
+    return np.array(_encode(distinct), dtype=object)[inverse.ravel()].tolist()
+
+
+def _dump(doc: dict, key: str, fields: tuple[str, ...], columns: list, path: Optional[PathLike]) -> str:
     """``doc`` with its empty list ``doc[key]`` filled with rows of
     ``fields``, exactly as ``json.dumps(..., sort_keys=True, indent=2)
     + "\\n"`` writes it; also written to ``path`` unless it is None.
 
-    ``values`` holds every row's values in row order and, within a row,
-    in the order of ``fields`` (sorted).  Each value is a number or the
-    string ``"inf"``, so no encoded value contains a comma.
+    ``columns`` holds, for each of ``fields`` (sorted), every row's value
+    already encoded, as :func:`_encode` gives it.
     """
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if values:
+    n = len(columns[0])
+    if n:
+        k = len(fields)
         row = "    {\n" + ",\n".join(f'      "{f}": %s' for f in fields) + "\n    }"
-        pieces = _encode_flat(values)[1:-1].split(",")
-        rows = ",\n".join([row] * (len(pieces) // len(fields))) % tuple(pieces)
+        pieces = [""] * (k * n)
+        for i, column in enumerate(columns):
+            pieces[i::k] = column
+        rows = ",\n".join([row] * n) % tuple(pieces)
         # only a top-level key sits at a two-space indent, and a string
         # value never holds a raw newline
         before, _, after = text.partition(f'\n  "{key}": []')
@@ -90,9 +127,9 @@ def _dump(doc: dict, key: str, fields: tuple[str, ...], values: list, path: Opti
 def write_instance(
     points: Sequence[Point], path: Optional[PathLike] = None, metadata: Optional[dict] = None
 ) -> str:
-    values = [v for p in points for v in (p.x, p.y)]
+    columns = [_encode([p.x for p in points]), _encode([p.y for p in points])]
     doc = {"kind": "instance", "points": [], "metadata": metadata or {}}
-    return _dump(doc, "points", _POINT_FIELDS, values, path)
+    return _dump(doc, "points", _POINT_FIELDS, columns, path)
 
 
 def read_instance(path: PathLike) -> tuple[list[Point], dict]:
@@ -100,13 +137,8 @@ def read_instance(path: PathLike) -> tuple[list[Point], dict]:
 
 
 def _parse_instance(doc: dict) -> tuple[list[Point]]:
-    points = []
-    for e in doc["points"]:
-        x, y = e["x"], e["y"]
-        if not (type(x) is type(y) is float):
-            x, y = _numbers(x, y)
-        points.append(Point(x, y))
-    return (points,)
+    rows = doc["points"]
+    return (_locations([e["x"] for e in rows], [e["y"] for e in rows]),)
 
 
 def write_config(
@@ -115,29 +147,23 @@ def write_config(
     path: Optional[PathLike] = None,
     metadata: Optional[dict] = None,
 ) -> str:
-    values = [
-        v
-        for c in configs
-        for v in (c.aperture, c.orientation, "inf" if math.isinf(c.range) else c.range, c.location.x, c.location.y)
-    ]
+    ants = _antennas(configs)
+    columns = [_encode_column(c) for c in (ants.aperture, ants.orientation, ants.range)]
+    columns += [_encode([p.x for p in ants.locations]), _encode([p.y for p in ants.locations])]
     doc = {"kind": "config", "mode": mode, "antennas": [], "metadata": metadata or {}}
-    return _dump(doc, "antennas", _ANTENNA_FIELDS, values, path)
+    return _dump(doc, "antennas", _ANTENNA_FIELDS, columns, path)
 
 
-def read_config(path: PathLike) -> tuple[list[AntennaConfig], str, dict]:
+def read_config(path: PathLike) -> tuple[Antennas, str, dict]:
     return _read(path, "config", _parse_config)
 
 
-def _parse_config(doc: dict) -> tuple[list[AntennaConfig], str]:
+def _parse_config(doc: dict) -> tuple[Antennas, str]:
     mode = doc.get("mode", "")
     if not isinstance(mode, str):
         raise TypeError("mode is not a string")
-    configs = []
-    for e in doc["antennas"]:
-        x, y, o, a, r = e["x"], e["y"], e["orientation_radians"], e["aperture_radians"], e["range"]
-        if r == "inf":
-            r = math.inf
-        if not (type(x) is type(y) is type(o) is type(a) is type(r) is float):
-            x, y, o, a, r = _numbers(x, y, o, a, r)
-        configs.append(AntennaConfig(Point(x, y), o, a, r))
-    return configs, mode
+    rows = doc["antennas"]
+    aperture, orientation, ranges, xs, ys = ([e[f] for e in rows] for f in _ANTENNA_FIELDS)
+    ranges = [math.inf if r == "inf" else r for r in ranges]
+    locations = _locations(xs, ys)
+    return Antennas(locations, _numbers(orientation), _numbers(aperture), _numbers(ranges)), mode

@@ -6,6 +6,11 @@ Conventions used throughout the package:
   wedge: a location, an orientation, an aperture and a range.  It is
   validated and its orientation normalized when it is constructed, so
   every geometry function takes antennas as they are.
+* A set of antennas (:class:`Antennas`) holds the same fields as
+  columns, validated and normalized in bulk; its items are
+  :class:`AntennaConfig` rows.  Functions that take several antennas
+  accept either form and turn a plain sequence into a set once, on
+  entry; after that they read the columns.
 * Angles are radians.  Stored orientations are normalized to ``[0, tau)``.
   A wedge's ``orientation`` is the direction of its bisector; the two
   bounding rays sit at ``orientation +/- aperture / 2``.
@@ -31,8 +36,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -49,6 +56,11 @@ DIST_SQ_TOL = 1e-9
 # |result| above _SIGN_FILTER * (magnitude of the terms) is trusted; the
 # rest is recomputed in exact rational arithmetic.
 _SIGN_FILTER = 4e-15
+# Below this magnitude of the terms a product may have lost bits to
+# underflow, which the relative filter does not bound: exact arithmetic
+# decides.  Above it an underflowed term errs by at most 2**-1075, far
+# under the filter's margin.
+_SIGN_TINY = 2.0**-960
 
 
 def normalize_angle(radians: float) -> float:
@@ -119,18 +131,141 @@ class AntennaConfig:
         return self
 
 
+def _normalize_angles(radians: np.ndarray) -> np.ndarray:
+    """:func:`normalize_angle` elementwise, bit for bit: ``np.fmod`` is
+    exact like ``math.fmod``, and the two corrections are the same float
+    operations."""
+    a = np.fmod(radians, TAU)
+    a = np.where(a < 0.0, a + TAU, a)
+    return np.where(a >= TAU, a - TAU, a)
+
+
+def _points(xs: list, ys: list) -> list[Point]:
+    """Points from coordinate lists of floats the caller has checked to
+    be finite: no ``__init__`` and no ``__post_init__`` per point."""
+    new = object.__new__
+    out = []
+    for x, y in zip(xs, ys):
+        p = new(Point)
+        d = p.__dict__
+        d["x"] = x
+        d["y"] = y
+        out.append(p)
+    return out
+
+
+class Antennas(SequenceABC):
+    """An immutable set of antennas held as columns.
+
+    ``x``, ``y``, ``orientation``, ``aperture`` and ``range`` are
+    read-only float64 arrays with one entry per antenna, and
+    ``locations`` is the tuple of their points.  The constructor takes
+    the locations and the three sector columns (a scalar stands for a
+    constant column), rejects what :class:`AntennaConfig` rejects, with
+    the same messages, and stores the orientations normalized to
+    [0, tau) bit for bit as :func:`normalize_angle` does.  Indexing and
+    iteration give :class:`AntennaConfig` rows, built on first use.
+    """
+
+    def __init__(self, locations: Iterable[Point], orientation, aperture, range) -> None:
+        locations = tuple(locations)
+        n = len(locations)
+        o, a, r = (
+            np.array(np.broadcast_to(np.asarray(v, dtype=float), (n,))) for v in (orientation, aperture, range)
+        )
+        for rule, column, bad in (
+            ("orientation must be finite", o, ~np.isfinite(o)),
+            ("aperture must be in (0, tau]", a, ~((0.0 < a) & (a <= TAU))),
+            ("range must be positive", r, ~(r > 0.0)),
+        ):
+            if bad.any():
+                raise ValueError(f"{rule}, got {column[bad][0].item()}")
+        self._fill(locations, np.stack((*_coords(locations), _normalize_angles(o), a, r)))
+
+    def _fill(self, locations: tuple[Point, ...], columns: np.ndarray) -> None:
+        """Hold ``locations`` and the rows of ``columns``, a (5, n) array
+        of x, y, orientation, aperture and range, read-only."""
+        columns.flags.writeable = False
+        d = self.__dict__
+        d["x"], d["y"], d["orientation"], d["aperture"], d["range"] = columns
+        d["locations"] = locations
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Antennas is immutable")
+
+    __delattr__ = __setattr__
+
+    def __len__(self) -> int:
+        return len(self.locations)
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Antennas):
+            return NotImplemented
+        return self.locations == other.locations and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in ("orientation", "aperture", "range")
+        )
+
+    @cached_property
+    def _rows(self) -> tuple[AntennaConfig, ...]:
+        """The rows, from values the constructor has already checked."""
+        new = object.__new__
+        rows = []
+        for p, o, a, r in zip(
+            self.locations, self.orientation.tolist(), self.aperture.tolist(), self.range.tolist()
+        ):
+            c = new(AntennaConfig)
+            d = c.__dict__
+            d["location"] = p
+            d["orientation"] = o
+            d["aperture"] = a
+            d["range"] = r
+            rows.append(c)
+        return tuple(rows)
+
+    @cached_property
+    def wedges(self) -> "_WedgeArrays":
+        """The containment arrays, with the trigonometry done once."""
+        return _sector_arrays(self.x, self.y, self.orientation, self.aperture, self.range)
+
+
+def _antennas(configs: Sequence[AntennaConfig]) -> Antennas:
+    """``configs`` as a set: itself when it is one, else the columns of
+    its rows, which their construction has already checked."""
+    if isinstance(configs, Antennas):
+        return configs
+    rows = tuple(configs)
+    locations = tuple([c.location for c in rows])
+    values = [v for p, c in zip(locations, rows) for v in (p.x, p.y, c.orientation, c.aperture, c.range)]
+    ants = object.__new__(Antennas)
+    ants._fill(locations, np.array(values, dtype=float).reshape(-1, 5).T.copy())
+    ants.__dict__["_rows"] = rows
+    return ants
+
+
 # ---------------------------------------------------------------------------
 # Exact sign predicates
 # ---------------------------------------------------------------------------
 
 
 def _exact_cross(p1: Point, p2: Point, q1: Point, q2: Point) -> int:
+    ux, uy, vx, vy = p2.x - p1.x, p2.y - p1.y, q2.x - q1.x, q2.y - q1.y
+    if (ux == 0.0 or vy == 0.0) and (uy == 0.0 or vx == 0.0):
+        return 0  # both products are zero: a float difference is zero only for equal floats
     f = Fraction
     det = (f(p2.x) - f(p1.x)) * (f(q2.y) - f(q1.y)) - (f(p2.y) - f(p1.y)) * (f(q2.x) - f(q1.x))
     return (det > 0) - (det < 0)
 
 
 def _exact_dot(p1: Point, p2: Point, q1: Point, q2: Point) -> int:
+    ux, uy, vx, vy = p2.x - p1.x, p2.y - p1.y, q2.x - q1.x, q2.y - q1.y
+    if (ux == 0.0 or vx == 0.0) and (uy == 0.0 or vy == 0.0):
+        return 0
     f = Fraction
     dot = (f(p2.x) - f(p1.x)) * (f(q2.x) - f(q1.x)) + (f(p2.y) - f(p1.y)) * (f(q2.y) - f(q1.y))
     return (dot > 0) - (dot < 0)
@@ -142,10 +277,8 @@ def vec_cross_sign(p1: Point, p2: Point, q1: Point, q2: Point) -> int:
     right = (p2.y - p1.y) * (q2.x - q1.x)
     det = left - right
     scale = abs(left) + abs(right)
-    if abs(det) > _SIGN_FILTER * scale:
+    if abs(det) > _SIGN_FILTER * scale and scale >= _SIGN_TINY:
         return 1 if det > 0 else -1
-    if scale == 0.0:
-        return 0
     return _exact_cross(p1, p2, q1, q2)
 
 
@@ -155,10 +288,8 @@ def vec_dot_sign(p1: Point, p2: Point, q1: Point, q2: Point) -> int:
     right = (p2.y - p1.y) * (q2.y - q1.y)
     dot = left + right
     scale = abs(left) + abs(right)
-    if abs(dot) > _SIGN_FILTER * scale:
+    if abs(dot) > _SIGN_FILTER * scale and scale >= _SIGN_TINY:
         return 1 if dot > 0 else -1
-    if scale == 0.0:
-        return 0
     return _exact_dot(p1, p2, q1, q2)
 
 
@@ -186,7 +317,12 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
     """
     if not points:
         raise ValueError("convex_hull requires at least one point")
-    pts = sorted(set(points), key=Point.as_tuple)
+    return _sorted_hull(sorted(set(points), key=Point.as_tuple))
+
+
+def _sorted_hull(pts: list[Point]) -> list[Point]:
+    """:func:`convex_hull` of points already distinct and sorted
+    lexicographically (monotone chain)."""
     if len(pts) == 1:
         return [pts[0]]
 
@@ -204,6 +340,74 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
     if len(hull) < 2:  # all points collinear: keep the two extremes
         return [pts[0], pts[-1]]
     return hull
+
+
+def _hull_candidates(xs: np.ndarray, ys: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Which points may be hull vertices of their group: the Akl-Toussaint
+    prefilter, all groups at once.
+
+    The points come group by group, group g at ``starts[g]`` up to
+    ``starts[g + 1]`` and sorted lexicographically within it.  A group's
+    quadrilateral joins its first (leftmost) point, its first lowest, its
+    last (rightmost) and its first highest point, in counterclockwise
+    order along the hull.  A point is dropped only when it lies strictly
+    left of every directed side, which puts it strictly inside the hull.
+    A side whose two corners coincide is skipped: the sides left bound
+    the convex polygon of the distinct corners, and with two of them (the
+    first and last point) no point is left of both.  The corners are
+    always kept.  Each side's sign is :func:`orientation_sign`'s: its
+    float filter runs on the arrays, and the points it leaves open go to
+    the exact predicate.
+    """
+    size = np.diff(starts)
+    group = np.repeat(np.arange(len(size)), size)
+    first, last = starts[:-1], starts[1:] - 1
+
+    def first_at(extreme: np.ufunc) -> np.ndarray:
+        hits = np.flatnonzero(ys == np.repeat(extreme.reduceat(ys, first), size))
+        return hits[np.searchsorted(hits, first)]
+
+    corners = [first, first_at(np.minimum), last, first_at(np.maximum)]
+    inside = np.ones(len(xs), bool)
+    sure = np.ones(len(xs), bool)
+    sides = [(a[group], b[group]) for a, b in zip(corners, corners[1:] + corners[:1])]
+    for a, b in sides:
+        left = (xs[b] - xs[a]) * (ys - ys[a])
+        right = (ys[b] - ys[a]) * (xs - xs[a])
+        det = left - right
+        scale = np.abs(left) + np.abs(right)
+        decided = (np.abs(det) > _SIGN_FILTER * scale) & (scale >= _SIGN_TINY)
+        skip = a == b
+        inside &= (det > 0.0) | ~decided | skip
+        sure &= decided | skip
+    for c in corners:
+        inside[c] = False
+
+    def point(k) -> Point:
+        return Point(xs[k].item(), ys[k].item())
+
+    for i in np.flatnonzero(inside & ~sure).tolist():
+        inside[i] = all(
+            orientation_sign(point(a[i]), point(b[i]), point(i)) > 0 for a, b in sides if a[i] != b[i]
+        )
+    return ~inside
+
+
+def _coords(points: Iterable[Point]) -> tuple[np.ndarray, np.ndarray]:
+    """The x and the y coordinates of the points, as float arrays."""
+    pts = list(points)
+    return np.array([p.x for p in pts], dtype=float), np.array([p.y for p in pts], dtype=float)
+
+
+def _lex_order(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The positions of the points (xs, ys) in lexicographic order, the
+    order of ``Point.as_tuple``; a repeated point (``-0.0`` equals
+    ``0.0``, as for points) raises ``ValueError``."""
+    order = np.lexsort((ys, xs))
+    sx, sy = xs[order], ys[order]
+    if ((sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])).any():
+        raise ValueError("duplicate points")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -233,39 +437,31 @@ class _WedgeArrays(NamedTuple):
         return _WedgeArrays(*(a[idx] for a in self))
 
 
-def _wedge_arrays(wedges: Sequence[AntennaConfig]) -> _WedgeArrays:
-    """The wedges as arrays, with the trigonometry done once per wedge."""
-    return _sector_arrays(
-        [w.location.x for w in wedges],
-        [w.location.y for w in wedges],
-        [w.orientation for w in wedges],
-        [w.aperture for w in wedges],
-        [w.range for w in wedges],
-    )
-
-
 def _sector_arrays(ax, ay, orientations, apertures, ranges) -> _WedgeArrays:
     """Wedge arrays from per-wedge apex coordinates, orientation (already
     normalized, as :class:`AntennaConfig` stores it), aperture and range,
-    for callers that hold these without the antennas."""
-    ax = np.array(ax, dtype=float)
-    ay = np.array(ay, dtype=float)
-    ori = np.array(orientations, dtype=float)
-    ape = np.array(apertures, dtype=float)
-    rng = np.array(ranges, dtype=float)
+    for callers that hold these without the antennas.  A squared range
+    that overflows is inf, an unbounded limit; the range test then
+    passes a d2 that overflowed too, and the angular test raises on it."""
+    ax = np.asarray(ax, dtype=float)
+    ay = np.asarray(ay, dtype=float)
+    ori = np.asarray(orientations, dtype=float)
+    ape = np.asarray(apertures, dtype=float)
+    rng = np.asarray(ranges, dtype=float)
     half = 0.5 * ape
     tr = ori - half
     tl = ori + half
-    return _WedgeArrays(
-        ax, ay, np.cos(tr), np.sin(tr), np.cos(tl), np.sin(tl), ape, rng**2 + DIST_SQ_TOL
-    )
+    with np.errstate(over="ignore"):
+        limit = rng**2 + DIST_SQ_TOL
+    return _WedgeArrays(ax, ay, np.cos(tr), np.sin(tr), np.cos(tl), np.sin(tl), ape, limit)
 
 
 def containment_matrix(
     wedges: Sequence[AntennaConfig], points: Sequence[Point] | np.ndarray
 ) -> np.ndarray:
     """Boolean matrix M with M[i, j] true iff wedges[i] contains points[j]."""
-    k = len(wedges)
+    ants = _antennas(wedges)
+    k = len(ants)
     if isinstance(points, np.ndarray):
         pts = np.asarray(points, dtype=float)
     else:
@@ -273,7 +469,7 @@ def containment_matrix(
     m = pts.shape[0]
     if k == 0 or m == 0:
         return np.zeros((k, m), dtype=bool)
-    column = _wedge_arrays(wedges).take((slice(None), None))
+    column = ants.wedges.take((slice(None), None))
     return _containment_core(column, pts[:, 0], pts[:, 1])
 
 
@@ -299,7 +495,8 @@ def _aperture_branches(aperture: np.ndarray) -> tuple[bool, bool]:
     """Whether some wedge is reflex (wider than a half-turn, past the
     slack) and whether some wedge is a full circle: the two branches of
     :func:`_angles_ok` that its caller's wedges need."""
-    return bool((aperture > math.pi + ANGLE_TOL).any()), bool((aperture >= TAU - ANGLE_TOL).any())
+    widest = float(aperture.max(initial=0.0))
+    return widest > math.pi + ANGLE_TOL, widest >= TAU - ANGLE_TOL
 
 
 def _angles_ok(rays, aperture, reflex: bool, full: bool, dx, dy, d2) -> np.ndarray:
@@ -440,8 +637,9 @@ def _dedupe_lines(lines: Iterable[tuple[float, float, float]]) -> list[tuple[flo
     return uniq
 
 
-def _coverage_candidates(lines: Sequence[tuple[float, float, float]]) -> list[tuple[float, float]]:
-    """The vertices of the lines' arrangement and a point inside each face.
+def _coverage_candidates(lines: Sequence[tuple[float, float, float]]) -> np.ndarray:
+    """The vertices of the lines' arrangement and a point inside each face,
+    as the rows of an array.
 
     The wedges are closed, so the uncovered set is open: if not empty, it
     meets an open face, on which coverage is constant.  An open set meeting
@@ -451,7 +649,9 @@ def _coverage_candidates(lines: Sequence[tuple[float, float, float]]) -> list[tu
     into the incident faces.  ``far`` scales with the box of the vertices,
     or of the lines' feet when all are parallel.  Vertices stay because
     ``_dedupe_lines`` merges lines an ulp apart, and only a rounded vertex
-    can land in the sliver between them.
+    can land in the sliver between them.  The steps of all edge points
+    are one array pass over the lines, with the float operations of a
+    point-by-point loop.
     """
     vertices: list[tuple[float, float]] = []
     on_line: list[list[tuple[float, float]]] = [[] for _ in lines]
@@ -468,26 +668,35 @@ def _coverage_candidates(lines: Sequence[tuple[float, float, float]]) -> list[tu
 
     xs, ys = zip(*(vertices or [(a * c, b * c) for a, b, c in lines]))
     far = 1.0 + 2.0 * (max(xs) - min(xs) + max(ys) - min(ys))
-    candidates: list[tuple[float, float]] = list(vertices)
+    owner: list[int] = []
+    along: list[float] = []
     for i, (a, b, c) in enumerate(lines):
         anchor = (a * c, b * c)  # foot of the origin perpendicular
-        dx, dy = -b, a
-        ts = sorted((v[0] - anchor[0]) * dx + (v[1] - anchor[1]) * dy for v in on_line[i])
+        ts = sorted((v[0] - anchor[0]) * -b + (v[1] - anchor[1]) * a for v in on_line[i])
         reps = [0.5 * (s + t) for s, t in zip(ts, ts[1:])]
         reps += [ts[0] - far, ts[-1] + far] if ts else [0.0]
-        for t in reps:
-            mx, my = anchor[0] + t * dx, anchor[1] + t * dy
-            step = far
-            for k, (ka, kb, kc) in enumerate(lines):
-                if k == i:
-                    continue
-                val = ka * mx + kb * my - kc
-                denom = ka * a + kb * b
-                if abs(denom) > 1e-12 and abs(val) > 1e-12:
-                    step = min(step, 0.5 * abs(val) / abs(denom))
-            candidates.append((mx + step * a, my + step * b))
-            candidates.append((mx - step * a, my - step * b))
-    return candidates
+        owner += [i] * len(reps)
+        along += reps
+    ka, kb, kc = np.array(lines, dtype=float).T
+    k = np.array(owner, dtype=np.intp)
+    t = np.array(along, dtype=float)
+    with np.errstate(all="ignore"):  # as in float arithmetic, inf and nan pass silently
+        a, b, c = ka[k], kb[k], kc[k]
+        mx = a * c + t * -b  # the point on its own line
+        my = b * c + t * a
+        # half the distance to each other line not parallel to the own
+        # one, along the own line's normal: the nearest sets the step
+        val = ka[:, None] * mx + kb[:, None] * my - kc[:, None]
+        denom = ka[:, None] * a + kb[:, None] * b
+        other = (np.abs(denom) > 1e-12) & (np.abs(val) > 1e-12)
+        other[k, np.arange(len(k))] = False
+        steps = np.full(val.shape, far)
+        np.divide(0.5 * np.abs(val), np.abs(denom), out=steps, where=other)
+        step = steps.min(axis=0, initial=far)
+        faces = np.empty((2 * len(k), 2))
+        faces[0::2, 0], faces[0::2, 1] = mx + step * a, my + step * b
+        faces[1::2, 0], faces[1::2, 1] = mx - step * a, my - step * b
+    return np.concatenate((np.array(vertices, dtype=float).reshape(-1, 2), faces))
 
 
 def _first_uncovered(wedges: Sequence[AntennaConfig], pts: np.ndarray) -> CoverageReport:
@@ -509,35 +718,34 @@ def plane_coverage_verify(wedges: Sequence[AntennaConfig]) -> CoverageReport:
     wedges' boundary-line arrangement, so its vertices and one point per
     face decide exactly for the represented wedges.
     """
-    for w in wedges:
-        if math.isfinite(w.range):
-            raise ValueError("plane_coverage_verify requires unbounded wedges")
-    if not wedges:
+    ants = _antennas(wedges)  # a few antennas: Python reads their columns fastest
+    if any(map(math.isfinite, ants.range.tolist())):
+        raise ValueError("plane_coverage_verify requires unbounded wedges")
+    if not ants:
         return CoverageReport(False, witness_direction=0.0)
-    if any(w.aperture >= TAU - ANGLE_TOL for w in wedges):
+    if max(ants.aperture.tolist()) >= TAU - ANGLE_TOL:
         return CoverageReport(True)
 
-    gap = _direction_gap(wedges)
+    gap = _direction_gap(ants)
     if gap is not None:
         return CoverageReport(False, witness_direction=gap)
 
-    lines = _dedupe_lines(ln for w in wedges for ln in _wedge_boundary_lines(w))
-    pts = np.array(_coverage_candidates(lines), dtype=float)
-    return _first_uncovered(wedges, pts)
+    lines = _dedupe_lines(ln for w in ants for ln in _wedge_boundary_lines(w))
+    return _first_uncovered(ants, _coverage_candidates(lines))
 
 
 def _halfplane_test_points(wedges: Sequence[AntennaConfig], hp: HalfPlane) -> np.ndarray:
     """Rows: the test points in ``hp`` of the arrangement of its boundary
     and every wedge's boundary lines.  That arrangement refines any
     sub-group's, so the points decide coverage for each sub-group."""
-    for w in wedges:
-        if math.isfinite(w.range):
-            raise ValueError("half-plane coverage needs unbounded ranges")
+    wedges = _antennas(wedges)
+    if any(map(math.isfinite, wedges.range.tolist())):
+        raise ValueError("half-plane coverage needs unbounded ranges")
     lines = [_canonical_line(hp.nx, hp.ny, hp.c)]
     lines.extend(ln for w in wedges for ln in _wedge_boundary_lines(w))
     lines = _dedupe_lines(lines)
-    candidates = _coverage_candidates(lines)
-    return np.array([c for c in candidates if hp.value(c[0], c[1]) >= -1e-9], dtype=float)
+    pts = _coverage_candidates(lines)
+    return pts[hp.nx * pts[:, 0] + hp.ny * pts[:, 1] - hp.c >= -1e-9]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from .geometry import (
     AntennaConfig,
     Point,
     _containment_core,
+    _coords,
+    _normalize_angles,
     _sector_arrays,
     convex_hull,
     dot_sign,
@@ -148,26 +150,23 @@ def aim_at_fan(
     """
     hubs = [e for fan in fans for e in fan.entries]
     first = 4 * np.asarray(fan_of, dtype=np.intp)  # each point's first fan wedge
-    wedges = _sector_arrays(
-        [q.x for q, _ in hubs],
-        [q.y for q, _ in hubs],
-        [normalize_angle(a) for _, a in hubs],
-        [QUARTER_TURN] * len(hubs),
-        [math.inf] * len(hubs),
-    ).take(first[:, None] + np.arange(4))
-    px = np.array([p.x for p in points])[:, None]
-    py = np.array([p.y for p in points])[:, None]
-    inside = _containment_core(wedges, px, py)
+    hx, hy = _coords(q for q, _ in hubs)
+    ha = np.array([normalize_angle(a) for _, a in hubs])
+    ones = np.ones(len(hubs))
+    wedges = _sector_arrays(hx, hy, ha, QUARTER_TURN * ones, math.inf * ones).take(
+        first[:, None] + np.arange(4)
+    )
+    px, py = _coords(points)
+    inside = _containment_core(wedges, px[:, None], py[:, None])
     if not inside.any(axis=1).all():
         raise ValueError("uncovered point: no hub wedge contains it")
     # an apex entry scores 3 (its wedge holds its apex), any other hit 1
-    apex = (wedges.ax == px) & (wedges.ay == py)
+    apex = (wedges.ax == px[:, None]) & (wedges.ay == py[:, None])
     pick = first + np.argmax(2 * apex + inside, axis=1)
-    aimed = []
-    for p, k in zip(points, pick.tolist()):
-        q, a = hubs[k]
-        aimed.append(a if q == p else normalize_angle(math.atan2(q.y - p.y, q.x - p.x)))
-    return aimed
+    # math.atan2, not np.arctan2, whose last bit differs on some inputs
+    dx, dy = hx[pick] - px, hy[pick] - py
+    aims = _normalize_angles(np.array(list(map(math.atan2, dy.tolist(), dx.tolist()))))
+    return np.where((dx == 0.0) & (dy == 0.0), ha[pick], aims).tolist()
 
 
 def orient_cluster(points: Sequence[Point]) -> list[float]:

@@ -19,33 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import AntennaConfig, Point, distance
+from .geometry import QUARTER_TURN, Antennas, Point, _coords, _lex_order, distance
 from .orientation import aim_at_fan, orient_cluster, orient_quadruplet
 
 
 # ---------------------------------------------------------------------------
 # Minimum spanning tree and tour
 # ---------------------------------------------------------------------------
-
-
-def _lex_order(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The positions of the points (xs, ys) in lexicographic order, the
-    order of ``Point.as_tuple``; a repeated point raises ``ValueError``."""
-    order = np.lexsort((ys, xs))
-    sx, sy = xs[order], ys[order]
-    if ((sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])).any():
-        raise ValueError("duplicate points")
-    return order
-
-
-def _coords(points: Iterable[Point]) -> tuple[np.ndarray, np.ndarray]:
-    """The x and the y coordinates of the points, as float arrays."""
-    pts = list(points)
-    return np.array([p.x for p in pts], dtype=float), np.array([p.y for p in pts], dtype=float)
 
 
 def mst_edges(points: Sequence[Point]) -> list[tuple[int, int]]:
@@ -77,22 +61,23 @@ def mst_edges(points: Sequence[Point]) -> list[tuple[int, int]]:
     closer = np.empty(n, dtype=bool)
     joined: list[int] = []
     nxt = 0
-    for _ in range(n - 1):
-        x0 = xs[nxt]
-        xs[nxt] = np.nan
-        np.subtract(x0, xs, out=dx)
-        np.multiply(dx, dx, out=dx)
-        np.subtract(ys[nxt], ys, out=dy)
-        np.multiply(dy, dy, out=dy)
-        np.add(dx, dy, out=dx)
-        np.less(dx, best, out=closer)
-        parent[closer] = nxt
-        np.fmin(best, dx, out=best)
-        nxt = int(best.argmin())
-        if not best[nxt] < np.inf:
-            raise ValueError("squared distances overflow: the tree cannot be ranked")
-        best[nxt] = np.inf
-        joined.append(nxt)
+    with np.errstate(over="ignore"):  # an overflowed distance raises below
+        for _ in range(n - 1):
+            x0 = xs[nxt]
+            xs[nxt] = np.nan
+            np.subtract(x0, xs, out=dx)
+            np.multiply(dx, dx, out=dx)
+            np.subtract(ys[nxt], ys, out=dy)
+            np.multiply(dy, dy, out=dy)
+            np.add(dx, dy, out=dx)
+            np.less(dx, best, out=closer)
+            parent[closer] = nxt
+            np.fmin(best, dx, out=best)
+            nxt = int(best.argmin())
+            if not best[nxt] < np.inf:
+                raise ValueError("squared distances overflow: the tree cannot be ranked")
+            best[nxt] = np.inf
+            joined.append(nxt)
     return list(zip(parent[joined].tolist(), joined))
 
 
@@ -201,8 +186,10 @@ class PowerAssignment:
     def cost(self) -> float:
         return sum(r**self.beta for _, _, r in self.entries)
 
-    def configs(self) -> list[AntennaConfig]:
-        return [AntennaConfig(p, ang, range=r) for p, ang, r in self.entries]
+    def configs(self) -> Antennas:
+        """One quarter-wedge antenna per entry, in entry order."""
+        points, aims, radii = zip(*self.entries) if self.entries else ((), (), ())
+        return Antennas(points, aims, QUARTER_TURN, radii)
 
 
 def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:

@@ -29,16 +29,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .geometry import (
+    QUARTER_TURN,
     TAU,
-    AntennaConfig,
+    Antennas,
     Point,
+    _coords,
+    _hull_candidates,
+    _lex_order,
     _sector_arrays,
-    convex_hull,
+    _sorted_hull,
     orientation_sign,
     squared_distance,
     vec_dot_sign,
@@ -58,17 +63,32 @@ REPLACEMENT_RANGE = 14.0 * math.sqrt(2.0)
 FULL_CELL_MIN = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridPartition:
     """Partition of the plane into half-open 7x7 cells.
 
     A point with offset (dx, dy) from ``origin`` lands in cell
     (floor(dx/7), floor(dy/7)); cell boundaries belong to the cell on
     their upper-right side.
+
+    The cells of ``points`` are held as arrays: ``keys`` has one row
+    (kx, ky) per occupied cell, in ascending order, as integral floats;
+    ``cell`` gives each point's row of ``keys``; and ``order`` lists the
+    point positions cell by cell, in input order within a cell, row k's
+    at ``order[starts[k]:starts[k + 1]]``.
     """
 
     origin: tuple[float, float]
-    cells: dict[tuple[int, int], tuple[Point, ...]]
+    points: tuple[Point, ...]
+    keys: np.ndarray
+    cell: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+
+    def __eq__(self, other):
+        if not isinstance(other, GridPartition):
+            return NotImplemented
+        return self.origin == other.origin and self.points == other.points  # the arrays follow
 
     def cell_of(self, p: Point) -> tuple[int, int]:
         return (
@@ -76,37 +96,66 @@ class GridPartition:
             math.floor((p.y - self.origin[1]) / CELL_SIDE),
         )
 
+    @cached_property
+    def cells(self) -> dict[tuple[int, int], tuple[Point, ...]]:
+        """The points of each occupied cell, cells in ascending order."""
+        order = self.order.tolist()
+        return {
+            (int(kx), int(ky)): tuple(self.points[i] for i in order[a:b])
+            for (kx, ky), a, b in zip(self.keys.tolist(), self.starts.tolist(), self.starts[1:].tolist())
+        }
+
     def points_in(self, index: tuple[int, int]) -> tuple[Point, ...]:
         return self.cells.get(index, ())
 
     def full_cells(self) -> list[tuple[int, int]]:
-        return sorted(c for c, pts in self.cells.items() if len(pts) >= FULL_CELL_MIN)
+        return [(int(kx), int(ky)) for kx, ky in self.keys[self._full_rank() >= 0].tolist()]
+
+    def _full_rank(self) -> np.ndarray:
+        """Per occupied cell, its rank among the full cells, else -1."""
+        full = np.diff(self.starts) >= FULL_CELL_MIN
+        return np.where(full, np.cumsum(full) - 1, -1)
 
 
 def grid_partition(points: Sequence[Point]) -> GridPartition:
     """The 7x7 cells of ``points``, anchored at their floored minimum."""
-    if not points:
+    pts = tuple(points)
+    return _grid(pts, *_coords(pts))
+
+
+def _grid(pts: tuple[Point, ...], xs: np.ndarray, ys: np.ndarray) -> GridPartition:
+    """:func:`grid_partition` of ``pts``, whose coordinates are xs, ys:
+    each point's cell key by one floor of a division, as
+    :meth:`GridPartition.cell_of` computes it, then one sort of the keys."""
+    if not pts:
         raise ValueError("empty point set")
-    origin = (
-        float(math.floor(min(p.x for p in points))),
-        float(math.floor(min(p.y for p in points))),
-    )
-    cell_of = GridPartition(origin, {}).cell_of
-    buckets: dict[tuple[int, int], list[Point]] = {}
-    for p in points:
-        buckets.setdefault(cell_of(p), []).append(p)
-    return GridPartition(origin, {c: tuple(pts) for c, pts in sorted(buckets.items())})
+    origin = (float(math.floor(xs.min())), float(math.floor(ys.min())))
+    kx = np.floor((xs - origin[0]) / CELL_SIDE)
+    ky = np.floor((ys - origin[1]) / CELL_SIDE)
+    order = np.lexsort((ky, kx))
+    sx, sy = kx[order], ky[order]
+    new = np.ones(len(pts), bool)
+    new[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
+    cell = np.empty(len(pts), np.intp)
+    cell[order] = np.cumsum(new) - 1
+    keys = np.stack((sx[new], sy[new]), axis=1)
+    starts = np.append(np.flatnonzero(new), len(pts))
+    for a in (keys, cell, order, starts):
+        a.flags.writeable = False
+    return GridPartition(origin, pts, keys, cell, order, starts)
 
 
 def build_udg(points: Sequence[Point]) -> CommGraph:
     """Unit-disk graph: an edge wherever two points are at distance <= 1,
     found as the sweep's symmetric graph of full circles of range 1."""
     pts = tuple(points)
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate points")
+    return _udg(pts, *_coords(pts))
+
+
+def _udg(pts: tuple[Point, ...], xs: np.ndarray, ys: np.ndarray) -> CommGraph:
+    _lex_order(xs, ys)  # raises on duplicate points
     ones = np.ones(len(pts))
-    circles = _sector_arrays([p.x for p in pts], [p.y for p in pts], 0 * ones, TAU * ones, ones)
-    return CommGraph(pts, _swept_edges(circles))
+    return CommGraph(pts, _swept_edges(_sector_arrays(xs, ys, 0 * ones, TAU * ones, ones)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +182,34 @@ def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
     ordering is what keeps all four hubs mutually connected.  The third
     hub is the first strip point in lexicographic order, so the scan of
     the sorted points stops there; the fourth is the least point left.
+    The hull is taken over the points that the array prefilter
+    :func:`~sectornet.geometry._hull_candidates` keeps, which hold every
+    hull vertex.
     """
     pts = sorted(set(cell_points), key=Point.as_tuple)
     if len(pts) < FULL_CELL_MIN or len(pts) != len(list(cell_points)):
         raise ValueError("hub selection needs a full cell of distinct points")
-    hull = convex_hull(pts)
+    keep = _hull_candidates(*_coords(pts), np.array([0, len(pts)])).tolist()
+    return _refined_fan(pts, [p for p, k in zip(pts, keep) if k])
+
+
+def _refined_fan(pts: list[Point], candidates: list[Point]) -> OrientationAssignment:
+    """:func:`select_hubs_refined` on a cell's distinct points in
+    lexicographic order, whose hull vertices are among ``candidates`` (a
+    sub-list of the same objects, in the same order)."""
+    hull = _sorted_hull(candidates)
     edges = list(zip(hull, hull[1:] + hull[:1]))  # a segment gives both directions
     best = max(squared_distance(*e) for e in edges)
     tied = [e for e in edges if squared_distance(*e) == best]
     a1, a2 = min(tied, key=lambda e: (e[0].as_tuple(), e[1].as_tuple()))
 
-    rest = [p for p in pts if p != a1 and p != a2]
     a3 = next(
         (
             p
-            for p in rest
-            if vec_dot_sign(a1, p, a1, a2) >= 0
+            for p in pts
+            if p is not a1
+            and p is not a2
+            and vec_dot_sign(a1, p, a1, a2) >= 0
             and vec_dot_sign(a2, p, a1, a2) <= 0
             and orientation_sign(a1, a2, p) >= 0
         ),
@@ -156,8 +217,32 @@ def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
     )
     if a3 is None:
         raise ValueError("no point over the longest hull edge; cell is not full")
-    a4 = rest[1] if rest[0] == a3 else rest[0]
+    least = [p for p in pts[:4] if p is not a1 and p is not a2]  # two or more
+    a4 = least[1] if least[0] is a3 else least[0]
     return _fan((a1, a2, *_pair_far_points(a1, a2, a3, a4)), "refined")
+
+
+def _cell_hubs(
+    pts: tuple[Point, ...], xs: np.ndarray, ys: np.ndarray, grid: GridPartition, mode: str
+) -> list[OrientationAssignment]:
+    """The hubs of every full cell of ``grid`` in cell order, as
+    :func:`select_hubs_basic` or :func:`select_hubs_refined` picks them:
+    one sort puts each cell's points in lexicographic order, and refined
+    mode prefilters the hull candidates of all full cells at once."""
+    size = np.diff(grid.starts)
+    full = size >= FULL_CELL_MIN
+    # cell by cell, lexicographic within a cell, full cells only
+    at = np.lexsort((ys, xs, grid.cell))[np.repeat(full, size)]
+    starts = np.append(0, np.cumsum(size[full]))
+    bounds = list(zip(starts.tolist(), starts[1:].tolist()))
+    ranked = [pts[i] for i in at.tolist()]
+    if mode == "basic":
+        return [orient_quadruplet(ranked[a : a + 4]) for a, _ in bounds]
+    keep = _hull_candidates(xs[at], ys[at], starts).tolist()
+    return [
+        _refined_fan(ranked[a:b], [p for p, k in zip(ranked[a:b], keep[a:b]) if k])
+        for a, b in bounds
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +255,33 @@ def full_cell_labels(grid: GridPartition, udg: CommGraph) -> dict[Point, tuple[i
 
     Distance is hop count in the unit-disk graph; among all full-cell
     points at minimal distance the smallest cell index wins, so the
-    result is independent of traversal order.
+    result is independent of traversal order.  The graph's vertices must
+    be the grid's points, in the same order.
     """
     full = grid.full_cells()
-    rank = {cell: k for k, cell in enumerate(full)}  # sorted: rank order is cell order
-    unreached = len(full)
-    word = np.array([rank.get(grid.cell_of(p), unreached) for p in udg.vertices], dtype=np.intp)
-    if not (word < unreached).any():
+    word = _label_ranks(grid, udg)
+    return {p: full[k] for p, k in zip(udg.vertices, word.tolist()) if k < len(full)}
+
+
+def _label_ranks(grid: GridPartition, udg: CommGraph) -> np.ndarray:
+    """Per vertex, the rank among the full cells of its label in
+    :func:`full_cell_labels`, or the number of full cells if unreached."""
+    if udg.vertices != grid.points:
+        raise ValueError("graph and grid disagree on the points")
+    rank = grid._full_rank()
+    unreached = int(rank.max()) + 1
+    word = rank[grid.cell]
+    if not unreached:
         raise ValueError("no full cell")
+    word[word < 0] = unreached
     # a hop per step: a point first reached takes the least rank of the
-    # neighbours reached a level before, and keeps it
+    # neighbours reached a level before, and keeps it (rank order is cell
+    # order, as the keys are sorted)
     while True:
         new = np.where(word < unreached, word, _level_step(udg, word, np.minimum))
         if np.array_equal(new, word):
-            break
+            return word
         word = new
-    return {udg.vertices[i]: full[k] for i, k in enumerate(word.tolist()) if k < unreached}
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +293,7 @@ def full_cell_labels(grid: GridPartition, udg: CommGraph) -> dict[Point, tuple[i
 class ReplacementResult:
     """One antenna per input point (same order), plus how it was built."""
 
-    configs: tuple[AntennaConfig, ...]
+    configs: Antennas
     mode: str
     grid: GridPartition
 
@@ -216,40 +312,37 @@ def replace(points: Sequence[Point], mode: str = "refined") -> ReplacementResult
     """
     if mode not in ("basic", "refined"):
         raise ValueError(f"unknown replacement mode: {mode!r}")
-    pts = list(points)
-    udg = build_udg(pts)
+    pts = tuple(points)
+    xs, ys = _coords(pts)
+    udg = _udg(pts, xs, ys)
     if not is_connected(udg):
         raise ValueError("unit-disk graph is not connected")
-    grid = grid_partition(pts)
-    full = grid.full_cells()
-    if not full:
+    grid = _grid(pts, xs, ys)
+    # each point's fan: its own full cell's, else (-1) its stray group's
+    fan_of = grid._full_rank()[grid.cell]
+    if (fan_of < 0).all():
         # without a full cell a connected unit-disk graph stays in one
         # cell (a unit-step walk out of the first cell fills a cell on the
         # way), so at most three points, all in range of one another, and
         # one connected cluster suffices
-        configs = tuple(
-            AntennaConfig(p, a, range=REPLACEMENT_RANGE) for p, a in zip(pts, orient_cluster(pts))
-        )
+        configs = Antennas(pts, orient_cluster(pts), QUARTER_TURN, REPLACEMENT_RANGE)
         return ReplacementResult(configs=configs, mode="small", grid=grid)
 
-    select = select_hubs_basic if mode == "basic" else select_hubs_refined
-    hubs = [select(grid.points_in(cell)) for cell in full]
-    rank = {cell: k for k, cell in enumerate(full)}
-    # each point's fan: its own full cell's, else (-1) its stray group's
-    fan_of = np.array([rank.get(grid.cell_of(p), -1) for p in pts], dtype=np.intp)
+    hubs = _cell_hubs(pts, xs, ys, grid, mode)
+    stray = np.flatnonzero(fan_of < 0)
+    if len(stray):
+        word = _label_ranks(grid, udg)
+        if mode == "basic":
+            fan_of[stray] = word[stray]
+        else:
+            # a group takes the label of its lexicographically least point
+            lex_rank = np.empty(len(pts), np.intp)
+            lex_rank[_lex_order(xs, ys)] = np.arange(len(pts))
+            for comp in components(udg, stray.tolist()):
+                fan_of[comp] = word[comp[int(np.argmin(lex_rank[comp]))]]
 
-    stray = np.flatnonzero(fan_of < 0).tolist()
-    if stray:
-        labels = full_cell_labels(grid, udg)
-        groups = [[i] for i in stray] if mode == "basic" else components(udg, stray)
-        for comp in groups:
-            fan_of[comp] = rank[labels[min((pts[i] for i in comp), key=Point.as_tuple)]]
-
-    configs = tuple(
-        AntennaConfig(p, a, range=REPLACEMENT_RANGE)
-        for p, a in zip(pts, aim_at_fan(hubs, pts, fan_of))
-    )
-    return ReplacementResult(configs=configs, mode=mode, grid=grid)
+    aims = aim_at_fan(hubs, pts, fan_of)
+    return ReplacementResult(Antennas(pts, aims, QUARTER_TURN, REPLACEMENT_RANGE), mode, grid)
 
 
 # ---------------------------------------------------------------------------

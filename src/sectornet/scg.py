@@ -1,9 +1,11 @@
 """Symmetric communication graphs of sector antennas.
 
 An antenna hears another only if each lies inside the other's wedge, so
-the graph is undirected by construction.  An antenna is a
-:class:`~sectornet.geometry.AntennaConfig`, validated and normalized
-when it is built, so it is used as is.  This module builds that graph:
+the graph is undirected by construction.  Antennas come as a
+:class:`~sectornet.geometry.Antennas` set, or as a sequence of
+:class:`~sectornet.geometry.AntennaConfig` rows that is turned into one
+on entry; both are validated and normalized when they are built, so
+their columns are used as they are.  This module builds that graph:
 from one containment matrix when every wedge is unbounded, and from the
 candidate pairs of an x-sorted sweep when some range is finite.  Both
 decide a pair with the same angular test and range test of
@@ -22,7 +24,6 @@ oracle and lives in ``tests/oracles.py``.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -36,9 +37,11 @@ from .geometry import (
     HalfPlane,
     Point,
     _angles_ok,
+    _antennas,
     _aperture_branches,
+    _containment_core,
     _halfplane_test_points,
-    _wedge_arrays,
+    _lex_order,
     _WedgeArrays,
     containment_matrix,
 )
@@ -80,15 +83,14 @@ def build_scg(configs: Sequence[AntennaConfig]) -> CommGraph:
     (:func:`_swept_edges`), and a pair one finite range rules out is
     never asked about its angles; both paths give the same edges.
     """
-    locations = [c.location for c in configs]
-    if len(set(locations)) != len(locations):
-        raise ValueError("duplicate antenna locations")
-    if all(math.isinf(c.range) for c in configs):
-        M = containment_matrix(configs, locations)
+    ants = _antennas(configs)
+    _lex_order(ants.x, ants.y)  # raises on duplicate locations
+    if np.isinf(ants.range).all():
+        M = _containment_core(ants.wedges.take((slice(None), None)), ants.x, ants.y)
         edges = np.argwhere(np.triu(M & M.T, 1))
     else:
-        edges = _swept_edges(_wedge_arrays(configs))
-    return CommGraph(tuple(locations), edges)
+        edges = _swept_edges(ants.wedges)
+    return CommGraph(ants.locations, edges)
 
 
 #: Candidate pairs the sweep tests at once.  This bounds its working
@@ -212,15 +214,15 @@ def find_mutual_cover_pair(
     ``None`` means the two groups sit in different components when no
     other antennas exist.  Coincident locations never pair up.
     """
-    locs_a = [c.location for c in side_a]
-    locs_b = [c.location for c in side_b]
-    mutual = containment_matrix(side_a, locs_b) & containment_matrix(side_b, locs_a).T
-    mutual &= np.array([[a != b for b in locs_b] for a in locs_a], bool).reshape(mutual.shape)
+    a, b = _antennas(side_a), _antennas(side_b)
+    at_a, at_b = np.stack((a.x, a.y), axis=1), np.stack((b.x, b.y), axis=1)
+    mutual = containment_matrix(a, at_b) & containment_matrix(b, at_a).T
+    mutual &= (at_a[:, None, :] != at_b[None, :, :]).any(axis=2)
     hits = np.argwhere(mutual)  # row-major: the input-order scan
     if not len(hits):
         return None
     i, j = hits[0]
-    return locs_a[i], locs_b[j]
+    return a.locations[i], b.locations[j]
 
 
 #: Largest sub-group :func:`halfplane_cover_number` tries.
@@ -232,7 +234,8 @@ def halfplane_cover_number(
 ) -> Optional[int]:
     """Size of the smallest sub-group whose wedges cover the half-plane,
     each decided on the test points of the whole group's arrangement."""
-    hit = containment_matrix(configs, _halfplane_test_points(configs, hp))
+    ants = _antennas(configs)
+    hit = containment_matrix(ants, _halfplane_test_points(ants, hp))
     for k in range(1, _MAX_COVER_SIZE + 1):
         for subset in itertools.combinations(range(len(configs)), k):
             if hit[list(subset)].any(axis=0).all():
@@ -258,15 +261,16 @@ def classify_separated_pair(
     "case 1" when either equals 2 (a couple already reaches across) and
     "case 2" when both are 3.  Returns (case, x_a, x_b).
     """
-    for c in side_a:
-        if separator.value(c.location.x, c.location.y) > _SEPARATOR_TOL:
+    a, b = _antennas(side_a), _antennas(side_b)
+    for p in a.locations:
+        if separator.value(p.x, p.y) > _SEPARATOR_TOL:
             raise ValueError("separator does not have side A outside it")
-    for c in side_b:
-        if separator.value(c.location.x, c.location.y) < -_SEPARATOR_TOL:
+    for p in b.locations:
+        if separator.value(p.x, p.y) < -_SEPARATOR_TOL:
             raise ValueError("separator does not contain side B")
     flipped = HalfPlane(-separator.nx, -separator.ny, -separator.c)
-    x_a = halfplane_cover_number(side_a, separator)
-    x_b = halfplane_cover_number(side_b, flipped)
+    x_a = halfplane_cover_number(a, separator)
+    x_b = halfplane_cover_number(b, flipped)
     if x_a not in (2, 3) or x_b not in (2, 3):
         raise ValueError(f"unexpected cover numbers ({x_a}, {x_b})")
     return (1 if 2 in (x_a, x_b) else 2), x_a, x_b

@@ -22,6 +22,7 @@ EXPORTS = [
     "REPLACEMENT_RANGE",
     "TAU",
     "AntennaConfig",
+    "Antennas",
     "CommGraph",
     "CostChainReport",
     "CoverageReport",
@@ -103,7 +104,7 @@ def _defaulted(path: Path) -> list[str]:
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 45
+    assert len(EXPORTS) == 46
     assert sectornet.__all__ == EXPORTS
     assert all(hasattr(sectornet, name) for name in EXPORTS)
 

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import config_doc, dump_reference, instance_doc
 from sectornet import fileio
-from sectornet.geometry import AntennaConfig, Point
+from sectornet.geometry import QUARTER_TURN, AntennaConfig, Antennas, Point
 
 
 def test_instance_round_trip_is_byte_identical(tmp_path):
@@ -36,7 +36,7 @@ def test_config_round_trip_preserves_infinite_range(tmp_path):
     path = tmp_path / "cfg.json"
     text = fileio.write_config(configs, "replace-refined", path, metadata={"grid_origin": [0.0, 0.0]})
     back, mode, meta = fileio.read_config(path)
-    assert back == configs
+    assert list(back) == configs
     assert math.isinf(back[0].range)
     assert back[1].range == 14.0 * math.sqrt(2.0)
     assert mode == "replace-refined"
@@ -89,8 +89,13 @@ _ANTENNA = {"x": 0.0, "y": 0.0, "orientation_radians": 0.0, "aperture_radians": 
                 {"range": 0.0},
                 {"range": -1.0},
                 {"range": math.nan},
+                {"range": -math.inf},
                 {"orientation_radians": math.nan},
                 {"orientation_radians": math.inf},
+                {"orientation_radians": -math.inf},
+                {"aperture_radians": 2 * math.pi + 1e-9},
+                {"x": math.nan},
+                {"y": -math.inf},
             )
         ),
         ["kind", "instance"],
@@ -104,6 +109,10 @@ _ANTENNA = {"x": 0.0, "y": 0.0, "orientation_radians": 0.0, "aperture_radians": 
                 {"aperture_radians": True},
                 {"range": "1e3"},
                 {"range": "Infinity"},
+                {"range": "INF"},
+                {"range": ""},
+                {"range": True},
+                {"orientation_radians": False},
                 {"x": 10**400},
             )
         ),
@@ -151,7 +160,7 @@ def test_writers_match_the_reference_encoder(tmp_path, points, metadata):
     text = fileio.write_config(configs, "power", path, metadata=metadata)
     assert text == dump_reference(config_doc(configs, "power", metadata)) == path.read_text(encoding="utf-8")
     back, _, _ = fileio.read_config(path)
-    assert back == configs and all(type(c.location.x) is type(c.location.y) is float for c in back)
+    assert list(back) == configs and all(type(c.location.x) is type(c.location.y) is float for c in back)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -183,3 +192,34 @@ def test_rows_take_the_c_encoder(monkeypatch, n):
     entries.clear()
     fileio.write_config([AntennaConfig(p, 1.0, range=2.0) for p in points], "power")
     assert len(entries) <= 1 and floats == []
+
+
+def test_repeated_values_are_formatted_once_and_keep_their_bits(tmp_path, monkeypatch):
+    # -0.0 and 0.0 are equal but print differently; "inf" and a finite
+    # range, and a few apertures, repeat across rows in a mixed order
+    n = 60
+    points = [Point(0.5 * k - 3.0, (-1) ** k * 0.25 * k) for k in range(n)]
+    orientations = [(-0.0, 0.0, 1.0, -0.0, 2.5)[k % 5] for k in range(n)]
+    apertures = [(QUARTER_TURN, 2 * math.pi, 0.75)[k % 3] for k in range(n)]
+    ranges = [(math.inf, 14.0, math.inf, 5e-324, 14.0, 1e308, math.inf)[k % 7] for k in range(n)]
+    configs = [AntennaConfig(p, o, a, r) for p, o, a, r in zip(points, orientations, apertures, ranges)]
+    ants = Antennas(points, orientations, apertures, ranges)
+    assert [o.hex() for o in ants.orientation.tolist()] == [o.hex() for o in orientations]
+    formatted = []
+    encode = fileio._encode
+    monkeypatch.setattr(fileio, "_encode", lambda values: formatted.append(len(values)) or encode(values))
+    path = tmp_path / "cfg.json"
+    for given in (configs, ants):
+        formatted.clear()
+        text = fileio.write_config(given, "power", path, metadata={"beta": 2})
+        assert text == dump_reference(config_doc(configs, "power", {"beta": 2})) == path.read_text(encoding="utf-8")
+        # the sector columns format their distinct values only; the
+        # coordinates, all distinct here, one value a row
+        assert formatted == [3, 4, 4, n, n]
+    assert '"orientation_radians": -0.0' in text and '"orientation_radians": 0.0' in text
+    back, _, _ = fileio.read_config(path)
+
+    def bits(c):
+        return tuple(v.hex() for v in (c.location.x, c.location.y, c.orientation, c.aperture, c.range))
+
+    assert [bits(c) for c in back] == [bits(c) for c in configs]

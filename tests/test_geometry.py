@@ -1,7 +1,10 @@
 """Geometry layer: predicates, hulls, containment, coverage decisions."""
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from sectornet.geometry import (
     QUARTER_TURN,
     TAU,
     AntennaConfig,
+    Antennas,
     HalfPlane,
     Point,
     containment_matrix,
@@ -25,7 +29,10 @@ from sectornet.geometry import (
     squared_distance,
     weakly_separable,
 )
+from sectornet import geometry
 from sectornet.orientation import configs_from_assignment, orient_quadruplet
+from sectornet.power import orient_and_assign
+from sectornet.replacement import REPLACEMENT_RANGE, replace
 
 from oracles import choice, coverage_sample_check, halfplane_covered, wedge_contains
 from sectornet.rng import SplitMix64
@@ -101,6 +108,28 @@ def test_orientation_sign_exact_on_scaled_integer_grid():
     assert orientation_sign(a, b, Point(11 * s, 21 * s - s)) == -1
 
 
+def _dot_fraction(a, b, c):
+    ax, ay = map(Fraction, a.as_tuple())
+    bx, by = map(Fraction, b.as_tuple())
+    cx, cy = map(Fraction, c.as_tuple())
+    v = (bx - ax) * (cx - ax) + (by - ay) * (cy - ay)
+    return (v > 0) - (v < 0)
+
+
+def test_signs_stay_exact_where_products_underflow():
+    # both products underflow to zero, though the turn is a left turn
+    assert orientation_sign(Point(3.0, 0.0), Point(3.0000000000000004, 0.0), Point(3.0, 5e-324)) == 1
+    assert dot_sign(Point(0.0, 0.0), Point(1e-200, 0.0), Point(1e-200, 5.0)) == 1
+    rng = SplitMix64(12)
+    tiny = [0.0, 5e-324, -5e-324, 1e-320, 2.0**-1022, 1e-300, 1e-160, 3e-160, 1.0, 3.0]
+    pts = [Point(choice(rng, tiny) * (1 + rng.randrange(3)), choice(rng, tiny)) for _ in range(80)]
+    pts += [Point(3.0 + choice(rng, tiny), choice(rng, tiny)) for _ in range(40)]
+    for _ in range(6000):
+        a, b, c = (pts[rng.randrange(len(pts))] for _ in range(3))
+        assert orientation_sign(a, b, c) == _sign_fraction(a, b, c), (a, b, c)
+        assert dot_sign(a, b, c) == _dot_fraction(a, b, c), (a, b, c)
+
+
 def test_dot_sign_basic():
     o, x, y = Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)
     assert dot_sign(o, x, y) == 0  # perpendicular
@@ -160,6 +189,134 @@ def test_wedge_validation():
     # the orientation is stored normalized, so equal sectors compare equal
     assert AntennaConfig(apex, -0.5) == AntennaConfig(apex, TAU - 0.5)
     assert w.wedge() is w
+
+
+def _bench_workloads():
+    """The benchmark's workload module, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its data classes look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class _Untraced:
+    def call(self, name, f, *args):
+        return f(*args)
+
+
+def _row_bits(c):
+    return (c.location.x.hex(), c.location.y.hex(), c.orientation.hex(), c.aperture.hex(), c.range.hex())
+
+
+def _antenna_columns():
+    """(locations, orientations, apertures, ranges) from the benchmark's
+    UDG and power pools, with the orientations turned by whole turns and
+    negated so that normalizing has work to do, plus hand-picked angles
+    and random sectors."""
+    bench, t, rng = _bench_workloads(), _Untraced(), np.random.default_rng(20)
+    cases = []
+    for make, n in ((bench.make_udg_dense, 300), (bench.make_udg_web, 285)):
+        for pts, mode in make(1, {"n": n, "pool": 3}, t):
+            aims = replace(pts, mode).configs.orientation
+            cases.append((pts, aims, QUARTER_TURN, np.full(len(pts), REPLACEMENT_RANGE)))
+    for pts, beta in bench.make_power_chain(1, {"n": 512, "pool": 2}, t):
+        points, aims, radii = zip(*orient_and_assign(pts, beta).entries)
+        cases.append((points, np.array(aims), QUARTER_TURN, np.array(radii)))
+    special = [-0.0, 0.0, -TAU, TAU, -1e-300, 1e-300, 7 * TAU, -7 * TAU, -math.pi, 1e300, -5e-324, TAU - 1e-16]
+    points = [Point(float(k), 0.0) for k in range(len(special))]
+    cases.append((points, np.array(special), QUARTER_TURN, math.inf))
+    n = 500
+    points = [Point(float(k), float(-k)) for k in range(n)]
+    apertures = TAU * (1.0 - rng.random(n))  # in (0, tau]
+    ranges = np.where(rng.random(n) < 0.3, math.inf, rng.exponential(10.0, n))
+    cases.append((points, rng.normal(0.0, 50.0, n), apertures, ranges))
+    for points, aims, apertures, ranges in cases:
+        turns = rng.integers(-3, 4, len(aims)) * TAU
+        sign = rng.choice([-1.0, 1.0], len(aims))
+        yield points, aims, apertures, ranges
+        yield points, sign * aims + turns, apertures, ranges
+
+
+def test_antennas_rows_equal_per_row_construction():
+    seen = 0
+    for points, aims, apertures, ranges in _antenna_columns():
+        ants = Antennas(points, aims, apertures, ranges)
+        n = len(points)
+        columns = (aims, np.broadcast_to(apertures, n), np.broadcast_to(ranges, n))
+        rows = [AntennaConfig(p, o, a, r) for p, o, a, r in zip(points, *(c.tolist() for c in columns))]
+        assert len(ants) == n and ants.locations == tuple(points)
+        assert [_row_bits(c) for c in ants] == [_row_bits(c) for c in rows]
+        assert [o.hex() for o in ants.orientation.tolist()] == [c.orientation.hex() for c in rows]
+        assert list(ants) == rows
+        seen += n
+    assert seen > 5000
+
+
+def test_normalize_angles_matches_normalize_angle_bit_for_bit():
+    rng = np.random.default_rng(7)
+    angles = np.concatenate(
+        (
+            rng.uniform(-4 * TAU, 4 * TAU, 40_000),
+            rng.normal(0.0, 1.0, 20_000) * 10.0 ** rng.integers(-300, 300, 20_000),
+            np.arange(-40, 41) * (TAU / 8),
+            [-0.0, 0.0, -TAU, TAU, -1e-300, 7 * TAU, -5e-324, 5e-324, np.nextafter(TAU, 0), np.nextafter(-TAU, 0)],
+        )
+    )
+    got = geometry._normalize_angles(angles).tolist()
+    assert [a.hex() for a in got] == [normalize_angle(a).hex() for a in angles.tolist()]
+
+
+@pytest.mark.parametrize(
+    "orientation, aperture, range_",
+    [
+        (math.nan, QUARTER_TURN, 1.0),
+        (math.inf, QUARTER_TURN, 1.0),
+        (-math.inf, QUARTER_TURN, 1.0),
+        (0.0, 0.0, 1.0),
+        (0.0, -1.0, 1.0),
+        (0.0, TAU + 1e-6, 1.0),
+        (0.0, math.nan, 1.0),
+        (0.0, QUARTER_TURN, 0.0),
+        (0.0, QUARTER_TURN, -1.0),
+        (0.0, QUARTER_TURN, math.nan),
+        (0.0, QUARTER_TURN, -math.inf),
+    ],
+)
+def test_antennas_reject_what_an_antenna_rejects(orientation, aperture, range_):
+    apex = Point(1.0, 2.0)
+    with pytest.raises(ValueError) as one:
+        AntennaConfig(apex, orientation, aperture, range_)
+    good = AntennaConfig(Point(0.0, 0.0), 1.0)
+    with pytest.raises(ValueError) as many:
+        Antennas([good.location, apex], [1.0, orientation], [QUARTER_TURN, aperture], [math.inf, range_])
+    assert str(many.value) == str(one.value)
+
+
+def test_antennas_is_an_immutable_sequence_of_rows():
+    configs = [AntennaConfig(Point(float(k), 1.0), 0.5 * k, QUARTER_TURN, 2.0 + k) for k in range(5)]
+    ants = Antennas([c.location for c in configs], [0.5 * k for k in range(5)], QUARTER_TURN, [2.0, 3.0, 4.0, 5.0, 6.0])
+    assert len(ants) == 5 and ants[0] == configs[0] and ants[-1] == configs[-1]
+    assert ants[1:3] == tuple(configs[1:3]) and list(ants) == configs
+    assert ants.index(configs[2]) == 2 and configs[3] in ants
+    assert ants == Antennas(ants.locations, ants.orientation, ants.aperture, ants.range)
+    assert ants != Antennas(ants.locations, ants.orientation + 0.5, ants.aperture, ants.range)
+    for name in ("x", "y", "orientation", "aperture", "range"):
+        column = getattr(ants, name)
+        assert column.dtype == np.float64 and column.shape == (5,)
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+    with pytest.raises(AttributeError):
+        ants.x = np.zeros(5)
+    # a plain sequence becomes a set once, and its rows stay the same objects
+    converted = geometry._antennas(configs)
+    assert converted == ants and all(a is b for a, b in zip(converted, configs))
+    assert geometry._antennas(converted) is converted
+    with pytest.raises(ValueError):
+        Antennas(ants.locations, [0.0, 1.0], QUARTER_TURN, 1.0)  # a column of the wrong length
+    empty = Antennas([], [], QUARTER_TURN, 1.0)
+    assert len(empty) == 0 and list(empty) == [] and empty.x.shape == (0,)
 
 
 def test_configs_from_assignment_is_one_antenna_per_entry():

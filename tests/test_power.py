@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -381,12 +382,15 @@ def test_prim_tie_rules_match_the_reference(name):
 
 
 def test_overflowing_squared_distances_raise():
-    # every squared gap overflows to inf, so no nearest vertex can be ranked
+    # every squared gap overflows to inf, so no nearest vertex can be
+    # ranked: the ValueError alone, no numpy overflow warning
     pts = [Point(0.0, 0.0), Point(1e200, 0.0), Point(2e200, 0.0), Point(3e200, 1.0)]
-    with pytest.raises(ValueError, match="overflow"):
-        mst_edges(pts)
-    with pytest.raises(ValueError, match="overflow"):
-        tsp_tour_approx(pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            mst_edges(pts)
+        with pytest.raises(ValueError, match="overflow"):
+            tsp_tour_approx(pts)
 
 
 def test_cost_chain_check_rejects_a_repeated_point():

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,15 @@ from scipy.spatial import distance_matrix
 
 from sectornet import replacement
 from sectornet.generators import GenSpec, gen
-from sectornet.geometry import DIST_SQ_TOL, Point, distance, squared_distance
+from sectornet.geometry import (
+    DIST_SQ_TOL,
+    Point,
+    _coords,
+    _hull_candidates,
+    convex_hull,
+    distance,
+    squared_distance,
+)
 from sectornet.orientation import aim_at_fan, configs_from_assignment, orient_quadruplet
 from sectornet.replacement import (
     CELL_SIDE,
@@ -213,7 +222,11 @@ def _hub_cells():
     edges, collinear strips, all points on one line), the same lattice
     points moved by an ulp, and seeded cells whose points all lie on one
     axis-aligned or slanted line (the hull is a segment), each in a
-    shuffled input order."""
+    shuffled input order.  For the hull prefilter: cells whose extreme
+    points tie (several leftmost, lowest, rightmost or highest points),
+    diamonds and triangles with lattice points exactly on the sides of
+    the extreme-point quadrilateral, the same moved by an ulp, and
+    triangles where two corners of the quadrilateral coincide."""
     rng = SplitMix64(18)
     for seed in (1, 2, 3):
         grid = grid_partition(list(gen(GenSpec("connected_udg", 300, seed=seed)).points))
@@ -238,6 +251,14 @@ def _hub_cells():
         y = math.nextafter(p.y, up[1]) if rng.randrange(3) == 0 else p.y
         return Point(x, y)
 
+    def nudge(xy):
+        """The lattice point ``xy``, each coordinate moved an ulp up or down, or kept."""
+        x, y = (
+            math.nextafter(float(v), math.inf if rng.randrange(2) else -math.inf) if rng.randrange(3) == 0 else float(v)
+            for v in xy
+        )
+        return Point(x, y)
+
     for _ in range(60):
         yield distinct(lambda: Point(rng.uniform(0, CELL_SIDE), rng.uniform(0, CELL_SIDE)), 4 + rng.randrange(27))
     for _ in range(60):
@@ -257,6 +278,38 @@ def _hub_cells():
         x0, y0 = 0.25 * rng.randrange(8), 3.0 + 0.25 * rng.randrange(8)
         steps = distinct(lambda: 0.5 * rng.randrange(7), 4 + rng.randrange(4))
         yield [Point(x0 + t * dx, y0 + t * dy) for t in steps]
+    # tied extremes: points on all four sides of a lattice rectangle
+    for _ in range(30):
+        w, h = 2 + rng.randrange(5), 2 + rng.randrange(5)
+        sides = [(0, y) for y in range(h + 1)] + [(w, y) for y in range(h + 1)]
+        sides += [(x, 0) for x in range(1, w)] + [(x, h) for x in range(1, w)]
+        shuffle(rng, sides)
+        cell = {(0, rng.randrange(h + 1)), (w, rng.randrange(h + 1))}
+        cell |= {(1 + rng.randrange(w - 1), 0), (1 + rng.randrange(w - 1), h)}
+        cell |= set(sides[: rng.randrange(len(sides))])
+        cell |= {(rng.randrange(w + 1), rng.randrange(h + 1)) for _ in range(rng.randrange(6))}
+        yield [Point(float(x), float(y)) for x, y in cell]
+    # lattice points on the sides of the extreme-point quadrilateral: a
+    # diamond and a right triangle (whose leftmost and lowest corners
+    # coincide), sides and inside sampled, then moved by an ulp or scaled
+    shapes = (
+        lambda x, y: abs(x - 3) + abs(y - 3) <= 3,
+        lambda x, y: x + y <= 6,
+        lambda x, y: abs(x - 3) + abs(y - 3) == 3,
+    )
+    for _ in range(60):
+        inside = shapes[rng.randrange(3)]
+        lattice = [(x, y) for x in range(7) for y in range(7) if inside(x, y)]
+        corners = [(x, y) for x, y in lattice if (x, y) in ((0, 3), (3, 0), (6, 3), (3, 6), (0, 0), (6, 0), (0, 6))]
+        shuffle(rng, lattice)
+        cell = sorted(set(corners + lattice[: 4 + rng.randrange(len(lattice) - 3)]))
+        kind = rng.randrange(3)
+        if kind == 0:
+            yield [Point(float(x), float(y)) for x, y in cell]
+        elif kind == 1:
+            yield distinct(lambda: nudge(choice(rng, cell)), len(cell))
+        else:
+            yield [Point(0.1 * x, 0.1 * y) for x, y in cell]
 
 
 def test_select_hubs_refined_matches_the_whole_strip_reference():
@@ -266,7 +319,62 @@ def test_select_hubs_refined_matches_the_whole_strip_reference():
         shuffle(rng, pts)
         assert select_hubs_refined(pts) == hubs_refined_reference(pts), pts
         cells += 1
-    assert cells > 180
+    assert cells > 300
+
+
+def _rational_turn(a, b, c):
+    """The sign of cross(b - a, c - a) in rational arithmetic."""
+    f = Fraction
+    det = (f(b.x) - f(a.x)) * (f(c.y) - f(a.y)) - (f(b.y) - f(a.y)) * (f(c.x) - f(a.x))
+    return (det > 0) - (det < 0)
+
+
+def test_hull_prefilter_keeps_every_hull_vertex():
+    # a dropped point lies strictly inside its cell's hull, so the kept
+    # points have the same hull; all cells at once give each cell's answer
+    cells = [sorted(set(pts), key=Point.as_tuple) for pts in _hub_cells()]
+    keeps = []
+    for pts in cells:
+        keep = _hull_candidates(*_coords(pts), np.array([0, len(pts)])).tolist()
+        hull = convex_hull(pts)
+        assert convex_hull([p for p, k in zip(pts, keep) if k]) == hull, pts
+        sides = list(zip(hull, hull[1:] + hull[:1]))
+        for p, k in zip(pts, keep):
+            assert k or all(_rational_turn(a, b, p) > 0 for a, b in sides), (pts, p)
+        keeps.append(keep)
+    xs, ys = _coords(p for pts in cells for p in pts)
+    starts = np.cumsum([0] + [len(pts) for pts in cells])
+    assert _hull_candidates(xs, ys, starts).tolist() == [k for keep in keeps for k in keep]
+    # on the 300-point clouds the exact hull sees a small share of the points
+    big = [(sum(keep), len(keep)) for keep in keeps if len(keep) >= 100]
+    assert len(big) == 3 and all(kept < 0.25 * n for kept, n in big), big
+
+
+def test_grid_partition_matches_per_point_buckets():
+    rng = np.random.default_rng(41)
+    for k in range(30):
+        scale = (0.5, 7.0, 30.0, 1e6)[k % 4]
+        raw = rng.uniform(-scale, scale, (1 + rng.integers(300), 2))
+        if k % 3 == 0:  # points on cell boundaries
+            raw = np.round(raw / 3.5) * 3.5
+        pts = list(dict.fromkeys(Point(float(x), float(y)) for x, y in raw))
+        grid = grid_partition(pts)
+        buckets = {}
+        for p in pts:
+            buckets.setdefault(grid.cell_of(p), []).append(p)
+        assert grid.cells == {c: tuple(b) for c, b in sorted(buckets.items())}
+        assert list(grid.cells) == sorted(buckets)
+        assert grid.full_cells() == sorted(c for c, b in buckets.items() if len(b) >= FULL_CELL_MIN)
+        assert all(grid.keys[grid.cell[i]].tolist() == list(grid.cell_of(p)) for i, p in enumerate(pts))
+        assert grid == grid_partition(tuple(pts)) and grid != grid_partition(pts[::-1] + [Point(1e9, 0.0)])
+    with pytest.raises(ValueError):
+        grid_partition([])
+
+
+def test_full_cell_labels_need_the_grid_points():
+    pts = [Point(0.1 * k, 0.0) for k in range(6)]
+    with pytest.raises(ValueError, match="disagree"):
+        full_cell_labels(grid_partition(pts), build_udg(pts[::-1]))
 
 
 def test_full_cell_labels_cover_everyone():
@@ -368,6 +476,13 @@ def test_replace_aims_once(monkeypatch):
     for mode in ("basic", "refined"):
         replace(pts, mode=mode)
     assert calls == [140, 140]
+
+
+def test_replace_results_compare_by_value():
+    pts = _drifting_chain(2, 60)
+    for mode in ("basic", "refined"):
+        assert replace(pts, mode) == replace(list(pts), mode)
+    assert replace(pts, "basic") != replace(pts, "refined")
 
 
 def test_replace_small_instance_path():
