@@ -16,9 +16,11 @@ Conventions used throughout the package:
   bounding rays sit at ``orientation +/- aperture / 2``.
 * Wedges are closed: points on a bounding ray (and the location itself)
   are contained, and a point exactly at distance ``range`` is in range.
-* Sign predicates (``orientation_sign``, ``dot_sign``) are exact for any
-  float inputs: a floating-point filter decides the easy cases and the
-  rest fall back to rational arithmetic.
+* Sign predicates (``orientation_sign``, ``dot_sign``, ``vec_dot_sign``)
+  are exact for any float inputs.  Each is one call of one cross-product
+  sign: a floating-point filter decides the easy cases, the rest fall
+  back to rational arithmetic.  The hull prefilter runs that filter on
+  arrays.
 * Containment cannot be made exact in the same sense because
   orientations pass through ``atan2``/``cos``/``sin``.  Instead the
   angular test grants ``ANGLE_TOL`` radians of slack on both bounding
@@ -52,9 +54,9 @@ ANGLE_TOL = 1e-12
 #: Absolute slack for squared-distance comparisons against a squared range.
 DIST_SQ_TOL = 1e-9
 
-# Floating-point filter threshold for the sign predicates.  Anything with
-# |result| above _SIGN_FILTER * (magnitude of the terms) is trusted; the
-# rest is recomputed in exact rational arithmetic.
+# Floating-point filter threshold for the sign predicates: a difference
+# of two products larger than this share of their magnitudes is trusted;
+# the rest is recomputed in exact rational arithmetic.
 _SIGN_FILTER = 4e-15
 # Below this magnitude of the terms a product may have lost bits to
 # underflow, which the relative filter does not bound: exact arithmetic
@@ -253,54 +255,45 @@ def _antennas(configs: Sequence[AntennaConfig]) -> Antennas:
 # ---------------------------------------------------------------------------
 
 
-def _exact_cross(p1: Point, p2: Point, q1: Point, q2: Point) -> int:
-    ux, uy, vx, vy = p2.x - p1.x, p2.y - p1.y, q2.x - q1.x, q2.y - q1.y
-    if (ux == 0.0 or vy == 0.0) and (uy == 0.0 or vx == 0.0):
+def _decided(left, right, det):
+    """Whether the float filter trusts the sign of ``det``, the float
+    difference of the products ``left`` and ``right``, for floats or
+    arrays alike."""
+    scale = abs(left) + abs(right)
+    return (abs(det) > _SIGN_FILTER * scale) & (scale >= _SIGN_TINY)
+
+
+def _cross_sign(ax, ay, bx, by, cx, cy, dx, dy) -> int:
+    """Exact sign of cross(b - a, d - c) for float coordinates: the float
+    filter, then rational arithmetic on what it leaves open.  A dot is the
+    cross with the second vector turned a quarter: dot(u, v2 - v1) is
+    cross(u, (v1.y, v2.x) - (v2.y, v1.x)), and as negating a float
+    difference is exact, the filter and fallback see the dot's products."""
+    left = (bx - ax) * (dy - cy)
+    right = (by - ay) * (dx - cx)
+    det = left - right
+    if _decided(left, right, det):
+        return 1 if det > 0 else -1
+    if (bx == ax or dy == cy) and (by == ay or dx == cx):
         return 0  # both products are zero: a float difference is zero only for equal floats
     f = Fraction
-    det = (f(p2.x) - f(p1.x)) * (f(q2.y) - f(q1.y)) - (f(p2.y) - f(p1.y)) * (f(q2.x) - f(q1.x))
+    det = (f(bx) - f(ax)) * (f(dy) - f(cy)) - (f(by) - f(ay)) * (f(dx) - f(cx))
     return (det > 0) - (det < 0)
-
-
-def _exact_dot(p1: Point, p2: Point, q1: Point, q2: Point) -> int:
-    ux, uy, vx, vy = p2.x - p1.x, p2.y - p1.y, q2.x - q1.x, q2.y - q1.y
-    if (ux == 0.0 or vx == 0.0) and (uy == 0.0 or vy == 0.0):
-        return 0
-    f = Fraction
-    dot = (f(p2.x) - f(p1.x)) * (f(q2.x) - f(q1.x)) + (f(p2.y) - f(p1.y)) * (f(q2.y) - f(q1.y))
-    return (dot > 0) - (dot < 0)
-
-
-def vec_cross_sign(p1: Point, p2: Point, q1: Point, q2: Point) -> int:
-    """Exact sign of cross(p2 - p1, q2 - q1)."""
-    left = (p2.x - p1.x) * (q2.y - q1.y)
-    right = (p2.y - p1.y) * (q2.x - q1.x)
-    det = left - right
-    scale = abs(left) + abs(right)
-    if abs(det) > _SIGN_FILTER * scale and scale >= _SIGN_TINY:
-        return 1 if det > 0 else -1
-    return _exact_cross(p1, p2, q1, q2)
-
-
-def vec_dot_sign(p1: Point, p2: Point, q1: Point, q2: Point) -> int:
-    """Exact sign of dot(p2 - p1, q2 - q1)."""
-    left = (p2.x - p1.x) * (q2.x - q1.x)
-    right = (p2.y - p1.y) * (q2.y - q1.y)
-    dot = left + right
-    scale = abs(left) + abs(right)
-    if abs(dot) > _SIGN_FILTER * scale and scale >= _SIGN_TINY:
-        return 1 if dot > 0 else -1
-    return _exact_dot(p1, p2, q1, q2)
 
 
 def orientation_sign(a: Point, b: Point, c: Point) -> int:
     """+1 if a->b->c turns left, -1 if right, 0 if collinear.  Exact."""
-    return vec_cross_sign(a, b, a, c)
+    return _cross_sign(a.x, a.y, b.x, b.y, a.x, a.y, c.x, c.y)
 
 
 def dot_sign(a: Point, b: Point, c: Point) -> int:
     """Exact sign of dot(b - a, c - a); 0 means a right angle at ``a``."""
-    return vec_dot_sign(a, b, a, c)
+    return _cross_sign(a.x, a.y, b.x, b.y, c.y, a.x, a.y, c.x)
+
+
+def vec_dot_sign(p1: Point, p2: Point, q1: Point, q2: Point) -> int:
+    """Exact sign of dot(p2 - p1, q2 - q1)."""
+    return _cross_sign(p1.x, p1.y, p2.x, p2.y, q2.y, q1.x, q1.y, q2.x)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +348,9 @@ def _hull_candidates(xs: np.ndarray, ys: np.ndarray, starts: np.ndarray) -> np.n
     A side whose two corners coincide is skipped: the sides left bound
     the convex polygon of the distinct corners, and with two of them (the
     first and last point) no point is left of both.  The corners are
-    always kept.  Each side's sign is :func:`orientation_sign`'s: its
-    float filter runs on the arrays, and the points it leaves open go to
-    the exact predicate.
+    always kept.  Each side's sign is :func:`orientation_sign`'s: the one
+    float filter (:func:`_decided`) runs on the arrays, and the points it
+    leaves open go to the exact predicate on their raw coordinates.
     """
     size = np.diff(starts)
     group = np.repeat(np.arange(len(size)), size)
@@ -372,23 +365,19 @@ def _hull_candidates(xs: np.ndarray, ys: np.ndarray, starts: np.ndarray) -> np.n
     sure = np.ones(len(xs), bool)
     sides = [(a[group], b[group]) for a, b in zip(corners, corners[1:] + corners[:1])]
     for a, b in sides:
-        left = (xs[b] - xs[a]) * (ys - ys[a])
-        right = (ys[b] - ys[a]) * (xs - xs[a])
+        left, right = (xs[b] - xs[a]) * (ys - ys[a]), (ys[b] - ys[a]) * (xs - xs[a])
         det = left - right
-        scale = np.abs(left) + np.abs(right)
-        decided = (np.abs(det) > _SIGN_FILTER * scale) & (scale >= _SIGN_TINY)
+        decided = _decided(left, right, det)
         skip = a == b
         inside &= (det > 0.0) | ~decided | skip
         sure &= decided | skip
     for c in corners:
         inside[c] = False
-
-    def point(k) -> Point:
-        return Point(xs[k].item(), ys[k].item())
-
+    x, y = xs.tolist(), ys.tolist()
     for i in np.flatnonzero(inside & ~sure).tolist():
+        ends = [(a[i], b[i]) for a, b in sides]
         inside[i] = all(
-            orientation_sign(point(a[i]), point(b[i]), point(i)) > 0 for a, b in sides if a[i] != b[i]
+            _cross_sign(x[j], y[j], x[k], y[k], x[j], y[j], x[i], y[i]) > 0 for j, k in ends if j != k
         )
     return ~inside
 
@@ -532,13 +521,16 @@ def _angles_ok(rays, aperture, reflex: bool, full: bool, dx, dy, d2) -> np.ndarr
 
 @dataclass(frozen=True)
 class HalfPlane:
-    """The closed set {p : nx * p.x + ny * p.y >= c}."""
+    """The closed set {p : nx * p.x + ny * p.y >= c}, for finite
+    coefficients and a nonzero normal."""
 
     nx: float
     ny: float
     c: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.nx, self.ny, self.c))):
+            raise ValueError(f"half-plane coefficients must be finite, got ({self.nx}, {self.ny}, {self.c})")
         if self.nx == 0.0 and self.ny == 0.0:
             raise ValueError("half-plane normal must be nonzero")
 

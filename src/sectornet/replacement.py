@@ -90,12 +90,6 @@ class GridPartition:
             return NotImplemented
         return self.origin == other.origin and self.points == other.points  # the arrays follow
 
-    def cell_of(self, p: Point) -> tuple[int, int]:
-        return (
-            math.floor((p.x - self.origin[0]) / CELL_SIDE),
-            math.floor((p.y - self.origin[1]) / CELL_SIDE),
-        )
-
     @cached_property
     def cells(self) -> dict[tuple[int, int], tuple[Point, ...]]:
         """The points of each occupied cell, cells in ascending order."""
@@ -125,8 +119,9 @@ def grid_partition(points: Sequence[Point]) -> GridPartition:
 
 def _grid(pts: tuple[Point, ...], xs: np.ndarray, ys: np.ndarray) -> GridPartition:
     """:func:`grid_partition` of ``pts``, whose coordinates are xs, ys:
-    each point's cell key by one floor of a division, as
-    :meth:`GridPartition.cell_of` computes it, then one sort of the keys."""
+    each point's cell key by one floor of a division, (floor(dx / 7),
+    floor(dy / 7)) for its offset from the origin, then one sort of the
+    keys."""
     if not pts:
         raise ValueError("empty point set")
     origin = (float(math.floor(xs.min())), float(math.floor(ys.min())))

@@ -5,7 +5,9 @@
   the separated-pair guarantee needs its separation hypothesis.
 * :func:`path_hits_full_cell` checks the path lemma behind the
   replacement: a unit-step path leaving its starting 3x3 block (see
-  :func:`block`) crosses a full cell of that block.
+  :func:`block`) crosses a full cell of that block.  :func:`cell_of`
+  gives one point's cell by the grid's definition, the reference for
+  the cell arrays of ``GridPartition``.
 * :func:`coverage_sample_check` refutes plane coverage by sampling; it
   is the independent route the exact arrangement test is checked
   against.
@@ -32,6 +34,8 @@
   couple of a quadruplet cover a closed half-plane.
 * :func:`mst_cost` and :func:`tour_power_cost` weigh a tree and a tour
   by r**beta, the routes the power bounds are checked against.
+* :func:`rational_signs` gives the signs of a cross and a dot product
+  in ``Fraction`` arithmetic, the reference for the exact predicates.
 * :func:`choice` and :func:`shuffle` draw from a seeded stream through
   ``randrange`` alone, so a seeded test is reproducible.
 """
@@ -41,6 +45,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -73,7 +78,7 @@ from sectornet.orientation import (
     orient_quadruplet,
 )
 from sectornet.power import Tour, _check_beta, _coords, _steps, mst_edges
-from sectornet.replacement import FULL_CELL_MIN, GridPartition
+from sectornet.replacement import CELL_SIDE, FULL_CELL_MIN, GridPartition
 from sectornet.rng import SplitMix64
 from sectornet.scg import CommGraph, find_mutual_cover_pair
 
@@ -215,6 +220,14 @@ def search_nonseparated_counterexample(
 # ---------------------------------------------------------------------------
 
 
+def cell_of(grid: GridPartition, p: Point) -> tuple[int, int]:
+    """The index of the half-open 7x7 cell of ``grid`` holding ``p``."""
+    return (
+        math.floor((p.x - grid.origin[0]) / CELL_SIDE),
+        math.floor((p.y - grid.origin[1]) / CELL_SIDE),
+    )
+
+
 def block(index: tuple[int, int]) -> list[tuple[int, int]]:
     """The 3x3 block of grid cell indices centered on ``index``."""
     i, j = index
@@ -237,12 +250,12 @@ def path_hits_full_cell(path: Sequence[Point], grid: GridPartition) -> bool:
     for p, q in zip(path, path[1:]):
         if squared_distance(p, q) > 1.0 + DIST_SQ_TOL:
             raise ValueError("not a unit-disk path: step longer than 1")
-    start = grid.cell_of(path[0])
+    start = cell_of(grid, path[0])
     cells = set(block(start))
-    if grid.cell_of(path[-1]) in cells:
+    if cell_of(grid, path[-1]) in cells:
         raise ValueError("path does not leave the starting block")
     for p in path:
-        cell = grid.cell_of(p)
+        cell = cell_of(grid, p)
         if cell in cells and cell != start and len(grid.points_in(cell)) >= FULL_CELL_MIN:
             return True
     return False
@@ -607,6 +620,22 @@ def tour_power_cost(tour: Tour, beta: float) -> float:
     if len(tour) < 2:
         return 0.0
     return sum(s**beta for s in _steps(*_coords(tour.order)))
+
+
+# ---------------------------------------------------------------------------
+# Exact signs in rational arithmetic
+# ---------------------------------------------------------------------------
+
+
+def rational_signs(p1: Point, p2: Point, q1: Point, q2: Point) -> tuple[int, int]:
+    """The signs of cross(p2 - p1, q2 - q1) and dot(p2 - p1, q2 - q1),
+    computed in rational arithmetic."""
+    f = Fraction
+    ux, uy = f(p2.x) - f(p1.x), f(p2.y) - f(p1.y)
+    vx, vy = f(q2.x) - f(q1.x), f(q2.y) - f(q1.y)
+    cross = ux * vy - uy * vx
+    dot = ux * vx + uy * vy
+    return (cross > 0) - (cross < 0), (dot > 0) - (dot < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from sectornet.scg import (
 
 from oracles import (
     block,
+    cell_of,
     choice,
     coverage_sample_check,
     mst_cost,
@@ -172,7 +173,7 @@ def test_criterion_4_replacement_spanner_bounds():
 
 def _shortest_path_out_of_block(udg, grid, src):
     """BFS until some vertex leaves the 3x3 block of src's cell."""
-    cells = set(block(grid.cell_of(udg.vertices[src])))
+    cells = set(block(cell_of(grid, udg.vertices[src])))
     adj = neighbor_lists(udg)
     parent = {src: None}
     frontier = [src]
@@ -183,7 +184,7 @@ def _shortest_path_out_of_block(udg, grid, src):
                 if v in parent:
                     continue
                 parent[v] = u
-                if grid.cell_of(udg.vertices[v]) not in cells:
+                if cell_of(grid, udg.vertices[v]) not in cells:
                     path = [v]
                     while parent[path[-1]] is not None:
                         path.append(parent[path[-1]])
@@ -220,7 +221,7 @@ def _full_cell_checks(pts, rng, samples):
         return 0, 0
     labels = full_cell_labels(grid, udg)
     for p in pts:
-        assert labels[p] in block(grid.cell_of(p)), p
+        assert labels[p] in block(cell_of(grid, p)), p
     probe = pts[rng.randrange(len(pts))]
     assert full_cell_labels(grid, udg)[probe] == labels[probe]
     paths = 0

@@ -3,8 +3,9 @@ class fields with defaults.
 
 A change that adds an export or a knob (a parameter or a data-class
 field with a default) has to edit the lists below, so the growth shows
-in the diff.  Every export must also have a caller in the package or in
-the benchmark: a name that only the tests use belongs in
+in the diff.  Every export, and every public method or property of an
+exported class, must also have a reader in the package or in the
+benchmark: a name that only the tests use belongs in
 ``tests/oracles.py``.
 """
 
@@ -132,6 +133,19 @@ def test_every_export_has_a_runtime_caller():
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in paths + sorted(bench.glob("*.py"))]
     unused = [name for name in sectornet.__all__ if not any(name in _loaded_names(t, name) for t in trees)]
     assert unused == []
+    # the public methods and properties of the exported classes, by name
+    classes = {name for name in sectornet.__all__ if isinstance(getattr(sectornet, name), type)}
+    members = [
+        (node.name, item.name)
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in classes
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+    ]
+    assert len(members) > 10
+    unread = [f"{c}.{m}" for c, m in members if not any(m in _loaded_names(t, m) for t in trees)]
+    assert unread == []
 
 
 def test_defaulted_parameters_are_pinned():

@@ -3,7 +3,6 @@
 import importlib.util
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from sectornet.geometry import (
     orientation_sign,
     plane_coverage_verify,
     squared_distance,
+    vec_dot_sign,
     weakly_separable,
 )
 from sectornet import geometry
@@ -34,7 +34,7 @@ from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.power import orient_and_assign
 from sectornet.replacement import REPLACEMENT_RANGE, replace
 
-from oracles import choice, coverage_sample_check, halfplane_covered, wedge_contains
+from oracles import choice, coverage_sample_check, halfplane_covered, rational_signs, wedge_contains
 from sectornet.rng import SplitMix64
 
 
@@ -69,15 +69,6 @@ def test_normalize_angle_range_and_values():
         assert math.isclose(math.sin(v), math.sin(a), abs_tol=1e-12)
 
 
-def _sign_fraction(a, b, c):
-    """Independent exact orientation via rational arithmetic."""
-    ax, ay = map(Fraction, a.as_tuple())
-    bx, by = map(Fraction, b.as_tuple())
-    cx, cy = map(Fraction, c.as_tuple())
-    v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-    return (v > 0) - (v < 0)
-
-
 def test_orientation_sign_matches_rational_arithmetic():
     rng = SplitMix64(11)
     pts = []
@@ -89,7 +80,7 @@ def test_orientation_sign_matches_rational_arithmetic():
     for _ in range(4000):
         a, b, c = (pts[rng.randrange(len(pts))] for _ in range(3))
         got = orientation_sign(a, b, c)
-        want = _sign_fraction(a, b, c)
+        want = rational_signs(a, b, a, c)[0]
         assert got == want, (a, b, c)
         checked += 1
         degenerate += want == 0
@@ -108,14 +99,6 @@ def test_orientation_sign_exact_on_scaled_integer_grid():
     assert orientation_sign(a, b, Point(11 * s, 21 * s - s)) == -1
 
 
-def _dot_fraction(a, b, c):
-    ax, ay = map(Fraction, a.as_tuple())
-    bx, by = map(Fraction, b.as_tuple())
-    cx, cy = map(Fraction, c.as_tuple())
-    v = (bx - ax) * (cx - ax) + (by - ay) * (cy - ay)
-    return (v > 0) - (v < 0)
-
-
 def test_signs_stay_exact_where_products_underflow():
     # both products underflow to zero, though the turn is a left turn
     assert orientation_sign(Point(3.0, 0.0), Point(3.0000000000000004, 0.0), Point(3.0, 5e-324)) == 1
@@ -126,8 +109,38 @@ def test_signs_stay_exact_where_products_underflow():
     pts += [Point(3.0 + choice(rng, tiny), choice(rng, tiny)) for _ in range(40)]
     for _ in range(6000):
         a, b, c = (pts[rng.randrange(len(pts))] for _ in range(3))
-        assert orientation_sign(a, b, c) == _sign_fraction(a, b, c), (a, b, c)
-        assert dot_sign(a, b, c) == _dot_fraction(a, b, c), (a, b, c)
+        assert (orientation_sign(a, b, c), dot_sign(a, b, c)) == rational_signs(a, b, a, c), (a, b, c)
+
+
+def _adversarial_point(rng, scale: float) -> Point:
+    """A point whose coordinates stress the float filter: a signed zero
+    or a subnormal, or else a half-integer lattice value at ``scale``
+    nudged by up to two ulps."""
+
+    def coord() -> float:
+        if rng.randrange(4) == 0:
+            return choice(rng, [0.0, -0.0, 5e-324, -5e-324, 1e-320, 2.0**-1022])
+        v = 0.5 * (rng.randrange(9) - 4) * scale
+        for _ in range(rng.randrange(3)):
+            v = math.nextafter(v, choice(rng, [-math.inf, math.inf]))
+        return v
+
+    return Point(coord(), coord())
+
+
+def test_vec_dot_sign_matches_rational_arithmetic():
+    # lattices at unit scale, in the subnormals, and near 1e155, where the
+    # products overflow to inf and only the exact fallback can decide
+    rng = SplitMix64(14)
+    seen = {-1: 0, 0: 0, 1: 0}
+    for _ in range(6000):
+        scale = choice(rng, [1.0, 2.0**-1060, 2.0**514])
+        p1, p2, q1, q2 = (_adversarial_point(rng, scale) for _ in range(4))
+        want = rational_signs(p1, p2, q1, q2)[1]
+        assert vec_dot_sign(p1, p2, q1, q2) == want, (p1, p2, q1, q2)
+        assert dot_sign(p1, p2, q2) == rational_signs(p1, p2, p1, q2)[1], (p1, p2, q2)
+        seen[want] += 1
+    assert min(seen.values()) > 40, seen  # right angles are rarer once nudged
 
 
 def test_dot_sign_basic():
@@ -394,6 +407,15 @@ def test_halfplane_value_and_contains():
     assert hp.value(10.0, 5.0) == 3.0
     assert hp.value(0.0, 2.0) >= 0
     assert not hp.value(0.0, 1.999) >= 0
+
+
+def test_halfplane_rejects_non_finite_coefficients():
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in ((bad, 1.0, 0.0), (1.0, bad, 0.0), (1.0, 0.0, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                HalfPlane(*args)
+    with pytest.raises(ValueError, match="nonzero"):
+        HalfPlane(0.0, -0.0, 1.0)
 
 
 def test_plane_coverage_rejects_bounded_wedges():

@@ -4,7 +4,6 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,7 +38,16 @@ from sectornet.replacement import (
 from sectornet.rng import SplitMix64
 from sectornet.scg import CommGraph, build_scg, is_connected
 
-from oracles import block, choice, hubs_refined_reference, path_hits_full_cell, shuffle, wedge_contains
+from oracles import (
+    block,
+    cell_of,
+    choice,
+    hubs_refined_reference,
+    path_hits_full_cell,
+    rational_signs,
+    shuffle,
+    wedge_contains,
+)
 
 PI = math.pi
 
@@ -72,11 +80,12 @@ def test_grid_partition_cells_are_half_open():
     ]
     grid = grid_partition(pts)
     assert grid.origin == (0.0, 0.0)  # the floored minimum
-    assert grid.cell_of(Point(0.0, 0.0)) == (0, 0)
-    assert grid.cell_of(Point(6.999999, 0.0)) == (0, 0)
-    assert grid.cell_of(Point(7.0, 0.0)) == (1, 0)
-    assert grid.cell_of(Point(-0.5, 0.0)) == (-1, 0)
-    assert grid.cell_of(Point(0.0, 14.0)) == (0, 2)
+    assert grid.keys[grid.cell].tolist() == [[0, 0], [0, 0], [1, 0], [0, 2]]
+    assert cell_of(grid, Point(0.0, 0.0)) == (0, 0)
+    assert cell_of(grid, Point(6.999999, 0.0)) == (0, 0)
+    assert cell_of(grid, Point(7.0, 0.0)) == (1, 0)
+    assert cell_of(grid, Point(-0.5, 0.0)) == (-1, 0)
+    assert cell_of(grid, Point(0.0, 14.0)) == (0, 2)
     assert grid.points_in((0, 0)) == (Point(0.0, 0.0), Point(6.999999, 0.0))
     assert grid.full_cells() == []
     assert grid.points_in((5, 5)) == ()
@@ -86,7 +95,7 @@ def test_grid_partition_default_origin_floors_the_minimum():
     pts = [Point(3.2, -1.7), Point(9.9, 4.0)]
     grid = grid_partition(pts)
     assert grid.origin == (3.0, -2.0)
-    assert grid.cell_of(pts[0]) == (0, 0)
+    assert cell_of(grid, pts[0]) == (0, 0)
 
 
 def test_grid_full_cells_and_block():
@@ -322,13 +331,6 @@ def test_select_hubs_refined_matches_the_whole_strip_reference():
     assert cells > 300
 
 
-def _rational_turn(a, b, c):
-    """The sign of cross(b - a, c - a) in rational arithmetic."""
-    f = Fraction
-    det = (f(b.x) - f(a.x)) * (f(c.y) - f(a.y)) - (f(b.y) - f(a.y)) * (f(c.x) - f(a.x))
-    return (det > 0) - (det < 0)
-
-
 def test_hull_prefilter_keeps_every_hull_vertex():
     # a dropped point lies strictly inside its cell's hull, so the kept
     # points have the same hull; all cells at once give each cell's answer
@@ -340,7 +342,7 @@ def test_hull_prefilter_keeps_every_hull_vertex():
         assert convex_hull([p for p, k in zip(pts, keep) if k]) == hull, pts
         sides = list(zip(hull, hull[1:] + hull[:1]))
         for p, k in zip(pts, keep):
-            assert k or all(_rational_turn(a, b, p) > 0 for a, b in sides), (pts, p)
+            assert k or all(rational_signs(a, b, a, p)[0] > 0 for a, b in sides), (pts, p)
         keeps.append(keep)
     xs, ys = _coords(p for pts in cells for p in pts)
     starts = np.cumsum([0] + [len(pts) for pts in cells])
@@ -361,11 +363,11 @@ def test_grid_partition_matches_per_point_buckets():
         grid = grid_partition(pts)
         buckets = {}
         for p in pts:
-            buckets.setdefault(grid.cell_of(p), []).append(p)
+            buckets.setdefault(cell_of(grid, p), []).append(p)
         assert grid.cells == {c: tuple(b) for c, b in sorted(buckets.items())}
         assert list(grid.cells) == sorted(buckets)
         assert grid.full_cells() == sorted(c for c, b in buckets.items() if len(b) >= FULL_CELL_MIN)
-        assert all(grid.keys[grid.cell[i]].tolist() == list(grid.cell_of(p)) for i, p in enumerate(pts))
+        assert all(grid.keys[grid.cell[i]].tolist() == list(cell_of(grid, p)) for i, p in enumerate(pts))
         assert grid == grid_partition(tuple(pts)) and grid != grid_partition(pts[::-1] + [Point(1e9, 0.0)])
     with pytest.raises(ValueError):
         grid_partition([])
@@ -390,8 +392,8 @@ def test_full_cell_labels_cover_everyone():
         full = set(grid.full_cells())
         for p, cell in labels.items():
             assert cell in full
-            if grid.cell_of(p) in full:
-                assert cell == grid.cell_of(p)
+            if cell_of(grid, p) in full:
+                assert cell == cell_of(grid, p)
         assert full_cell_labels(grid, udg) == labels
 
 
@@ -454,7 +456,7 @@ def test_replace_output_is_pinned_on_instances_with_stray_points():
     for seed in range(1, 9):
         pts = _drifting_chain(seed, 140)
         grid = grid_partition(pts)
-        assert any(len(grid.points_in(grid.cell_of(p))) < FULL_CELL_MIN for p in pts), seed
+        assert any(len(grid.points_in(cell_of(grid, p))) < FULL_CELL_MIN for p in pts), seed
         for mode in ("basic", "refined"):
             for c in replace(pts, mode=mode).configs:
                 lines.append(f"{mode} {c.location.x.hex()} {c.location.y.hex()} {c.orientation.hex()}")
@@ -472,7 +474,7 @@ def test_replace_aims_once(monkeypatch):
     monkeypatch.setattr(replacement, "aim_at_fan", counting_aim_at_fan)
     pts = _drifting_chain(1, 140)
     grid = grid_partition(pts)
-    assert any(len(grid.points_in(grid.cell_of(p))) < FULL_CELL_MIN for p in pts)
+    assert any(len(grid.points_in(cell_of(grid, p))) < FULL_CELL_MIN for p in pts)
     for mode in ("basic", "refined"):
         replace(pts, mode=mode)
     assert calls == [140, 140]
@@ -614,7 +616,7 @@ def test_path_hits_full_cell_hand_case():
     grid = grid_partition(pts)
     assert len(grid.points_in((0, 0))) >= FULL_CELL_MIN
     path = cell + corridor
-    assert grid.cell_of(path[-1])[0] >= 2  # genuinely leaves the 3x3 block
+    assert cell_of(grid, path[-1])[0] >= 2  # genuinely leaves the 3x3 block
     # crossing the middle column takes at least seven unit steps, so the
     # traversed ring cell is itself full: the checker must say so
     assert path_hits_full_cell(path, grid) is True

@@ -47,7 +47,7 @@ from sectornet.scg import (
     halfplane_cover_number,
     is_connected,
 )
-from oracles import bfs, choice, halfplane_covered, neighbor_lists, wedge_contains
+from oracles import bfs, cell_of, choice, halfplane_covered, neighbor_lists, wedge_contains
 from test_replacement import _drifting_chain
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -167,7 +167,7 @@ def _components_reference(g, members):
 
 def _labels_reference(grid, udg):
     """Nearest full cell by hop count, the smallest cell among the tied."""
-    cells = [grid.cell_of(p) for p in udg.vertices]
+    cells = [cell_of(grid, p) for p in udg.vertices]
     sources = [i for i, cell in enumerate(cells) if len(grid.points_in(cell)) >= FULL_CELL_MIN]
     if not sources:
         raise ValueError("no full cell")
