@@ -206,7 +206,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     configs, mode, metadata = fileio.read_config(args.config)
     grid_origin = None
     if mode.startswith("replace") and "grid_origin" in metadata:
-        grid_origin = tuple(metadata["grid_origin"])
+        grid_origin = metadata["grid_origin"]  # render_svg checks it
     svg = render_svg(configs, grid_origin=grid_origin)
     if args.out is None:
         sys.stdout.write(svg)

@@ -135,11 +135,19 @@ def _place_separated(rng: SplitMix64, side_a: list[Point], side_b: list[Point]) 
     return GeneratedInstance(tuple(a + b), meta)
 
 
-def _gen_separated_quads(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
+def _separated_frame(spec: GenSpec) -> tuple[float, float]:
+    """Half the gap and the width of each side of a separated pair.  A
+    negative gap would overlap the two sides, so it is refused, as are
+    NaN and infinity, before anything is drawn."""
     if spec.n != 8:
         raise ValueError("separated quadruplet families need n = 8")
-    half = 0.5 * spec.gap
-    w = max(spec.side, 1.0)
+    if not 0.0 <= spec.gap < math.inf:
+        raise ValueError(f"separated pairs need a finite gap of at least 0, got {spec.gap!r}")
+    return 0.5 * spec.gap, max(spec.side, 1.0)
+
+
+def _gen_separated_quads(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
+    half, w = _separated_frame(spec)
     side_a = _distinct_uniform(rng, 4, -half - w, -half, -w, w)
     side_b = _distinct_uniform(rng, 4, half, half + w, -w, w)
     return _place_separated(rng, side_a, side_b)
@@ -154,12 +162,9 @@ def _gen_stratified_quads(spec: GenSpec, rng: SplitMix64) -> GeneratedInstance:
     rigid motion.  Case 2 is the generic regime; random pairs are drawn
     until the classifier agrees (rejection is rare).
     """
-    if spec.n != 8:
-        raise ValueError("separated quadruplet families need n = 8")
+    half, w = _separated_frame(spec)
     if spec.case not in (1, 2):
         raise ValueError("stratified family needs case 1 or 2")
-    half = 0.5 * spec.gap
-    w = max(spec.side, 1.0)
     for _ in range(256):
         if spec.case == 1:
             rw = rng.uniform(0.3 * w, w)

@@ -53,6 +53,10 @@ QUARTER_TURN = math.pi / 2.0
 ANGLE_TOL = 1e-12
 #: Absolute slack for squared-distance comparisons against a squared range.
 DIST_SQ_TOL = 1e-9
+#: An aperture above ``_REFLEX_ABOVE`` is reflex, and one from ``_FULL_FROM``
+#: on is the full circle: the two thresholds every aperture branch reads.
+_REFLEX_ABOVE = math.pi + ANGLE_TOL
+_FULL_FROM = TAU - ANGLE_TOL
 
 # Floating-point filter threshold for the sign predicates: a difference
 # of two products larger than this share of their magnitudes is trusted;
@@ -327,12 +331,9 @@ def _sorted_hull(pts: list[Point]) -> list[Point]:
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all points collinear: keep the two extremes
-        return [pts[0], pts[-1]]
-    return hull
+    # each chain runs from one extreme to the other, so collinear points
+    # leave just the two extremes
+    return chain(pts)[:-1] + chain(pts[::-1])[:-1]
 
 
 def _hull_candidates(xs: np.ndarray, ys: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -429,7 +430,9 @@ class _WedgeArrays(NamedTuple):
 def _sector_arrays(ax, ay, orientations, apertures, ranges) -> _WedgeArrays:
     """Wedge arrays from per-wedge apex coordinates, orientation (already
     normalized, as :class:`AntennaConfig` stores it), aperture and range,
-    for callers that hold these without the antennas.  A squared range
+    for callers that hold these without the antennas.  This is where
+    radians become the bounding rays that containment and the coverage
+    arrangement (:func:`_ray_lines`) both read.  A squared range
     that overflows is inf, an unbounded limit; the range test then
     passes a d2 that overflowed too, and the angular test raises on it."""
     ax = np.asarray(ax, dtype=float)
@@ -485,7 +488,7 @@ def _aperture_branches(aperture: np.ndarray) -> tuple[bool, bool]:
     slack) and whether some wedge is a full circle: the two branches of
     :func:`_angles_ok` that its caller's wedges need."""
     widest = float(aperture.max(initial=0.0))
-    return widest > math.pi + ANGLE_TOL, widest >= TAU - ANGLE_TOL
+    return widest > _REFLEX_ABOVE, widest >= _FULL_FROM
 
 
 def _angles_ok(rays, aperture, reflex: bool, full: bool, dx, dy, d2) -> np.ndarray:
@@ -507,9 +510,9 @@ def _angles_ok(rays, aperture, reflex: bool, full: bool, dx, dy, d2) -> np.ndarr
     cl = lx * dy - ly * dx
     ok = (cr >= -tol) & (cl <= tol)
     if reflex:
-        ok = np.where(aperture <= math.pi + ANGLE_TOL, ok, ~((cl > tol) & (cr < -tol)))
+        ok = np.where(aperture <= _REFLEX_ABOVE, ok, ~((cl > tol) & (cr < -tol)))
     if full:
-        ok |= aperture >= TAU - ANGLE_TOL
+        ok |= aperture >= _FULL_FROM
     ok |= d2 == 0.0  # the apex belongs to its own wedge
     return ok
 
@@ -570,6 +573,8 @@ def _direction_gap(wedges: Sequence[AntennaConfig]) -> Optional[float]:
     for w in wedges:
         half = 0.5 * w.aperture + ANGLE_TOL
         if 2.0 * half >= TAU:
+            # every direction: the union below would round this arc's wrapped
+            # end, start + 2 * half - tau, and could leave a sliver before start
             return None
         start = normalize_angle(w.orientation - half)
         end = start + 2.0 * half
@@ -578,8 +583,6 @@ def _direction_gap(wedges: Sequence[AntennaConfig]) -> Optional[float]:
         else:
             segments.append((start, TAU))
             segments.append((0.0, end - TAU))
-    if not segments:
-        return 0.0
     segments.sort()
     gaps: list[tuple[float, float]] = []
     reach = 0.0
@@ -607,14 +610,13 @@ def _canonical_line(nx: float, ny: float, c: float) -> tuple[float, float, float
     return nx, ny, c
 
 
-def _wedge_boundary_lines(w: AntennaConfig) -> list[tuple[float, float, float]]:
-    """The lines through the right and left bounding rays."""
-    half = 0.5 * w.aperture
-    x, y = w.location.x, w.location.y
+def _ray_lines(w: _WedgeArrays) -> list[tuple[float, float, float]]:
+    """The lines through each wedge's right and then left bounding ray,
+    the rays that containment tests against."""
     lines = []
-    for t in (w.orientation - half, w.orientation + half):
-        dx, dy = math.cos(t), math.sin(t)
-        lines.append(_canonical_line(-dy, dx, -dy * x + dx * y))
+    for x, y, rx, ry, lx, ly in zip(*(v.tolist() for v in (w.ax, w.ay, w.rx, w.ry, w.lx, w.ly))):
+        lines.append(_canonical_line(-ry, rx, -ry * x + rx * y))
+        lines.append(_canonical_line(-ly, lx, -ly * x + lx * y))
     return lines
 
 
@@ -715,15 +717,14 @@ def plane_coverage_verify(wedges: Sequence[AntennaConfig]) -> CoverageReport:
         raise ValueError("plane_coverage_verify requires unbounded wedges")
     if not ants:
         return CoverageReport(False, witness_direction=0.0)
-    if max(ants.aperture.tolist()) >= TAU - ANGLE_TOL:
+    if max(ants.aperture.tolist()) >= _FULL_FROM:
         return CoverageReport(True)
 
     gap = _direction_gap(ants)
     if gap is not None:
         return CoverageReport(False, witness_direction=gap)
 
-    lines = _dedupe_lines(ln for w in ants for ln in _wedge_boundary_lines(w))
-    return _first_uncovered(ants, _coverage_candidates(lines))
+    return _first_uncovered(ants, _coverage_candidates(_dedupe_lines(_ray_lines(ants.wedges))))
 
 
 def _halfplane_test_points(wedges: Sequence[AntennaConfig], hp: HalfPlane) -> np.ndarray:
@@ -733,9 +734,7 @@ def _halfplane_test_points(wedges: Sequence[AntennaConfig], hp: HalfPlane) -> np
     wedges = _antennas(wedges)
     if any(map(math.isfinite, wedges.range.tolist())):
         raise ValueError("half-plane coverage needs unbounded ranges")
-    lines = [_canonical_line(hp.nx, hp.ny, hp.c)]
-    lines.extend(ln for w in wedges for ln in _wedge_boundary_lines(w))
-    lines = _dedupe_lines(lines)
+    lines = _dedupe_lines([_canonical_line(hp.nx, hp.ny, hp.c), *_ray_lines(wedges.wedges)])
     pts = _coverage_candidates(lines)
     return pts[hp.nx * pts[:, 0] + hp.ny * pts[:, 1] - hp.c >= -1e-9]
 

@@ -86,6 +86,12 @@ def _check_beta(beta: float) -> None:
         raise ValueError("distance-power gradient must be finite and at least 1")
 
 
+def _cost_overflow(beta: float) -> ValueError:
+    """The error for a beta-power cost beyond the float range, which
+    Python's ``**`` raises as ``OverflowError``."""
+    return ValueError(f"beta-power costs overflow the float range (beta={beta})")
+
+
 @dataclass(frozen=True)
 class Tour:
     """A cyclic visiting order (each point exactly once) and the minimum
@@ -174,7 +180,8 @@ def _cut(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PowerAssignment:
-    """Orientation and range per point; cost is always recomputed."""
+    """Orientation and range per point; cost is always recomputed, and
+    one beyond the float range raises ``ValueError``."""
 
     beta: float
     entries: tuple[tuple[Point, float, float], ...]  # (point, orientation, radius)
@@ -184,7 +191,10 @@ class PowerAssignment:
 
     @property
     def cost(self) -> float:
-        return sum(r**self.beta for _, _, r in self.entries)
+        try:
+            return sum(r**self.beta for _, _, r in self.entries)
+        except OverflowError:
+            raise _cost_overflow(self.beta) from None
 
     def configs(self) -> Antennas:
         """One quarter-wedge antenna per entry, in entry order."""
@@ -309,7 +319,8 @@ def cost_chain_check(pa: PowerAssignment, tour: Tour) -> CostChainReport:
     bit for bit, with ties possibly another tree of equal weight.
 
     The assignment must list every tour point exactly once, and the tour
-    visit each point once; anything else raises ``ValueError``.
+    visit each point once; anything else raises ``ValueError``, as does
+    a beta-power cost beyond the float range.
     """
     n = len(tour)
     if n < 2:
@@ -343,10 +354,13 @@ def cost_chain_check(pa: PowerAssignment, tour: Tour) -> CostChainReport:
     eps = 1e-9
     pointwise_ok = not (np.roll(radius, -first) > gap * max_edge[section] + eps).any()
 
-    tour_cost = sum(s**pa.beta for s in steps)
-    tree_cost = sum(distance(p, q) ** pa.beta for p, q in tour.tree)
     biggest = int(np.diff(bounds).max())
-    bound = biggest * max_gap**pa.beta * 3 * tour_cost
+    try:
+        tour_cost = sum(s**pa.beta for s in steps)
+        tree_cost = sum(distance(p, q) ** pa.beta for p, q in tour.tree)
+        bound = biggest * max_gap**pa.beta * 3 * tour_cost
+    except OverflowError:
+        raise _cost_overflow(pa.beta) from None
     cost = pa.cost
     total_ok = cost <= bound * (1 + 1e-12) + eps
     return CostChainReport(

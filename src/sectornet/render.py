@@ -9,6 +9,7 @@ configuration always renders to the same bytes.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional, Sequence
 
 from .geometry import AntennaConfig
@@ -44,13 +45,34 @@ def _sector_path(c: AntennaConfig, radius: float) -> str:
     )
 
 
+def _origin(grid_origin) -> tuple[float, float]:
+    """``grid_origin`` as two finite floats.  A config's metadata must give
+    it as two numbers (a bool is not one); anything else raises
+    ``ValueError``.  The bound compares ints exactly, so none overflows."""
+    if not (
+        isinstance(grid_origin, (list, tuple))
+        and len(grid_origin) == 2
+        and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+            for v in grid_origin
+        )
+    ):
+        raise ValueError(f"grid_origin must be two finite numbers, got {grid_origin!r}")
+    return float(grid_origin[0]), float(grid_origin[1])
+
+
 def render_svg(
     configs: Sequence[AntennaConfig],
     grid_origin: Optional[tuple[float, float]] = None,
 ) -> str:
-    """An SVG document (as a string) showing the wedges and locations."""
+    """An SVG document (as a string) showing the wedges and locations.
+
+    Raises ``ValueError`` on an empty configuration, on a ``grid_origin``
+    that is not two finite numbers, and when a coordinate of the picture
+    would leave the float range."""
     if not configs:
         raise ValueError("nothing to render")
+    origin = None if grid_origin is None else _origin(grid_origin)
     xs = [c.location.x for c in configs]
     ys = [c.location.y for c in configs]
     span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
@@ -59,6 +81,10 @@ def render_svg(
     width = (max(xs) - min(xs)) + 2 * margin
     height = (max(ys) - min(ys)) + 2 * margin
     diag = math.hypot(width, height)
+    # bounds every coordinate written below, and every grid offset
+    reach = abs(x_lo) + abs(y_lo) + width + height + 1.5 * diag + sum(map(abs, origin or ()))
+    if not (math.isfinite(reach) and math.isfinite(_PIXELS * height / width)):
+        raise ValueError("the picture does not fit the float range: the viewport is not finite")
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -73,8 +99,8 @@ def render_svg(
         f'<rect x="{_F(x_lo)}" y="{_F(y_lo)}" width="{_F(width)}" height="{_F(height)}" fill="#ffffff"/>',
     ]
 
-    if grid_origin is not None:
-        ox, oy = grid_origin
+    if origin is not None:
+        ox, oy = origin
         k0 = math.floor((x_lo - ox) / CELL_SIDE)
         k1 = math.ceil((x_lo + width - ox) / CELL_SIDE)
         for k in range(k0, k1 + 1):

@@ -162,7 +162,8 @@ def select_hubs_basic(cell_points: Sequence[Point]) -> OrientationAssignment:
     """Four hubs for basic mode: the lexicographically smallest four."""
     if len(cell_points) < FULL_CELL_MIN:
         raise ValueError("hub selection needs a full cell")
-    return orient_quadruplet(sorted(cell_points, key=Point.as_tuple)[:4])
+    pts = sorted(cell_points, key=Point.as_tuple)
+    return _select_hubs(pts, *_coords(pts), np.array([0, len(pts)]), "basic")[0]
 
 
 def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
@@ -184,8 +185,23 @@ def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
     pts = sorted(set(cell_points), key=Point.as_tuple)
     if len(pts) < FULL_CELL_MIN or len(pts) != len(list(cell_points)):
         raise ValueError("hub selection needs a full cell of distinct points")
-    keep = _hull_candidates(*_coords(pts), np.array([0, len(pts)])).tolist()
-    return _refined_fan(pts, [p for p, k in zip(pts, keep) if k])
+    return _select_hubs(pts, *_coords(pts), np.array([0, len(pts)]), "refined")[0]
+
+
+def _select_hubs(
+    pts: list[Point], xs: np.ndarray, ys: np.ndarray, starts: np.ndarray, mode: str
+) -> list[OrientationAssignment]:
+    """The hubs of every full cell at once, as :func:`select_hubs_basic`
+    or :func:`select_hubs_refined` picks them.  ``pts`` holds the cells'
+    points cell by cell, lexicographic within a cell, cell g's at
+    ``starts[g]`` up to ``starts[g + 1]``, and xs, ys are their
+    coordinates; refined mode prefilters the hull candidates of all
+    cells in one pass."""
+    bounds = list(zip(starts.tolist(), starts[1:].tolist()))
+    if mode == "basic":
+        return [orient_quadruplet(pts[a : a + 4]) for a, _ in bounds]
+    keep = _hull_candidates(xs, ys, starts).tolist()
+    return [_refined_fan(pts[a:b], [p for p, k in zip(pts[a:b], keep[a:b]) if k]) for a, b in bounds]
 
 
 def _refined_fan(pts: list[Point], candidates: list[Point]) -> OrientationAssignment:
@@ -215,29 +231,6 @@ def _refined_fan(pts: list[Point], candidates: list[Point]) -> OrientationAssign
     least = [p for p in pts[:4] if p is not a1 and p is not a2]  # two or more
     a4 = least[1] if least[0] is a3 else least[0]
     return _fan((a1, a2, *_pair_far_points(a1, a2, a3, a4)), "refined")
-
-
-def _cell_hubs(
-    pts: tuple[Point, ...], xs: np.ndarray, ys: np.ndarray, grid: GridPartition, mode: str
-) -> list[OrientationAssignment]:
-    """The hubs of every full cell of ``grid`` in cell order, as
-    :func:`select_hubs_basic` or :func:`select_hubs_refined` picks them:
-    one sort puts each cell's points in lexicographic order, and refined
-    mode prefilters the hull candidates of all full cells at once."""
-    size = np.diff(grid.starts)
-    full = size >= FULL_CELL_MIN
-    # cell by cell, lexicographic within a cell, full cells only
-    at = np.lexsort((ys, xs, grid.cell))[np.repeat(full, size)]
-    starts = np.append(0, np.cumsum(size[full]))
-    bounds = list(zip(starts.tolist(), starts[1:].tolist()))
-    ranked = [pts[i] for i in at.tolist()]
-    if mode == "basic":
-        return [orient_quadruplet(ranked[a : a + 4]) for a, _ in bounds]
-    keep = _hull_candidates(xs[at], ys[at], starts).tolist()
-    return [
-        _refined_fan(ranked[a:b], [p for p, k in zip(ranked[a:b], keep[a:b]) if k])
-        for a, b in bounds
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +316,12 @@ def replace(points: Sequence[Point], mode: str = "refined") -> ReplacementResult
         configs = Antennas(pts, orient_cluster(pts), QUARTER_TURN, REPLACEMENT_RANGE)
         return ReplacementResult(configs=configs, mode="small", grid=grid)
 
-    hubs = _cell_hubs(pts, xs, ys, grid, mode)
+    size = np.diff(grid.starts)
+    full = size >= FULL_CELL_MIN
+    # the full cells' points cell by cell, lexicographic within a cell
+    at = np.lexsort((ys, xs, grid.cell))[np.repeat(full, size)]
+    ranked = [pts[i] for i in at.tolist()]
+    hubs = _select_hubs(ranked, xs[at], ys[at], np.append(0, np.cumsum(size[full])), mode)
     stray = np.flatnonzero(fan_of < 0)
     if len(stray):
         word = _label_ranks(grid, udg)

@@ -31,8 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import (
-    ANGLE_TOL,
-    TAU,
+    _FULL_FROM,
     AntennaConfig,
     HalfPlane,
     Point,
@@ -126,7 +125,7 @@ def _swept_edges(w: _WedgeArrays) -> np.ndarray:
     """
     n = len(w.ax)
     reflex, full = _aperture_branches(w.aperture)
-    circles = bool((w.aperture >= TAU - ANGLE_TOL).all() and np.isfinite(w.limit).all())
+    circles = bool((w.aperture >= _FULL_FROM).all() and np.isfinite(w.limit).all())
     order = np.argsort(w.ax, kind="stable")
     s = w.take(order)
     rays = np.stack((s.rx, s.ry, s.lx, s.ly))

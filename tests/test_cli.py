@@ -10,6 +10,7 @@ import pytest
 from sectornet import cli, fileio
 from sectornet.generators import FAMILIES
 from sectornet.geometry import AntennaConfig, Point
+from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.scg import build_scg
 
 
@@ -255,6 +256,44 @@ def test_verify_rejects_an_overflowing_squared_distance(tmp_path):
     r = run_cli("verify", "--config", str(cfg), "--checks", "connected")
     assert r.returncode == 2 and "overflow" in r.stderr
     assert "RuntimeWarning" not in r.stderr
+
+
+def test_verify_rejects_costs_beyond_the_float_range(tmp_path):
+    # assigning at beta 400 reads no power, so it succeeds; the audit's
+    # r**400 does not fit a float, which is a usage error, not a failed check
+    inst, cfg = tmp_path / "pts.json", tmp_path / "cfg.json"
+    assert run_cli("gen", "--family", "random_square", "--n", "40", "--seed", "1", "--out", str(inst)).returncode == 0
+    assert run_cli("power", "--instance", str(inst), "--beta", "400", "--out", str(cfg)).returncode == 0
+    r = run_cli("verify", "--config", str(cfg), "--instance", str(inst))
+    assert r.returncode == 2 and "overflow" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_a_negative_gap_is_a_usage_error(tmp_path):
+    out = tmp_path / "pair.json"
+    r = run_cli("gen", "--family", "separated_quads", "--n", "8", "--gap", "-100", "--out", str(out))
+    assert r.returncode == 2 and "gap" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+def test_render_rejects_a_malformed_grid_origin_and_an_infinite_viewport(tmp_path, capsys):
+    inst, cfg = tmp_path / "udg.json", tmp_path / "cfg.json"
+    assert cli.main(["gen", "--family", "connected_udg", "--n", "30", "--seed", "3", "--out", str(inst)]) == 0
+    assert cli.main(["replace", "--instance", str(inst), "--out", str(cfg)]) == 0
+    doc = json.loads(cfg.read_text())
+    bad = tmp_path / "bad.json"
+    for origin in (["a", "b"], 5, [None, None], [True, False]):
+        doc["metadata"]["grid_origin"] = origin
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["render", "--config", str(bad)]) == 2, origin
+        assert "grid_origin" in capsys.readouterr().err
+    # an orient4 config far out: the viewport would be -inf, nan, inf, inf
+    corners = [Point(-1e308, -1e308), Point(1e308, -1e308), Point(1e308, 1e308), Point(-1e308, 1e308)]
+    fileio.write_config(configs_from_assignment(orient_quadruplet(corners)), "orient4", bad)
+    r = run_cli("render", "--config", str(bad))
+    assert r.returncode == 2 and "float range" in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == ""
 
 
 def test_usage_errors_exit_two(tmp_path):

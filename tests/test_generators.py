@@ -166,3 +166,20 @@ def test_gen_rejects_bad_specs():
         gen(GenSpec("separated_quads", 9, seed=0))
     with pytest.raises(ValueError):
         gen(GenSpec("stratified_quads", 8, seed=0, case=3))
+
+
+@pytest.mark.parametrize("gap", [-100.0, -5.0, -1e-300, math.nan, math.inf])
+@pytest.mark.parametrize("family,case", [("separated_quads", None), ("stratified_quads", 1), ("stratified_quads", 2)])
+def test_separated_families_reject_a_gap_that_is_negative_or_not_finite(family, case, gap):
+    # a negative gap overlaps the two sides: some seeds broke the
+    # separation check, and others returned a separator that does not
+    # separate; every seed is refused now, before a draw
+    for seed in range(3):
+        with pytest.raises(ValueError, match="gap"):
+            gen(GenSpec(family, 8, seed=seed, gap=gap, case=case))
+
+
+def test_a_zero_gap_still_separates():
+    for seed in range(20):
+        inst = gen(GenSpec("separated_quads", 8, seed=seed, gap=0.0))
+        assert weakly_separable(*_split_sides(inst))

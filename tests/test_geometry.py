@@ -436,6 +436,19 @@ def test_plane_coverage_empty_and_direction_gap():
     assert half < off < TAU - half  # genuinely outside every angular interval
 
 
+def test_a_wedge_whose_slack_closes_the_circle_covers_every_direction():
+    # the aperture is below the full-circle threshold, but with its slack
+    # the arc is a whole turn; its wrapped end, start + 2 * half - tau,
+    # rounds short of its start, so a plain union of the arcs would report
+    # a sliver of directions as a gap
+    w = AntennaConfig(Point(0.0, 0.0), 5.324583204732311, 6.283185307177586)
+    half = 0.5 * w.aperture + ANGLE_TOL
+    start = normalize_angle(w.orientation - half)
+    assert w.aperture < TAU - ANGLE_TOL and 2.0 * half >= TAU
+    assert start + 2.0 * half - TAU < start
+    assert plane_coverage_verify([w]) == geometry.CoverageReport(True)
+
+
 def test_plane_coverage_hole_despite_full_direction_circle():
     # Four quarter wedges pointing outward from a square leave the middle bare.
     corners = [Point(-10.0, -10.0), Point(10.0, -10.0), Point(10.0, 10.0), Point(-10.0, 10.0)]

@@ -313,6 +313,27 @@ def test_cost_chain_check_rejects_foreign_tour():
         cost_chain_check(pa, other)
 
 
+def test_costs_beyond_the_float_range_raise_a_value_error():
+    # Python's ** raises OverflowError where numpy would give inf; every
+    # cost sum and the bound's G**beta report it as a ValueError instead
+    pts = list(gen(GenSpec("random_square", 40, seed=1)).points)
+    pa = orient_and_assign(pts, 400)  # assigning reads no power
+    tour = tsp_tour_approx(pts)
+    with pytest.raises(ValueError, match="overflow"):
+        pa.cost
+    with pytest.raises(ValueError, match="overflow"):
+        cost_chain_check(pa, tour)
+    # in a unit square every power is small, but 15**300 is not
+    small = [Point(p.x / 100.0, p.y / 100.0) for p in pts]
+    with pytest.raises(ValueError, match="overflow"):
+        cost_chain_check(orient_and_assign(small, 300), tsp_tour_approx(small))
+    # an int beta keeps G**beta an exact int; the bound's float product overflows
+    pa = PowerAssignment(300, orient_and_assign(small, 300).entries)
+    assert 0.0 < pa.cost < math.inf
+    with pytest.raises(ValueError, match="overflow"):
+        cost_chain_check(pa, tsp_tour_approx(small))
+
+
 def test_orient_and_assign_input_validation():
     with pytest.raises(ValueError):
         orient_and_assign([], 2)

@@ -46,3 +46,23 @@ def test_finite_range_bounds_sector_radius():
 def test_render_rejects_empty():
     with pytest.raises(ValueError):
         render_svg([])
+
+
+@pytest.mark.parametrize("origin", [["a", "b"], 5, [None, None], [True, 0.0], [0.0], [1e308, math.nan], [10**400, 0]])
+def test_render_rejects_a_grid_origin_that_is_not_two_finite_numbers(origin):
+    with pytest.raises(ValueError, match="grid_origin"):
+        render_svg(_square_configs(), grid_origin=origin)
+
+
+def test_render_takes_an_origin_of_ints_as_floats():
+    assert render_svg(_square_configs(), grid_origin=[0, 7]) == render_svg(_square_configs(), grid_origin=(0.0, 7.0))
+
+
+@pytest.mark.parametrize("far", [1e308, 1e307])
+def test_render_rejects_a_picture_beyond_the_float_range(far):
+    # at +-1e308 the viewport overflows; at 1e307 it fits, but not 720 * height
+    corners = [Point(-far, -far), Point(far, -far), Point(far, far), Point(-far, far)]
+    with pytest.raises(ValueError, match="float range"):
+        render_svg(configs_from_assignment(orient_quadruplet(corners)))
+    svg = render_svg(configs_from_assignment(orient_quadruplet([Point(p.x / 1e153, p.y / 1e153) for p in corners])))
+    assert "inf" not in svg and "nan" not in svg
