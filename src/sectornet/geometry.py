@@ -27,6 +27,9 @@ Conventions used throughout the package:
   rays, so a point constructed to lie on a ray stays inside after the
   orientation is rounded, serialized and re-read.  Squared-distance
   comparisons get an absolute ``DIST_SQ_TOL`` of slack.
+* This module alone runs containment and tests arrangement points; the
+  graph, replacement and orientation modules ask it for edges, fan
+  containment and coverage hits.
 * Plane and half-plane coverage are decided by testing the vertices of
   the wedges' line arrangement and one point inside each of its faces.
   The sampling oracle the tests cross-check that decision against lives
@@ -452,17 +455,17 @@ def containment_matrix(
     wedges: Sequence[AntennaConfig], points: Sequence[Point] | np.ndarray
 ) -> np.ndarray:
     """Boolean matrix M with M[i, j] true iff wedges[i] contains points[j]."""
-    ants = _antennas(wedges)
-    k = len(ants)
-    if isinstance(points, np.ndarray):
-        pts = np.asarray(points, dtype=float)
-    else:
-        pts = np.array([(p.x, p.y) for p in points], dtype=float)
-    m = pts.shape[0]
-    if k == 0 or m == 0:
-        return np.zeros((k, m), dtype=bool)
-    column = ants.wedges.take((slice(None), None))
-    return _containment_core(column, pts[:, 0], pts[:, 1])
+    if not isinstance(points, np.ndarray):
+        points = [(p.x, p.y) for p in points]
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    return _contains_at(_antennas(wedges), (slice(None), None), pts[:, 0], pts[:, 1])
+
+
+def _contains_at(ants: Antennas, rows, px, py) -> np.ndarray:
+    """Whether the wedges of ``ants`` at ``rows`` contain the points
+    (px, py), elementwise over the broadcast: ``rows`` is a gather, or
+    ``(slice(None), None)`` for a column of every wedge."""
+    return _containment_core(ants.wedges.take(rows), px, py)
 
 
 def _containment_core(w: _WedgeArrays, px: np.ndarray, py: np.ndarray) -> np.ndarray:
@@ -515,6 +518,92 @@ def _angles_ok(rays, aperture, reflex: bool, full: bool, dx, dy, d2) -> np.ndarr
         ok |= aperture >= _FULL_FROM
     ok |= d2 == 0.0  # the apex belongs to its own wedge
     return ok
+
+
+# ---------------------------------------------------------------------------
+# Mutual containment: graph edges
+# ---------------------------------------------------------------------------
+
+
+def _mutual_edges(ants: Antennas) -> np.ndarray:
+    """The pairs i < j whose wedges contain each other's apex, as an (E, 2)
+    array in row-major order.  When every wedge is unbounded every pair is
+    tested, as one containment matrix; otherwise only the pairs that
+    :func:`_swept_edges` finds within reach, with the same answers."""
+    if np.isinf(ants.range).all():
+        M = _contains_at(ants, (slice(None), None), ants.x, ants.y)
+        return np.argwhere(np.triu(M & M.T, 1))
+    return _swept_edges(ants.wedges)
+
+
+def _unit_disk_edges(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The pairs of points (xs, ys) at distance at most 1, as
+    :func:`_mutual_edges` gives them: the sweep's edges of full circles of
+    range 1."""
+    ones = np.ones(len(xs))
+    return _swept_edges(_sector_arrays(xs, ys, 0 * ones, TAU * ones, ones))
+
+
+#: Candidate pairs the sweep tests at once.  This bounds its working
+#: memory; on 300- and 512-antenna graphs 2**13 also ran faster than
+#: 2**11 or 2**16, its arrays staying in cache.
+_PAIR_CHUNK = 1 << 13
+
+
+def _swept_edges(w: _WedgeArrays) -> np.ndarray:
+    """:func:`_mutual_edges` of wedges some of which have a finite range.
+
+    Walking the apexes by x, the pair of positions a < b is a candidate
+    when x_b <= fl(x_a + reach_a), the reach being the square root of a's
+    limit rounded up until its float square exceeds it; a pair past that
+    fails the range test, so no edge is trimmed.  Candidates are decided
+    in chunks of ``_PAIR_CHUNK``: the range step keeps the pairs whose d2
+    is within both limits, then :func:`_angles_ok` runs a -> b on (dx, dy,
+    d2) and b -> a on (-dx, -dy, d2).  Rounding is sign-symmetric, so
+    every answer is the containment matrix's.  When all wedges are full
+    circles of finite range the range step alone decides.
+    """
+    n = len(w.ax)
+    reflex, full = _aperture_branches(w.aperture)
+    circles = bool((w.aperture >= _FULL_FROM).all() and np.isfinite(w.limit).all())
+    order = np.argsort(w.ax, kind="stable")
+    s = w.take(order)
+    rays = np.stack((s.rx, s.ry, s.lx, s.ly))
+    reach = np.sqrt(s.limit)
+    short = np.isfinite(reach) & (reach * reach <= s.limit)
+    while short.any():
+        reach[short] = np.nextafter(reach[short], np.inf)
+        short &= reach * reach <= s.limit
+    counts = np.searchsorted(s.ax, s.ax + reach, side="right") - np.arange(1, n + 1)
+    done = np.concatenate(([0], np.cumsum(counts)))
+    keys = [np.zeros(0, dtype=np.int64)]
+    a0 = 0
+    while a0 < n:
+        a1 = max(int(np.searchsorted(done, done[a0] + _PAIR_CHUNK, side="right")) - 1, a0 + 1)
+        c = counts[a0:a1]
+        a = np.repeat(np.arange(a0, a1), c)
+        b = np.arange(len(a)) + np.repeat(np.arange(a0 + 1, a1 + 1) - (done[a0:a1] - done[a0]), c)
+        xa, ya, la = (np.repeat(v[a0:a1], c) for v in (s.ax, s.ay, s.limit))
+        with np.errstate(over="ignore"):  # an inf d2 is decided below
+            dx = s.ax.take(b) - xa
+            dy = s.ay.take(b) - ya
+            d2 = dx * dx + dy * dy
+        # gathers by index run faster here than boolean masks
+        near = np.flatnonzero((d2 <= la) & (d2 <= s.limit.take(b)))
+        a, b = a.take(near), b.take(near)
+        if not circles:
+            dx, dy, d2 = dx.take(near), dy.take(near), d2.take(near)
+            ape = s.aperture.take(a) if reflex or full else None
+            ok = np.flatnonzero(_angles_ok(rays.take(a, axis=1), ape, reflex, full, dx, dy, d2))
+            a, b, dx, dy, d2 = (v.take(ok) for v in (a, b, dx, dy, d2))
+            ape = s.aperture.take(b) if reflex or full else None
+            ok = np.flatnonzero(_angles_ok(rays.take(b, axis=1), ape, reflex, full, -dx, -dy, d2))
+            a, b = a.take(ok), b.take(ok)
+        i, j = order[a], order[b]
+        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+        a0 = a1
+    keys = np.sort(np.concatenate(keys))
+    return np.stack((keys // n, keys % n), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +782,48 @@ def _coverage_candidates(lines: Sequence[tuple[float, float, float]]) -> np.ndar
     return np.concatenate((np.array(vertices, dtype=float).reshape(-1, 2), faces))
 
 
-def _first_uncovered(wedges: Sequence[AntennaConfig], pts: np.ndarray) -> CoverageReport:
-    """Covered, or else the lexicographically smallest row of ``pts``
-    that no wedge contains, as the witness."""
-    hit = containment_matrix(wedges, pts).any(axis=0)
-    if hit.all():
-        return CoverageReport(True)
-    wx, wy = min(map(tuple, pts[~hit]))
-    return CoverageReport(False, witness_point=Point(float(wx), float(wy)))
+def _frame(xs: list, ys: list) -> tuple[float, float]:
+    """The frame of the apexes (xs, ys): apex 0 rounded to a multiple of
+    s, the least power of two above 16 times their spread (a spread below
+    1 counts as 1, as lines that close merge at any offset).  A coordinate
+    under s in size gives 0, and so do both with no apexes or too wide a
+    spread.  Moving an apex by the frame is exact: a coordinate that moves
+    is at least s / 2 in size for every apex, and lands less than s from 0."""
+    if not xs or (abs(xs[0]) < 32.0 and abs(ys[0]) < 32.0):  # s is at least 32
+        return 0.0, 0.0
+    m, e = math.frexp(16.0 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0))
+    if not (m < 1.0 and e < 1000):  # m < 1.0 fails on an inf or nan spread
+        return 0.0, 0.0
+    s = math.ldexp(1.0, e)
+    x, y = xs[0], ys[0]
+    return (x - math.remainder(x, s) if abs(x) >= s else 0.0), (y - math.remainder(y, s) if abs(y) >= s else 0.0)
+
+
+def _coverage_hits(ants: Antennas, hp: Optional[HalfPlane]) -> tuple[np.ndarray, np.ndarray]:
+    """The test points of the arrangement of every unbounded wedge's
+    boundary lines, and of ``hp``'s boundary when given, as rows (those in
+    ``hp`` only), and the (k, m) matrix of which wedge contains which.
+
+    The arrangement refines any sub-group's, so the points decide coverage
+    for each sub-group.  It is built and tested in the frame of
+    :func:`_frame`, and its points are moved back: a set far from the
+    origin decides as it would near it, where the frame is the origin and
+    nothing moves.
+    """
+    w = ants.wedges
+    x0, y0 = _frame(ants.x.tolist(), ants.y.tolist())
+    moved = x0 != 0.0 or y0 != 0.0
+    if moved:
+        w = w._replace(ax=w.ax - x0, ay=w.ay - y0)
+    lines = _ray_lines(w)
+    if hp is not None:
+        c = hp.c - hp.nx * x0 - hp.ny * y0 if moved else hp.c  # as it is, a -0.0 too
+        lines.insert(0, _canonical_line(hp.nx, hp.ny, c))
+    pts = _coverage_candidates(_dedupe_lines(lines))
+    if hp is not None:
+        pts = pts[hp.nx * pts[:, 0] + hp.ny * pts[:, 1] - c >= -1e-9]
+    hit = _containment_core(w.take((slice(None), None)), pts[:, 0], pts[:, 1])
+    return (pts + (x0, y0) if moved else pts), hit
 
 
 def plane_coverage_verify(wedges: Sequence[AntennaConfig]) -> CoverageReport:
@@ -710,33 +833,25 @@ def plane_coverage_verify(wedges: Sequence[AntennaConfig]) -> CoverageReport:
     every wedge's closed angular interval certifies non-coverage), then an
     arrangement test: coverage is constant on each open face of the
     wedges' boundary-line arrangement, so its vertices and one point per
-    face decide exactly for the represented wedges.
+    face decide exactly for the represented wedges.  The witness point is
+    the lexicographically smallest uncovered one.
     """
     ants = _antennas(wedges)  # a few antennas: Python reads their columns fastest
     if any(map(math.isfinite, ants.range.tolist())):
         raise ValueError("plane_coverage_verify requires unbounded wedges")
     if not ants:
         return CoverageReport(False, witness_direction=0.0)
-    if max(ants.aperture.tolist()) >= _FULL_FROM:
-        return CoverageReport(True)
 
     gap = _direction_gap(ants)
     if gap is not None:
         return CoverageReport(False, witness_direction=gap)
 
-    return _first_uncovered(ants, _coverage_candidates(_dedupe_lines(_ray_lines(ants.wedges))))
-
-
-def _halfplane_test_points(wedges: Sequence[AntennaConfig], hp: HalfPlane) -> np.ndarray:
-    """Rows: the test points in ``hp`` of the arrangement of its boundary
-    and every wedge's boundary lines.  That arrangement refines any
-    sub-group's, so the points decide coverage for each sub-group."""
-    wedges = _antennas(wedges)
-    if any(map(math.isfinite, wedges.range.tolist())):
-        raise ValueError("half-plane coverage needs unbounded ranges")
-    lines = _dedupe_lines([_canonical_line(hp.nx, hp.ny, hp.c), *_ray_lines(wedges.wedges)])
-    pts = _coverage_candidates(lines)
-    return pts[hp.nx * pts[:, 0] + hp.ny * pts[:, 1] - hp.c >= -1e-9]
+    pts, hit = _coverage_hits(ants, None)
+    miss = ~hit.any(axis=0)
+    if not miss.any():
+        return CoverageReport(True)
+    wx, wy = min(map(tuple, pts[miss]))
+    return CoverageReport(False, witness_point=Point(float(wx), float(wy)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,11 @@ import numpy as np
 from .geometry import (
     QUARTER_TURN,
     AntennaConfig,
+    Antennas,
     Point,
-    _containment_core,
+    _contains_at,
     _coords,
     _normalize_angles,
-    _sector_arrays,
     convex_hull,
     dot_sign,
     normalize_angle,
@@ -144,29 +144,22 @@ def aim_at_fan(
 
     A point equal to one of its fan's apexes keeps that entry's
     orientation; any other point aims at the apex of the first wedge of
-    its fan, in entry order, that contains it (else ``ValueError``).  One
-    broadcast containment pass tests each point against its fan's four
-    wedges.
+    its fan, in entry order, that contains it (else ``ValueError``).
     """
-    hubs = [e for fan in fans for e in fan.entries]
-    first = 4 * np.asarray(fan_of, dtype=np.intp)  # each point's first fan wedge
-    hx, hy = _coords(q for q, _ in hubs)
-    ha = np.array([normalize_angle(a) for _, a in hubs])
-    ones = np.ones(len(hubs))
-    wedges = _sector_arrays(hx, hy, ha, QUARTER_TURN * ones, math.inf * ones).take(
-        first[:, None] + np.arange(4)
-    )
+    entries = [e for fan in fans for e in fan.entries]
+    hubs = Antennas([q for q, _ in entries], [a for _, a in entries], QUARTER_TURN, math.inf)
+    rows = 4 * np.asarray(fan_of, dtype=np.intp)[:, None] + np.arange(4)  # each point's fan wedges
     px, py = _coords(points)
-    inside = _containment_core(wedges, px[:, None], py[:, None])
+    inside = _contains_at(hubs, rows, px[:, None], py[:, None])
     if not inside.any(axis=1).all():
         raise ValueError("uncovered point: no hub wedge contains it")
     # an apex entry scores 3 (its wedge holds its apex), any other hit 1
-    apex = (wedges.ax == px[:, None]) & (wedges.ay == py[:, None])
-    pick = first + np.argmax(2 * apex + inside, axis=1)
+    apex = (hubs.x[rows] == px[:, None]) & (hubs.y[rows] == py[:, None])
+    pick = rows[:, 0] + np.argmax(2 * apex + inside, axis=1)
     # math.atan2, not np.arctan2, whose last bit differs on some inputs
-    dx, dy = hx[pick] - px, hy[pick] - py
+    dx, dy = hubs.x[pick] - px, hubs.y[pick] - py
     aims = _normalize_angles(np.array(list(map(math.atan2, dy.tolist(), dx.tolist()))))
-    return np.where((dx == 0.0) & (dy == 0.0), ha[pick], aims).tolist()
+    return np.where((dx == 0.0) & (dy == 0.0), hubs.orientation[pick], aims).tolist()
 
 
 def orient_cluster(points: Sequence[Point]) -> list[float]:

@@ -30,6 +30,8 @@ _F = "{:.6f}".format
 
 #: Width of the picture in pixels; the height keeps the viewport's aspect.
 _PIXELS = 720
+#: Most grid lines drawn along one axis; a wider grid is left out.
+_MAX_GRID_LINES = 4096
 
 
 def _sector_path(c: AntennaConfig, radius: float) -> str:
@@ -67,9 +69,11 @@ def render_svg(
 ) -> str:
     """An SVG document (as a string) showing the wedges and locations.
 
-    Raises ``ValueError`` on an empty configuration, on a ``grid_origin``
-    that is not two finite numbers, and when a coordinate of the picture
-    would leave the float range."""
+    The 7x7 grid at ``grid_origin`` is drawn only when it needs at most
+    4096 lines along each axis, so the picture's size follows its
+    antennas, not its extent.  Raises ``ValueError`` on an empty
+    configuration, on a ``grid_origin`` that is not two finite numbers,
+    and when a coordinate of the picture would leave the float range."""
     if not configs:
         raise ValueError("nothing to render")
     origin = None if grid_origin is None else _origin(grid_origin)
@@ -101,17 +105,17 @@ def render_svg(
 
     if origin is not None:
         ox, oy = origin
-        k0 = math.floor((x_lo - ox) / CELL_SIDE)
-        k1 = math.ceil((x_lo + width - ox) / CELL_SIDE)
-        for k in range(k0, k1 + 1):
+        kx = range(math.floor((x_lo - ox) / CELL_SIDE), math.ceil((x_lo + width - ox) / CELL_SIDE) + 1)
+        ky = range(math.floor((y_lo - oy) / CELL_SIDE), math.ceil((y_lo + height - oy) / CELL_SIDE) + 1)
+        if max(len(kx), len(ky)) > _MAX_GRID_LINES:
+            kx = ky = range(0)
+        for k in kx:
             gx = ox + k * CELL_SIDE
             lines.append(
                 f'<line x1="{_F(gx)}" y1="{_F(y_lo)}" x2="{_F(gx)}" y2="{_F(y_lo + height)}" '
                 'stroke="#bbbbbb" stroke-width="0.05"/>'
             )
-        k0 = math.floor((y_lo - oy) / CELL_SIDE)
-        k1 = math.ceil((y_lo + height - oy) / CELL_SIDE)
-        for k in range(k0, k1 + 1):
+        for k in ky:
             gy = oy + k * CELL_SIDE
             lines.append(
                 f'<line x1="{_F(x_lo)}" y1="{_F(gy)}" x2="{_F(x_lo + width)}" y2="{_F(gy)}" '

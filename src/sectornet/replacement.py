@@ -18,8 +18,8 @@ guarantees such a bordering full cell exists, because a unit-step path
 cannot cross the three-cell band around its starting cell without
 dropping four consecutive points into one cell on the way.
 
-The unit-disk graph, the SCG sweep's graph of full circles of range 1,
-is built once per call and serves the connectivity check and the
+The unit-disk graph, whose edges :mod:`sectornet.geometry` finds, is
+built once per call and serves the connectivity check and the
 grouping and labelling of points outside full cells.  Graph building
 and traversal come from :mod:`sectornet.scg`, whose one level step also
 drives the bit-parallel search of :func:`verify_hop_spanner`.
@@ -36,14 +36,13 @@ import numpy as np
 
 from .geometry import (
     QUARTER_TURN,
-    TAU,
     Antennas,
     Point,
     _coords,
     _hull_candidates,
     _lex_order,
-    _sector_arrays,
     _sorted_hull,
+    _unit_disk_edges,
     orientation_sign,
     squared_distance,
     vec_dot_sign,
@@ -56,7 +55,7 @@ from .orientation import (
     orient_cluster,
     orient_quadruplet,
 )
-from .scg import CommGraph, _level_step, _swept_edges, components, is_connected
+from .scg import CommGraph, _level_step, components, is_connected
 
 CELL_SIDE = 7.0
 REPLACEMENT_RANGE = 14.0 * math.sqrt(2.0)
@@ -149,8 +148,7 @@ def build_udg(points: Sequence[Point]) -> CommGraph:
 
 def _udg(pts: tuple[Point, ...], xs: np.ndarray, ys: np.ndarray) -> CommGraph:
     _lex_order(xs, ys)  # raises on duplicate points
-    ones = np.ones(len(pts))
-    return CommGraph(pts, _swept_edges(_sector_arrays(xs, ys, 0 * ones, TAU * ones, ones)))
+    return CommGraph(pts, _unit_disk_edges(xs, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +158,7 @@ def _udg(pts: tuple[Point, ...], xs: np.ndarray, ys: np.ndarray) -> CommGraph:
 
 def select_hubs_basic(cell_points: Sequence[Point]) -> OrientationAssignment:
     """Four hubs for basic mode: the lexicographically smallest four."""
-    if len(cell_points) < FULL_CELL_MIN:
-        raise ValueError("hub selection needs a full cell")
-    pts = sorted(cell_points, key=Point.as_tuple)
-    return _select_hubs(pts, *_coords(pts), np.array([0, len(pts)]), "basic")[0]
+    return _hubs_of_cell(cell_points, "basic")
 
 
 def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
@@ -182,10 +177,16 @@ def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
     :func:`~sectornet.geometry._hull_candidates` keeps, which hold every
     hull vertex.
     """
+    return _hubs_of_cell(cell_points, "refined")
+
+
+def _hubs_of_cell(cell_points: Sequence[Point], mode: str) -> OrientationAssignment:
+    """:func:`_select_hubs` on one cell, which must hold at least
+    ``FULL_CELL_MIN`` distinct points."""
     pts = sorted(set(cell_points), key=Point.as_tuple)
     if len(pts) < FULL_CELL_MIN or len(pts) != len(list(cell_points)):
         raise ValueError("hub selection needs a full cell of distinct points")
-    return _select_hubs(pts, *_coords(pts), np.array([0, len(pts)]), "refined")[0]
+    return _select_hubs(pts, *_coords(pts), np.array([0, len(pts)]), mode)[0]
 
 
 def _select_hubs(

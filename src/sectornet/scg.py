@@ -5,25 +5,22 @@ the graph is undirected by construction.  Antennas come as a
 :class:`~sectornet.geometry.Antennas` set, or as a sequence of
 :class:`~sectornet.geometry.AntennaConfig` rows that is turned into one
 on entry; both are validated and normalized when they are built, so
-their columns are used as they are.  This module builds that graph:
-from one containment matrix when every wedge is unbounded, and from the
-candidate pairs of an x-sorted sweep when some range is finite.  Both
-decide a pair with the same angular test and range test of
-:mod:`~sectornet.geometry`; the sweep runs the range test once per
-pair and reuses its displacement for the angles.  The unit-disk graph
-is that sweep's graph of full circles of range 1.  It
-owns the graph core the package shares (a sorted, read-only edge array,
-its CSR rows, and one array level step behind every traversal in the
-package), and provides the analysis of two antenna groups: finding a
+their columns are used as they are.  This module wraps the edges that
+:mod:`~sectornet.geometry` decides into that graph.  It owns the graph
+core the package shares (a sorted, read-only edge array, its CSR rows,
+and one array level step behind every traversal in the package), and
+provides the analysis of two antenna groups: finding a
 mutually-covering pair across them, and classifying a linearly
-separated pair by how many antennas of each side cover the other
-side.  The search for non-separated pairs with no such edge is a test
-oracle and lives in ``tests/oracles.py``.
+separated pair by how many antennas of each side cover the other side,
+counted over the coverage hits geometry returns.  The search for
+non-separated pairs with no such edge is a test oracle and lives in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -31,17 +28,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import (
-    _FULL_FROM,
     AntennaConfig,
     HalfPlane,
     Point,
-    _angles_ok,
     _antennas,
-    _aperture_branches,
-    _containment_core,
-    _halfplane_test_points,
+    _coverage_hits,
     _lex_order,
-    _WedgeArrays,
+    _mutual_edges,
     containment_matrix,
 )
 
@@ -74,96 +67,10 @@ class CommGraph:
 
 
 def build_scg(configs: Sequence[AntennaConfig]) -> CommGraph:
-    """The symmetric graph: an edge wherever coverage is mutual.
-
-    When every wedge is unbounded every pair is tested, as one
-    containment matrix.  Otherwise an edge needs d <= min(r_i, r_j), so
-    only the pairs an x-sorted sweep finds within reach are tested
-    (:func:`_swept_edges`), and a pair one finite range rules out is
-    never asked about its angles; both paths give the same edges.
-    """
+    """The symmetric graph: an edge wherever coverage is mutual."""
     ants = _antennas(configs)
     _lex_order(ants.x, ants.y)  # raises on duplicate locations
-    if np.isinf(ants.range).all():
-        M = _containment_core(ants.wedges.take((slice(None), None)), ants.x, ants.y)
-        edges = np.argwhere(np.triu(M & M.T, 1))
-    else:
-        edges = _swept_edges(ants.wedges)
-    return CommGraph(ants.locations, edges)
-
-
-#: Candidate pairs the sweep tests at once.  This bounds its working
-#: memory; on 300- and 512-antenna graphs 2**13 also ran faster than
-#: 2**11 or 2**16, its arrays staying in cache.
-_PAIR_CHUNK = 1 << 13
-
-
-def _swept_edges(w: _WedgeArrays) -> np.ndarray:
-    """Mutual-containment edges of finite-range wedges whose apexes are
-    the vertices, as an (E, 2) array in row-major order.
-
-    Walking the apexes by x, the pair of positions a < b is a candidate
-    when x_b <= fl(x_a + reach_a).  The reach is the square root of a's
-    squared-range limit, rounded up until its float square exceeds that
-    limit.  A float x_b beyond the threshold then has x_b - x_a > reach_a,
-    so fl(x_b - x_a) >= reach_a and the pair's float d2 fails the range
-    test: the sweep may over-include but never trims an edge.
-
-    Candidates are decided in chunks of ``_PAIR_CHUNK``.  The range step
-    computes each pair's displacement (dx, dy) from a to b and its d2,
-    and keeps the pairs within both limits.  The angular test
-    (:func:`~sectornet.geometry._angles_ok`) then runs once per direction
-    on that displacement: a -> b on (dx, dy, d2), then b -> a on
-    (-dx, -dy, d2) for the pairs left.  Rounding is sign-symmetric, so
-    -fl(x_b - x_a) = fl(x_a - x_b) (a zero may change sign, which no
-    comparison sees) and the squares are unchanged: every answer is the
-    one the containment matrix gives from the coordinates.  Whether any
-    wedge is reflex or a full circle is decided once per call, from the
-    apertures.  When all wedges are full circles the range step alone
-    decides, unless a squared range overflowed to inf: a d2 that
-    overflowed would then pass it, and the angular test raises on it.
-    """
-    n = len(w.ax)
-    reflex, full = _aperture_branches(w.aperture)
-    circles = bool((w.aperture >= _FULL_FROM).all() and np.isfinite(w.limit).all())
-    order = np.argsort(w.ax, kind="stable")
-    s = w.take(order)
-    rays = np.stack((s.rx, s.ry, s.lx, s.ly))
-    reach = np.sqrt(s.limit)
-    short = np.isfinite(reach) & (reach * reach <= s.limit)
-    while short.any():
-        reach[short] = np.nextafter(reach[short], np.inf)
-        short &= reach * reach <= s.limit
-    counts = np.searchsorted(s.ax, s.ax + reach, side="right") - np.arange(1, n + 1)
-    done = np.concatenate(([0], np.cumsum(counts)))
-    keys = [np.zeros(0, dtype=np.int64)]
-    a0 = 0
-    while a0 < n:
-        a1 = max(int(np.searchsorted(done, done[a0] + _PAIR_CHUNK, side="right")) - 1, a0 + 1)
-        c = counts[a0:a1]
-        a = np.repeat(np.arange(a0, a1), c)
-        b = np.arange(len(a)) + np.repeat(np.arange(a0 + 1, a1 + 1) - (done[a0:a1] - done[a0]), c)
-        xa, ya, la = (np.repeat(v[a0:a1], c) for v in (s.ax, s.ay, s.limit))
-        with np.errstate(over="ignore"):  # an inf d2 is decided below
-            dx = s.ax.take(b) - xa
-            dy = s.ay.take(b) - ya
-            d2 = dx * dx + dy * dy
-        # gathers by index run faster here than boolean masks
-        near = np.flatnonzero((d2 <= la) & (d2 <= s.limit.take(b)))
-        a, b = a.take(near), b.take(near)
-        if not circles:
-            dx, dy, d2 = dx.take(near), dy.take(near), d2.take(near)
-            ape = s.aperture.take(a) if reflex or full else None
-            ok = np.flatnonzero(_angles_ok(rays.take(a, axis=1), ape, reflex, full, dx, dy, d2))
-            a, b, dx, dy, d2 = (v.take(ok) for v in (a, b, dx, dy, d2))
-            ape = s.aperture.take(b) if reflex or full else None
-            ok = np.flatnonzero(_angles_ok(rays.take(b, axis=1), ape, reflex, full, -dx, -dy, d2))
-            a, b = a.take(ok), b.take(ok)
-        i, j = order[a], order[b]
-        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
-        a0 = a1
-    keys = np.sort(np.concatenate(keys))
-    return np.stack((keys // n, keys % n), axis=1)
+    return CommGraph(ants.locations, _mutual_edges(ants))
 
 
 def _level_step(g: CommGraph, word: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
@@ -234,7 +141,9 @@ def halfplane_cover_number(
     """Size of the smallest sub-group whose wedges cover the half-plane,
     each decided on the test points of the whole group's arrangement."""
     ants = _antennas(configs)
-    hit = containment_matrix(ants, _halfplane_test_points(ants, hp))
+    if any(map(math.isfinite, ants.range.tolist())):
+        raise ValueError("half-plane coverage needs unbounded ranges")
+    hit = _coverage_hits(ants, hp)[1]
     for k in range(1, _MAX_COVER_SIZE + 1):
         for subset in itertools.combinations(range(len(configs)), k):
             if hit[list(subset)].any(axis=0).all():

@@ -58,8 +58,8 @@ from sectornet.geometry import (
     CoverageReport,
     HalfPlane,
     Point,
-    _first_uncovered,
-    _halfplane_test_points,
+    _antennas,
+    _coverage_hits,
     containment_matrix,
     convex_hull,
     distance,
@@ -296,7 +296,18 @@ def coverage_sample_check(
     theta = np.linspace(0.0, TAU, ring_points, endpoint=False)
     ring = np.column_stack([cx + radius * np.cos(theta), cy + radius * np.sin(theta)])
     pts = np.vstack([grid, ring])
-    return _first_uncovered(wedges, pts)
+    return _first_uncovered(pts, containment_matrix(wedges, pts))
+
+
+def _first_uncovered(pts: np.ndarray, hit: np.ndarray) -> CoverageReport:
+    """Covered, or else the lexicographically smallest row of ``pts``
+    that no row of the containment matrix ``hit`` contains, as the
+    witness."""
+    miss = ~hit.any(axis=0)
+    if not miss.any():
+        return CoverageReport(True)
+    wx, wy = min(map(tuple, pts[miss]))
+    return CoverageReport(False, witness_point=Point(float(wx), float(wy)))
 
 
 # ---------------------------------------------------------------------------
@@ -596,10 +607,10 @@ def halfplane_covered(wedges: Sequence[AntennaConfig], hp: HalfPlane) -> Coverag
         # Any point of the half-plane witnesses non-coverage.
         norm = math.hypot(hp.nx, hp.ny)
         return CoverageReport(False, witness_point=Point(hp.nx * hp.c / norm**2, hp.ny * hp.c / norm**2))
-    pts = _halfplane_test_points(wedges, hp)
-    if pts.size == 0:
-        return CoverageReport(True)
-    return _first_uncovered(wedges, pts)
+    ants = _antennas(wedges)
+    if any(map(math.isfinite, ants.range.tolist())):
+        raise ValueError("half-plane coverage needs unbounded ranges")
+    return _first_uncovered(*_coverage_hits(ants, hp))
 
 
 # ---------------------------------------------------------------------------

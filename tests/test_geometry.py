@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -482,7 +483,37 @@ def test_plane_coverage_two_halfplane_wedges():
 
 
 def test_full_circle_wedge_covers():
-    assert plane_coverage_verify([AntennaConfig(Point(1.0, 1.0), 0.0, TAU)]).covered
+    # alone and among other wedges; no shortcut decides these: the circle
+    # of directions is closed, and the full wedge contains every test point
+    rng = SplitMix64(29)
+    for at in (Point(1.0, 1.0), Point(-3.0, 2.5), Point(1e12, -1e12)):
+        for ori in (0.0, 2.0, 5.5):
+            full = AntennaConfig(at, ori, TAU)
+            assert plane_coverage_verify([full]).covered
+            for k in range(1, 5):
+                others = [
+                    AntennaConfig(Point(at.x + rng.uniform(-3, 3), at.y + rng.uniform(-3, 3)), rng.uniform(0, TAU), a)
+                    for a in (QUARTER_TURN, 2.0, math.pi, 4.5)[:k]
+                ]
+                assert plane_coverage_verify(others + [full]).covered
+                assert plane_coverage_verify([full] + others).covered
+
+
+def test_the_coverage_frame_moves_apexes_exactly():
+    # apexes near the edges of their frame cell, from the origin to 1e300
+    rng = SplitMix64(31)
+    moved = 0
+    for _ in range(4000):
+        base = choice(rng, [0.0, 40.0, 2.0**40, -1e12, 1e300]) * rng.uniform(-1.0, 1.0)
+        spread = choice(rng, [0.5, 7.0, 300.0, 1e9])
+        xs = [base + rng.uniform(-spread, spread) for _ in range(1 + rng.randrange(5))]
+        ys = [-base + rng.uniform(-spread, spread) for _ in xs]
+        x0, y0 = geometry._frame(xs, ys)
+        moved += x0 != 0.0
+        assert all(Fraction(v - x0) == Fraction(v) - Fraction(x0) for v in xs)
+        assert all(Fraction(v - y0) == Fraction(v) - Fraction(y0) for v in ys)
+    assert moved > 1000
+    assert geometry._frame([3.0, 4.0], [-2.0, 1.0]) == (0.0, 0.0)  # near the origin nothing moves
 
 
 def test_halfplane_covered_cases():

@@ -34,6 +34,19 @@ def test_grid_lines_only_when_origin_given():
     assert "<line " in with_grid
 
 
+def test_grid_is_left_out_when_it_needs_too_many_lines():
+    # 1e6 apart, the grid would need about 214,000 lines per axis: the
+    # picture keeps its wedges and dots, and drops the grid
+    far = [AntennaConfig(Point(0.0, 0.0), 0.0), AntennaConfig(Point(1e6, 1e6), math.pi)]
+    svg = render_svg(far, grid_origin=(0.0, 0.0))
+    assert "<line " not in svg and svg.count("<path ") == 2 and len(svg) < 10_000
+    # 2e4 apart along x the grid needs 4,288 vertical lines, over the cap
+    # of 4,096; 1.9e4 apart it needs 4,073 and 1,359 horizontal ones
+    assert "<line " not in render_svg([far[0], AntennaConfig(Point(2e4, 0.0), 0.0)], grid_origin=(0.0, 0.0))
+    near = render_svg([far[0], AntennaConfig(Point(1.9e4, 0.0), 0.0)], grid_origin=(0.0, 0.0))
+    assert near.count("<line ") == 4073 + 1359
+
+
 def test_finite_range_bounds_sector_radius():
     near = AntennaConfig(Point(0.0, 0.0), 0.0, QUARTER_TURN, 2.0)
     far = AntennaConfig(Point(5.0, 5.0), math.pi, QUARTER_TURN, math.inf)

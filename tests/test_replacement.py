@@ -193,6 +193,16 @@ def test_select_hubs_basic_takes_lex_smallest_four():
         select_hubs_basic(pts[:3])
 
 
+def test_both_hub_selectors_refuse_a_repeated_point():
+    cell = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0), Point(1.0, 1.0), Point(1.0, 1.0)]
+    for select in (select_hubs_basic, select_hubs_refined):
+        with pytest.raises(ValueError, match="hub selection needs a full cell of distinct points"):
+            select(cell)
+        with pytest.raises(ValueError, match="hub selection needs a full cell of distinct points"):
+            select(cell[:3])
+        assert {p for p, _ in select(cell[:4]).entries} == set(cell)
+
+
 def test_select_hubs_refined_frozen_square_cell():
     # Hull is the 6x6 square; all sides tie for longest, the lex-least
     # edge (0,0)-(6,0) wins, (0,6) and (3,3) fill the strip slots.

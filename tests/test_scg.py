@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sectornet import scg
+from sectornet import geometry
 from sectornet.geometry import (
     ANGLE_TOL,
     DIST_SQ_TOL,
@@ -352,6 +352,45 @@ def test_cover_numbers_do_not_depend_on_the_scale():
             assert not plane_coverage_verify(configs[:3]).covered
 
 
+def _coverage_decisions(quad, hps):
+    configs = configs_from_assignment(orient_quadruplet(quad))
+    row = [plane_coverage_verify(configs).covered, plane_coverage_verify(configs[:3]).covered]
+    return row + [halfplane_cover_number(configs, hp) for hp in hps]
+
+
+def test_coverage_decisions_do_not_move_with_an_exact_shift():
+    # on the 1/256 grid of [0, 4]^2 a shift by 2**40 is exact, for the
+    # points and for these half-planes, so every decision must be the one
+    # at the origin
+    rng = SplitMix64(23)
+    big = 2.0**40
+    moved = 0
+    for _ in range(1500):
+        quad = []
+        while len(set(quad)) < 4:
+            quad = [Point(rng.randrange(1025) / 256, rng.randrange(1025) / 256) for _ in range(4)]
+        c = rng.randrange(1025) / 256
+        hps = [HalfPlane(1.0, 0.0, c), HalfPlane(0.0, -1.0, -c), HalfPlane(1.0, 1.0, 2 * c)]
+        far_hps = [HalfPlane(hp.nx, hp.ny, hp.c + hp.nx * big + hp.ny * big) for hp in hps]
+        far = [Point(p.x + big, p.y + big) for p in quad]
+        got, want = _coverage_decisions(far, far_hps), _coverage_decisions(quad, hps)
+        moved += got != want
+    assert moved == 0
+
+
+@pytest.mark.parametrize("seed", [17, 39, 56])
+def test_separated_pairs_classify_alike_far_from_the_origin(seed):
+    inst = gen(GenSpec("separated_quads", 8, seed=seed))
+    sep = HalfPlane(**inst.metadata["separator"])
+    shift = 1e12
+    far_sep = HalfPlane(sep.nx, sep.ny, sep.c + sep.nx * shift + sep.ny * shift)
+    sides, far_sides = [], []
+    for pts in (inst.points[:4], inst.points[4:]):
+        sides.append(configs_from_assignment(orient_quadruplet(list(pts))))
+        far_sides.append(configs_from_assignment(orient_quadruplet([Point(p.x + shift, p.y + shift) for p in pts])))
+    assert classify_separated_pair(*far_sides, far_sep) == classify_separated_pair(*sides, sep)
+
+
 #: sha256 of the coverage decisions below, recorded while the arrangement
 #: test still tried every apex and a point on every edge.
 COVERAGE_DECISIONS_SHA256 = "51d5d17b59c0507a981829761784a0444bc9806e616ef00aed38165f06dbddb0"
@@ -531,7 +570,7 @@ def _sweep_cases():
 @pytest.mark.parametrize("chunk", [None, 1, 5])
 def test_swept_edges_match_the_containment_matrix(monkeypatch, chunk):
     if chunk is not None:  # force many chunks, and sources larger than one
-        monkeypatch.setattr(scg, "_PAIR_CHUNK", chunk)
+        monkeypatch.setattr(geometry, "_PAIR_CHUNK", chunk)
     cases = _sweep_cases()
     for configs in cases:
         g = build_scg(configs)
