@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import AntennaConfig, Antennas, Point, _antennas, _points
+from .geometry import AntennaConfig, Antennas, Point, _antennas, _antennas_at, _points
 
 PathLike = Union[str, Path]
 
@@ -72,15 +72,17 @@ def _numbers(values: list) -> list:
     return [float(v) for v in values]
 
 
-def _locations(xs: list, ys: list) -> list[Point]:
+def _locations(xs: list, ys: list) -> tuple[list[Point], np.ndarray, np.ndarray]:
     """The points of two coordinate columns of JSON numbers, checked
-    finite as :class:`~sectornet.geometry.Point` checks them."""
+    finite as :class:`~sectornet.geometry.Point` checks them, and their
+    coordinates as the float arrays the check made."""
     xs, ys = _numbers(xs), _numbers(ys)
-    finite = np.isfinite(np.array(xs, dtype=float)) & np.isfinite(np.array(ys, dtype=float))
+    xa, ya = np.array(xs, dtype=float), np.array(ys, dtype=float)
+    finite = np.isfinite(xa) & np.isfinite(ya)
     if not finite.all():
         k = int(np.argmin(finite))
         raise ValueError(f"point coordinates must be finite, got ({xs[k]}, {ys[k]})")
-    return _points(xs, ys)
+    return _points(xs, ys), xa, ya
 
 
 def _encode(values: list) -> list[str]:
@@ -138,7 +140,7 @@ def read_instance(path: PathLike) -> tuple[list[Point], dict]:
 
 def _parse_instance(doc: dict) -> tuple[list[Point]]:
     rows = doc["points"]
-    return (_locations([e["x"] for e in rows], [e["y"] for e in rows]),)
+    return (_locations([e["x"] for e in rows], [e["y"] for e in rows])[0],)
 
 
 def write_config(
@@ -165,5 +167,6 @@ def _parse_config(doc: dict) -> tuple[Antennas, str]:
     rows = doc["antennas"]
     aperture, orientation, ranges, xs, ys = ([e[f] for e in rows] for f in _ANTENNA_FIELDS)
     ranges = [math.inf if r == "inf" else r for r in ranges]
-    locations = _locations(xs, ys)
-    return Antennas(locations, _numbers(orientation), _numbers(aperture), _numbers(ranges)), mode
+    locations, xa, ya = _locations(xs, ys)
+    columns = (_numbers(orientation), _numbers(aperture), _numbers(ranges))
+    return _antennas_at(tuple(locations), xa, ya, *columns), mode

@@ -19,8 +19,9 @@ Conventions used throughout the package:
 * Sign predicates (``orientation_sign``, ``dot_sign``, ``vec_dot_sign``)
   are exact for any float inputs.  Each is one call of one cross-product
   sign: a floating-point filter decides the easy cases, the rest fall
-  back to rational arithmetic.  The hull prefilter runs that filter on
-  arrays.
+  back to rational arithmetic.  Their array form runs the same filter
+  on whole arrays and the scalar sign on what it leaves open; the hull
+  prefilter and the batched fans of ``orientation`` call it.
 * Containment cannot be made exact in the same sense because
   orientations pass through ``atan2``/``cos``/``sin``.  Instead the
   angular test grants ``ANGLE_TOL`` radians of slack on both bounding
@@ -45,7 +46,7 @@ from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -178,6 +179,11 @@ class Antennas(SequenceABC):
 
     def __init__(self, locations: Iterable[Point], orientation, aperture, range) -> None:
         locations = tuple(locations)
+        self._check(locations, *_coords(locations), orientation, aperture, range)
+
+    def _check(self, locations: tuple[Point, ...], xs, ys, orientation, aperture, range) -> None:
+        """The constructor's checks and columns, for ``locations`` whose
+        coordinates are already the float arrays xs, ys."""
         n = len(locations)
         o, a, r = (
             np.array(np.broadcast_to(np.asarray(v, dtype=float), (n,))) for v in (orientation, aperture, range)
@@ -189,7 +195,7 @@ class Antennas(SequenceABC):
         ):
             if bad.any():
                 raise ValueError(f"{rule}, got {column[bad][0].item()}")
-        self._fill(locations, np.stack((*_coords(locations), _normalize_angles(o), a, r)))
+        self._fill(locations, np.stack((xs, ys, _normalize_angles(o), a, r)))
 
     def _fill(self, locations: tuple[Point, ...], columns: np.ndarray) -> None:
         """Hold ``locations`` and the rows of ``columns``, a (5, n) array
@@ -243,6 +249,15 @@ class Antennas(SequenceABC):
         return _sector_arrays(self.x, self.y, self.orientation, self.aperture, self.range)
 
 
+def _antennas_at(locations: tuple[Point, ...], xs, ys, orientation, aperture, range) -> Antennas:
+    """``Antennas(locations, orientation, aperture, range)``, checked the
+    same way, for locations whose coordinates the caller already holds
+    as the float arrays xs, ys."""
+    ants = object.__new__(Antennas)
+    ants._check(locations, xs, ys, orientation, aperture, range)
+    return ants
+
+
 def _antennas(configs: Sequence[AntennaConfig]) -> Antennas:
     """``configs`` as a set: itself when it is one, else the columns of
     its rows, which their construction has already checked."""
@@ -288,6 +303,29 @@ def _cross_sign(ax, ay, bx, by, cx, cy, dx, dy) -> int:
     return (det > 0) - (det < 0)
 
 
+def _cross_signs(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
+    """:func:`_cross_sign` elementwise over float arrays, as int8 over
+    their broadcast shape.  The float filter runs on every entry; of the
+    entries it leaves open, those with both products zero are 0, and the
+    rest go to the scalar predicate.  Numpy's float operations are
+    Python's, so a decided entry has the scalar's det, and a difference
+    or product that overflows leaves its entry open."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = (bx - ax) * (dy - cy)
+        right = (by - ay) * (dx - cx)
+        det = left - right
+        sign = (det > 0).astype(np.int8) - (det < 0)
+        open_ = np.flatnonzero(~_decided(left, right, det))
+    if len(open_):
+        v = [np.broadcast_to(c, sign.shape).flat[open_] for c in (ax, ay, bx, by, cx, cy, dx, dy)]
+        zero = ((v[2] == v[0]) | (v[7] == v[5])) & ((v[3] == v[1]) | (v[6] == v[4]))
+        sign.flat[open_] = 0
+        rest = np.flatnonzero(~zero)
+        if len(rest):
+            sign.flat[open_[rest]] = list(map(_cross_sign, *(c[rest].tolist() for c in v)))
+    return sign
+
+
 def orientation_sign(a: Point, b: Point, c: Point) -> int:
     """+1 if a->b->c turns left, -1 if right, 0 if collinear.  Exact."""
     return _cross_sign(a.x, a.y, b.x, b.y, a.x, a.y, c.x, c.y)
@@ -317,19 +355,20 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
     """
     if not points:
         raise ValueError("convex_hull requires at least one point")
-    return _sorted_hull(sorted(set(points), key=Point.as_tuple))
+    return _sorted_hull(sorted(set(points), key=Point.as_tuple), orientation_sign)
 
 
-def _sorted_hull(pts: list[Point]) -> list[Point]:
+def _sorted_hull(pts: list, turn: Callable) -> list:
     """:func:`convex_hull` of points already distinct and sorted
-    lexicographically (monotone chain)."""
+    lexicographically (monotone chain).  ``turn(a, b, c)`` is the
+    orientation sign of three of them, which is all the chain reads."""
     if len(pts) == 1:
         return [pts[0]]
 
-    def chain(seq: list[Point]) -> list[Point]:
-        out: list[Point] = []
+    def chain(seq: list) -> list:
+        out: list = []
         for p in seq:
-            while len(out) >= 2 and orientation_sign(out[-2], out[-1], p) <= 0:
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out
@@ -352,9 +391,9 @@ def _hull_candidates(xs: np.ndarray, ys: np.ndarray, starts: np.ndarray) -> np.n
     A side whose two corners coincide is skipped: the sides left bound
     the convex polygon of the distinct corners, and with two of them (the
     first and last point) no point is left of both.  The corners are
-    always kept.  Each side's sign is :func:`orientation_sign`'s: the one
-    float filter (:func:`_decided`) runs on the arrays, and the points it
-    leaves open go to the exact predicate on their raw coordinates.
+    always kept.  Each side's sign for every other point is
+    :func:`orientation_sign`'s, all from one call of the array kernel
+    :func:`_cross_signs`.
     """
     size = np.diff(starts)
     group = np.repeat(np.arange(len(size)), size)
@@ -365,25 +404,20 @@ def _hull_candidates(xs: np.ndarray, ys: np.ndarray, starts: np.ndarray) -> np.n
         return hits[np.searchsorted(hits, first)]
 
     corners = [first, first_at(np.minimum), last, first_at(np.maximum)]
-    inside = np.ones(len(xs), bool)
-    sure = np.ones(len(xs), bool)
-    sides = [(a[group], b[group]) for a, b in zip(corners, corners[1:] + corners[:1])]
-    for a, b in sides:
-        left, right = (xs[b] - xs[a]) * (ys - ys[a]), (ys[b] - ys[a]) * (xs - xs[a])
-        det = left - right
-        decided = _decided(left, right, det)
-        skip = a == b
-        inside &= (det > 0.0) | ~decided | skip
-        sure &= decided | skip
+    keep = np.zeros(len(xs), bool)
     for c in corners:
-        inside[c] = False
-    x, y = xs.tolist(), ys.tolist()
-    for i in np.flatnonzero(inside & ~sure).tolist():
-        ends = [(a[i], b[i]) for a, b in sides]
-        inside[i] = all(
-            _cross_sign(x[j], y[j], x[k], y[k], x[j], y[j], x[i], y[i]) > 0 for j, k in ends if j != k
-        )
-    return ~inside
+        keep[c] = True
+    rest = np.flatnonzero(~keep)
+    owner = group[rest]
+    # every other point against each side of its group with two corners
+    sides = []
+    for start, end in zip(corners, corners[1:] + corners[:1]):
+        start, end = start[owner], end[owner]
+        proper = start != end
+        sides.append((start[proper], end[proper], rest[proper]))
+    a, b, p = (np.concatenate(v) for v in zip(*sides))
+    keep[p[_cross_signs(xs[a], ys[a], xs[b], ys[b], xs[a], ys[a], xs[p], ys[p]) <= 0]] = True
+    return keep
 
 
 def _coords(points: Iterable[Point]) -> tuple[np.ndarray, np.ndarray]:

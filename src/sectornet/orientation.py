@@ -13,13 +13,20 @@ other two points the opposite orientations, paired so that the other
 half-plane is covered as well.  Opposite wedges have the property that if
 one apex lies in the other's wedge, the containment is automatically
 mutual, which is what produces the graph edges.
+
+The power sections and the basic-mode hubs orient many quadruplets at
+once: :func:`_orient_fans` applies the same rule to all of them in one
+array pass, reading every exact sign it needs from one kernel call.
+:func:`orient_quadruplet` stays the path for one quadruplet, where the
+batch's fixed cost is the larger.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -28,9 +35,12 @@ from .geometry import (
     AntennaConfig,
     Antennas,
     Point,
+    _antennas_at,
     _contains_at,
     _coords,
+    _cross_signs,
     _normalize_angles,
+    _sorted_hull,
     convex_hull,
     dot_sign,
     normalize_angle,
@@ -41,6 +51,8 @@ from .geometry import (
 #: Orientation offsets, relative to the base edge direction, of the four
 #: wedges in entry order: base start, base end, then the two far points.
 _FAN_OFFSETS = (0.25 * math.pi, 0.75 * math.pi, 1.25 * math.pi, 1.75 * math.pi)
+#: The names of the hull shapes by hull size k = 2, 3, 4.
+_CASES = ("collinear", "triangle", "convex")
 
 
 @dataclass(frozen=True)
@@ -122,7 +134,7 @@ def orient_quadruplet(points: Sequence[Point]) -> OrientationAssignment:
         raise AssertionError("no qualifying hull edge")
     a, b = min(bases, key=lambda e: (e[0].as_tuple(), e[1].as_tuple()))
     p, q = (v for v in pts if v != a and v != b)
-    return _fan((a, b, *_pair_far_points(a, b, p, q)), ("collinear", "triangle", "convex")[k - 2])
+    return _fan((a, b, *_pair_far_points(a, b, p, q)), _CASES[k - 2])
 
 
 def _fan(slots: Sequence[Point], case: str) -> OrientationAssignment:
@@ -136,30 +148,169 @@ def _fan(slots: Sequence[Point], case: str) -> OrientationAssignment:
     return OrientationAssignment(entries=entries, case=case)
 
 
+def _sign_columns() -> tuple[np.ndarray, dict, dict]:
+    """What :func:`_orient_fans` evaluates on a quadruplet sorted
+    lexicographically, p0 < p1 < p2 < p3: each sign as the eight
+    :func:`~sectornet.geometry._cross_sign` arguments, given as columns of
+    (x0, y0, ..., x3, y3), one sign a column.
+
+    Columns 0-3 are the orientation signs of (0, 1, 2), (0, 1, 3),
+    (0, 2, 3) and (1, 2, 3), which fix the hull; then the 12 dot signs
+    ``dot_sign(v, u, w)`` (keyed ``(v, {u, w})``, as the sign is exact
+    and so symmetric in u and w); then the 3 projection signs
+    dot(p_j - p_0, p_l - p_k) of the splits {0, j} | {k, l} (keyed by
+    the split), which is all :func:`_pair_far_points` reads.
+    """
+
+    def vec_dot(p1: int, p2: int, q1: int, q2: int) -> tuple:  # vec_dot_sign's arguments
+        return (2 * p1, 2 * p1 + 1, 2 * p2, 2 * p2 + 1, 2 * q2 + 1, 2 * q1, 2 * q1 + 1, 2 * q2)
+
+    columns = [
+        (2 * i, 2 * i + 1, 2 * j, 2 * j + 1, 2 * i, 2 * i + 1, 2 * k, 2 * k + 1)
+        for i, j, k in itertools.combinations(range(4), 3)
+    ]
+    dots, splits = {}, {}
+    for v in range(4):
+        for u, w in itertools.combinations([i for i in range(4) if i != v], 2):
+            dots[v, frozenset((u, w))] = len(columns)
+            columns.append(vec_dot(v, u, v, w))
+    for j in (1, 2, 3):
+        k, l = (i for i in (1, 2, 3) if i != j)
+        splits[frozenset((0, j))] = splits[frozenset((k, l))] = len(columns)
+        columns.append(vec_dot(0, j, k, l))
+    return np.array(columns, dtype=np.intp).T, dots, splits
+
+
+def _fan_tables() -> tuple:
+    """The lookup tables of :func:`_orient_fans`.
+
+    Per hull code (the four orientation signs, each + 1, as base-3
+    digits): the hull size, and the hull's directed edges (a, b) sorted
+    by (a, b), with the columns of the two dot signs that qualify each
+    and whether it exists (padded to four).  A test ``dot_sign(a, b, a)``
+    of a segment is 0 and reads the zero column, the last.  Per directed
+    base a * 4 + b: the other two indices p < q and the column and sign
+    by which dot(q - p, b - a) is read.  The hull comes from the package's
+    one monotone chain, run on indices with the code's signs as its turns.
+    """
+    args, dots, splits = _sign_columns()
+    zero = args.shape[1]
+    triples = list(itertools.combinations(range(4), 3))
+    size = np.zeros(81, dtype=np.intp)
+    edges = np.zeros((81, 4, 4), dtype=np.intp)
+    valid = np.zeros((81, 4), dtype=bool)
+    for code, signs in enumerate(itertools.product((-1, 0, 1), repeat=4)):
+
+        def turn(i: int, j: int, k: int) -> int:
+            odd = (i > j) + (i > k) + (j > k)  # inversions: the parity of the sort
+            return signs[triples.index(tuple(sorted((i, j, k))))] * (-1) ** odd
+
+        hull = _sorted_hull(list(range(4)), turn)
+        k = len(hull)
+        if k > 4:
+            continue  # signs no four points have: never looked up
+        rows = []
+        for i in range(k):
+            a, b, c, d = hull[i], hull[(i + 1) % k], hull[(i + 2) % k], hull[i - 1]
+            qualify_a = zero if c == a else dots[a, frozenset((b, c))]
+            qualify_b = zero if d == b else dots[b, frozenset((a, d))]
+            rows.append((a, b, qualify_a, qualify_b))
+        rows.sort()
+        size[code] = k
+        edges[code, :k] = rows
+        valid[code, :k] = True
+    far = np.zeros((16, 4), dtype=np.intp)
+    for a, b in itertools.permutations(range(4), 2):
+        p, q = (i for i in range(4) if i != a and i != b)
+        far[4 * a + b] = (p, q, splits[frozenset((a, b))], 1 if a < b else -1)
+    return args, size, edges, valid, far
+
+
+_ARGS, _HULL_SIZE, _EDGES, _VALID, _FAR = _fan_tables()
+
+
+def _orient_fans(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`orient_quadruplet` on m quadruplets at once, given as the
+    rows of the (m, 4) coordinate arrays xs, ys: per row, the columns of
+    its points in entry order, their orientations and the hull size k
+    (the case is ``_CASES[k - 2]``), every one equal to the scalar rule's.
+
+    Each row is sorted lexicographically, every sign the rule can read
+    comes from one call of the exact array kernel, and the hull, the
+    base (its least qualifying directed edge) and the pairing of the far
+    points are read from :func:`_fan_tables`.  The angles are
+    :func:`_fan`'s float operations.
+    """
+    m = len(xs)
+    row = np.arange(m)
+    r = row[:, None]
+    order = np.lexsort((ys, xs), axis=1)
+    sx, sy = xs[r, order], ys[r, order]
+    if ((sx[:, 1:] == sx[:, :-1]) & (sy[:, 1:] == sy[:, :-1])).any():
+        raise ValueError("degenerate quadruplet: four distinct points required")
+    xy = np.stack((sx, sy), axis=2).reshape(m, 8)
+    signs = np.zeros((m, _ARGS.shape[1] + 1), dtype=np.int8)  # the last column stays 0
+    signs[:, :-1] = _cross_signs(*(xy[:, c] for c in _ARGS))
+    code = (signs[:, :4] + 1) @ np.array([27, 9, 3, 1])
+    edges = _EDGES[code]
+    qualify = _VALID[code] & (signs[r, edges[:, :, 2]] >= 0) & (signs[r, edges[:, :, 3]] >= 0)
+    first = qualify.argmax(axis=1)
+    if not qualify[row, first].all():
+        raise AssertionError("no qualifying hull edge")
+    a, b = edges[row, first, 0], edges[row, first, 1]
+    p, q, column, flip = _FAR[4 * a + b].T
+    ahead = signs[row, column] * flip >= 0  # q projects at or past p along a -> b
+    slots = np.stack((a, b, np.where(ahead, q, p), np.where(ahead, p, q)), axis=1)
+    dx = (sx[row, b] - sx[row, a]).tolist()
+    dy = (sy[row, b] - sy[row, a]).tolist()
+    theta = np.array(list(map(math.atan2, dy, dx)))
+    return order[r, slots], _normalize_angles(theta[:, None] + _FAN_OFFSETS), _HULL_SIZE[code]
+
+
+def _quadruplet_fans(points: Sequence[Point], xs: np.ndarray, ys: np.ndarray, quads: np.ndarray) -> Antennas:
+    """The fans of :func:`orient_quadruplet` on the quadruplets
+    ``points[quads[g]]`` (rows of positions into ``points``, whose
+    coordinates are xs, ys), as one set of unbounded quarter-wedge hubs,
+    four per fan in entry order: the form :func:`aim_at_fan` reads."""
+    slots, orientation, _ = _orient_fans(xs[quads], ys[quads])
+    at = np.take_along_axis(quads, slots, axis=1).ravel()
+    hubs = tuple([points[i] for i in at.tolist()])
+    return _antennas_at(hubs, xs[at], ys[at], orientation.ravel(), QUARTER_TURN, math.inf)
+
+
 def aim_at_fan(
-    fans: Sequence[OrientationAssignment], points: Sequence[Point], fan_of: Sequence[int]
+    fans: Union[Sequence[OrientationAssignment], Antennas], points: Sequence[Point], fan_of: Sequence[int]
 ) -> list[float]:
     """One orientation per point, in input order: ``points[k]`` is served
     by the perpendicular fan ``fans[fan_of[k]]`` of four quarter-wedges.
+    ``fans`` is a sequence of assignments, or the wedges of their entries
+    as one :class:`Antennas` set, four per fan in entry order.
 
     A point equal to one of its fan's apexes keeps that entry's
     orientation; any other point aims at the apex of the first wedge of
     its fan, in entry order, that contains it (else ``ValueError``).
+    Only the points that are not an apex of their own fan are tested.
     """
-    entries = [e for fan in fans for e in fan.entries]
-    hubs = Antennas([q for q, _ in entries], [a for _, a in entries], QUARTER_TURN, math.inf)
+    if isinstance(fans, Antennas):
+        hubs = fans
+    else:
+        entries = [e for fan in fans for e in fan.entries]
+        hubs = Antennas([q for q, _ in entries], [a for _, a in entries], QUARTER_TURN, math.inf)
     rows = 4 * np.asarray(fan_of, dtype=np.intp)[:, None] + np.arange(4)  # each point's fan wedges
     px, py = _coords(points)
-    inside = _contains_at(hubs, rows, px[:, None], py[:, None])
-    if not inside.any(axis=1).all():
-        raise ValueError("uncovered point: no hub wedge contains it")
-    # an apex entry scores 3 (its wedge holds its apex), any other hit 1
     apex = (hubs.x[rows] == px[:, None]) & (hubs.y[rows] == py[:, None])
-    pick = rows[:, 0] + np.argmax(2 * apex + inside, axis=1)
-    # math.atan2, not np.arctan2, whose last bit differs on some inputs
-    dx, dy = hubs.x[pick] - px, hubs.y[pick] - py
-    aims = _normalize_angles(np.array(list(map(math.atan2, dy.tolist(), dx.tolist()))))
-    return np.where((dx == 0.0) & (dy == 0.0), hubs.orientation[pick], aims).tolist()
+    aims = hubs.orientation[rows[:, 0] + np.argmax(apex, axis=1)]
+    other = np.flatnonzero(~apex.any(axis=1))
+    if len(other):
+        rows, px, py = rows[other], px[other], py[other]
+        inside = _contains_at(hubs, rows, px[:, None], py[:, None])
+        if not inside.any(axis=1).all():
+            raise ValueError("uncovered point: no hub wedge contains it")
+        pick = rows[:, 0] + np.argmax(inside, axis=1)
+        # math.atan2, not np.arctan2, whose last bit differs on some inputs
+        dx, dy = (hubs.x[pick] - px).tolist(), (hubs.y[pick] - py).tolist()
+        aims[other] = _normalize_angles(np.array(list(map(math.atan2, dy, dx))))
+    return aims.tolist()
 
 
 def orient_cluster(points: Sequence[Point]) -> list[float]:

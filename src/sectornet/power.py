@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import QUARTER_TURN, Antennas, Point, _coords, _lex_order, distance
-from .orientation import aim_at_fan, orient_cluster, orient_quadruplet
+from .orientation import _quadruplet_fans, aim_at_fan, orient_cluster
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +226,26 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
         return PowerAssignment(beta, tuple((p, a, diameter) for p, a in zip(pts, aims)))
 
     lex, walk, _ = _walk(pts)  # raises on duplicate points
-    bounds, start, length = _cut(len(pts))
-    fans = []
-    fan_of = np.empty(len(pts), dtype=np.intp)
-    for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
-        members = [lex[r] for r in sorted(walk[a:b])]  # positions by rank: by (x, y)
-        half = (b - a + 1) // 2
-        left, right = members[:half], members[half:]
-        fan_of[left] = len(fans)
-        fans.append(orient_quadruplet([pts[i] for i in left[:4]]))
-        fan_of[right] = len(fans)
-        fans.append(orient_quadruplet([pts[i] for i in right[-4:]]))
+    n = len(pts)
+    bounds, start, length = _cut(n)
+    sizes = np.diff(bounds)
+    section = np.repeat(np.arange(len(sizes)), sizes)
+    # each section's input positions by rank, so by (x, y): a section is
+    # a block of the keys, and a rank is under n
+    block = section * n
+    members = np.asarray(lex)[np.sort(block + walk) - block]
+    fan_of = np.empty(n, dtype=np.intp)
+    fan_of[members] = 2 * section + (np.arange(n) - bounds[section] >= (sizes[section] + 1) // 2)
+    # a section of at least eight points: the left half's first four,
+    # then the right half's last four
+    quads = members[np.stack((bounds[:-1, None] + np.arange(4), bounds[1:, None] - 4 + np.arange(4)), axis=1)]
 
     along = [lex[r] for r in walk]  # input positions in tour order
     xs, ys = _coords(pts)
-    radius = np.empty(len(pts))
+    radius = np.empty(n)
     radius[along] = _window_radii(xs[along], ys[along], bounds, start, length)
-    return PowerAssignment(
-        beta, tuple(zip(pts, aim_at_fan(fans, pts, fan_of), radius.tolist()))
-    )
+    fans = _quadruplet_fans(pts, xs, ys, quads.reshape(-1, 4))
+    return PowerAssignment(beta, tuple(zip(pts, aim_at_fan(fans, pts, fan_of), radius.tolist())))
 
 
 #: Rows whose largest squared distance lies outside [2**-900, 2**900]

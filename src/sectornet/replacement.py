@@ -51,6 +51,7 @@ from .orientation import (
     OrientationAssignment,
     _fan,
     _pair_far_points,
+    _quadruplet_fans,
     aim_at_fan,
     orient_cluster,
     orient_quadruplet,
@@ -181,27 +182,26 @@ def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
 
 
 def _hubs_of_cell(cell_points: Sequence[Point], mode: str) -> OrientationAssignment:
-    """:func:`_select_hubs` on one cell, which must hold at least
-    ``FULL_CELL_MIN`` distinct points."""
+    """The hubs of one cell, which must hold at least ``FULL_CELL_MIN``
+    distinct points."""
     pts = sorted(set(cell_points), key=Point.as_tuple)
     if len(pts) < FULL_CELL_MIN or len(pts) != len(list(cell_points)):
         raise ValueError("hub selection needs a full cell of distinct points")
-    return _select_hubs(pts, *_coords(pts), np.array([0, len(pts)]), mode)[0]
-
-
-def _select_hubs(
-    pts: list[Point], xs: np.ndarray, ys: np.ndarray, starts: np.ndarray, mode: str
-) -> list[OrientationAssignment]:
-    """The hubs of every full cell at once, as :func:`select_hubs_basic`
-    or :func:`select_hubs_refined` picks them.  ``pts`` holds the cells'
-    points cell by cell, lexicographic within a cell, cell g's at
-    ``starts[g]`` up to ``starts[g + 1]``, and xs, ys are their
-    coordinates; refined mode prefilters the hull candidates of all
-    cells in one pass."""
-    bounds = list(zip(starts.tolist(), starts[1:].tolist()))
     if mode == "basic":
-        return [orient_quadruplet(pts[a : a + 4]) for a, _ in bounds]
+        return orient_quadruplet(pts[:4])
+    return _refined_fans(pts, *_coords(pts), np.array([0, len(pts)]))[0]
+
+
+def _refined_fans(
+    pts: list[Point], xs: np.ndarray, ys: np.ndarray, starts: np.ndarray
+) -> list[OrientationAssignment]:
+    """The hubs of every full cell at once, as :func:`select_hubs_refined`
+    picks them.  ``pts`` holds the cells' points cell by cell,
+    lexicographic within a cell, cell g's at ``starts[g]`` up to
+    ``starts[g + 1]``, and xs, ys are their coordinates; the hull
+    candidates of all cells are prefiltered in one pass."""
     keep = _hull_candidates(xs, ys, starts).tolist()
+    bounds = zip(starts.tolist(), starts[1:].tolist())
     return [_refined_fan(pts[a:b], [p for p, k in zip(pts[a:b], keep[a:b]) if k]) for a, b in bounds]
 
 
@@ -209,7 +209,7 @@ def _refined_fan(pts: list[Point], candidates: list[Point]) -> OrientationAssign
     """:func:`select_hubs_refined` on a cell's distinct points in
     lexicographic order, whose hull vertices are among ``candidates`` (a
     sub-list of the same objects, in the same order)."""
-    hull = _sorted_hull(candidates)
+    hull = _sorted_hull(candidates, orientation_sign)
     edges = list(zip(hull, hull[1:] + hull[:1]))  # a segment gives both directions
     best = max(squared_distance(*e) for e in edges)
     tied = [e for e in edges if squared_distance(*e) == best]
@@ -321,8 +321,11 @@ def replace(points: Sequence[Point], mode: str = "refined") -> ReplacementResult
     full = size >= FULL_CELL_MIN
     # the full cells' points cell by cell, lexicographic within a cell
     at = np.lexsort((ys, xs, grid.cell))[np.repeat(full, size)]
-    ranked = [pts[i] for i in at.tolist()]
-    hubs = _select_hubs(ranked, xs[at], ys[at], np.append(0, np.cumsum(size[full])), mode)
+    starts = np.append(0, np.cumsum(size[full]))
+    if mode == "basic":  # the fans of each cell's four least points
+        hubs = _quadruplet_fans(pts, xs, ys, at[starts[:-1, None] + np.arange(4)])
+    else:
+        hubs = _refined_fans([pts[i] for i in at.tolist()], xs[at], ys[at], starts)
     stray = np.flatnonzero(fan_of < 0)
     if len(stray):
         word = _label_ranks(grid, udg)

@@ -144,6 +144,25 @@ def test_vec_dot_sign_matches_rational_arithmetic():
     assert min(seen.values()) > 40, seen  # right angles are rarer once nudged
 
 
+def test_array_signs_match_rational_arithmetic():
+    # the cross and the dot of each quadruple, all in one kernel call, on
+    # the lattices above: overflowing and underflowing products included
+    rng = SplitMix64(15)
+    quads = []
+    for _ in range(3000):
+        scale = choice(rng, [1.0, 2.0**-1060, 2.0**514])
+        quads.append([_adversarial_point(rng, scale) for _ in range(4)])
+    (p1x, p1y), (p2x, p2y), (q1x, q1y), (q2x, q2y) = (
+        (np.array([q[k].x for q in quads]), np.array([q[k].y for q in quads])) for k in range(4)
+    )
+    # row 0 the cross, row 1 the dot: the cross with the second vector
+    # turned a quarter, as vec_dot_sign passes it
+    pairs = [(p1x, p1x), (p1y, p1y), (p2x, p2x), (p2y, p2y), (q1x, q2y), (q1y, q1x), (q2x, q1y), (q2y, q2x)]
+    got = geometry._cross_signs(*(np.stack(pair) for pair in pairs))
+    assert got.dtype == np.int8 and got.shape == (2, len(quads))
+    assert list(zip(*got.tolist())) == [rational_signs(*q) for q in quads]
+
+
 def test_dot_sign_basic():
     o, x, y = Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)
     assert dot_sign(o, x, y) == 0  # perpendicular

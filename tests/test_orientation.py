@@ -5,8 +5,10 @@ import itertools
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from sectornet import geometry
 from sectornet.generators import GenSpec, gen
 from sectornet.geometry import (
     QUARTER_TURN,
@@ -17,7 +19,9 @@ from sectornet.geometry import (
     plane_coverage_verify,
 )
 from sectornet.orientation import (
+    _CASES,
     OrientationAssignment,
+    _orient_fans,
     aim_at_fan,
     configs_from_assignment,
     orient_cluster,
@@ -157,6 +161,59 @@ def test_orient_quadruplet_matches_the_per_shape_reference():
         cases[asg.case] += 1
     assert sum(cases.values()) == 2 * 12650 + 2000 + 600
     assert min(cases[c] for c in ("convex", "triangle", "collinear")) > 400, cases
+
+
+def _batched(quads):
+    """The assignments of :func:`_orient_fans` on ``quads``, in one call."""
+    xs = np.array([[p.x for p in q] for q in quads]).reshape(-1, 4)
+    ys = np.array([[p.y for p in q] for q in quads]).reshape(-1, 4)
+    slots, orientation, size = _orient_fans(xs, ys)
+    return [
+        OrientationAssignment(tuple((q[c], a) for c, a in zip(cols, angs)), _CASES[k - 2])
+        for q, cols, angs, k in zip(quads, slots.tolist(), orientation.tolist(), size.tolist())
+    ]
+
+
+def _bits(asg):
+    return [(p, a.hex()) for p, a in asg.entries], asg.case
+
+
+def test_batched_fans_match_orient_quadruplet(monkeypatch):
+    # the reference corpus, triangles with three collinear hull points,
+    # and a quadruplet whose signs only exact arithmetic decides
+    quads = list(_reference_quadruplets())
+    quads += [
+        [Point(0.0, 0.0), Point(2.0, 0.0), Point(4.0, 0.0), Point(2.0, 3.0)],
+        [Point(0.0, 0.0), Point(2.0, 0.0), Point(4.0, 0.0), Point(1.0, 1.0)],
+        [Point(0.0, 0.0), Point(0.0, 2.0), Point(0.0, 4.0), Point(-1.0, 1.0)],
+    ]
+    near = [Point(0.0, 0.0), Point(1.0, 1.0), Point(2.0, 2.0 + 2.0**-51), Point(3.0, 0.0)]
+    want = [_bits(orient_quadruplet(q)) for q in quads + [near]]
+    exact = []
+    fraction = geometry.Fraction
+
+    def counted_fraction(*args):
+        exact.append(args)
+        return fraction(*args)
+
+    monkeypatch.setattr(geometry, "Fraction", counted_fraction)
+    assert [_bits(a) for a in _batched(quads + [near])] == want
+    assert exact
+    exact.clear()
+    assert _bits(_batched([near])[0]) == want[-1] and exact
+    for i in range(0, len(quads), 997):  # one quadruplet a call
+        assert _bits(_batched([quads[i]])[0]) == want[i]
+    assert len(quads) > 10**4
+    assert set(case for _, case in want) == {"convex", "triangle", "collinear"}
+
+
+def test_batched_fans_reject_a_repeated_point():
+    p = Point(1.0, 2.0)
+    good = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0), Point(1.0, 1.0)]
+    with pytest.raises(ValueError, match="four distinct points"):
+        _batched([good, [p, Point(0.0, 0.0), p, Point(3.0, 0.0)]])
+    with pytest.raises(ValueError, match="four distinct points"):
+        _batched([[Point(-0.0, 1.0), Point(0.0, 1.0), Point(2.0, 0.0), Point(3.0, 0.0)]])
 
 
 def test_triangle_case_right_angle_base_is_allowed():

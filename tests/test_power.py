@@ -475,6 +475,28 @@ def test_orient_and_assign_output_is_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == POWER_ENTRIES_SHA256
 
 
+#: sha256 of the entries below, recorded while each section's two
+#: quadruplets were still oriented by a scalar ``orient_quadruplet``
+#: call each.  Their sections hold 37 collinear quadruplets and 6
+#: triangles, some with three collinear hull points.
+TIES_ENTRIES_SHA256 = "deae7278dcb39089025ddf13d4d1ae555bb023501c8346e2f549b6dbe900d17e"
+
+
+def test_orient_and_assign_output_is_pinned_on_tie_heavy_inputs():
+    inputs = [
+        (f"collinear {n}", list(gen(GenSpec("collinear", n, seed=n)).points)) for n in (8, 16, 23, 64)
+    ]
+    lattice = [Point(float(i), float(j)) for i in range(7) for j in range(6)]
+    shuffle(SplitMix64(42), lattice)
+    inputs.append(("lattice", lattice))
+    inputs.append(("ladder", [Point(float(i), float(j)) for i in range(20) for j in range(2)]))
+    lines = []
+    for name, pts in inputs:
+        for p, ang, r in orient_and_assign(pts, 2).entries:
+            lines.append(f"{name} {p.x.hex()} {p.y.hex()} {ang.hex()} {r.hex()}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TIES_ENTRIES_SHA256
+
+
 #: sha256 of the entries below, recorded while the cluster under eight
 #: points still returned a point-keyed dict of orientations.
 SMALL_ENTRIES_SHA256 = "f696fade4ffd9f410c34a0e3013964b8cf777f4f2b4c1288b86ea123716f608f"
