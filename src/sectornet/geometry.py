@@ -562,8 +562,10 @@ def _angles_ok(rays, aperture, reflex: bool, full: bool, dx, dy, d2) -> np.ndarr
 def _mutual_edges(ants: Antennas) -> np.ndarray:
     """The pairs i < j whose wedges contain each other's apex, as an (E, 2)
     array in row-major order.  When every wedge is unbounded every pair is
-    tested, as one containment matrix; otherwise only the pairs that
-    :func:`_swept_edges` finds within reach, with the same answers."""
+    tested, as one containment matrix.  Otherwise :func:`_swept_edges`
+    tests only the pairs within reach whose displacement lies in a
+    quadrant that both wedges meet, with the same answers: the pairs it
+    skips are pairs the angular test rejects."""
     if np.isinf(ants.range).all():
         M = _contains_at(ants, (slice(None), None), ants.x, ants.y)
         return np.argwhere(np.triu(M & M.T, 1))
@@ -583,18 +585,77 @@ def _unit_disk_edges(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 #: 2**11 or 2**16, its arrays staying in cache.
 _PAIR_CHUNK = 1 << 13
 
+#: How far past its bounding rays a wedge is taken to reach when the
+#: quadrants it meets are found: far above ``ANGLE_TOL``, and far above
+#: the rounding of the rays, of ``arctan2`` and of the quadrant bounds.
+_QUADRANT_MARGIN = 1e-6
+#: Distinct apexes whose d2 underflows to 0 are under 2**-537 apart in
+#: both coordinates and differ in one.  Two distinct floats that close
+#: both lie below this magnitude, as from 2**-481 on floats are
+#: multiples of 2**-533.
+_TINY = 2.0**-480
+
+
+def _quadrants_met(w: _WedgeArrays) -> np.ndarray:
+    """Whether each wedge can contain a displacement in each closed
+    quadrant of directions, quadrant k spanning k to k + 1 quarter turns:
+    an (n, 4) boolean array.
+
+    A wedge meets the quadrants that its arc of directions meets: from
+    its right ray's ``arctan2`` over its aperture, widened at both ends by
+    ``_QUADRANT_MARGIN``.  The angular test passes only directions within
+    about ``ANGLE_TOL`` of that arc, but for the apex itself and a sliver
+    straight behind a hairline wedge.  These wedges meet every quadrant:
+
+    * an arc that covers the full turn once widened;
+    * an aperture under the margin: the hairline's sliver;
+    * a limit of inf, unbounded or a squared range that overflowed, so
+      that a pair whose d2 overflowed still reaches the angular test,
+      which raises on it;
+    * an apex with a coordinate below ``_TINY``, once some apex holds such
+      a coordinate that is not zero: only these can be distinct apexes
+      whose d2 underflows to 0, which the apex rule passes in any
+      direction.
+    """
+    wide = w.aperture + 2 * _QUADRANT_MARGIN
+    start = np.arctan2(w.ry, w.rx) - _QUADRANT_MARGIN
+    first = np.floor(start / QUARTER_TURN)
+    turns = np.floor((start + wide) / QUARTER_TURN) - first
+    met = (np.arange(4) - first.astype(np.intp)[:, None]) % 4 <= turns[:, None]
+    every = (wide >= TAU) | (w.aperture < _QUADRANT_MARGIN) | np.isinf(w.limit)
+    for c in (w.ax, w.ay):
+        tiny = np.abs(c) < _TINY
+        if (tiny & (c != 0.0)).any():
+            every |= tiny
+    met[every] = True
+    return met
+
 
 def _swept_edges(w: _WedgeArrays) -> np.ndarray:
     """:func:`_mutual_edges` of wedges some of which have a finite range.
 
-    Walking the apexes by x, the pair of positions a < b is a candidate
-    when x_b <= fl(x_a + reach_a), the reach being the square root of a's
+    The apexes are walked by x, so the pair of positions a < b has a
+    rightward displacement (dx, dy) = b - a, with dx >= 0.  It lies in
+    quadrant 0 when dy >= 0 and in quadrant 3 when dy < 0, so in exactly
+    one of the two: each is one pass, and no pair is decided twice.  A
+    pass over quadrant q takes its sources from the wedges that meet q
+    and its targets from those that meet the opposite quadrant q + 2
+    (:func:`_quadrants_met`).  A source a pairs with the targets b > a
+    with x_b <= fl(x_a + reach_a), the reach being the square root of a's
     limit rounded up until its float square exceeds it; a pair past that
     fails the range test, so no edge is trimmed.  Candidates are decided
-    in chunks of ``_PAIR_CHUNK``: the range step keeps the pairs whose d2
-    is within both limits, then :func:`_angles_ok` runs a -> b on (dx, dy,
-    d2) and b -> a on (-dx, -dy, d2).  Rounding is sign-symmetric, so
-    every answer is the containment matrix's.  When all wedges are full
+    in chunks of ``_PAIR_CHUNK``: the pass keeps the pairs whose
+    displacement lies in q and whose d2 is within both limits, then
+    :func:`_angles_ok` runs a -> b on (dx, dy, d2) and b -> a on (-dx,
+    -dy, d2).  Rounding is sign-symmetric, so every answer is the
+    containment matrix's.
+
+    The quadrant filter is conservative.  When the angular test passes
+    (dx, dy) for a, a meets the closed quadrant q holding it; when it
+    passes (-dx, -dy) for b, b meets q + 2, which holds that.  A pair the
+    pass leaves out therefore fails the test one way.  When every wedge
+    meets every quadrant (full circles, the unit-disk graph) one pass of
+    all directions takes every pair; when all wedges are also full
     circles of finite range the range step alone decides.
     """
     n = len(w.ax)
@@ -608,34 +669,43 @@ def _swept_edges(w: _WedgeArrays) -> np.ndarray:
     while short.any():
         reach[short] = np.nextafter(reach[short], np.inf)
         short &= reach * reach <= s.limit
-    counts = np.searchsorted(s.ax, s.ax + reach, side="right") - np.arange(1, n + 1)
-    done = np.concatenate(([0], np.cumsum(counts)))
+    if circles or (met := _quadrants_met(s)).all():
+        everyone = np.arange(n)
+        passes = [(None, everyone, everyone)]
+    else:  # (whether dy < 0, sources, targets) of quadrants 0 and 3
+        passes = [(q == 3, np.flatnonzero(met[:, q]), np.flatnonzero(met[:, (q + 2) % 4])) for q in (0, 3)]
     keys = [np.zeros(0, dtype=np.int64)]
-    a0 = 0
-    while a0 < n:
-        a1 = max(int(np.searchsorted(done, done[a0] + _PAIR_CHUNK, side="right")) - 1, a0 + 1)
-        c = counts[a0:a1]
-        a = np.repeat(np.arange(a0, a1), c)
-        b = np.arange(len(a)) + np.repeat(np.arange(a0 + 1, a1 + 1) - (done[a0:a1] - done[a0]), c)
-        xa, ya, la = (np.repeat(v[a0:a1], c) for v in (s.ax, s.ay, s.limit))
-        with np.errstate(over="ignore"):  # an inf d2 is decided below
-            dx = s.ax.take(b) - xa
-            dy = s.ay.take(b) - ya
-            d2 = dx * dx + dy * dy
-        # gathers by index run faster here than boolean masks
-        near = np.flatnonzero((d2 <= la) & (d2 <= s.limit.take(b)))
-        a, b = a.take(near), b.take(near)
-        if not circles:
-            dx, dy, d2 = dx.take(near), dy.take(near), d2.take(near)
-            ape = s.aperture.take(a) if reflex or full else None
-            ok = np.flatnonzero(_angles_ok(rays.take(a, axis=1), ape, reflex, full, dx, dy, d2))
-            a, b, dx, dy, d2 = (v.take(ok) for v in (a, b, dx, dy, d2))
-            ape = s.aperture.take(b) if reflex or full else None
-            ok = np.flatnonzero(_angles_ok(rays.take(b, axis=1), ape, reflex, full, -dx, -dy, d2))
-            a, b = a.take(ok), b.take(ok)
-        i, j = order[a], order[b]
-        keys.append(np.minimum(i, j) * n + np.maximum(i, j))
-        a0 = a1
+    for below, src, dst in passes:
+        first = np.searchsorted(dst, src, side="right")
+        counts = np.searchsorted(s.ax.take(dst), s.ax.take(src) + reach.take(src), side="right") - first
+        done = np.concatenate(([0], np.cumsum(counts)))
+        a0 = 0
+        while a0 < len(src):
+            a1 = max(int(np.searchsorted(done, done[a0] + _PAIR_CHUNK, side="right")) - 1, a0 + 1)
+            c = counts[a0:a1]
+            a = np.repeat(src[a0:a1], c)
+            b = dst.take(np.arange(len(a)) + np.repeat(first[a0:a1] - (done[a0:a1] - done[a0]), c))
+            with np.errstate(over="ignore"):  # an inf d2 is decided below
+                dx = s.ax.take(b) - s.ax.take(a)
+                dy = s.ay.take(b) - s.ay.take(a)
+                d2 = dx * dx + dy * dy
+            keep = (d2 <= s.limit.take(a)) & (d2 <= s.limit.take(b))
+            if below is not None:
+                keep &= (dy < 0.0) == below
+            # gathers by index run faster here than boolean masks
+            near = np.flatnonzero(keep)
+            a, b = a.take(near), b.take(near)
+            if not circles:
+                dx, dy, d2 = dx.take(near), dy.take(near), d2.take(near)
+                ape = s.aperture.take(a) if reflex or full else None
+                ok = np.flatnonzero(_angles_ok(rays.take(a, axis=1), ape, reflex, full, dx, dy, d2))
+                a, b, dx, dy, d2 = (v.take(ok) for v in (a, b, dx, dy, d2))
+                ape = s.aperture.take(b) if reflex or full else None
+                ok = np.flatnonzero(_angles_ok(rays.take(b, axis=1), ape, reflex, full, -dx, -dy, d2))
+                a, b = a.take(ok), b.take(ok)
+            i, j = order[a], order[b]
+            keys.append(np.minimum(i, j) * n + np.maximum(i, j))
+            a0 = a1
     keys = np.sort(np.concatenate(keys))
     return np.stack((keys // n, keys % n), axis=1)
 

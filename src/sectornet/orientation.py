@@ -296,8 +296,13 @@ def aim_at_fan(
     else:
         entries = [e for fan in fans for e in fan.entries]
         hubs = Antennas([q for q, _ in entries], [a for _, a in entries], QUARTER_TURN, math.inf)
+    return _aim_at(hubs, *_coords(points), fan_of)
+
+
+def _aim_at(hubs: Antennas, px: np.ndarray, py: np.ndarray, fan_of: Sequence[int]) -> list[float]:
+    """:func:`aim_at_fan` of the fans' wedges ``hubs``, for the points
+    whose coordinates are the float arrays px, py."""
     rows = 4 * np.asarray(fan_of, dtype=np.intp)[:, None] + np.arange(4)  # each point's fan wedges
-    px, py = _coords(points)
     apex = (hubs.x[rows] == px[:, None]) & (hubs.y[rows] == py[:, None])
     aims = hubs.orientation[rows[:, 0] + np.argmax(apex, axis=1)]
     other = np.flatnonzero(~apex.any(axis=1))

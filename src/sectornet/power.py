@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .geometry import QUARTER_TURN, Antennas, Point, _coords, _lex_order, distance
-from .orientation import _quadruplet_fans, aim_at_fan, orient_cluster
+from .orientation import _aim_at, _quadruplet_fans, orient_cluster
 
 
 # ---------------------------------------------------------------------------
@@ -32,8 +32,10 @@ from .orientation import _quadruplet_fans, aim_at_fan, orient_cluster
 # ---------------------------------------------------------------------------
 
 
-def mst_edges(points: Sequence[Point]) -> list[tuple[int, int]]:
-    """Prim's minimum spanning tree on the complete Euclidean graph.
+def mst_edges(points: Sequence[Point] | np.ndarray) -> list[tuple[int, int]]:
+    """Prim's minimum spanning tree on the complete Euclidean graph, of
+    points given as :class:`Point` objects or as an (n, 2) float array of
+    their coordinates.
 
     (parent, child) pairs in the order the tree grows from vertex 0;
     each joining vertex adds one row of squared distances, so memory is
@@ -49,7 +51,10 @@ def mst_edges(points: Sequence[Point]) -> list[tuple[int, int]]:
     cannot be ranked: a step whose least distance is not finite raises
     ``ValueError``.
     """
-    xs, ys = _coords(points)
+    if isinstance(points, np.ndarray):  # a copy: x is overwritten below
+        xs, ys = np.array(points, dtype=float).reshape(-1, 2).T.copy()
+    else:
+        xs, ys = _coords(points)
     _lex_order(xs, ys)  # raises on duplicate points
     n = len(xs)
     if n < 2:
@@ -112,12 +117,14 @@ def _steps(xs: np.ndarray, ys: np.ndarray) -> list[float]:
     return list(map(math.hypot, dx, dy))
 
 
-def _walk(pts: Sequence[Point]) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-    """The tour of :func:`tsp_tour_approx` over lexicographic ranks: the
-    input positions in rank order, the walk, and the tree it was walked
-    from.  With a point's index its rank, the walk compares ints."""
-    lex = _lex_order(*_coords(pts)).tolist()
-    edges = mst_edges([pts[i] for i in lex])
+def _walk(xs: np.ndarray, ys: np.ndarray) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """The tour of :func:`tsp_tour_approx` over lexicographic ranks, for
+    points with coordinates xs, ys: the input positions in rank order, the
+    walk, and the tree it was walked from.  With a point's index its rank,
+    the walk compares ints."""
+    lex = _lex_order(xs, ys)
+    edges = mst_edges(np.stack((xs[lex], ys[lex]), axis=1))
+    lex = lex.tolist()
     children: list[list[int]] = [[] for _ in lex]
     for i, j in edges:  # Prim grows from rank 0, so i is j's parent
         children[i].append(j)
@@ -143,7 +150,7 @@ def tsp_tour_approx(points: Sequence[Point]) -> Tour:
     pts = list(points)
     if not pts:
         raise ValueError("empty point set")
-    lex, walk, edges = _walk(pts)
+    lex, walk, edges = _walk(*_coords(pts))
     ranked = [pts[i] for i in lex]
     return Tour(
         tuple(ranked[i] for i in walk), tuple((ranked[i], ranked[j]) for i, j in edges)
@@ -225,7 +232,8 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
         diameter = max(distance(p, q) for p in pts for q in pts)
         return PowerAssignment(beta, tuple((p, a, diameter) for p, a in zip(pts, aims)))
 
-    lex, walk, _ = _walk(pts)  # raises on duplicate points
+    xs, ys = _coords(pts)
+    lex, walk, _ = _walk(xs, ys)  # raises on duplicate points
     n = len(pts)
     bounds, start, length = _cut(n)
     sizes = np.diff(bounds)
@@ -241,11 +249,10 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
     quads = members[np.stack((bounds[:-1, None] + np.arange(4), bounds[1:, None] - 4 + np.arange(4)), axis=1)]
 
     along = [lex[r] for r in walk]  # input positions in tour order
-    xs, ys = _coords(pts)
     radius = np.empty(n)
     radius[along] = _window_radii(xs[along], ys[along], bounds, start, length)
     fans = _quadruplet_fans(pts, xs, ys, quads.reshape(-1, 4))
-    return PowerAssignment(beta, tuple(zip(pts, aim_at_fan(fans, pts, fan_of), radius.tolist())))
+    return PowerAssignment(beta, tuple(zip(pts, _aim_at(fans, xs, ys, fan_of), radius.tolist())))
 
 
 #: Rows whose largest squared distance lies outside [2**-900, 2**900]

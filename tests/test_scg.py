@@ -557,6 +557,41 @@ def _sweep_cases():
         for n in (10, 40):
             cases.append(random_configs(n, uniform, apertures, spread))
             cases.append(random_configs(n, columns, apertures, spread))
+
+    # the sweep's quadrant split: wedges whose rays lie on the quadrant
+    # bounds, and displacements along them or along the diagonals
+    def aligned(points, apertures, ranges):
+        return [
+            AntennaConfig(p, rng.randrange(8) * PI / 4, choice(rng, apertures), choice(rng, ranges))
+            for p in points
+        ]
+
+    def nudged(v):  # by up to two ulps either way
+        for _ in range(2):
+            v = math.nextafter(v, choice(rng, [-math.inf, v, math.inf]))
+        return v
+
+    lattice = [Point(float(x), float(y)) for x in range(-3, 4) for y in range(-3, 4)]
+    near = [1.0, 1.5, 3.0, 9.0]
+    cases.append(aligned(lattice, [QUARTER_TURN], near))
+    cases.append(aligned(lattice, [QUARTER_TURN], [1.0, 1.5, 9.0, 1e160]))  # overflowed ranges among finite
+    cases.append(aligned(lattice, [QUARTER_TURN, 1.5 * PI, 2 * PI], near))
+    cases.append(aligned([Point(nudged(p.x), nudged(p.y)) for p in lattice], [QUARTER_TURN], near))
+    cases.append(aligned([Point(nudged(1e6 + p.x), p.y) for p in lattice], [QUARTER_TURN], near))
+    cases.append(aligned([Point(float(x), 2.0) for x in range(30)], [QUARTER_TURN, PI], near))
+    cases.append(aligned([Point(float(x), float(x)) for x in range(20)], [QUARTER_TURN], near))
+    cases.append(aligned([Point(float(x), -float(x)) for x in range(20)], [QUARTER_TURN, 2 * PI], near))
+    cases.append(random_configs(40, uniform, [4.5, 5.5, 2 * PI], spread))
+    cases.append(random_configs(40, columns, [QUARTER_TURN, 2 * PI], spread + [1e160]))
+    # hairline wedges also see straight behind them, so pairs back to
+    # back along a random direction are edges
+    hairlines = []
+    for _ in range(8):
+        theta = rng.uniform(0, 2 * PI)
+        p = Point(rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0))
+        q = Point(p.x + math.cos(theta), p.y + math.sin(theta))
+        hairlines += [AntennaConfig(p, theta + PI, 1e-13, 2.0), AntennaConfig(q, theta, 1e-13, 2.0)]
+    cases.append(hairlines)
     # full circles of finite range, where the sweep skips the angular
     # test, and the same circles with one turned into a wedge, where it
     # must not; the last two cases are the largest such pair
