@@ -16,12 +16,14 @@ Conventions used throughout the package:
   bounding rays sit at ``orientation +/- aperture / 2``.
 * Wedges are closed: points on a bounding ray (and the location itself)
   are contained, and a point exactly at distance ``range`` is in range.
-* Sign predicates (``orientation_sign``, ``dot_sign``, ``vec_dot_sign``)
-  are exact for any float inputs.  Each is one call of one cross-product
-  sign: a floating-point filter decides the easy cases, the rest fall
-  back to rational arithmetic.  Their array form runs the same filter
-  on whole arrays and the scalar sign on what it leaves open; the hull
-  prefilter and the batched fans of ``orientation`` call it.
+* Sign predicates (``orientation_sign``, ``vec_dot_sign``) are exact for
+  any float inputs.  Each is one call of one cross-product sign: a
+  floating-point filter decides the easy cases, the rest fall back to
+  rational arithmetic.  The quadruplet rule of ``orientation`` reads that
+  sign directly, one quadruplet at a time.  Its array form runs the same
+  filter on whole arrays and the scalar sign on what it leaves open; the
+  hull prefilter, the batched fans of ``orientation`` and the refined
+  hubs of ``replacement`` call it.
 * Containment cannot be made exact in the same sense because
   orientations pass through ``atan2``/``cos``/``sin``.  Instead the
   angular test grants ``ANGLE_TOL`` radians of slack on both bounding
@@ -329,11 +331,6 @@ def _cross_signs(ax, ay, bx, by, cx, cy, dx, dy) -> np.ndarray:
 def orientation_sign(a: Point, b: Point, c: Point) -> int:
     """+1 if a->b->c turns left, -1 if right, 0 if collinear.  Exact."""
     return _cross_sign(a.x, a.y, b.x, b.y, a.x, a.y, c.x, c.y)
-
-
-def dot_sign(a: Point, b: Point, c: Point) -> int:
-    """Exact sign of dot(b - a, c - a); 0 means a right angle at ``a``."""
-    return _cross_sign(a.x, a.y, b.x, b.y, c.y, a.x, a.y, c.x)
 
 
 def vec_dot_sign(p1: Point, p2: Point, q1: Point, q2: Point) -> int:

@@ -14,11 +14,12 @@ half-plane is covered as well.  Opposite wedges have the property that if
 one apex lies in the other's wedge, the containment is automatically
 mutual, which is what produces the graph edges.
 
-The power sections and the basic-mode hubs orient many quadruplets at
-once: :func:`_orient_fans` applies the same rule to all of them in one
-array pass, reading every exact sign it needs from one kernel call.
-:func:`orient_quadruplet` stays the path for one quadruplet, where the
-batch's fixed cost is the larger.
+The rule is written once, as the lookup tables of :func:`_fan_tables`,
+indexed by the exact signs of the quadruplet sorted lexicographically.
+Two readers apply it, as the input size decides: :func:`orient_quadruplet`
+to one quadruplet, sign by sign, and :func:`_orient_fans` to many at once
+(the power sections and the basic-mode hubs), every sign from one array
+kernel call.  Every batched fan, the refined hubs' too, ends in :func:`_fans`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from operator import itemgetter
+from typing import Sequence
 
 import numpy as np
 
@@ -35,17 +37,16 @@ from .geometry import (
     AntennaConfig,
     Antennas,
     Point,
+    _antennas,
     _antennas_at,
     _contains_at,
     _coords,
+    _cross_sign,
     _cross_signs,
     _normalize_angles,
     _sorted_hull,
-    convex_hull,
-    dot_sign,
     normalize_angle,
     squared_distance,
-    vec_dot_sign,
 )
 
 #: Orientation offsets, relative to the base edge direction, of the four
@@ -75,91 +76,18 @@ def configs_from_assignment(assignment: OrientationAssignment) -> list[AntennaCo
     return [AntennaConfig(p, ang) for p, ang in assignment.entries]
 
 
-def _pair_far_points(a: Point, b: Point, p: Point, q: Point) -> tuple[Point, Point]:
-    """Order the two points off the base as (far-left-facing, far-right-facing).
-
-    The point with the larger projection on the base direction receives
-    the orientation opposite ``a`` (it faces down-left in base frame and
-    must reach back over ``a``); the smaller projection faces down-right.
-    This ordering is what makes the lower half-plane coverage close: the
-    down-left wedge covers frame x below its apex, the down-right wedge
-    covers x above its apex, and the split point orders correctly exactly
-    when the larger projection faces left.  Ties fall back to coordinate
-    order.  The same rule serves every hull shape; on a quadrilateral it
-    keeps hull order (see :func:`orient_quadruplet`).
-    """
-    s = vec_dot_sign(p, q, a, b)  # sign of proj(q) - proj(p) on the base
-    if s > 0:
-        return q, p
-    if s < 0:
-        return p, q
-    return max(p, q, key=Point.as_tuple), min(p, q, key=Point.as_tuple)
-
-
-def orient_quadruplet(points: Sequence[Point]) -> OrientationAssignment:
-    """Orient four antennas for a connected graph and full plane coverage.
-
-    Accepts any four distinct points (collinear allowed).  The returned
-    orientations always form a perpendicular fan {t, t+pi/2, t+pi,
-    t+3pi/2}.  With unbounded ranges, the induced symmetric graph on the
-    four points is connected and the four wedges cover the plane.
-
-    The hull is walked as a cycle of k = 4, 3 or 2 vertices, indices mod
-    k, so a segment yields both directions.  A directed edge (a, b)
-    qualifies when ``dot_sign(a, b, next(b)) >= 0`` and
-    ``dot_sign(b, a, prev(a)) >= 0``; the base is the least qualifying
-    edge, and :func:`_pair_far_points` orders the other two points.  On a
-    triangle next(b) = prev(a), and the edge opposite the largest angle
-    qualifies; on a segment both directions qualify, and the least is
-    (hull[0], hull[1]).  On a quadrilateral an edge qualifies, as the
-    eight angles the diagonals split off the corners sum to a full turn.
-    The tests put c = next(b) at or past a along a->b, and d = prev(a) at
-    or before b; projection along a convex boundary rises to one maximum
-    and falls to one minimum, so c lies strictly past d (a tie needs three
-    collinear hull vertices).  The pairing thus keeps hull order (c, d),
-    which makes both diagonal containments mutual.  Every predicate is
-    exact, so this holds bit for bit.
-    """
-    pts = list(points)
-    if len(pts) != 4 or len(set(pts)) != 4:
-        raise ValueError("degenerate quadruplet: four distinct points required")
-    hull = convex_hull(pts)
-    k = len(hull)
-    bases = [
-        (a, b)
-        for i, (a, b) in enumerate(zip(hull, hull[1:] + hull[:1]))
-        if dot_sign(a, b, hull[(i + 2) % k]) >= 0 and dot_sign(b, a, hull[i - 1]) >= 0
-    ]
-    if not bases:
-        raise AssertionError("no qualifying hull edge")
-    a, b = min(bases, key=lambda e: (e[0].as_tuple(), e[1].as_tuple()))
-    p, q = (v for v in pts if v != a and v != b)
-    return _fan((a, b, *_pair_far_points(a, b, p, q)), _CASES[k - 2])
-
-
-def _fan(slots: Sequence[Point], case: str) -> OrientationAssignment:
-    """The perpendicular fan over four slots: base start, base end, then
-    the two far points facing back over the base start and the base end."""
-    a, b = slots[0], slots[1]
-    theta = math.atan2(b.y - a.y, b.x - a.x)
-    entries = tuple(
-        (p, normalize_angle(theta + off)) for p, off in zip(slots, _FAN_OFFSETS)
-    )
-    return OrientationAssignment(entries=entries, case=case)
-
-
 def _sign_columns() -> tuple[np.ndarray, dict, dict]:
-    """What :func:`_orient_fans` evaluates on a quadruplet sorted
-    lexicographically, p0 < p1 < p2 < p3: each sign as the eight
+    """What the readers of :func:`_fan_tables` evaluate on a quadruplet
+    sorted lexicographically, p0 < p1 < p2 < p3: each sign as the eight
     :func:`~sectornet.geometry._cross_sign` arguments, given as columns of
     (x0, y0, ..., x3, y3), one sign a column.
 
     Columns 0-3 are the orientation signs of (0, 1, 2), (0, 1, 3),
     (0, 2, 3) and (1, 2, 3), which fix the hull; then the 12 dot signs
-    ``dot_sign(v, u, w)`` (keyed ``(v, {u, w})``, as the sign is exact
-    and so symmetric in u and w); then the 3 projection signs
+    dot(p_u - p_v, p_w - p_v) (keyed ``(v, {u, w})``, as the sign is
+    exact and so symmetric in u and w); then the 3 projection signs
     dot(p_j - p_0, p_l - p_k) of the splits {0, j} | {k, l} (keyed by
-    the split), which is all :func:`_pair_far_points` reads.
+    the split), which is all the pairing of the far points reads.
     """
 
     def vec_dot(p1: int, p2: int, q1: int, q2: int) -> tuple:  # vec_dot_sign's arguments
@@ -182,16 +110,41 @@ def _sign_columns() -> tuple[np.ndarray, dict, dict]:
 
 
 def _fan_tables() -> tuple:
-    """The lookup tables of :func:`_orient_fans`.
+    """The quadruplet rule, as lookup tables on the signs of
+    :func:`_sign_columns`.
 
     Per hull code (the four orientation signs, each + 1, as base-3
     digits): the hull size, and the hull's directed edges (a, b) sorted
     by (a, b), with the columns of the two dot signs that qualify each
-    and whether it exists (padded to four).  A test ``dot_sign(a, b, a)``
-    of a segment is 0 and reads the zero column, the last.  Per directed
-    base a * 4 + b: the other two indices p < q and the column and sign
-    by which dot(q - p, b - a) is read.  The hull comes from the package's
+    and whether it exists (padded to four).  Per directed base
+    a * 4 + b: the other two indices p < q and the column and sign by
+    which dot(q - p, b - a) is read.  The hull comes from the package's
     one monotone chain, run on indices with the code's signs as its turns.
+
+    The rule: the hull is a cycle of k = 4, 3 or 2 vertices, indices mod
+    k, so a segment yields both directions.  A directed edge (a, b)
+    qualifies when dot(b - a, next(b) - a) >= 0 and dot(a - b, prev(a) - b)
+    >= 0 (on a segment a test against the edge's own endpoint is 0 and
+    reads the zero column, the last); the base is the least qualifying
+    edge.  On a triangle next(b) = prev(a), and the edge opposite the
+    largest angle qualifies; on a segment both directions qualify, and
+    the least is (hull[0], hull[1]).  On a quadrilateral an edge
+    qualifies, as the eight angles the diagonals split off the corners
+    sum to a full turn.
+
+    Of the two far points, the one with the larger projection on the base
+    direction takes the orientation opposite ``a`` (it faces down-left in
+    base frame and must reach back over ``a``), the other the one
+    opposite ``b``; a tie puts the lexicographically larger point first.
+    The down-left wedge covers frame x below its apex and the down-right
+    wedge x above its apex, so this ordering is what closes the coverage
+    of the half-plane right of a -> b.  On a quadrilateral the tests put
+    c = next(b) at or past a along a -> b, and d = prev(a) at or before
+    b; projection along a convex boundary rises to one maximum and falls
+    to one minimum, so c lies strictly past d (a tie needs three
+    collinear hull vertices).  The pairing thus keeps hull order (c, d),
+    which makes both diagonal containments mutual.  Every sign is exact,
+    so this holds bit for bit.
     """
     args, dots, splits = _sign_columns()
     zero = args.shape[1]
@@ -227,6 +180,45 @@ def _fan_tables() -> tuple:
 
 
 _ARGS, _HULL_SIZE, _EDGES, _VALID, _FAR = _fan_tables()
+# the tables as lists for the scalar reader: a sign column as the getter of
+# its eight coordinates, and the zero column (the last) crossing zero vectors
+_COLUMNS = [itemgetter(*column) for column in _ARGS.T.tolist()] + [itemgetter(*[0] * 8)]
+_BASES = [rows[ok].tolist() for rows, ok in zip(_EDGES, _VALID)]
+_FAR_ROWS = _FAR.tolist()
+
+
+def orient_quadruplet(points: Sequence[Point]) -> OrientationAssignment:
+    """Orient four antennas for a connected graph and full plane coverage.
+
+    Accepts any four distinct points (collinear allowed).  The returned
+    orientations always form a perpendicular fan {t, t+pi/2, t+pi,
+    t+3pi/2}.  With unbounded ranges, the induced symmetric graph on the
+    four points is connected and the four wedges cover the plane.
+
+    The hull, the base and the pairing of the far points are read from
+    :func:`_fan_tables`, which also holds the proof, on the points sorted
+    lexicographically.  Each exact sign is taken when the tables first
+    need it: the four hull signs, two per base tried, one for the pairing.
+    """
+    pts = sorted(points, key=Point.as_tuple)
+    if len(pts) != 4 or len(set(pts)) != 4:
+        raise ValueError("degenerate quadruplet: four distinct points required")
+    xy = [v for p in pts for v in (p.x, p.y)]
+
+    def sign(column: int) -> int:
+        return _cross_sign(*_COLUMNS[column](xy))
+
+    code = 27 * sign(0) + 9 * sign(1) + 3 * sign(2) + sign(3) + 40  # each digit + 1
+    base = next(((a, b) for a, b, qa, qb in _BASES[code] if sign(qa) >= 0 and sign(qb) >= 0), None)
+    if base is None:
+        raise AssertionError("no qualifying hull edge")
+    a, b = base
+    p, q, column, flip = _FAR_ROWS[4 * a + b]
+    if sign(column) * flip >= 0:  # q projects at or past p along a -> b
+        p, q = q, p
+    theta = math.atan2(pts[b].y - pts[a].y, pts[b].x - pts[a].x)
+    entries = tuple((pts[i], normalize_angle(theta + off)) for i, off in zip((a, b, p, q), _FAN_OFFSETS))
+    return OrientationAssignment(entries, _CASES[_HULL_SIZE[code] - 2])
 
 
 def _orient_fans(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,8 +230,7 @@ def _orient_fans(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Each row is sorted lexicographically, every sign the rule can read
     comes from one call of the exact array kernel, and the hull, the
     base (its least qualifying directed edge) and the pairing of the far
-    points are read from :func:`_fan_tables`.  The angles are
-    :func:`_fan`'s float operations.
+    points are read from :func:`_fan_tables`.
     """
     m = len(xs)
     row = np.arange(m)
@@ -260,11 +251,26 @@ def _orient_fans(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray
     a, b = edges[row, first, 0], edges[row, first, 1]
     p, q, column, flip = _FAR[4 * a + b].T
     ahead = signs[row, column] * flip >= 0  # q projects at or past p along a -> b
+    at = 4 * row  # row-major positions into the sorted coordinates
+    slots, orientation = _fans(sx.ravel(), sy.ravel(), at + a, at + b, at + p, at + q, ahead)
+    return order.ravel()[slots], orientation, _HULL_SIZE[code]
+
+
+def _fans(
+    xs: np.ndarray, ys: np.ndarray, a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray, ahead: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Perpendicular fans, one a row, over the bases (a, b) and the far
+    points p, q, positions into the coordinate arrays xs, ys: per row its
+    four positions in entry order and their orientations.  The entries
+    are the base start, the base end, then the far point facing back over
+    the base start, which is q where ``ahead`` (q projects at or past p
+    along a -> b), else p.  The angles are :func:`orient_quadruplet`'s
+    float operations."""
     slots = np.stack((a, b, np.where(ahead, q, p), np.where(ahead, p, q)), axis=1)
-    dx = (sx[row, b] - sx[row, a]).tolist()
-    dy = (sy[row, b] - sy[row, a]).tolist()
+    # math.atan2, not np.arctan2, whose last bit differs on some inputs
+    dx, dy = (xs[b] - xs[a]).tolist(), (ys[b] - ys[a]).tolist()
     theta = np.array(list(map(math.atan2, dy, dx)))
-    return order[r, slots], _normalize_angles(theta[:, None] + _FAN_OFFSETS), _HULL_SIZE[code]
+    return slots, _normalize_angles(theta[:, None] + _FAN_OFFSETS)
 
 
 def _quadruplet_fans(points: Sequence[Point], xs: np.ndarray, ys: np.ndarray, quads: np.ndarray) -> Antennas:
@@ -278,24 +284,16 @@ def _quadruplet_fans(points: Sequence[Point], xs: np.ndarray, ys: np.ndarray, qu
     return _antennas_at(hubs, xs[at], ys[at], orientation.ravel(), QUARTER_TURN, math.inf)
 
 
-def aim_at_fan(
-    fans: Union[Sequence[OrientationAssignment], Antennas], points: Sequence[Point], fan_of: Sequence[int]
-) -> list[float]:
+def aim_at_fan(hubs: Antennas, points: Sequence[Point], fan_of: Sequence[int]) -> list[float]:
     """One orientation per point, in input order: ``points[k]`` is served
-    by the perpendicular fan ``fans[fan_of[k]]`` of four quarter-wedges.
-    ``fans`` is a sequence of assignments, or the wedges of their entries
-    as one :class:`Antennas` set, four per fan in entry order.
+    by the perpendicular fan ``fan_of[k]`` of the quarter-wedges ``hubs``,
+    four per fan in entry order.
 
     A point equal to one of its fan's apexes keeps that entry's
     orientation; any other point aims at the apex of the first wedge of
     its fan, in entry order, that contains it (else ``ValueError``).
     Only the points that are not an apex of their own fan are tested.
     """
-    if isinstance(fans, Antennas):
-        hubs = fans
-    else:
-        entries = [e for fan in fans for e in fan.entries]
-        hubs = Antennas([q for q, _ in entries], [a for _, a in entries], QUARTER_TURN, math.inf)
     return _aim_at(hubs, *_coords(points), fan_of)
 
 
@@ -338,7 +336,8 @@ def orient_cluster(points: Sequence[Point]) -> list[float]:
     if not pts:
         raise ValueError("empty point set")
     if len(pts) >= 4:
-        return aim_at_fan([orient_quadruplet(ranked[:4])], pts, [0] * len(pts))
+        hubs = _antennas(configs_from_assignment(orient_quadruplet(ranked[:4])))
+        return aim_at_fan(hubs, pts, [0] * len(pts))
     if len(pts) == 1:
         return [0.0]
     if len(pts) == 2:

@@ -38,19 +38,20 @@ from .geometry import (
     QUARTER_TURN,
     Antennas,
     Point,
+    _antennas_at,
     _coords,
+    _cross_signs,
     _hull_candidates,
     _lex_order,
-    _sorted_hull,
     _unit_disk_edges,
+    convex_hull,
     orientation_sign,
     squared_distance,
     vec_dot_sign,
 )
 from .orientation import (
     OrientationAssignment,
-    _fan,
-    _pair_far_points,
+    _fans,
     _quadruplet_fans,
     aim_at_fan,
     orient_cluster,
@@ -171,10 +172,11 @@ def select_hubs_refined(cell_points: Sequence[Point]) -> OrientationAssignment:
     sit inside the closed strip over the base (a point there always
     exists, else some hull edge would beat the longest), ordered so that
     the one further along the base faces back over the base start; that
-    ordering is what keeps all four hubs mutually connected.  The third
-    hub is the first strip point in lexicographic order, so the scan of
-    the sorted points stops there; the fourth is the least point left.
-    The hull is taken over the points that the array prefilter
+    ordering is what keeps all four hubs mutually connected (on a tie the
+    lexicographically larger).  The third hub is the first strip point in
+    lexicographic order, so the scan of the sorted points stops there;
+    the fourth is the least point left.  The hull is taken over the
+    points that the array prefilter
     :func:`~sectornet.geometry._hull_candidates` keeps, which hold every
     hull vertex.
     """
@@ -189,49 +191,45 @@ def _hubs_of_cell(cell_points: Sequence[Point], mode: str) -> OrientationAssignm
         raise ValueError("hub selection needs a full cell of distinct points")
     if mode == "basic":
         return orient_quadruplet(pts[:4])
-    return _refined_fans(pts, *_coords(pts), np.array([0, len(pts)]))[0]
+    hubs = _refined_fans(pts, *_coords(pts), np.array([0, len(pts)]))
+    return OrientationAssignment(tuple(zip(hubs.locations, hubs.orientation.tolist())), "refined")
 
 
-def _refined_fans(
-    pts: list[Point], xs: np.ndarray, ys: np.ndarray, starts: np.ndarray
-) -> list[OrientationAssignment]:
+def _refined_fans(pts: list[Point], xs: np.ndarray, ys: np.ndarray, starts: np.ndarray) -> Antennas:
     """The hubs of every full cell at once, as :func:`select_hubs_refined`
-    picks them.  ``pts`` holds the cells' points cell by cell,
-    lexicographic within a cell, cell g's at ``starts[g]`` up to
-    ``starts[g + 1]``, and xs, ys are their coordinates; the hull
-    candidates of all cells are prefiltered in one pass."""
+    picks them, as one set of unbounded quarter-wedge hubs, four per cell
+    in entry order: the form :func:`aim_at_fan` reads.  ``pts`` holds the
+    cells' points cell by cell, lexicographic within a cell, cell g's at
+    ``starts[g]`` up to ``starts[g + 1]``, and xs, ys are their
+    coordinates; the hull candidates of all cells are prefiltered in one
+    pass, and one kernel call orders the far points of every cell."""
     keep = _hull_candidates(xs, ys, starts).tolist()
-    bounds = zip(starts.tolist(), starts[1:].tolist())
-    return [_refined_fan(pts[a:b], [p for p, k in zip(pts[a:b], keep[a:b]) if k]) for a, b in bounds]
-
-
-def _refined_fan(pts: list[Point], candidates: list[Point]) -> OrientationAssignment:
-    """:func:`select_hubs_refined` on a cell's distinct points in
-    lexicographic order, whose hull vertices are among ``candidates`` (a
-    sub-list of the same objects, in the same order)."""
-    hull = _sorted_hull(candidates, orientation_sign)
-    edges = list(zip(hull, hull[1:] + hull[:1]))  # a segment gives both directions
-    best = max(squared_distance(*e) for e in edges)
-    tied = [e for e in edges if squared_distance(*e) == best]
-    a1, a2 = min(tied, key=lambda e: (e[0].as_tuple(), e[1].as_tuple()))
-
-    a3 = next(
-        (
-            p
-            for p in pts
-            if p is not a1
-            and p is not a2
-            and vec_dot_sign(a1, p, a1, a2) >= 0
-            and vec_dot_sign(a2, p, a1, a2) <= 0
-            and orientation_sign(a1, a2, p) >= 0
-        ),
-        None,
-    )
-    if a3 is None:
-        raise ValueError("no point over the longest hull edge; cell is not full")
-    least = [p for p in pts[:4] if p is not a1 and p is not a2]  # two or more
-    a4 = least[1] if least[0] is a3 else least[0]
-    return _fan((a1, a2, *_pair_far_points(a1, a2, a3, a4)), "refined")
+    quads = []
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist()):
+        where = {id(pts[i]): i for i in range(lo, hi) if keep[i]}  # convex_hull returns the objects given
+        hull = [where[id(p)] for p in convex_hull([pts[i] for i in where.values()])]
+        edges = list(zip(hull, hull[1:] + hull[:1]))  # a segment gives both directions
+        length = [squared_distance(pts[i], pts[j]) for i, j in edges]
+        best = max(length)
+        a, b = min(e for e, d in zip(edges, length) if d == best)  # positions order as their points
+        pa, pb = pts[a], pts[b]
+        for c in range(lo, hi):  # the first point of the closed strip over the base
+            pc = pts[c]
+            if c == a or c == b or vec_dot_sign(pa, pc, pa, pb) < 0 or vec_dot_sign(pb, pc, pa, pb) > 0:
+                continue
+            if orientation_sign(pa, pb, pc) >= 0:
+                break
+        else:
+            raise ValueError("no point over the longest hull edge; cell is not full")
+        d = next(i for i in range(lo, lo + 4) if i != a and i != b and i != c)
+        quads.append((a, b, min(c, d), max(c, d)))
+    a, b, p, q = np.array(quads, dtype=np.intp).T
+    # dot(q - p, b - a); on a tie the lexicographically larger q goes first
+    ahead = _cross_signs(xs[p], ys[p], xs[q], ys[q], ys[b], xs[a], ys[a], xs[b]) >= 0
+    slots, orientation = _fans(xs, ys, a, b, p, q, ahead)
+    at = slots.ravel()
+    hubs = tuple([pts[i] for i in at.tolist()])
+    return _antennas_at(hubs, xs[at], ys[at], orientation.ravel(), QUARTER_TURN, math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,12 @@
   documents row by row: the reference for the files ``fileio`` writes.
 * :func:`wedge_contains` asks the containment matrix about one antenna
   and one point.
+* :func:`_fan` builds the perpendicular fan over four given slots, and
+  :func:`_pair_far_points` orders the two points off a base by their
+  projections on it, slot by slot in plain Python: the references' own
+  copy of the fan, apart from the lookup tables that orient quadruplets
+  in the package.  :func:`dot_sign` is the exact sign of a dot product at
+  a common apex, which the references and the sign tests read.
 * :func:`hubs_refined_reference` picks refined hubs by their definition,
   from the whole strip over the longest hull edge: the reference for
   the early-stopping scan of ``select_hubs_refined``.
@@ -63,20 +69,13 @@ from sectornet.geometry import (
     containment_matrix,
     convex_hull,
     distance,
-    dot_sign,
     normalize_angle,
     orientation_sign,
     squared_distance,
     vec_dot_sign,
     weakly_separable,
 )
-from sectornet.orientation import (
-    OrientationAssignment,
-    _fan,
-    _pair_far_points,
-    configs_from_assignment,
-    orient_quadruplet,
-)
+from sectornet.orientation import OrientationAssignment, configs_from_assignment, orient_quadruplet
 from sectornet.power import Tour, _check_beta, _coords, _steps, mst_edges
 from sectornet.replacement import CELL_SIDE, FULL_CELL_MIN, GridPartition
 from sectornet.rng import SplitMix64
@@ -435,6 +434,38 @@ def dump_reference(doc: dict) -> str:
 def wedge_contains(w: AntennaConfig, p: Point) -> bool:
     """True iff ``p`` lies in the closed sector of ``w`` and within range."""
     return bool(containment_matrix([w], [p])[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# The perpendicular fan, slot by slot
+# ---------------------------------------------------------------------------
+
+
+def dot_sign(a: Point, b: Point, c: Point) -> int:
+    """Exact sign of dot(b - a, c - a); 0 means a right angle at ``a``."""
+    return vec_dot_sign(a, b, a, c)
+
+
+def _pair_far_points(a: Point, b: Point, p: Point, q: Point) -> tuple[Point, Point]:
+    """Order the two points off the base (a, b) as (far-left-facing,
+    far-right-facing): the larger projection on the base direction faces
+    back over ``a``, and a tie puts the lexicographically larger first."""
+    s = vec_dot_sign(p, q, a, b)  # sign of proj(q) - proj(p) on the base
+    if s > 0:
+        return q, p
+    if s < 0:
+        return p, q
+    return max(p, q, key=Point.as_tuple), min(p, q, key=Point.as_tuple)
+
+
+def _fan(slots: Sequence[Point], case: str) -> OrientationAssignment:
+    """The perpendicular fan over four slots: base start, base end, then
+    the two far points facing back over the base start and the base end."""
+    a, b = slots[0], slots[1]
+    theta = math.atan2(b.y - a.y, b.x - a.x)
+    offsets = (0.25 * math.pi, 0.75 * math.pi, 1.25 * math.pi, 1.75 * math.pi)
+    entries = tuple((p, normalize_angle(theta + off)) for p, off in zip(slots, offsets))
+    return OrientationAssignment(entries=entries, case=case)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import math
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -446,3 +447,42 @@ def test_criterion_8_cli_outputs_are_byte_identical(tmp_path):
         assert hashlib.sha256(out).hexdigest() == PIPELINE_SHA256[key], key
     assert json.loads(run_a["verify_udg"])["ok"]
     assert json.loads(run_a["verify_pts"])["ok"]
+
+
+def test_criterion_9_a_quarter_turn_and_four_antennas_are_tight(record_property):
+    """No three quarter-wedges cover the plane, no aperture under pi/2
+    serves collinear points, and the construction narrowed stops covering."""
+    rng = SplitMix64(9)
+    # three quarter-wedges span 3pi/2 of directions, so a direction stays
+    # bare; half the triples are three wedges of one perpendicular fan
+    for k in range(300):
+        t = rng.uniform(0, TAU)
+        oris = [t + i * QUARTER_TURN for i in range(3)] if k % 2 else [rng.uniform(0, TAU) for _ in range(3)]
+        triple = [AntennaConfig(Point(rng.uniform(-10, 10), rng.uniform(-10, 10)), o) for o in oris]
+        assert not plane_coverage_verify(triple).covered, triple
+    # on a line, every wedge of a connected graph holds a direction along
+    # it, so under pi/2 none reaches the perpendicular: draw orientations
+    # along the line, either way, within the aperture
+    connected = {}
+    for alpha in (1.0, 1.3, 1.5, QUARTER_TURN - 1e-6):
+        connected[alpha] = 0
+        for k in range(600):
+            pts = list(gen(GenSpec("collinear", 6, seed=k % 20)).points)
+            d = math.atan2(pts[-1].y - pts[0].y, pts[-1].x - pts[0].x)
+            oris = [d + math.pi * rng.randrange(2) + rng.uniform(-alpha / 2, alpha / 2) for _ in pts]
+            configs = [AntennaConfig(p, o, alpha) for p, o in zip(pts, oris)]
+            if is_connected(build_scg(configs)):
+                connected[alpha] += 1
+                assert not plane_coverage_verify(configs).covered, (alpha, configs)
+    assert min(connected.values()) > 50, connected
+    # the fan narrowed by 1e-9 rad leaves a direction gap on every hull
+    # shape; whether the graph stays connected is recorded, not asserted
+    tally = Counter()
+    for family, seeds in (("random_square", range(1, 60)), ("collinear", range(1, 20))):
+        for seed in seeds:
+            asg = orient_quadruplet(list(gen(GenSpec(family, 4, seed=seed)).points))
+            configs = [AntennaConfig(p, a, QUARTER_TURN - 1e-9) for p, a in asg.entries]
+            assert not plane_coverage_verify(configs).covered, (family, seed)
+            tally[asg.case, is_connected(build_scg(configs))] += 1
+    assert {case for case, _ in tally} == {"convex", "triangle", "collinear"}
+    record_property("narrowed_fans_by_case_and_connectivity", dict(tally))

@@ -22,7 +22,6 @@ from sectornet.geometry import (
     containment_matrix,
     convex_hull,
     distance,
-    dot_sign,
     normalize_angle,
     orientation_sign,
     plane_coverage_verify,
@@ -35,7 +34,7 @@ from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.power import orient_and_assign
 from sectornet.replacement import REPLACEMENT_RANGE, replace
 
-from oracles import choice, coverage_sample_check, halfplane_covered, rational_signs, wedge_contains
+from oracles import choice, coverage_sample_check, dot_sign, halfplane_covered, rational_signs, wedge_contains
 from sectornet.rng import SplitMix64
 
 

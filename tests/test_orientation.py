@@ -14,6 +14,7 @@ from sectornet.geometry import (
     QUARTER_TURN,
     TAU,
     AntennaConfig,
+    Antennas,
     Point,
     normalize_angle,
     plane_coverage_verify,
@@ -301,6 +302,13 @@ def test_couple_halfplane_covers_and_anchors():
             assert max(vals) == pytest.approx(0.0, abs=1e-9)
 
 
+def _hub_set(fans):
+    """The wedges of the fans' entries, four per fan: the hub set that
+    :func:`aim_at_fan` reads."""
+    entries = [e for fan in fans for e in fan.entries]
+    return Antennas([p for p, _ in entries], [a for _, a in entries], QUARTER_TURN, math.inf)
+
+
 def test_aim_at_fan_prefers_first_covering_hub():
     hubs = (
         (Point(10.0, 0.0), PI),  # covers the origin (aims left)
@@ -310,11 +318,11 @@ def test_aim_at_fan_prefers_first_covering_hub():
     )
     p = Point(0.0, 0.0)
     points = [p] + [h for h, _ in hubs]
-    got = aim_at_fan([OrientationAssignment(hubs)], points, [0] * 5)
+    got = aim_at_fan(_hub_set([OrientationAssignment(hubs)]), points, [0] * 5)
     assert got[0] == pytest.approx(0.0)  # aims at the first hub
     assert got[1:] == [PI, 1.5 * PI, 0.0, 0.5 * PI]  # hubs keep their own
     swapped = (hubs[1], hubs[0]) + hubs[2:]
-    got = aim_at_fan([OrientationAssignment(swapped)], points, [0] * 5)
+    got = aim_at_fan(_hub_set([OrientationAssignment(swapped)]), points, [0] * 5)
     assert got[0] == pytest.approx(0.5 * PI)
     assert got[1:] == [PI, 1.5 * PI, 0.0, 0.5 * PI]
 
@@ -330,11 +338,11 @@ def test_aim_at_fan_rejects_uncovered_point():
         )
     )
     with pytest.raises(ValueError, match="uncovered"):
-        aim_at_fan([away], [Point(0.0, 0.0)], [0])
+        aim_at_fan(_hub_set([away]), [Point(0.0, 0.0)], [0])
     # one uncovered point fails the whole batch
     quad = orient_quadruplet([Point(0.0, 0.0), Point(1.0, 0.0), Point(1.0, 1.0), Point(0.0, 1.0)])
     with pytest.raises(ValueError, match="uncovered"):
-        aim_at_fan([quad, away], [Point(5.0, 5.0), Point(0.0, 0.0)], [0, 1])
+        aim_at_fan(_hub_set([quad, away]), [Point(5.0, 5.0), Point(0.0, 0.0)], [0, 1])
 
 
 def _aim_one_by_one(fan, p):
@@ -361,8 +369,8 @@ def test_aim_at_fan_batches_like_one_fan_at_a_time():
     shuffle(rng, served)
     points = [p for p, _ in served]
     fan_of = [k for _, k in served]
-    assert aim_at_fan(fans, points, fan_of) == [_aim_one_by_one(fans[k], p) for p, k in served]
-    assert aim_at_fan(fans, [], []) == []
+    assert aim_at_fan(_hub_set(fans), points, fan_of) == [_aim_one_by_one(fans[k], p) for p, k in served]
+    assert aim_at_fan(_hub_set(fans), [], []) == []
 
 
 def test_orient_cluster_singleton_and_pair():

@@ -341,6 +341,45 @@ def test_select_hubs_refined_matches_the_whole_strip_reference():
     assert cells > 300
 
 
+def test_batched_refined_hubs_match_the_reference_cell_by_cell():
+    # every cell in one call: 3x3 lattice cells, where several hull edges
+    # tie for longest, and the same moved by two ulps; lattice rectangles
+    # with points on a side, where the strip point and the least point
+    # left can project equally on the base; collinear cells; and the
+    # seeded cells above
+    rng = SplitMix64(26)
+
+    def two_ulps(v):
+        up = math.inf if rng.randrange(2) else -math.inf
+        return math.nextafter(math.nextafter(v, up), up) if rng.randrange(2) else v
+
+    cells = []
+    for _ in range(60):
+        lattice = [(float(x), float(y)) for x in range(3) for y in range(3)]
+        shuffle(rng, lattice)
+        cell = [Point(x, y) for x, y in lattice[: 4 + rng.randrange(6)]]
+        cells += [cell, [Point(two_ulps(p.x), two_ulps(p.y)) for p in cell]]
+    for _ in range(60):
+        w, h = 1 + rng.randrange(6), 1 + rng.randrange(6)
+        cell = {(0, 0), (w, 0), (0, h), (w, h)}
+        cell |= {(rng.randrange(w + 1), rng.randrange(h + 1)) for _ in range(1 + rng.randrange(6))}
+        cells.append([Point(float(x), float(y)) for x, y in cell])
+    for k in range(4, 8):
+        cells += [[Point(float(t), 0.5 * t) for t in range(k)], [Point(2.0, -0.25 * t) for t in range(k)]]
+    cells += list(_hub_cells())
+    cells = [sorted(set(cell), key=Point.as_tuple) for cell in cells]
+    pts = [p for cell in cells for p in cell]
+    hubs = replacement._refined_fans(pts, *_coords(pts), np.cumsum([0] + [len(cell) for cell in cells]))
+    assert len(hubs) == 4 * len(cells)
+    ties = 0
+    for g, cell in enumerate(cells):
+        want = hubs_refined_reference(cell)
+        assert [(c.location, c.orientation) for c in hubs[4 * g : 4 * g + 4]] == list(want.entries), cell
+        (a, _), (b, _), (p, _), (q, _) = want.entries
+        ties += rational_signs(p, q, a, b)[1] == 0
+    assert ties > 30, ties
+
+
 def test_hull_prefilter_keeps_every_hull_vertex():
     # a dropped point lies strictly inside its cell's hull, so the kept
     # points have the same hull; all cells at once give each cell's answer
