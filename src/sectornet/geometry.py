@@ -19,7 +19,7 @@ Conventions used throughout the package:
 * Sign predicates (``orientation_sign``, ``vec_dot_sign``) are exact for
   any float inputs.  Each is one call of one cross-product sign: a
   floating-point filter decides the easy cases, the rest fall back to
-  rational arithmetic.  The quadruplet rule of ``orientation`` reads that
+  exact integer arithmetic.  The quadruplet rule of ``orientation`` reads that
   sign directly, one quadruplet at a time.  Its array form runs the same
   filter on whole arrays and the scalar sign on what it leaves open; the
   hull prefilter, the batched fans of ``orientation`` and the refined
@@ -46,7 +46,6 @@ import itertools
 import math
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -66,7 +65,7 @@ _FULL_FROM = TAU - ANGLE_TOL
 
 # Floating-point filter threshold for the sign predicates: a difference
 # of two products larger than this share of their magnitudes is trusted;
-# the rest is recomputed in exact rational arithmetic.
+# the rest is recomputed in exact integer arithmetic.
 _SIGN_FILTER = 4e-15
 # Below this magnitude of the terms a product may have lost bits to
 # underflow, which the relative filter does not bound: exact arithmetic
@@ -289,7 +288,7 @@ def _decided(left, right, det):
 
 def _cross_sign(ax, ay, bx, by, cx, cy, dx, dy) -> int:
     """Exact sign of cross(b - a, d - c) for float coordinates: the float
-    filter, then rational arithmetic on what it leaves open.  A dot is the
+    filter, then integer arithmetic on what it leaves open.  A dot is the
     cross with the second vector turned a quarter: dot(u, v2 - v1) is
     cross(u, (v1.y, v2.x) - (v2.y, v1.x)), and as negating a float
     difference is exact, the filter and fallback see the dot's products."""
@@ -300,8 +299,12 @@ def _cross_sign(ax, ay, bx, by, cx, cy, dx, dy) -> int:
         return 1 if det > 0 else -1
     if (bx == ax or dy == cy) and (by == ay or dx == cx):
         return 0  # both products are zero: a float difference is zero only for equal floats
-    f = Fraction
-    det = (f(bx) - f(ax)) * (f(dy) - f(cy)) - (f(by) - f(ay)) * (f(dx) - f(cx))
+    # each float is an int over a power of two: scaled to the largest of
+    # those powers, the coordinates are ints and det keeps its sign
+    ratios = [v.as_integer_ratio() for v in (ax, ay, bx, by, cx, cy, dx, dy)]
+    top = max(den.bit_length() for _, den in ratios)
+    ax, ay, bx, by, cx, cy, dx, dy = (num << (top - den.bit_length()) for num, den in ratios)
+    det = (bx - ax) * (dy - cy) - (by - ay) * (dx - cx)
     return (det > 0) - (det < 0)
 
 

@@ -13,11 +13,20 @@ the neighbor), the graph is connected, and every range is bounded by a
 fixed multiple of the longest tour edge in a three-section window --
 which is what caps the total cost at a constant times the optimum for
 connectivity.
+
+The tree is Prim's from the first point, with its tie rules, found
+without a loop over vertices: candidate pairs within a distance set by
+a sample's nearest neighbours, Borůvka rounds over them in array passes,
+a component-level Prim for what they leave apart, and a heap walk that
+reads Prim's join order off the tree when it is certified unique, or off
+every pair that can tie otherwise (see :func:`mst_edges`).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -32,58 +41,435 @@ from .orientation import _aim_at, _quadruplet_fans, orient_cluster
 # ---------------------------------------------------------------------------
 
 
+#: Array entries in one pass of the candidate sweep, the radius sample and
+#: the component stage, so that memory stays O(n + candidate pairs).
+_CHUNK = 1 << 14
+#: Points, evenly spaced in x order, whose exact squared distance to
+#: their _KTH-nearest point sets the candidate limit: _REACH times the
+#: median of those distances, so twice the median _KTH-nearest distance.
+#: The limit is lowered, where it must be, so that the sample points have
+#: at most _CAP other points within it on average: a dense blob among
+#: sparse points must not make every pair in the blob a candidate.
+_SAMPLE = 32
+_KTH = 4
+_REACH = 4.0
+_CAP = 64
+#: Points per bounding box when a large component's distances are pruned.
+_BLOCK = 32
+_EMPTY = np.empty(0, dtype=np.intp)
+
+
+def _sections(rows: int, width: int) -> int:
+    """How many runs to cut ``rows`` rows of ``width`` entries into, so
+    that a run holds about _CHUNK entries (and at least one row)."""
+    return max(1, min(rows, -(-rows * width // _CHUNK)))
+
+
 def mst_edges(points: Sequence[Point] | np.ndarray) -> list[tuple[int, int]]:
     """Prim's minimum spanning tree on the complete Euclidean graph, of
     points given as :class:`Point` objects or as an (n, 2) float array of
     their coordinates.
 
-    (parent, child) pairs in the order the tree grows from vertex 0;
-    each joining vertex adds one row of squared distances, so memory is
-    O(n).  The tree does not depend on beta: raising distances to a fixed
-    power is monotone.  Two tie rules pin the tree (and everything
-    downstream of it) for equal inputs: the next vertex is the
-    lowest-numbered one at the least distance from the tree, and its
-    parent is the earliest-added tree vertex at that distance.
+    (parent, child) pairs in the order the tree grows from vertex 0.  The
+    tree does not depend on beta: raising distances to a fixed power is
+    monotone.  Two tie rules pin the tree (and everything downstream of
+    it) for equal inputs: the next vertex is the lowest-numbered one at
+    the least squared distance from the tree, and its parent is the
+    earliest-added tree vertex at that distance.  Distances are the float
+    squares d2 = (x0 - x)**2 + (y0 - y)**2 throughout.
 
-    A joined vertex is marked by a NaN x coordinate, so its entry in
-    every later row is NaN, which never tests ``<`` and which
-    ``np.fmin`` passes over.  Squared distances that overflow to inf
-    cannot be ranked: a step whose least distance is not finite raises
-    ``ValueError``.
+    Prim's choice at each step depends only on the pairs at the least d2
+    across the cut, so a walk over any pair set that holds those pairs at
+    every step gives the same list.  The tree is found without a loop
+    over vertices:
+
+    * Candidates: the pairs with d2 at most a limit that follows local
+      density, four times the median squared distance from a fixed sample
+      of points to its fourth-nearest point (found exactly), lowered
+      where the sample points would have more than 64 others within it
+      on average, listed by one sweep in x order.  The test is
+      d2 <= limit, exactly.
+    * Borůvka rounds, one array pass each, join every component to its
+      lightest candidate pair, its lightest pair overall as every other
+      pair is above the limit.  If that leaves components apart, one more
+      sweep, at four times the limit, lists the pairs between them, and
+      the rounds go on over those.
+    * A component-level Prim joins what is left, one chunked array pass
+      of exact distances per component joined, pruned by bounding boxes
+      (a lone point takes one row, as in the dense loop).
+
+    The tree is certified when each edge was the unique lightest pair
+    across the cut that chose it: then it is the only minimum tree, every
+    lightest crossing pair of every Prim step is a tree edge, and a heap
+    walk over the n - 1 edges, keyed (d2, v) with an equal d2 keeping the
+    earlier parent, gives the join order and the parents.  Otherwise the
+    same walk runs over every pair that can be a lightest crossing pair
+    (see :func:`_tie_pairs`).  Memory is O(n + candidate pairs).
+
+    Squared distances that overflow to inf cannot be ranked: a tree that
+    needs one raises ``ValueError``.
     """
-    if isinstance(points, np.ndarray):  # a copy: x is overwritten below
-        xs, ys = np.array(points, dtype=float).reshape(-1, 2).T.copy()
+    if isinstance(points, np.ndarray):
+        xs, ys = np.asarray(points, dtype=float).reshape(-1, 2).T
     else:
         xs, ys = _coords(points)
-    _lex_order(xs, ys)  # raises on duplicate points
+    lex = _lex_order(xs, ys)  # raises on duplicate points
     n = len(xs)
     if n < 2:
         return []
-    best = np.full(n, np.inf)  # joined vertices stay at inf
-    parent = np.zeros(n, dtype=np.intp)
-    dx = np.empty(n)
-    dy = np.empty(n)
-    closer = np.empty(n, dtype=bool)
-    joined: list[int] = []
-    nxt = 0
-    with np.errstate(over="ignore"):  # an overflowed distance raises below
-        for _ in range(n - 1):
-            x0 = xs[nxt]
-            xs[nxt] = np.nan
-            np.subtract(x0, xs, out=dx)
-            np.multiply(dx, dx, out=dx)
-            np.subtract(ys[nxt], ys, out=dy)
-            np.multiply(dy, dy, out=dy)
-            np.add(dx, dy, out=dx)
-            np.less(dx, best, out=closer)
-            parent[closer] = nxt
-            np.fmin(best, dx, out=best)
-            nxt = int(best.argmin())
-            if not best[nxt] < np.inf:
-                raise ValueError("squared distances overflow: the tree cannot be ranked")
-            best[nxt] = np.inf
-            joined.append(nxt)
-    return list(zip(parent[joined].tolist(), joined))
+    sx, sy = xs[lex], ys[lex]
+    with np.errstate(over="ignore"):  # an overflowed distance raises in _join
+        limit = _candidate_limit(sx, sy)
+        comp = np.arange(n)
+        found, tree, unique = [], [], True
+        # the second sweep, at four times the limit, lists the pairs
+        # between the components the first leaves
+        for reach in (limit, min(4 * limit, sys.float_info.max)):
+            a, b, w = _pairs(sx, sy, reach, comp)
+            comp, edges, certified = _boruvka(comp, a, b, w)
+            found.append((a, b, w))
+            tree.append(edges)
+            unique = unique and certified
+            if (comp == comp[0]).all():
+                break
+        joins, certified = _join(sx, sy, comp)
+        if unique and certified:
+            a, b, w = _concat(tree + [joins])
+        else:
+            a, b, w = _tie_pairs(sx, sy, comp, _concat(found), _concat(tree), joins)
+    return _prim_walk(n, lex[a], lex[b], w)
+
+
+def _concat(parts):
+    """Arrays (a, b, w) of pairs, from a list of them."""
+    return tuple(np.concatenate(e) for e in zip(*parts))
+
+
+def _tie_pairs(sx, sy, comp, found, tree, joins):
+    """Every pair that can be a lightest crossing pair of a Prim step, for
+    a minimum tree that ties may have made one of several: a lightest
+    crossing pair weighs no more than the heaviest tree edge on the path
+    between its ends.
+
+    Inside one component ``comp`` of the candidates ``found`` that path
+    stays in the component, so a candidate there is kept up to the
+    heaviest edge of ``tree`` (the Borůvka edges) in its component.
+    Between components, every pair up to the heaviest of the ``joins`` is
+    listed by one more sweep.
+    """
+    a, b, w = found
+    top = np.zeros(len(comp))
+    np.maximum.at(top, comp[tree[0]], tree[2])
+    keep = w <= top[comp[a]]
+    pairs = [(a[keep], b[keep], w[keep])]
+    if len(joins[2]):
+        pairs.append(_pairs(sx, sy, joins[2].max(), comp))
+    return _concat(pairs)
+
+
+def _sq(xa, ya, xb, yb):
+    """The float squared distance of the dense Prim loop, elementwise."""
+    dx = xa - xb
+    dy = ya - yb
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _pair_sq(sx, sy, p, q):
+    """:func:`_sq` of the pairs (p, q) of positions, with one temporary
+    per coordinate."""
+    dx = sx[q]
+    dx -= sx[p]
+    dx *= dx
+    dy = sy[q]
+    dy -= sy[p]
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _candidate_limit(sx: np.ndarray, sy: np.ndarray) -> float:
+    """The candidate limit for points sorted by x: _REACH times the median
+    squared distance from _SAMPLE points, evenly spaced in x order, to
+    their _KTH-nearest other point, lowered to the (_CAP * _SAMPLE)-th
+    least of the sample's squared distances when more of them are
+    within it, and capped at the largest float, so that an overflowed
+    distance is never a candidate."""
+    n = len(sx)
+    pick = np.linspace(0, n - 1, min(n, _SAMPLE)).astype(np.intp)
+    k = min(_KTH, n - 1)
+    many = _CAP * len(pick)  # the many least of all rows are among each row's many least
+    kth, least = [], []
+    for rows in np.array_split(pick, _sections(len(pick), n)):
+        d = _sq(sx[rows, None], sy[rows, None], sx, sy)
+        d[np.arange(len(rows)), rows] = np.inf
+        d.partition((k - 1, min(many, n) - 1), axis=1)
+        kth.append(d[:, k - 1].copy())  # copies, so that d can go
+        least.append(d[:, :many].copy())
+    kth = np.sort(np.concatenate(kth))
+    limit = float(kth[len(kth) // 2]) * _REACH
+    least = np.concatenate(least, axis=None)
+    if np.count_nonzero(least <= limit) > many:
+        limit = float(np.partition(least, many - 1)[many - 1])
+    return min(limit, sys.float_info.max)
+
+
+def _window_ends(sx: np.ndarray, limit: float) -> np.ndarray:
+    """For each position p of the x-sorted coordinates sx, the first q > p
+    whose squared float gap (sx[q] - sx[p])**2 exceeds limit, or n: a
+    bisection on that exact test, started from a float guess."""
+    n = len(sx)
+    pos = np.arange(n)
+    lo, hi = pos.copy(), np.full(n, n)  # lo passes (or is p), hi fails (or is n)
+    guess = np.searchsorted(sx, sx + math.sqrt(limit), "right")
+    probes = [guess - 1, guess]
+    while True:
+        for q in probes:
+            p = np.flatnonzero((lo < q) & (q < hi))
+            q = q[p]
+            dx = sx[q] - sx[p]
+            near = dx * dx <= limit
+            lo[p[near]] = q[near]
+            hi[p[~near]] = q[~near]
+        if (hi - lo <= 1).all():
+            return hi
+        probes = [(lo + hi) // 2]
+
+
+def _pairs(sx: np.ndarray, sy: np.ndarray, limit: float, comp: np.ndarray):
+    """Every pair p < q of x-sorted positions in different components
+    ``comp`` (a label per point) whose squared distance is at most limit,
+    as arrays (p, q, d2), from one sweep in x order: a pair's squared x
+    gap is at most its squared distance, so the window of p ends where
+    the gap alone exceeds limit.  About _CHUNK window entries at a time."""
+    n = len(sx)
+    count = _window_ends(sx, limit) - np.arange(1, n + 1)
+    cum = np.concatenate(([0], np.cumsum(count)))
+    cuts = np.unique(np.searchsorted(cum, np.arange(0, cum[-1], _CHUNK), "right") - 1).tolist()
+    found = [(_EMPTY, _EMPTY, np.empty(0))]
+    for lo, hi in zip(cuts, cuts[1:] + [n]):
+        p = np.repeat(np.arange(lo, hi), count[lo:hi])
+        q = np.arange(1, cum[hi] - cum[lo] + 1)
+        q -= np.repeat(cum[lo:hi] - cum[lo], count[lo:hi])
+        q += p
+        w = _pair_sq(sx, sy, p, q)
+        keep = (w <= limit) & (comp[p] != comp[q])
+        found.append((p[keep], q[keep], w[keep]))
+    return _concat(found)
+
+
+def _boruvka(comp: np.ndarray, a: np.ndarray, b: np.ndarray, w: np.ndarray):
+    """Borůvka rounds over candidate pairs (a, b) of squared distance w,
+    from the components ``comp`` (a label per point, itself a point of
+    the component).
+
+    Pairs are ranked by their position once sorted by w, a strict order,
+    so each round's choices form a forest.  A round joins every component
+    to its lightest crossing pair.  Returns the component label per point
+    (a point of the component) once no pair crosses, the tree edges as
+    (a, b, w) arrays, and whether each edge was the unique lightest
+    crossing pair of a component that chose it, which holds at once when
+    no two candidates weigh the same.
+    """
+    by = np.argsort(w)
+    a, b, w = a[by], b[by], w[by]
+    tree = (a, b, w)
+    chosen = np.zeros(len(w), dtype=bool)
+    unique = True
+    tied = bool((w[1:] == w[:-1]).any())
+    at = np.arange(len(w))  # the rank of each pair left
+    n = len(comp)
+    while True:
+        ca, cb = comp[a], comp[b]
+        cross = ca != cb
+        if not cross.all():
+            a, b, w, at, ca, cb = a[cross], b[cross], w[cross], at[cross], ca[cross], cb[cross]
+        m = len(a)
+        if not m:
+            return comp, tuple(e[chosen] for e in tree), unique
+        first = np.full(n, m)
+        np.minimum.at(first, ca, np.arange(m))
+        np.minimum.at(first, cb, np.arange(m))
+        chooser = np.flatnonzero(first < m)
+        pick = first[chooser]
+        if tied and unique:
+            least = np.full(n, np.inf)
+            least[chooser] = w[pick]
+            ties = np.bincount(ca[w == least[ca]], minlength=n) + np.bincount(cb[w == least[cb]], minlength=n)
+            certified = np.zeros(m, dtype=bool)
+            certified[pick[ties[chooser] == 1]] = True
+            unique = bool(certified[pick].all())
+        chosen[at[pick]] = True
+        # each component points at the one across its pick; of two that
+        # pick each other, the smaller label is the root
+        other = ca[pick] + cb[pick] - chooser
+        to = np.arange(n)
+        to[chooser] = other
+        root = chooser[(to[other] == chooser) & (chooser < other)]
+        to[root] = root
+        while True:
+            up = to[to]
+            if np.array_equal(up, to):
+                break
+            to = up
+        comp = to[comp]
+
+
+def _join(sx: np.ndarray, sy: np.ndarray, comp: np.ndarray):
+    """Prim over the components of the candidate pairs, grown from point
+    0's, on exact squared distances: the tree edges between components as
+    (a, b, w) arrays, and whether each was the unique lightest pair
+    between the joined components and the rest.
+
+    A joined point gets a NaN x, so its distances are NaN and never win.
+    Raises ``ValueError`` when the lightest pair left has overflowed.
+    """
+    n = len(sx)
+    if (comp == comp[0]).all():
+        return (_EMPTY, _EMPTY, np.empty(0)), True
+    _, label = np.unique(comp, return_inverse=True)
+    members = np.argsort(label, kind="stable")
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(label))))
+    free_x = sx.copy()
+    best = np.full(n, np.inf)
+    near = np.zeros(n, dtype=np.intp)
+    edges = []
+    unique = True
+    c = label[0]
+    for _ in range(len(ptr) - 2):
+        new = members[ptr[c] : ptr[c + 1]]
+        free_x[new] = np.nan
+        best[new] = np.inf
+        _fold(sx, sy, free_x, new, best, near)
+        v = int(best.argmin())
+        least = best[v]
+        if not least < np.inf:
+            raise ValueError("squared distances overflow: the tree cannot be ranked")
+        if unique:
+            row = _sq(sx[v], sy[v], sx, sy)
+            unique = np.count_nonzero(best == least) == 1 and np.count_nonzero((row == least) & np.isnan(free_x)) == 1
+        edges.append((near[v], v, least))
+        c = label[v]
+    a, b, w = zip(*edges)
+    return (np.array(a, dtype=np.intp), np.array(b, dtype=np.intp), np.array(w)), unique
+
+
+def _box_gap(x0, x1, y0, y1, px, py):
+    """A float lower bound on the squared distance from the points (px, py)
+    to any point of the box [x0, x1] x [y0, y1]: the float gaps to the box
+    are at most the float gaps to its points, as rounding is monotone.
+    A NaN coordinate gives NaN."""
+    gx = np.maximum(np.maximum(x0 - px, px - x1), 0.0)
+    gy = np.maximum(np.maximum(y0 - py, py - y1), 0.0)
+    return gx * gx + gy * gy
+
+
+def _fold(sx, sy, free_x, new, best, near) -> None:
+    """Lower ``best`` (for each point not joined, its least squared
+    distance to the joined ones) by the distances from the points ``new``,
+    x-sorted, and keep in ``near`` a joined point at that distance.
+
+    A lone point takes one row over every point, the joined ones NaN.
+    Otherwise only the points that the bounding box of ``new`` may bring
+    closer are visited.  A small component takes whole rows of them, _CHUNK
+    entries at a time.  A large one is cut into boxes of _BLOCK points,
+    and a point's distances to a box are computed only when the box's
+    bound is at most the least of its current best and its distances to
+    the boxes' first points, as no other box can hold its new least
+    distance.
+    """
+    k = len(new)
+    if k == 1:
+        d = _sq(sx[new[0]], sy[new[0]], free_x, sy)
+        lt = d < best
+        np.copyto(best, d, where=lt)
+        near[lt] = new[0]
+        return
+    ny = sy[new]
+    col = np.flatnonzero(_box_gap(sx[new[0]], sx[new[-1]], ny.min(), ny.max(), free_x, sy) <= best)
+    if not len(col):
+        return
+    cx, cy = sx[col], sy[col]
+    if k <= 4 * _BLOCK:
+        for rows in np.array_split(new, _sections(k, len(col))):
+            d = _sq(sx[rows, None], sy[rows, None], cx, cy)
+            j = d.argmin(axis=0)
+            low = np.take_along_axis(d, j[None], axis=0)[0]
+            lt = low < best[col]
+            best[col[lt]] = low[lt]
+            near[col[lt]] = rows[j[lt]]
+        return
+    # about sqrt(boxes) strips of x, each sorted by y and cut into boxes
+    boxes = -(-k // _BLOCK)
+    strip = _BLOCK * -(-boxes // (math.isqrt(boxes - 1) + 1))
+    new = new[np.lexsort((ny, np.arange(k) // strip))]
+    starts = np.arange(0, k, _BLOCK)
+    bx, by = sx[new], sy[new]
+    x0, x1 = np.minimum.reduceat(bx, starts), np.maximum.reduceat(bx, starts)
+    y0, y1 = np.minimum.reduceat(by, starts), np.maximum.reduceat(by, starts)
+    first = new[starts]
+    groups = np.array_split(np.arange(len(starts)), _sections(len(starts), len(col)))
+    cap = best[col]
+    for g in groups:
+        np.minimum(cap, _sq(sx[first[g], None], sy[first[g], None], cx, cy).min(axis=0), out=cap)
+    box, at = [], []
+    for g in groups:
+        i, j = np.nonzero(_box_gap(x0[g, None], x1[g, None], y0[g, None], y1[g, None], cx, cy) <= cap)
+        box.append(g[i])
+        at.append(j)
+    box, at = np.concatenate(box), np.concatenate(at)
+    size = np.diff(np.append(starts, k))[box]
+    cum = np.concatenate(([0], np.cumsum(size)))
+    cuts = np.unique(np.searchsorted(cum, np.arange(0, cum[-1], _CHUNK), "right") - 1).tolist()
+    for lo, hi in zip(cuts, cuts[1:] + [len(box)]):
+        j = col[np.repeat(at[lo:hi], size[lo:hi])]
+        u = new[np.repeat(starts[box[lo:hi]] - cum[lo:hi] + cum[lo], size[lo:hi]) + np.arange(cum[hi] - cum[lo])]
+        d = _pair_sq(sx, sy, u, j)
+        np.minimum.at(best, j, d)
+        hit = d == best[j]
+        near[j[hit]] = u[hit]
+
+
+def _prim_walk(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> list[tuple[int, int]]:
+    """Prim's (parent, child) pairs from vertex 0 over the pairs (a, b) of
+    squared distance w, which must hold every lightest crossing pair of
+    every step.
+
+    A heap of keys (rank of d2, v), one per improvement of v's least
+    distance to the tree: the least key is the lowest-numbered vertex at
+    the least distance, and as an equal distance does not improve, its
+    parent is the earliest-added tree vertex at that distance.
+    """
+    rank = np.unique(w, return_inverse=True)[1]
+    src = np.concatenate((a, b))
+    by = np.argsort(src)
+    keys = ((np.concatenate((rank, rank)) * n + np.concatenate((b, a)))[by]).tolist()
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n)))).tolist()
+    joined = -1
+    cur = [len(keys) * n + n] * n  # each vertex's key, above every key until reached
+    cur[0] = joined
+    parent = [0] * n
+    order = []
+    heap: list[int] = []
+    push, pop = heapq.heappush, heapq.heappop
+    v = 0
+    for _ in range(n - 1):
+        for e in keys[ptr[v] : ptr[v + 1]]:
+            t = e % n
+            if e < cur[t]:
+                cur[t] = e
+                parent[t] = v
+                push(heap, e)
+        while True:
+            k = pop(heap)
+            v = k % n
+            if cur[v] == k:  # else v joined or was reached closer since
+                break
+        cur[v] = joined
+        order.append(v)
+    return [(parent[v], v) for v in order]
 
 
 def _check_beta(beta: float) -> None:

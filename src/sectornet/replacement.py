@@ -51,9 +51,9 @@ from .geometry import (
 )
 from .orientation import (
     OrientationAssignment,
+    _aim_at,
     _fans,
     _quadruplet_fans,
-    aim_at_fan,
     orient_cluster,
     orient_quadruplet,
 )
@@ -336,7 +336,7 @@ def replace(points: Sequence[Point], mode: str = "refined") -> ReplacementResult
             for comp in components(udg, stray.tolist()):
                 fan_of[comp] = word[comp[int(np.argmin(lex_rank[comp]))]]
 
-    aims = aim_at_fan(hubs, pts, fan_of)
+    aims = _aim_at(hubs, xs, ys, fan_of)
     return ReplacementResult(Antennas(pts, aims, QUARTER_TURN, REPLACEMENT_RANGE), mode, grid)
 
 

@@ -14,6 +14,9 @@
 * :func:`prim_reference` and :func:`tour_reference` build the minimum
   spanning tree and its tour by the documented tie rules in plain
   Python, the reference for inputs with exactly tied distances.
+  :func:`prim_dense_reference` is Prim's loop over one squared-distance
+  row per joined vertex, the reference for the sparse ``mst_edges`` at
+  sizes the plain-Python one cannot reach.
 * :func:`neighbor_lists` and :func:`bfs` walk a graph in plain Python,
   the reference for the array traversal of connectivity, components,
   full-cell labels and the hop-spanner check.
@@ -66,6 +69,7 @@ from sectornet.geometry import (
     Point,
     _antennas,
     _coverage_hits,
+    _lex_order,
     containment_matrix,
     convex_hull,
     distance,
@@ -334,6 +338,51 @@ def prim_reference(points: Sequence[Point]) -> list[tuple[int, int]]:
         joined.append(v)
         rest.remove(v)
     return edges
+
+
+def prim_dense_reference(points: Sequence[Point] | np.ndarray) -> list[tuple[int, int]]:
+    """Prim's tree by the tie rules of :func:`prim_reference`, on points or
+    an (n, 2) coordinate array: each joining vertex adds one row of float
+    squared distances (x0 - x)**2 + (y0 - y)**2, so memory is O(n).
+
+    A joined vertex is marked by a NaN x coordinate, so its entry in
+    every later row is NaN, which never tests ``<`` and which ``np.fmin``
+    passes over.  A step whose least distance is not finite raises
+    ``ValueError``.
+    """
+    if isinstance(points, np.ndarray):  # a copy: x is overwritten below
+        xs, ys = np.array(points, dtype=float).reshape(-1, 2).T.copy()
+    else:
+        xs, ys = _coords(points)
+    _lex_order(xs, ys)  # raises on duplicate points
+    n = len(xs)
+    if n < 2:
+        return []
+    best = np.full(n, np.inf)  # joined vertices stay at inf
+    parent = np.zeros(n, dtype=np.intp)
+    dx = np.empty(n)
+    dy = np.empty(n)
+    closer = np.empty(n, dtype=bool)
+    joined: list[int] = []
+    nxt = 0
+    with np.errstate(over="ignore"):  # an overflowed distance raises below
+        for _ in range(n - 1):
+            x0 = xs[nxt]
+            xs[nxt] = np.nan
+            np.subtract(x0, xs, out=dx)
+            np.multiply(dx, dx, out=dx)
+            np.subtract(ys[nxt], ys, out=dy)
+            np.multiply(dy, dy, out=dy)
+            np.add(dx, dy, out=dx)
+            np.less(dx, best, out=closer)
+            parent[closer] = nxt
+            np.fmin(best, dx, out=best)
+            nxt = int(best.argmin())
+            if not best[nxt] < np.inf:
+                raise ValueError("squared distances overflow: the tree cannot be ranked")
+            best[nxt] = np.inf
+            joined.append(nxt)
+    return list(zip(parent[joined].tolist(), joined))
 
 
 def tour_reference(points: Sequence[Point]) -> list[Point]:

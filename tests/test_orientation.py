@@ -190,14 +190,16 @@ def test_batched_fans_match_orient_quadruplet(monkeypatch):
     ]
     near = [Point(0.0, 0.0), Point(1.0, 1.0), Point(2.0, 2.0 + 2.0**-51), Point(3.0, 0.0)]
     want = [_bits(orient_quadruplet(q)) for q in quads + [near]]
+    # the array kernel passes only the entries its filter leaves open,
+    # with a nonzero product, to the scalar sign's exact fallback
     exact = []
-    fraction = geometry.Fraction
+    scalar = geometry._cross_sign
 
-    def counted_fraction(*args):
+    def counted_sign(*args):
         exact.append(args)
-        return fraction(*args)
+        return scalar(*args)
 
-    monkeypatch.setattr(geometry, "Fraction", counted_fraction)
+    monkeypatch.setattr(geometry, "_cross_sign", counted_sign)
     assert [_bits(a) for a in _batched(quads + [near])] == want
     assert exact
     exact.clear()

@@ -7,6 +7,7 @@ import math
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from sectornet import power
@@ -25,7 +26,14 @@ from sectornet.power import (
 from sectornet.rng import SplitMix64
 from sectornet.scg import build_scg, is_connected
 
-from oracles import mst_cost, prim_reference, shuffle, tour_power_cost, tour_reference
+from oracles import (
+    mst_cost,
+    prim_dense_reference,
+    prim_reference,
+    shuffle,
+    tour_power_cost,
+    tour_reference,
+)
 
 
 def _sections(tour):
@@ -400,6 +408,127 @@ def test_prim_tie_rules_match_the_reference(name):
         pts = _tied_instance(name, rng)
         assert mst_edges(pts) == prim_reference(pts)
         assert list(tsp_tour_approx(pts).order) == tour_reference(pts)
+
+
+def _array(points):
+    return np.array([p.as_tuple() for p in points])
+
+
+@pytest.mark.parametrize("family", ["random_square", "clustered", "collinear", "connected_udg"])
+def test_mst_edges_match_the_dense_prim(family):
+    for n in (2, 3, 8, 64, 512, 2000):
+        pts = _array(gen(GenSpec(family, n, seed=n)).points)
+        assert mst_edges(pts) == prim_dense_reference(pts)
+
+
+def _lattice(name, rng):
+    """A shuffled lattice whose distances tie exactly, or nearly."""
+    if name == "square":
+        pts = np.array([(i, j) for i in range(23) for j in range(19)], dtype=float)
+    elif name == "half-step":  # rows shifted by half a step
+        pts = np.array([(0.5 * i + 0.25 * (j % 2), 0.5 * j) for i in range(30) for j in range(12)])
+    else:  # a square lattice with some x nudged one ulp up
+        pts = np.array([(0.7 * i, 0.7 * j) for i in range(17) for j in range(17)])
+        nudge = rng.integers(0, len(pts), 40)
+        pts[nudge, 0] = np.nextafter(pts[nudge, 0], np.inf)
+    return pts[rng.permutation(len(pts))]
+
+
+@pytest.mark.parametrize("name", ["square", "half-step", "ulp-nudged"])
+def test_mst_edges_match_the_dense_prim_on_lattices(name, monkeypatch):
+    walked = []
+
+    def counting_walk(n, a, b, w):
+        walked.append(len(w))
+        return walk(n, a, b, w)
+
+    walk = power._prim_walk
+    monkeypatch.setattr(power, "_prim_walk", counting_walk)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        pts = _lattice(name, rng)
+        assert mst_edges(pts) == prim_dense_reference(pts)
+    if name != "ulp-nudged":  # ties: the walk runs over more than the tree
+        assert all(size > len(pts) - 1 for size in walked)
+
+
+def test_mst_edges_join_far_clusters(monkeypatch):
+    # no candidate pair spans the gap, so the component stage joins them
+    folds = []
+
+    def counting_fold(*args):
+        folds.append(len(args[3]))
+        return fold(*args)
+
+    fold = power._fold
+    monkeypatch.setattr(power, "_fold", counting_fold)
+    for n in (5, 60, 700):
+        near = _array(gen(GenSpec("random_square", n, seed=n, side=10.0)).points)
+        for pts in (np.concatenate((near, near[: n // 2] + 1e4)), np.concatenate((near, near + 5e3, near - 3e4))):
+            assert mst_edges(pts) == prim_dense_reference(pts)
+    assert max(folds) >= 700  # a large component, pruned by boxes
+    # a far point right under a lattice column: some box is then led by
+    # the column's foot, its nearest point, and bounded at exactly that
+    grid = np.array([(i, j) for i in range(20) for j in range(10)], dtype=float)
+    for column in range(1, 20):
+        pts = np.concatenate((grid, [(column, -10.0)]))
+        assert mst_edges(pts) == prim_dense_reference(pts)
+    # a blob and its mirror image: the two least pairs between them tie
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        blob = rng.uniform(0.0, 3.0, (150, 2))
+        blob[1, 0] = blob[0, 0] = blob[:, 0].max()
+        pts = np.concatenate((blob, (40.0, 0.0) + blob * (-1.0, 1.0)))
+        pts = pts[rng.permutation(len(pts))]
+        assert mst_edges(pts) == prim_dense_reference(pts)
+
+
+def test_candidate_sweep_lists_every_pair_within_the_limit():
+    # limits taken from the squared distances themselves put pairs, some
+    # with a zero y gap, exactly on the bound
+    rng = np.random.default_rng(11)
+    grid = np.array([(i, j) for i in range(9) for j in range(7)], dtype=float)
+    scattered = rng.uniform(0.0, 5.0, (80, 2))
+    for pts in (grid, grid * 0.1, scattered, scattered * 2.0**-537):
+        sx, sy = pts[np.lexsort((pts[:, 1], pts[:, 0]))].T
+        dx = sx[:, None] - sx
+        dy = sy[:, None] - sy
+        d2 = dx * dx + dy * dy
+        p, q = np.triu_indices(len(sx), 1)
+        values = np.unique(d2[p, q])
+        for limit in values[[0, 3, len(values) // 8, len(values) // 3]]:
+            a, b, w = power._pairs(sx, sy, float(limit), np.arange(len(sx)))
+            want = {(i, j) for i, j in zip(p.tolist(), q.tolist()) if d2[i, j] <= limit}
+            assert set(zip(a.tolist(), b.tolist())) == want
+            assert np.array_equal(w, d2[a, b])
+
+
+def test_mst_edges_candidates_follow_local_density(monkeypatch):
+    # a dense blob among sparse points, and gaps that grow along a line:
+    # a limit set by the sparse points alone would pair most of the blob
+    sizes = []
+
+    def counting_boruvka(comp, a, b, w):
+        sizes.append(len(w))
+        return boruvka(comp, a, b, w)
+
+    boruvka = power._boruvka
+    monkeypatch.setattr(power, "_boruvka", counting_boruvka)
+    rng = np.random.default_rng(3)
+    blob = np.concatenate((rng.normal(0.0, 0.01, (1000, 2)), rng.uniform(-100.0, 100.0, (1000, 2))))
+    gaps = np.cumsum(1.01 ** np.arange(2000))
+    for pts in (blob[rng.permutation(2000)], np.stack((gaps, 0.5 * gaps), axis=1)):
+        sizes.clear()
+        assert mst_edges(pts) == prim_dense_reference(pts)
+        assert sum(sizes) <= 64 * len(pts)
+
+
+@pytest.mark.parametrize("scale", [2.0**-539, 2.0**500], ids=["2**-539", "2**500"])
+def test_mst_edges_match_the_dense_prim_when_scaled(scale):
+    # at 2**-539 most squared distances underflow to tied subnormals or 0
+    for family, n in [("random_square", 64), ("clustered", 300), ("collinear", 200), ("random_square", 1000)]:
+        pts = _array(gen(GenSpec(family, n, seed=3)).points) * scale
+        assert mst_edges(pts) == prim_dense_reference(pts)
 
 
 def test_overflowing_squared_distances_raise():

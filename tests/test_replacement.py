@@ -22,7 +22,7 @@ from sectornet.geometry import (
     distance,
     squared_distance,
 )
-from sectornet.orientation import aim_at_fan, configs_from_assignment, orient_quadruplet
+from sectornet.orientation import _aim_at, configs_from_assignment, orient_quadruplet
 from sectornet.replacement import (
     CELL_SIDE,
     FULL_CELL_MIN,
@@ -516,11 +516,11 @@ def test_replace_aims_once(monkeypatch):
     # full cells and stray groups alike are aimed in one call per run
     calls = []
 
-    def counting_aim_at_fan(fans, points, fan_of):
-        calls.append(len(points))
-        return aim_at_fan(fans, points, fan_of)
+    def counting_aim_at(fans, xs, ys, fan_of):
+        calls.append(len(xs))
+        return _aim_at(fans, xs, ys, fan_of)
 
-    monkeypatch.setattr(replacement, "aim_at_fan", counting_aim_at_fan)
+    monkeypatch.setattr(replacement, "_aim_at", counting_aim_at)
     pts = _drifting_chain(1, 140)
     grid = grid_partition(pts)
     assert any(len(grid.points_in(cell_of(grid, p))) < FULL_CELL_MIN for p in pts)
