@@ -21,7 +21,6 @@ from .geometry import (
     HalfPlane,
     Point,
     containment_matrix,
-    convex_hull,
     distance,
     plane_coverage_verify,
     squared_distance,
@@ -96,7 +95,6 @@ __all__ = [
     "classify_separated_pair",
     "configs_from_assignment",
     "containment_matrix",
-    "convex_hull",
     "cost_chain_check",
     "distance",
     "find_mutual_cover_pair",

@@ -17,13 +17,15 @@ import math
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import fileio
 from .generators import FAMILIES, GenSpec, gen
-from .geometry import plane_coverage_verify
+from .geometry import _lex_order, plane_coverage_verify
 from .orientation import configs_from_assignment, orient_quadruplet
 from .power import PowerAssignment, cost_chain_check, orient_and_assign, tsp_tour_approx
 from .render import render_svg
-from .replacement import build_udg, replace, verify_hop_spanner
+from .replacement import _udg, replace, verify_hop_spanner
 from .scg import build_scg, is_connected
 
 _DEFAULT_STRETCH = {"replace-basic": 9, "replace-refined": 8, "replace-small": 5}
@@ -88,14 +90,15 @@ def _json_number(x):
 
 # A check takes the verify inputs, raises its usage errors, and returns
 # the run that reports on the configuration given a zero-argument SCG
-# builder; cmd_verify prepares every check before running any.
+# builder; cmd_verify prepares every check before running any.  The
+# instance, when given, is its x and y coordinate columns.
 
 
-def _check_connected(configs, mode, instance_points, metadata, limit):
+def _check_connected(configs, mode, instance, metadata, limit):
     return lambda scg: {"passed": is_connected(scg())}
 
 
-def _check_coverage(configs, mode, instance_points, metadata, limit):
+def _check_coverage(configs, mode, instance, metadata, limit):
     if any(map(math.isfinite, configs.range.tolist())):
         raise ValueError("coverage check needs unbounded ranges")
 
@@ -111,10 +114,11 @@ def _check_coverage(configs, mode, instance_points, metadata, limit):
     return run
 
 
-def _check_stretch(configs, mode, instance_points, metadata, limit):
-    if instance_points is None:
+def _check_stretch(configs, mode, instance, metadata, limit):
+    if instance is None:
         raise ValueError("stretch check needs --instance")
-    if list(configs.locations) != instance_points:
+    xs, ys = instance
+    if not (np.array_equal(configs.x, xs) and np.array_equal(configs.y, ys)):
         raise ValueError(_MISMATCH)
     if limit is None:
         limit = _DEFAULT_STRETCH.get(mode)
@@ -124,7 +128,7 @@ def _check_stretch(configs, mode, instance_points, metadata, limit):
         raise ValueError("--limit must be a number, not NaN")
 
     def run(scg):
-        rep = verify_hop_spanner(build_udg(instance_points), scg(), limit)
+        rep = verify_hop_spanner(_udg(xs, ys), scg(), limit)
         out = {"passed": rep.ok, "max_hops": _json_number(rep.max_hops), "limit": _json_number(limit)}
         if rep.worst_edge is not None:
             out["worst_edge"] = [list(rep.worst_edge[0].as_tuple()), list(rep.worst_edge[1].as_tuple())]
@@ -133,11 +137,14 @@ def _check_stretch(configs, mode, instance_points, metadata, limit):
     return run
 
 
-def _check_cost_chain(configs, mode, instance_points, metadata, limit):
-    if instance_points is None:
+def _check_cost_chain(configs, mode, instance, metadata, limit):
+    if instance is None:
         raise ValueError("cost-chain check needs --instance")
-    # the lengths too: a repeated antenna would hide in the sets
-    if len(configs) != len(instance_points) or set(configs.locations) != set(instance_points):
+    # the same points in any order, sorted lexicographically: a repeated
+    # antenna shows, as the instance repeats no point
+    xs, ys = instance
+    at, by = _lex_order(xs, ys), np.lexsort((configs.y, configs.x))
+    if not (np.array_equal(xs[at], configs.x[by]) and np.array_equal(ys[at], configs.y[by])):
         raise ValueError(_MISMATCH)
     beta = metadata.get("beta")
     if isinstance(beta, bool) or not isinstance(beta, (int, float)):
@@ -147,7 +154,8 @@ def _check_cost_chain(configs, mode, instance_points, metadata, limit):
     )
 
     def run(scg):
-        rep = cost_chain_check(pa, tsp_tour_approx(instance_points))
+        # the tour of the config's points, which are the instance's
+        rep = cost_chain_check(pa, tsp_tour_approx(configs.locations))
         return {
             "passed": rep.ok,
             "cost": _json_number(rep.cost),
@@ -177,9 +185,7 @@ _DEFAULT_CHECKS = {
 
 def cmd_verify(args: argparse.Namespace) -> int:
     configs, mode, metadata = fileio.read_config(args.config)
-    instance_points = None
-    if args.instance:
-        instance_points, _ = fileio.read_instance(args.instance)
+    instance = fileio._read_instance_columns(args.instance)[:2] if args.instance else None
     names = (
         [s.strip() for s in args.checks.split(",") if s.strip()]
         if args.checks is not None
@@ -191,7 +197,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if name not in _CHECKS:
             raise ValueError(f"unknown check: {name!r}")
     runs = [
-        (name, _CHECKS[name](configs, mode, instance_points, metadata, args.limit))
+        (name, _CHECKS[name](configs, mode, instance, metadata, args.limit))
         for name in names
     ]
     # built once, on first use, and only after every usage error

@@ -15,13 +15,15 @@ the C encoder, and fills them into a fixed per-row template.  A
 configuration is written from its :class:`~sectornet.geometry.Antennas`
 columns, and each distinct orientation, aperture and range is formatted
 once: a replacement gives every antenna the same aperture and range.
-Coordinates are written as the points hold them.
+Coordinates are written as the points hold them, or as the float
+columns hold them in a set made from columns.
 
 On read, every coordinate, angle and range must be a JSON number (a
 bool is not one); ``range`` may also be ``"inf"``.  Anything else, like
 a wrong kind, a missing key or a wrong shape, is a ValueError naming the
-file.  A configuration is read column by column into one
-:class:`~sectornet.geometry.Antennas` set, validated in bulk.
+file.  Coordinates are read as float columns.  A configuration is read
+column by column into one :class:`~sectornet.geometry.Antennas` set,
+validated in bulk, which builds no point until one is asked for.
 """
 
 from __future__ import annotations
@@ -72,17 +74,16 @@ def _numbers(values: list) -> list:
     return [float(v) for v in values]
 
 
-def _locations(xs: list, ys: list) -> tuple[list[Point], np.ndarray, np.ndarray]:
-    """The points of two coordinate columns of JSON numbers, checked
-    finite as :class:`~sectornet.geometry.Point` checks them, and their
-    coordinates as the float arrays the check made."""
+def _coordinates(xs: list, ys: list) -> tuple[np.ndarray, np.ndarray]:
+    """Two coordinate columns of JSON numbers as float arrays, checked
+    finite as :class:`~sectornet.geometry.Point` checks them."""
     xs, ys = _numbers(xs), _numbers(ys)
     xa, ya = np.array(xs, dtype=float), np.array(ys, dtype=float)
     finite = np.isfinite(xa) & np.isfinite(ya)
     if not finite.all():
         k = int(np.argmin(finite))
         raise ValueError(f"point coordinates must be finite, got ({xs[k]}, {ys[k]})")
-    return _points(xs, ys), xa, ya
+    return xa, ya
 
 
 def _encode(values: list) -> list[str]:
@@ -135,12 +136,18 @@ def write_instance(
 
 
 def read_instance(path: PathLike) -> tuple[list[Point], dict]:
+    xs, ys, metadata = _read_instance_columns(path)
+    return list(_points(xs, ys)), metadata
+
+
+def _read_instance_columns(path: PathLike) -> tuple[np.ndarray, np.ndarray, dict]:
+    """:func:`read_instance`'s points as their x and y float columns."""
     return _read(path, "instance", _parse_instance)
 
 
-def _parse_instance(doc: dict) -> tuple[list[Point]]:
+def _parse_instance(doc: dict) -> tuple[np.ndarray, np.ndarray]:
     rows = doc["points"]
-    return (_locations([e["x"] for e in rows], [e["y"] for e in rows])[0],)
+    return _coordinates([e["x"] for e in rows], [e["y"] for e in rows])
 
 
 def write_config(
@@ -151,7 +158,7 @@ def write_config(
 ) -> str:
     ants = _antennas(configs)
     columns = [_encode_column(c) for c in (ants.aperture, ants.orientation, ants.range)]
-    columns += [_encode([p.x for p in ants.locations]), _encode([p.y for p in ants.locations])]
+    columns += [_encode(c) for c in ants._coordinate_lists()]
     doc = {"kind": "config", "mode": mode, "antennas": [], "metadata": metadata or {}}
     return _dump(doc, "antennas", _ANTENNA_FIELDS, columns, path)
 
@@ -167,6 +174,5 @@ def _parse_config(doc: dict) -> tuple[Antennas, str]:
     rows = doc["antennas"]
     aperture, orientation, ranges, xs, ys = ([e[f] for e in rows] for f in _ANTENNA_FIELDS)
     ranges = [math.inf if r == "inf" else r for r in ranges]
-    locations, xa, ya = _locations(xs, ys)
-    columns = (_numbers(orientation), _numbers(aperture), _numbers(ranges))
-    return _antennas_at(tuple(locations), xa, ya, *columns), mode
+    xa, ya = _coordinates(xs, ys)
+    return _antennas_at(xa, ya, _numbers(orientation), _numbers(aperture), _numbers(ranges)), mode

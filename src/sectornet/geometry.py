@@ -11,19 +11,24 @@ Conventions used throughout the package:
   :class:`AntennaConfig` rows.  Functions that take several antennas
   accept either form and turn a plain sequence into a set once, on
   entry; after that they read the columns.
+* Inside the package coordinates are float columns, compared with
+  ``==`` (``-0.0`` equals ``0.0``, as for points).  A public function
+  that takes points turns them into columns once, with :func:`_coords`;
+  :func:`_points` builds points only where a public API hands them out,
+  such as the cached ``locations``, ``vertices`` and ``points``.
 * Angles are radians.  Stored orientations are normalized to ``[0, tau)``.
   A wedge's ``orientation`` is the direction of its bisector; the two
   bounding rays sit at ``orientation +/- aperture / 2``.
 * Wedges are closed: points on a bounding ray (and the location itself)
   are contained, and a point exactly at distance ``range`` is in range.
-* Sign predicates (``orientation_sign``, ``vec_dot_sign``) are exact for
-  any float inputs.  Each is one call of one cross-product sign: a
-  floating-point filter decides the easy cases, the rest fall back to
-  exact integer arithmetic.  The quadruplet rule of ``orientation`` reads that
-  sign directly, one quadruplet at a time.  Its array form runs the same
-  filter on whole arrays and the scalar sign on what it leaves open; the
-  hull prefilter, the batched fans of ``orientation`` and the refined
-  hubs of ``replacement`` call it.
+* Sign predicates are exact for any float inputs.  Each is one call of
+  one cross-product sign, ``_cross_sign``: a floating-point filter
+  decides the easy cases, the rest fall back to exact integer
+  arithmetic.  The quadruplet rule of ``orientation`` and the refined
+  hulls of ``replacement`` read that sign directly.  Its array form runs
+  the same filter on whole arrays and the scalar sign on what it leaves
+  open; the hull prefilter, the batched fans of ``orientation`` and the
+  refined hubs of ``replacement`` call it.
 * Containment cannot be made exact in the same sense because
   orientations pass through ``atan2``/``cos``/``sin``.  Instead the
   angular test grants ``ANGLE_TOL`` radians of slack on both bounding
@@ -151,60 +156,37 @@ def _normalize_angles(radians: np.ndarray) -> np.ndarray:
     return np.where(a >= TAU, a - TAU, a)
 
 
-def _points(xs: list, ys: list) -> list[Point]:
-    """Points from coordinate lists of floats the caller has checked to
-    be finite: no ``__init__`` and no ``__post_init__`` per point."""
+def _points(xs: np.ndarray, ys: np.ndarray) -> tuple[Point, ...]:
+    """The points of float coordinate arrays the caller has checked to be
+    finite: no ``__init__`` and no ``__post_init__`` per point."""
     new = object.__new__
     out = []
-    for x, y in zip(xs, ys):
+    for x, y in zip(xs.tolist(), ys.tolist()):
         p = new(Point)
         d = p.__dict__
         d["x"] = x
         d["y"] = y
         out.append(p)
-    return out
+    return tuple(out)
 
 
 class Antennas(SequenceABC):
     """An immutable set of antennas held as columns.
 
     ``x``, ``y``, ``orientation``, ``aperture`` and ``range`` are
-    read-only float64 arrays with one entry per antenna, and
-    ``locations`` is the tuple of their points.  The constructor takes
-    the locations and the three sector columns (a scalar stands for a
-    constant column), rejects what :class:`AntennaConfig` rejects, with
+    read-only float64 arrays with one entry per antenna.  The constructor
+    takes the locations and the three sector columns (a scalar stands for
+    a constant column), rejects what :class:`AntennaConfig` rejects, with
     the same messages, and stores the orientations normalized to
-    [0, tau) bit for bit as :func:`normalize_angle` does.  Indexing and
-    iteration give :class:`AntennaConfig` rows, built on first use.
+    [0, tau) bit for bit as :func:`normalize_angle` does.  ``locations``
+    (the points given, else built on first use) and the
+    :class:`AntennaConfig` rows of indexing and iteration are cached.
     """
 
     def __init__(self, locations: Iterable[Point], orientation, aperture, range) -> None:
         locations = tuple(locations)
-        self._check(locations, *_coords(locations), orientation, aperture, range)
-
-    def _check(self, locations: tuple[Point, ...], xs, ys, orientation, aperture, range) -> None:
-        """The constructor's checks and columns, for ``locations`` whose
-        coordinates are already the float arrays xs, ys."""
-        n = len(locations)
-        o, a, r = (
-            np.array(np.broadcast_to(np.asarray(v, dtype=float), (n,))) for v in (orientation, aperture, range)
-        )
-        for rule, column, bad in (
-            ("orientation must be finite", o, ~np.isfinite(o)),
-            ("aperture must be in (0, tau]", a, ~((0.0 < a) & (a <= TAU))),
-            ("range must be positive", r, ~(r > 0.0)),
-        ):
-            if bad.any():
-                raise ValueError(f"{rule}, got {column[bad][0].item()}")
-        self._fill(locations, np.stack((xs, ys, _normalize_angles(o), a, r)))
-
-    def _fill(self, locations: tuple[Point, ...], columns: np.ndarray) -> None:
-        """Hold ``locations`` and the rows of ``columns``, a (5, n) array
-        of x, y, orientation, aperture and range, read-only."""
-        columns.flags.writeable = False
-        d = self.__dict__
-        d["x"], d["y"], d["orientation"], d["aperture"], d["range"] = columns
-        d["locations"] = locations
+        held = _antennas_at(*_coords(locations), orientation, aperture, range)
+        self.__dict__.update(held.__dict__, locations=locations)
 
     def __setattr__(self, name, value):
         raise AttributeError("Antennas is immutable")
@@ -212,7 +194,7 @@ class Antennas(SequenceABC):
     __delattr__ = __setattr__
 
     def __len__(self) -> int:
-        return len(self.locations)
+        return len(self.x)
 
     def __getitem__(self, index):
         return self._rows[index]
@@ -223,9 +205,17 @@ class Antennas(SequenceABC):
     def __eq__(self, other):
         if not isinstance(other, Antennas):
             return NotImplemented
-        return self.locations == other.locations and all(
-            np.array_equal(getattr(self, c), getattr(other, c)) for c in ("orientation", "aperture", "range")
-        )
+        return all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
+
+    @cached_property
+    def locations(self) -> tuple[Point, ...]:
+        return _points(self.x, self.y)
+
+    def _coordinate_lists(self) -> tuple[list, list]:
+        """The x and the y coordinates, as the points the set was given
+        hold them (an int stays an int), else as the columns' floats."""
+        given = self.__dict__.get("locations")
+        return ([p.x for p in given], [p.y for p in given]) if given else (self.x.tolist(), self.y.tolist())
 
     @cached_property
     def _rows(self) -> tuple[AntennaConfig, ...]:
@@ -250,13 +240,20 @@ class Antennas(SequenceABC):
         return _sector_arrays(self.x, self.y, self.orientation, self.aperture, self.range)
 
 
-def _antennas_at(locations: tuple[Point, ...], xs, ys, orientation, aperture, range) -> Antennas:
-    """``Antennas(locations, orientation, aperture, range)``, checked the
-    same way, for locations whose coordinates the caller already holds
-    as the float arrays xs, ys."""
-    ants = object.__new__(Antennas)
-    ants._check(locations, xs, ys, orientation, aperture, range)
-    return ants
+def _antennas_at(xs: np.ndarray, ys: np.ndarray, orientation, aperture, range) -> Antennas:
+    """The column constructor: ``Antennas(locations, orientation,
+    aperture, range)``, checked the same way, for locations given as the
+    float arrays xs, ys."""
+    n = len(xs)
+    o, a, r = (np.array(np.broadcast_to(np.asarray(v, dtype=float), (n,))) for v in (orientation, aperture, range))
+    for rule, column, bad in (
+        ("orientation must be finite", o, ~np.isfinite(o)),
+        ("aperture must be in (0, tau]", a, ~((0.0 < a) & (a <= TAU))),
+        ("range must be positive", r, ~(r > 0.0)),
+    ):
+        if bad.any():
+            raise ValueError(f"{rule}, got {column[bad][0].item()}")
+    return _held(np.stack((xs, ys, _normalize_angles(o), a, r)))
 
 
 def _antennas(configs: Sequence[AntennaConfig]) -> Antennas:
@@ -267,9 +264,19 @@ def _antennas(configs: Sequence[AntennaConfig]) -> Antennas:
     rows = tuple(configs)
     locations = tuple([c.location for c in rows])
     values = [v for p, c in zip(locations, rows) for v in (p.x, p.y, c.orientation, c.aperture, c.range)]
+    return _held(np.array(values, dtype=float).reshape(-1, 5).T.copy(), locations=locations, _rows=rows)
+
+
+#: The columns of a set, in the order of their rows in :func:`_held`.
+_COLUMNS = ("x", "y", "orientation", "aperture", "range")
+
+
+def _held(columns: np.ndarray, **cached) -> Antennas:
+    """The set of the checked (5, n) array ``columns``, made read-only,
+    with the ``cached`` properties already filled."""
+    columns.flags.writeable = False
     ants = object.__new__(Antennas)
-    ants._fill(locations, np.array(values, dtype=float).reshape(-1, 5).T.copy())
-    ants.__dict__["_rows"] = rows
+    ants.__dict__.update(zip(_COLUMNS, columns), **cached)
     return ants
 
 
@@ -336,32 +343,18 @@ def orientation_sign(a: Point, b: Point, c: Point) -> int:
     return _cross_sign(a.x, a.y, b.x, b.y, a.x, a.y, c.x, c.y)
 
 
-def vec_dot_sign(p1: Point, p2: Point, q1: Point, q2: Point) -> int:
-    """Exact sign of dot(p2 - p1, q2 - q1)."""
-    return _cross_sign(p1.x, p1.y, p2.x, p2.y, q2.y, q1.x, q1.y, q2.x)
-
-
 # ---------------------------------------------------------------------------
-# Convex hull
+# Convex hull and coordinates
 # ---------------------------------------------------------------------------
-
-
-def convex_hull(points: Sequence[Point]) -> list[Point]:
-    """Convex hull vertices in counterclockwise order.
-
-    Starts at the lexicographically smallest vertex.  Collinear interior
-    points of hull edges are dropped; fully collinear input yields the two
-    extreme points, and a single distinct point yields itself.
-    """
-    if not points:
-        raise ValueError("convex_hull requires at least one point")
-    return _sorted_hull(sorted(set(points), key=Point.as_tuple), orientation_sign)
 
 
 def _sorted_hull(pts: list, turn: Callable) -> list:
-    """:func:`convex_hull` of points already distinct and sorted
-    lexicographically (monotone chain).  ``turn(a, b, c)`` is the
-    orientation sign of three of them, which is all the chain reads."""
+    """Convex hull vertices in counterclockwise order, of points already
+    distinct and sorted lexicographically (monotone chain), starting at
+    the least.  ``turn(a, b, c)`` is the orientation sign of three of
+    them, which is all the chain reads, so the points may be positions or
+    indices.  Collinear interior points of hull edges are dropped; fully
+    collinear input yields the two extremes, a single point itself."""
     if len(pts) == 1:
         return [pts[0]]
 

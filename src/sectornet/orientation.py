@@ -90,7 +90,7 @@ def _sign_columns() -> tuple[np.ndarray, dict, dict]:
     the split), which is all the pairing of the far points reads.
     """
 
-    def vec_dot(p1: int, p2: int, q1: int, q2: int) -> tuple:  # vec_dot_sign's arguments
+    def vec_dot(p1: int, p2: int, q1: int, q2: int) -> tuple:  # the sign of dot(p2 - p1, q2 - q1)
         return (2 * p1, 2 * p1 + 1, 2 * p2, 2 * p2 + 1, 2 * q2 + 1, 2 * q1, 2 * q1 + 1, 2 * q2)
 
     columns = [
@@ -273,33 +273,26 @@ def _fans(
     return slots, _normalize_angles(theta[:, None] + _FAN_OFFSETS)
 
 
-def _quadruplet_fans(points: Sequence[Point], xs: np.ndarray, ys: np.ndarray, quads: np.ndarray) -> Antennas:
-    """The fans of :func:`orient_quadruplet` on the quadruplets
-    ``points[quads[g]]`` (rows of positions into ``points``, whose
-    coordinates are xs, ys), as one set of unbounded quarter-wedge hubs,
-    four per fan in entry order: the form :func:`aim_at_fan` reads."""
+def _quadruplet_fans(xs: np.ndarray, ys: np.ndarray, quads: np.ndarray) -> Antennas:
+    """The fans of :func:`orient_quadruplet` on the quadruplets whose
+    rows of positions into the coordinates xs, ys are ``quads``, as one
+    set of unbounded quarter-wedge hubs, four per fan in entry order: the
+    form :func:`_aim_at` reads."""
     slots, orientation, _ = _orient_fans(xs[quads], ys[quads])
     at = np.take_along_axis(quads, slots, axis=1).ravel()
-    hubs = tuple([points[i] for i in at.tolist()])
-    return _antennas_at(hubs, xs[at], ys[at], orientation.ravel(), QUARTER_TURN, math.inf)
+    return _antennas_at(xs[at], ys[at], orientation.ravel(), QUARTER_TURN, math.inf)
 
 
-def aim_at_fan(hubs: Antennas, points: Sequence[Point], fan_of: Sequence[int]) -> list[float]:
-    """One orientation per point, in input order: ``points[k]`` is served
-    by the perpendicular fan ``fan_of[k]`` of the quarter-wedges ``hubs``,
-    four per fan in entry order.
+def _aim_at(hubs: Antennas, px: np.ndarray, py: np.ndarray, fan_of: Sequence[int]) -> list[float]:
+    """One orientation per point (px, py), in input order: point k is
+    served by the perpendicular fan ``fan_of[k]`` of the quarter-wedges
+    ``hubs``, four per fan in entry order.
 
     A point equal to one of its fan's apexes keeps that entry's
     orientation; any other point aims at the apex of the first wedge of
     its fan, in entry order, that contains it (else ``ValueError``).
     Only the points that are not an apex of their own fan are tested.
     """
-    return _aim_at(hubs, *_coords(points), fan_of)
-
-
-def _aim_at(hubs: Antennas, px: np.ndarray, py: np.ndarray, fan_of: Sequence[int]) -> list[float]:
-    """:func:`aim_at_fan` of the fans' wedges ``hubs``, for the points
-    whose coordinates are the float arrays px, py."""
     rows = 4 * np.asarray(fan_of, dtype=np.intp)[:, None] + np.arange(4)  # each point's fan wedges
     apex = (hubs.x[rows] == px[:, None]) & (hubs.y[rows] == py[:, None])
     aims = hubs.orientation[rows[:, 0] + np.argmax(apex, axis=1)]
@@ -337,7 +330,7 @@ def orient_cluster(points: Sequence[Point]) -> list[float]:
         raise ValueError("empty point set")
     if len(pts) >= 4:
         hubs = _antennas(configs_from_assignment(orient_quadruplet(ranked[:4])))
-        return aim_at_fan(hubs, pts, [0] * len(pts))
+        return _aim_at(hubs, *_coords(pts), [0] * len(pts))
     if len(pts) == 1:
         return [0.0]
     if len(pts) == 2:

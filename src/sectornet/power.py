@@ -637,7 +637,7 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
     along = [lex[r] for r in walk]  # input positions in tour order
     radius = np.empty(n)
     radius[along] = _window_radii(xs[along], ys[along], bounds, start, length)
-    fans = _quadruplet_fans(pts, xs, ys, quads.reshape(-1, 4))
+    fans = _quadruplet_fans(xs, ys, quads.reshape(-1, 4))
     return PowerAssignment(beta, tuple(zip(pts, _aim_at(fans, xs, ys, fan_of), radius.tolist())))
 
 

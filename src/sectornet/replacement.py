@@ -40,14 +40,13 @@ from .geometry import (
     Point,
     _antennas_at,
     _coords,
+    _cross_sign,
     _cross_signs,
     _hull_candidates,
     _lex_order,
+    _points,
+    _sorted_hull,
     _unit_disk_edges,
-    convex_hull,
-    orientation_sign,
-    squared_distance,
-    vec_dot_sign,
 )
 from .orientation import (
     OrientationAssignment,
@@ -57,7 +56,7 @@ from .orientation import (
     orient_cluster,
     orient_quadruplet,
 )
-from .scg import CommGraph, _level_step, components, is_connected
+from .scg import CommGraph, _graph, _level_step, components, is_connected
 
 CELL_SIDE = 7.0
 REPLACEMENT_RANGE = 14.0 * math.sqrt(2.0)
@@ -72,15 +71,17 @@ class GridPartition:
     (floor(dx/7), floor(dy/7)); cell boundaries belong to the cell on
     their upper-right side.
 
-    The cells of ``points`` are held as arrays: ``keys`` has one row
-    (kx, ky) per occupied cell, in ascending order, as integral floats;
-    ``cell`` gives each point's row of ``keys``; and ``order`` lists the
-    point positions cell by cell, in input order within a cell, row k's
-    at ``order[starts[k]:starts[k + 1]]``.
+    The points are held as coordinate arrays ``x`` and ``y`` (``points``
+    is built on first use), and their cells as arrays too: ``keys`` has
+    one row (kx, ky) per occupied cell, in ascending order, as integral
+    floats; ``cell`` gives each point's row of ``keys``; and ``order``
+    lists the point positions cell by cell, in input order within a cell,
+    row k's at ``order[starts[k]:starts[k + 1]]``.
     """
 
     origin: tuple[float, float]
-    points: tuple[Point, ...]
+    x: np.ndarray
+    y: np.ndarray
     keys: np.ndarray
     cell: np.ndarray
     order: np.ndarray
@@ -89,7 +90,12 @@ class GridPartition:
     def __eq__(self, other):
         if not isinstance(other, GridPartition):
             return NotImplemented
-        return self.origin == other.origin and self.points == other.points  # the arrays follow
+        same = np.array_equal(self.x, other.x) and np.array_equal(self.y, other.y)
+        return self.origin == other.origin and same  # the arrays follow
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        return _points(self.x, self.y)
 
     @cached_property
     def cells(self) -> dict[tuple[int, int], tuple[Point, ...]]:
@@ -114,43 +120,43 @@ class GridPartition:
 
 def grid_partition(points: Sequence[Point]) -> GridPartition:
     """The 7x7 cells of ``points``, anchored at their floored minimum."""
-    pts = tuple(points)
-    return _grid(pts, *_coords(pts))
+    return _grid(*_coords(points))
 
 
-def _grid(pts: tuple[Point, ...], xs: np.ndarray, ys: np.ndarray) -> GridPartition:
-    """:func:`grid_partition` of ``pts``, whose coordinates are xs, ys:
-    each point's cell key by one floor of a division, (floor(dx / 7),
+def _grid(xs: np.ndarray, ys: np.ndarray) -> GridPartition:
+    """:func:`grid_partition` of the points with coordinates xs, ys: each
+    point's cell key by one floor of a division, (floor(dx / 7),
     floor(dy / 7)) for its offset from the origin, then one sort of the
     keys."""
-    if not pts:
+    n = len(xs)
+    if not n:
         raise ValueError("empty point set")
     origin = (float(math.floor(xs.min())), float(math.floor(ys.min())))
     kx = np.floor((xs - origin[0]) / CELL_SIDE)
     ky = np.floor((ys - origin[1]) / CELL_SIDE)
     order = np.lexsort((ky, kx))
     sx, sy = kx[order], ky[order]
-    new = np.ones(len(pts), bool)
+    new = np.ones(n, bool)
     new[1:] = (sx[1:] != sx[:-1]) | (sy[1:] != sy[:-1])
-    cell = np.empty(len(pts), np.intp)
+    cell = np.empty(n, np.intp)
     cell[order] = np.cumsum(new) - 1
     keys = np.stack((sx[new], sy[new]), axis=1)
-    starts = np.append(np.flatnonzero(new), len(pts))
-    for a in (keys, cell, order, starts):
+    starts = np.append(np.flatnonzero(new), n)
+    for a in (xs, ys, keys, cell, order, starts):
         a.flags.writeable = False
-    return GridPartition(origin, pts, keys, cell, order, starts)
+    return GridPartition(origin, xs, ys, keys, cell, order, starts)
 
 
 def build_udg(points: Sequence[Point]) -> CommGraph:
     """Unit-disk graph: an edge wherever two points are at distance <= 1,
     found as the sweep's symmetric graph of full circles of range 1."""
-    pts = tuple(points)
-    return _udg(pts, *_coords(pts))
+    return _udg(*_coords(points))
 
 
-def _udg(pts: tuple[Point, ...], xs: np.ndarray, ys: np.ndarray) -> CommGraph:
+def _udg(xs: np.ndarray, ys: np.ndarray) -> CommGraph:
+    """:func:`build_udg` of the points with coordinates xs, ys."""
     _lex_order(xs, ys)  # raises on duplicate points
-    return CommGraph(pts, _unit_disk_edges(xs, ys))
+    return _graph(xs, ys, _unit_disk_edges(xs, ys))
 
 
 # ---------------------------------------------------------------------------
@@ -191,33 +197,39 @@ def _hubs_of_cell(cell_points: Sequence[Point], mode: str) -> OrientationAssignm
         raise ValueError("hub selection needs a full cell of distinct points")
     if mode == "basic":
         return orient_quadruplet(pts[:4])
-    hubs = _refined_fans(pts, *_coords(pts), np.array([0, len(pts)]))
+    hubs = _refined_fans(*_coords(pts), np.array([0, len(pts)]))
     return OrientationAssignment(tuple(zip(hubs.locations, hubs.orientation.tolist())), "refined")
 
 
-def _refined_fans(pts: list[Point], xs: np.ndarray, ys: np.ndarray, starts: np.ndarray) -> Antennas:
+def _refined_fans(xs: np.ndarray, ys: np.ndarray, starts: np.ndarray) -> Antennas:
     """The hubs of every full cell at once, as :func:`select_hubs_refined`
     picks them, as one set of unbounded quarter-wedge hubs, four per cell
-    in entry order: the form :func:`aim_at_fan` reads.  ``pts`` holds the
-    cells' points cell by cell, lexicographic within a cell, cell g's at
-    ``starts[g]`` up to ``starts[g + 1]``, and xs, ys are their
-    coordinates; the hull candidates of all cells are prefiltered in one
-    pass, and one kernel call orders the far points of every cell."""
+    in entry order: the form ``_aim_at`` reads.  xs, ys hold the cells'
+    points cell by cell, lexicographic within a cell, cell g's at
+    ``starts[g]`` up to ``starts[g + 1]``; the hull candidates of all
+    cells are prefiltered in one pass, the hull and the strip are read
+    off positions by exact signs, and one kernel call orders the far
+    points of every cell."""
     keep = _hull_candidates(xs, ys, starts).tolist()
+    X, Y = xs.tolist(), ys.tolist()
+
+    def turn(i: int, j: int, k: int) -> int:  # orientation_sign of the points at i, j, k
+        return _cross_sign(X[i], Y[i], X[j], Y[j], X[i], Y[i], X[k], Y[k])
+
+    def along(i: int, c: int) -> int:  # the sign of dot(c - i, b - a) for the base (a, b) at hand
+        return _cross_sign(X[i], Y[i], X[c], Y[c], Y[b], X[a], Y[a], X[b])  # the cross, b - a turned
+
     quads = []
     for lo, hi in zip(starts.tolist(), starts[1:].tolist()):
-        where = {id(pts[i]): i for i in range(lo, hi) if keep[i]}  # convex_hull returns the objects given
-        hull = [where[id(p)] for p in convex_hull([pts[i] for i in where.values()])]
+        hull = _sorted_hull([i for i in range(lo, hi) if keep[i]], turn)
         edges = list(zip(hull, hull[1:] + hull[:1]))  # a segment gives both directions
-        length = [squared_distance(pts[i], pts[j]) for i, j in edges]
+        length = [(X[i] - X[j]) * (X[i] - X[j]) + (Y[i] - Y[j]) * (Y[i] - Y[j]) for i, j in edges]
         best = max(length)
         a, b = min(e for e, d in zip(edges, length) if d == best)  # positions order as their points
-        pa, pb = pts[a], pts[b]
         for c in range(lo, hi):  # the first point of the closed strip over the base
-            pc = pts[c]
-            if c == a or c == b or vec_dot_sign(pa, pc, pa, pb) < 0 or vec_dot_sign(pb, pc, pa, pb) > 0:
+            if c == a or c == b or along(a, c) < 0 or along(b, c) > 0:
                 continue
-            if orientation_sign(pa, pb, pc) >= 0:
+            if turn(a, b, c) >= 0:
                 break
         else:
             raise ValueError("no point over the longest hull edge; cell is not full")
@@ -228,8 +240,7 @@ def _refined_fans(pts: list[Point], xs: np.ndarray, ys: np.ndarray, starts: np.n
     ahead = _cross_signs(xs[p], ys[p], xs[q], ys[q], ys[b], xs[a], ys[a], xs[b]) >= 0
     slots, orientation = _fans(xs, ys, a, b, p, q, ahead)
     at = slots.ravel()
-    hubs = tuple([pts[i] for i in at.tolist()])
-    return _antennas_at(hubs, xs[at], ys[at], orientation.ravel(), QUARTER_TURN, math.inf)
+    return _antennas_at(xs[at], ys[at], orientation.ravel(), QUARTER_TURN, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +264,7 @@ def full_cell_labels(grid: GridPartition, udg: CommGraph) -> dict[Point, tuple[i
 def _label_ranks(grid: GridPartition, udg: CommGraph) -> np.ndarray:
     """Per vertex, the rank among the full cells of its label in
     :func:`full_cell_labels`, or the number of full cells if unreached."""
-    if udg.vertices != grid.points:
+    if not (np.array_equal(udg.x, grid.x) and np.array_equal(udg.y, grid.y)):
         raise ValueError("graph and grid disagree on the points")
     rank = grid._full_rank()
     unreached = int(rank.max()) + 1
@@ -301,10 +312,10 @@ def replace(points: Sequence[Point], mode: str = "refined") -> ReplacementResult
         raise ValueError(f"unknown replacement mode: {mode!r}")
     pts = tuple(points)
     xs, ys = _coords(pts)
-    udg = _udg(pts, xs, ys)
+    udg = _udg(xs, ys)
     if not is_connected(udg):
         raise ValueError("unit-disk graph is not connected")
-    grid = _grid(pts, xs, ys)
+    grid = _grid(xs, ys)
     # each point's fan: its own full cell's, else (-1) its stray group's
     fan_of = grid._full_rank()[grid.cell]
     if (fan_of < 0).all():
@@ -312,7 +323,7 @@ def replace(points: Sequence[Point], mode: str = "refined") -> ReplacementResult
         # cell (a unit-step walk out of the first cell fills a cell on the
         # way), so at most three points, all in range of one another, and
         # one connected cluster suffices
-        configs = Antennas(pts, orient_cluster(pts), QUARTER_TURN, REPLACEMENT_RANGE)
+        configs = _antennas_at(xs, ys, orient_cluster(pts), QUARTER_TURN, REPLACEMENT_RANGE)
         return ReplacementResult(configs=configs, mode="small", grid=grid)
 
     size = np.diff(grid.starts)
@@ -321,9 +332,9 @@ def replace(points: Sequence[Point], mode: str = "refined") -> ReplacementResult
     at = np.lexsort((ys, xs, grid.cell))[np.repeat(full, size)]
     starts = np.append(0, np.cumsum(size[full]))
     if mode == "basic":  # the fans of each cell's four least points
-        hubs = _quadruplet_fans(pts, xs, ys, at[starts[:-1, None] + np.arange(4)])
+        hubs = _quadruplet_fans(xs, ys, at[starts[:-1, None] + np.arange(4)])
     else:
-        hubs = _refined_fans([pts[i] for i in at.tolist()], xs[at], ys[at], starts)
+        hubs = _refined_fans(xs[at], ys[at], starts)
     stray = np.flatnonzero(fan_of < 0)
     if len(stray):
         word = _label_ranks(grid, udg)
@@ -331,13 +342,13 @@ def replace(points: Sequence[Point], mode: str = "refined") -> ReplacementResult
             fan_of[stray] = word[stray]
         else:
             # a group takes the label of its lexicographically least point
-            lex_rank = np.empty(len(pts), np.intp)
-            lex_rank[_lex_order(xs, ys)] = np.arange(len(pts))
+            lex_rank = np.empty(len(xs), np.intp)
+            lex_rank[_lex_order(xs, ys)] = np.arange(len(xs))
             for comp in components(udg, stray.tolist()):
                 fan_of[comp] = word[comp[int(np.argmin(lex_rank[comp]))]]
 
     aims = _aim_at(hubs, xs, ys, fan_of)
-    return ReplacementResult(Antennas(pts, aims, QUARTER_TURN, REPLACEMENT_RANGE), mode, grid)
+    return ReplacementResult(_antennas_at(xs, ys, aims, QUARTER_TURN, REPLACEMENT_RANGE), mode, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -360,18 +371,18 @@ _CHUNK = 64
 def verify_hop_spanner(udg: CommGraph, scg: CommGraph, limit: float) -> SpannerReport:
     """Check every unit-disk edge is spanned by at most ``limit`` hops.
 
-    Both graphs must share the same vertex tuple.  Hops come from a
-    bit-parallel breadth-first search: ``_CHUNK`` sources, one bit each,
-    advance one level per OR step over the symmetric graph's CSR rows
-    until their unit-disk edges are all spanned or nothing new is
+    Both graphs must hold the same points in the same order.  Hops come
+    from a bit-parallel breadth-first search: ``_CHUNK`` sources, one bit
+    each, advance one level per OR step over the symmetric graph's CSR
+    rows until their unit-disk edges are all spanned or nothing new is
     reached, so ``max_hops`` is exact even when it exceeds ``limit``.
     """
-    if udg.vertices != scg.vertices:
+    if not (np.array_equal(udg.x, scg.x) and np.array_equal(udg.y, scg.y)):
         raise ValueError("graphs disagree on vertices")
     e = udg.edges
     if not len(e):
         return SpannerReport(True, None, 0)
-    n = len(scg.vertices)
+    n = len(scg.x)
     hops = np.full(len(e), math.inf)
     for lo in range(0, n, _CHUNK):
         # bit s - lo of reach[v] is set once v is within k hops of source
@@ -399,4 +410,4 @@ def verify_hop_spanner(udg: CommGraph, scg: CommGraph, limit: float) -> SpannerR
     ok = bool(max_hops <= limit)
     if math.isfinite(max_hops):
         max_hops = int(max_hops)
-    return SpannerReport(ok, (udg.vertices[i], udg.vertices[j]), max_hops)
+    return SpannerReport(ok, _points(udg.x[[i, j]], udg.y[[i, j]]), max_hops)

@@ -6,24 +6,23 @@ the graph is undirected by construction.  Antennas come as a
 :class:`~sectornet.geometry.AntennaConfig` rows that is turned into one
 on entry; both are validated and normalized when they are built, so
 their columns are used as they are.  This module wraps the edges that
-:mod:`~sectornet.geometry` decides into that graph.  It owns the graph
-core the package shares (a sorted, read-only edge array, its CSR rows,
-and one array level step behind every traversal in the package), and
-provides the analysis of two antenna groups: finding a
-mutually-covering pair across them, and classifying a linearly
-separated pair by how many antennas of each side cover the other side,
-counted over the coverage hits geometry returns.  The search for
-non-separated pairs with no such edge is a test oracle and lives in
-``tests/oracles.py``.
+:mod:`~sectornet.geometry` decides into that graph, over the antennas'
+coordinate columns.  It owns the graph core the package shares (a
+sorted, read-only edge array, its CSR rows, and one array level step
+behind every traversal in the package), and provides the analysis of
+two antenna groups: finding a mutually-covering pair across them, and
+classifying a linearly separated pair by how many antennas of each side
+cover the other side, counted over the coverage hits geometry returns.
+The search for non-separated pairs with no such edge is a test oracle
+and lives in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -32,32 +31,42 @@ from .geometry import (
     HalfPlane,
     Point,
     _antennas,
+    _coords,
     _coverage_hits,
     _lex_order,
     _mutual_edges,
+    _points,
     containment_matrix,
 )
 
 
-@dataclass(frozen=True, eq=False)
 class CommGraph:
-    """Undirected graph over antenna locations.
+    """Immutable undirected graph over points.
 
-    ``edges`` is a read-only (E, 2) integer array of vertex indices with
+    ``x`` and ``y`` are read-only float arrays of the vertex coordinates,
+    ``vertices`` their points (those given, else built on first use), and
+    ``edges`` a read-only (E, 2) integer array of vertex indices with
     i < j on every row, the rows in row-major (lexicographic) order.
     """
 
-    vertices: tuple[Point, ...]
-    edges: np.ndarray
+    def __init__(self, vertices: Iterable[Point], edges: np.ndarray) -> None:
+        vertices = tuple(vertices)
+        self.__dict__.update(_graph(*_coords(vertices), edges).__dict__, vertices=vertices)
 
-    def __post_init__(self) -> None:
-        self.edges.flags.writeable = False
+    def __setattr__(self, name, value):
+        raise AttributeError("CommGraph is immutable")
+
+    __delattr__ = __setattr__
+
+    @cached_property
+    def vertices(self) -> tuple[Point, ...]:
+        return _points(self.x, self.y)
 
     @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(indptr, indices)``, built on first use: vertex v's row
         ``indices[indptr[v]:indptr[v + 1]]`` is v and its neighbours, ascending."""
-        n = len(self.vertices)
+        n = len(self.x)
         i, j = self.edges.T
         keys = np.sort(np.concatenate((i * n + j, j * n + i, np.arange(n) * (n + 1))))
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)  # keys are source * n + target
@@ -66,11 +75,20 @@ class CommGraph:
         return indptr, indices
 
 
+def _graph(xs: np.ndarray, ys: np.ndarray, edges: np.ndarray) -> CommGraph:
+    """The column constructor: the graph over the points (xs, ys)."""
+    for a in (xs, ys, edges):
+        a.flags.writeable = False
+    g = object.__new__(CommGraph)
+    g.__dict__.update(x=xs, y=ys, edges=edges)
+    return g
+
+
 def build_scg(configs: Sequence[AntennaConfig]) -> CommGraph:
     """The symmetric graph: an edge wherever coverage is mutual."""
     ants = _antennas(configs)
     _lex_order(ants.x, ants.y)  # raises on duplicate locations
-    return CommGraph(ants.locations, _mutual_edges(ants))
+    return _graph(ants.x, ants.y, _mutual_edges(ants))
 
 
 def _level_step(g: CommGraph, word: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
@@ -82,7 +100,7 @@ def _level_step(g: CommGraph, word: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
 
 
 def is_connected(g: CommGraph) -> bool:
-    return len(components(g, range(len(g.vertices)))) <= 1
+    return len(components(g, range(len(g.x)))) <= 1
 
 
 def components(g: CommGraph, members: Sequence[int]) -> list[list[int]]:
@@ -93,7 +111,7 @@ def components(g: CommGraph, members: Sequence[int]) -> list[list[int]]:
     index it reaches; non-members stay pinned above every index.  A label
     also takes its own label's label, so long chains settle in few steps.
     """
-    n = len(g.vertices)
+    n = len(g.x)
     m = np.asarray(members, dtype=np.intp)
     inside = np.zeros(n, bool)
     inside[m] = True
@@ -170,12 +188,10 @@ def classify_separated_pair(
     "case 2" when both are 3.  Returns (case, x_a, x_b).
     """
     a, b = _antennas(side_a), _antennas(side_b)
-    for p in a.locations:
-        if separator.value(p.x, p.y) > _SEPARATOR_TOL:
-            raise ValueError("separator does not have side A outside it")
-    for p in b.locations:
-        if separator.value(p.x, p.y) < -_SEPARATOR_TOL:
-            raise ValueError("separator does not contain side B")
+    if (separator.value(a.x, a.y) > _SEPARATOR_TOL).any():
+        raise ValueError("separator does not have side A outside it")
+    if (separator.value(b.x, b.y) < -_SEPARATOR_TOL).any():
+        raise ValueError("separator does not contain side B")
     flipped = HalfPlane(-separator.nx, -separator.ny, -separator.c)
     x_a = halfplane_cover_number(a, separator)
     x_b = halfplane_cover_number(b, flipped)

@@ -29,8 +29,10 @@
   :func:`_pair_far_points` orders the two points off a base by their
   projections on it, slot by slot in plain Python: the references' own
   copy of the fan, apart from the lookup tables that orient quadruplets
-  in the package.  :func:`dot_sign` is the exact sign of a dot product at
-  a common apex, which the references and the sign tests read.
+  in the package.  :func:`vec_dot_sign` and :func:`dot_sign` are exact
+  dot signs, which the references and the sign tests read.
+* :func:`convex_hull`, the package's monotone chain on points, is the
+  reference hull.
 * :func:`hubs_refined_reference` picks refined hubs by their definition,
   from the whole strip over the longest hull edge: the reference for
   the early-stopping scan of ``select_hubs_refined``.
@@ -69,14 +71,14 @@ from sectornet.geometry import (
     Point,
     _antennas,
     _coverage_hits,
+    _cross_sign,
     _lex_order,
+    _sorted_hull,
     containment_matrix,
-    convex_hull,
     distance,
     normalize_angle,
     orientation_sign,
     squared_distance,
-    vec_dot_sign,
     weakly_separable,
 )
 from sectornet.orientation import OrientationAssignment, configs_from_assignment, orient_quadruplet
@@ -490,6 +492,11 @@ def wedge_contains(w: AntennaConfig, p: Point) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def vec_dot_sign(p1: Point, p2: Point, q1: Point, q2: Point) -> int:
+    """Exact sign of dot(p2 - p1, q2 - q1)."""
+    return _cross_sign(p1.x, p1.y, p2.x, p2.y, q2.y, q1.x, q1.y, q2.x)
+
+
 def dot_sign(a: Point, b: Point, c: Point) -> int:
     """Exact sign of dot(b - a, c - a); 0 means a right angle at ``a``."""
     return vec_dot_sign(a, b, a, c)
@@ -520,6 +527,12 @@ def _fan(slots: Sequence[Point], case: str) -> OrientationAssignment:
 # ---------------------------------------------------------------------------
 # Refined hubs by their definition
 # ---------------------------------------------------------------------------
+
+
+def convex_hull(points: Sequence[Point]) -> list[Point]:
+    """The hull vertices of the distinct points, as the package's
+    ``_sorted_hull`` gives them: counterclockwise from the least."""
+    return _sorted_hull(sorted(set(points), key=Point.as_tuple), orientation_sign)
 
 
 def hubs_refined_reference(cell_points: Sequence[Point]) -> OrientationAssignment:

@@ -41,7 +41,6 @@ EXPORTS = [
     "classify_separated_pair",
     "configs_from_assignment",
     "containment_matrix",
-    "convex_hull",
     "cost_chain_check",
     "distance",
     "find_mutual_cover_pair",
@@ -105,7 +104,7 @@ def _defaulted(path: Path) -> list[str]:
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 46
+    assert len(EXPORTS) == 45
     assert sectornet.__all__ == EXPORTS
     assert all(hasattr(sectornet, name) for name in EXPORTS)
 

@@ -79,7 +79,7 @@ def test_verify_reports_usage_errors_before_building(tmp_path, monkeypatch):
     low = tmp_path / "low.json"
     low.write_text(json.dumps(doc))
     builds = []
-    for name in ("build_scg", "build_udg", "tsp_tour_approx"):
+    for name in ("build_scg", "_udg", "tsp_tour_approx"):
         monkeypatch.setattr(cli, name, lambda *a, name=name: builds.append(name))
     for argv in (
         ["--config", str(rcfg), "--checks", "connected,stretch"],  # no instance
@@ -147,6 +147,24 @@ def test_replace_then_verify_stretch(tmp_path, mode, limit):
     assert rep["ok"]
     assert rep["checks"]["stretch"]["limit"] == limit
     assert rep["checks"]["stretch"]["max_hops"] <= limit
+    _check_zero_signs(tmp_path, cfg, inst, r.stdout)
+
+
+def _check_zero_signs(tmp_path, cfg, inst, report):
+    """``verify`` of ``cfg`` with the antenna at x = 0.0 rewritten to x =
+    -0.0 gives ``report`` again, as -0.0 equals 0.0; moved by 1e-9, the
+    antenna no longer matches the instance, a usage error."""
+    doc = json.loads(cfg.read_text())
+    (at,) = [a for a in doc["antennas"] if a["x"] == 0.0]
+    other = tmp_path / "other.json"
+    at["x"] = -0.0
+    other.write_text(json.dumps(doc))
+    r = run_cli("verify", "--config", str(other), "--instance", str(inst))
+    assert r.returncode == 0 and r.stdout == report, r.stderr
+    at["x"] = 1e-9
+    other.write_text(json.dumps(doc))
+    r = run_cli("verify", "--config", str(other), "--instance", str(inst))
+    assert r.returncode == 2 and "do not match" in r.stderr
 
 
 def test_power_then_verify_cost_chain(tmp_path):
@@ -161,6 +179,14 @@ def test_power_then_verify_cost_chain(tmp_path):
     rep = json.loads(r.stdout)
     assert rep["ok"] and rep["checks"]["cost-chain"]["passed"]
     assert rep["checks"]["cost-chain"]["cost_over_mst"] >= 1.0
+    # the same with one instance point at x = 0.0
+    doc = json.loads(inst.read_text())
+    doc["points"][0]["x"] = 0.0
+    inst.write_text(json.dumps(doc))
+    assert run_cli("power", "--instance", str(inst), "--beta", "2", "--out", str(cfg)).returncode == 0
+    r = run_cli("verify", "--config", str(cfg), "--instance", str(inst))
+    assert r.returncode == 0 and json.loads(r.stdout)["ok"]
+    _check_zero_signs(tmp_path, cfg, inst, r.stdout)
 
 
 def test_power_then_verify_below_eight_points(tmp_path):
@@ -408,7 +434,7 @@ def test_verify_writes_an_infinite_limit_as_a_string(tmp_path, monkeypatch, caps
     assert rep["checks"]["stretch"]["limit"] == "inf" and rep["ok"]
     # a NaN limit is a usage error, raised before any graph is built
     builds = []
-    for name in ("build_scg", "build_udg"):
+    for name in ("build_scg", "_udg"):
         monkeypatch.setattr(cli, name, lambda *a, name=name: builds.append(name))
     assert cli.main([*argv, "--limit", "nan"]) == 2
     assert "NaN" in capsys.readouterr().err and builds == []

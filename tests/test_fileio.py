@@ -8,7 +8,10 @@ import pytest
 
 from oracles import config_doc, dump_reference, instance_doc
 from sectornet import fileio
+from sectornet.generators import GenSpec, gen
 from sectornet.geometry import QUARTER_TURN, AntennaConfig, Antennas, Point
+from sectornet.replacement import build_udg, replace, verify_hop_spanner
+from sectornet.scg import build_scg, is_connected
 
 
 def test_instance_round_trip_is_byte_identical(tmp_path):
@@ -42,6 +45,23 @@ def test_config_round_trip_preserves_infinite_range(tmp_path):
     assert mode == "replace-refined"
     assert meta == {"grid_origin": [0.0, 0.0]}
     assert fileio.write_config(back, mode, None, metadata=meta) == text
+
+
+def test_a_read_config_reaches_the_spanner_check_as_columns(tmp_path):
+    # reading, the graph, connectivity and the hop check run on coordinate
+    # columns: no location or vertex point is built, and the worst edge
+    # alone is handed out as points
+    pts = list(gen(GenSpec("connected_udg", 40, seed=3)).points)
+    path = tmp_path / "cfg.json"
+    fileio.write_config(replace(pts).configs, "replace-refined", path)
+    configs, _, _ = fileio.read_config(path)
+    scg = build_scg(configs)
+    assert is_connected(scg)
+    rep = verify_hop_spanner(build_udg(pts), scg, 8)
+    assert rep.ok and "locations" not in configs.__dict__ and "vertices" not in scg.__dict__
+    assert all(type(p) is Point and p in pts for p in rep.worst_edge)
+    # asked for, the points are the instance's
+    assert configs.locations == scg.vertices == tuple(pts)
 
 
 def test_kind_tags_are_enforced(tmp_path):

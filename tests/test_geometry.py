@@ -20,13 +20,11 @@ from sectornet.geometry import (
     HalfPlane,
     Point,
     containment_matrix,
-    convex_hull,
     distance,
     normalize_angle,
     orientation_sign,
     plane_coverage_verify,
     squared_distance,
-    vec_dot_sign,
     weakly_separable,
 )
 from sectornet import geometry
@@ -34,7 +32,16 @@ from sectornet.orientation import configs_from_assignment, orient_quadruplet
 from sectornet.power import orient_and_assign
 from sectornet.replacement import REPLACEMENT_RANGE, replace
 
-from oracles import choice, coverage_sample_check, dot_sign, halfplane_covered, rational_signs, wedge_contains
+from oracles import (
+    choice,
+    convex_hull,
+    coverage_sample_check,
+    dot_sign,
+    halfplane_covered,
+    rational_signs,
+    vec_dot_sign,
+    wedge_contains,
+)
 from sectornet.rng import SplitMix64
 
 
@@ -334,6 +341,10 @@ def test_antennas_is_an_immutable_sequence_of_rows():
     assert ants.index(configs[2]) == 2 and configs[3] in ants
     assert ants == Antennas(ants.locations, ants.orientation, ants.aperture, ants.range)
     assert ants != Antennas(ants.locations, ants.orientation + 0.5, ants.aperture, ants.range)
+    # an x of -0.0 equals 0.0, as for points; a point moved by an ulp does not
+    for x, equal in ((-0.0, True), (5e-324, False)):
+        locations = [Point(x, 1.0), *ants.locations[1:]]
+        assert (ants == Antennas(locations, ants.orientation, ants.aperture, ants.range)) is equal
     for name in ("x", "y", "orientation", "aperture", "range"):
         column = getattr(ants, name)
         assert column.dtype == np.float64 and column.shape == (5,)

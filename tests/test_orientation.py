@@ -22,8 +22,8 @@ from sectornet.geometry import (
 from sectornet.orientation import (
     _CASES,
     OrientationAssignment,
+    _aim_at,
     _orient_fans,
-    aim_at_fan,
     configs_from_assignment,
     orient_cluster,
     orient_quadruplet,
@@ -302,6 +302,11 @@ def test_couple_halfplane_covers_and_anchors():
             # that apex scores zero and the other cannot score higher
             vals = [hp.value(w.location.x, w.location.y) for w in wedges]
             assert max(vals) == pytest.approx(0.0, abs=1e-9)
+
+
+def aim_at_fan(hubs, points, fan_of):
+    """The aims at the fans ``hubs`` of ``points``, given as points."""
+    return _aim_at(hubs, *geometry._coords(points), fan_of)
 
 
 def _hub_set(fans):

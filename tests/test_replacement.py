@@ -18,7 +18,6 @@ from sectornet.geometry import (
     Point,
     _coords,
     _hull_candidates,
-    convex_hull,
     distance,
     squared_distance,
 )
@@ -42,6 +41,7 @@ from oracles import (
     block,
     cell_of,
     choice,
+    convex_hull,
     hubs_refined_reference,
     path_hits_full_cell,
     rational_signs,
@@ -369,7 +369,7 @@ def test_batched_refined_hubs_match_the_reference_cell_by_cell():
     cells += list(_hub_cells())
     cells = [sorted(set(cell), key=Point.as_tuple) for cell in cells]
     pts = [p for cell in cells for p in cell]
-    hubs = replacement._refined_fans(pts, *_coords(pts), np.cumsum([0] + [len(cell) for cell in cells]))
+    hubs = replacement._refined_fans(*_coords(pts), np.cumsum([0] + [len(cell) for cell in cells]))
     assert len(hubs) == 4 * len(cells)
     ties = 0
     for g, cell in enumerate(cells):
@@ -426,6 +426,13 @@ def test_full_cell_labels_need_the_grid_points():
     pts = [Point(0.1 * k, 0.0) for k in range(6)]
     with pytest.raises(ValueError, match="disagree"):
         full_cell_labels(grid_partition(pts), build_udg(pts[::-1]))
+    # an x of -0.0 is the grid's 0.0, as for points; a point moved by an ulp is not
+    grid = grid_partition(pts)
+    flipped = [Point(-0.0, 0.0), *pts[1:]]
+    labels = full_cell_labels(grid, build_udg(flipped))
+    assert labels == full_cell_labels(grid, build_udg(pts)) == {p: (0, 0) for p in pts}
+    with pytest.raises(ValueError, match="disagree"):
+        full_cell_labels(grid, build_udg([Point(5e-324, 0.0), *pts[1:]]))
 
 
 def test_full_cell_labels_cover_everyone():
