@@ -16,15 +16,22 @@ connectivity.
 
 The tree is Prim's from the first point, with its tie rules, found
 without a loop over vertices: candidate pairs within a distance set by
-a sample's nearest neighbours, Borůvka rounds over them in array passes,
-a component-level Prim for what they leave apart, and a heap walk that
-reads Prim's join order off the tree when it is certified unique, or off
-every pair that can tie otherwise (see :func:`mst_edges`).
+a sample's nearest neighbours, listed from horizontal strips of the
+limit's reach, each neighbouring pair of strips swept in x; Borůvka
+rounds over them in array passes; a second sweep, from the points
+outside the largest component only; a component-level Prim for what is
+still apart.  The assignment walks a tree certified unique straight from
+its edges.  Where the join order matters (``mst_edges``, and so the tree
+a :class:`Tour` keeps) or ties may have picked another tree, a heap walk
+reads Prim's order off the tree, or off every pair that can tie (see
+:func:`mst_edges`).
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -81,19 +88,23 @@ def mst_edges(points: Sequence[Point] | np.ndarray) -> list[tuple[int, int]]:
     Prim's choice at each step depends only on the pairs at the least d2
     across the cut, so a walk over any pair set that holds those pairs at
     every step gives the same list.  The tree is found without a loop
-    over vertices:
+    over vertices (:func:`_tree`, on the points in lexicographic order):
 
     * Candidates: the pairs with d2 at most a limit that follows local
       density, four times the median squared distance from a fixed sample
       of points to its fourth-nearest point (found exactly), lowered
       where the sample points would have more than 64 others within it
-      on average, listed by one sweep in x order.  The test is
-      d2 <= limit, exactly.
+      on average.  They are listed from horizontal strips at least the
+      limit's reach tall, each pair of neighbouring strips swept in x
+      order, so O(n) entries on points of even density.  The tests are
+      d2 <= limit, and for the strips and windows the squared float gap
+      in y or in x against the limit, all exact.
     * Borůvka rounds, one array pass each, join every component to its
       lightest candidate pair, its lightest pair overall as every other
       pair is above the limit.  If that leaves components apart, one more
-      sweep, at four times the limit, lists the pairs between them, and
-      the rounds go on over those.
+      sweep, at four times the limit, lists the pairs between them, from
+      the points outside the largest component only, and the rounds go
+      on over those.
     * A component-level Prim joins what is left, one chunked array pass
       of exact distances per component joined, pruned by bounding boxes
       (a lone point takes one row, as in the dense loop).
@@ -104,7 +115,9 @@ def mst_edges(points: Sequence[Point] | np.ndarray) -> list[tuple[int, int]]:
     walk over the n - 1 edges, keyed (d2, v) with an equal d2 keeping the
     earlier parent, gives the join order and the parents.  Otherwise the
     same walk runs over every pair that can be a lightest crossing pair
-    (see :func:`_tie_pairs`).  Memory is O(n + candidate pairs).
+    (see :func:`_tie_pairs`).  Memory is O(n + candidate pairs).  The
+    assignment's tour needs no join order: :func:`_walk` walks a certified
+    tree straight from its edges, with no heap.
 
     Squared distances that overflow to inf cannot be ranked: a tree that
     needs one raises ``ValueError``.
@@ -114,10 +127,22 @@ def mst_edges(points: Sequence[Point] | np.ndarray) -> list[tuple[int, int]]:
     else:
         xs, ys = _coords(points)
     lex = _lex_order(xs, ys)  # raises on duplicate points
-    n = len(xs)
-    if n < 2:
+    if len(lex) < 2:
         return []
-    sx, sy = xs[lex], ys[lex]
+    a, b, w, _ = _tree(xs[lex], ys[lex])
+    parent, child = _prim_walk(len(lex), lex[a], lex[b], w)
+    return list(zip(parent.tolist(), child.tolist()))
+
+
+def _tree(sx: np.ndarray, sy: np.ndarray):
+    """The tree core of :func:`mst_edges`, on the coordinates of distinct
+    points in lexicographic order: pairs (a, b) of positions with their
+    squared distances w, holding every lightest crossing pair of every
+    Prim step, and whether the tree is certified, in which case the pairs
+    are exactly its n - 1 edges."""
+    n = len(sx)
+    if n < 2:
+        return _EMPTY, _EMPTY, np.empty(0), True
     with np.errstate(over="ignore"):  # an overflowed distance raises in _join
         limit = _candidate_limit(sx, sy)
         comp = np.arange(n)
@@ -134,10 +159,8 @@ def mst_edges(points: Sequence[Point] | np.ndarray) -> list[tuple[int, int]]:
                 break
         joins, certified = _join(sx, sy, comp)
         if unique and certified:
-            a, b, w = _concat(tree + [joins])
-        else:
-            a, b, w = _tie_pairs(sx, sy, comp, _concat(found), _concat(tree), joins)
-    return _prim_walk(n, lex[a], lex[b], w)
+            return *_concat(tree + [joins]), True
+        return *_tie_pairs(sx, sy, comp, _concat(found), _concat(tree), joins), False
 
 
 def _concat(parts):
@@ -216,47 +239,98 @@ def _candidate_limit(sx: np.ndarray, sy: np.ndarray) -> float:
     return min(limit, sys.float_info.max)
 
 
-def _window_ends(sx: np.ndarray, limit: float) -> np.ndarray:
-    """For each position p of the x-sorted coordinates sx, the first q > p
-    whose squared float gap (sx[q] - sx[p])**2 exceeds limit, or n: a
-    bisection on that exact test, started from a float guess."""
-    n = len(sx)
-    pos = np.arange(n)
-    lo, hi = pos.copy(), np.full(n, n)  # lo passes (or is p), hi fails (or is n)
-    guess = np.searchsorted(sx, sx + math.sqrt(limit), "right")
+def _reach_ends(x, at, lo, hi, guess, limit) -> np.ndarray:
+    """For each query i, the first e in [lo[i], hi[i]), a run over which x
+    ascends, with x[e] > at[i] and a squared float gap (x[e] - at[i])**2
+    above limit, or hi[i]: a bisection on that exact test, which rounding
+    keeps monotone along the run, started from the guess."""
+    a, b = lo - 1, np.array(hi)  # a passes (or is lo - 1), b fails (or is hi)
     probes = [guess - 1, guess]
     while True:
         for q in probes:
-            p = np.flatnonzero((lo < q) & (q < hi))
-            q = q[p]
-            dx = sx[q] - sx[p]
-            near = dx * dx <= limit
-            lo[p[near]] = q[near]
-            hi[p[~near]] = q[~near]
-        if (hi - lo <= 1).all():
-            return hi
-        probes = [(lo + hi) // 2]
+            i = np.flatnonzero((a < q) & (q < b))
+            q = q[i]
+            gap = x[q] - at[i]
+            far = (gap > 0) & (gap * gap > limit)
+            b[i[far]] = q[far]
+            a[i[~far]] = q[~far]
+        if (b - a <= 1).all():
+            return b
+        probes = [(a + b) // 2]
 
 
 def _pairs(sx: np.ndarray, sy: np.ndarray, limit: float, comp: np.ndarray):
-    """Every pair p < q of x-sorted positions in different components
-    ``comp`` (a label per point) whose squared distance is at most limit,
-    as arrays (p, q, d2), from one sweep in x order: a pair's squared x
-    gap is at most its squared distance, so the window of p ends where
-    the gap alone exceeds limit.  About _CHUNK window entries at a time."""
+    """Every pair p < q of lexicographically sorted positions in different
+    components ``comp`` (a label per point, itself a point of the
+    component) whose squared distance is at most limit, as arrays
+    (p, q, d2).
+
+    Strips: the points in y order are cut greedily, each strip starting
+    at the first point whose squared float y gap from the last start
+    exceeds limit.  A pair two or more strips apart then has a squared y
+    gap, and so a squared distance, above limit, as rounding is monotone.
+    Band k, strips k and k + 1 in x order, lists the pairs with a point
+    in strip k, so every pair once; a point's window in its band ends
+    where the squared x gap alone exceeds limit.  When a component has
+    two or more points, the largest one's points open no window: windows
+    run forward and backward from the other points, which meet every pair
+    between components.  About _CHUNK window entries at a time.
+    """
     n = len(sx)
-    count = _window_ends(sx, limit) - np.arange(1, n + 1)
+    reach = math.sqrt(limit)
+    ly = np.argsort(sy, kind="stable")
+    ty = sy[ly].tolist()
+    starts = [0]
+    while True:
+        y0 = ty[starts[-1]]
+        s = bisect.bisect_left(ty, True, starts[-1] + 1, n, key=lambda y: (y - y0) * (y - y0) > limit)
+        if s == n:
+            break
+        starts.append(s)
+    mark = np.zeros(n, dtype=np.intp)
+    mark[starts] = 1
+    strip = np.empty(n, dtype=np.intp)
+    strip[ly] = np.cumsum(mark) - 1
+    # band entries, by band and then position, so x ascends along a band
+    pos = np.arange(n)
+    key = np.concatenate((strip * n + pos, (strip - 1) * n + pos))
+    key = np.sort(key[key >= 0])
+    band, at = np.divmod(key, n)
+    edge = np.searchsorted(key, np.arange(len(starts) + 1) * n)
+    x, y = sx[at], sy[at]
+    lower = strip[at] == band
+    label = comp[at]
+    size = np.bincount(comp)  # which entries open windows, as above
+    src = ((comp != size.argmax()) | (size.max() < 2))[at]
+    e = np.flatnonzero(src)
+    # the first band entry past the reach, a guess at each window's end
+    past = np.searchsorted(key, band[e] * n + np.searchsorted(sx, sx + reach, "right")[at[e]])
+    query, lo, hi = [e], [e + 1], [_reach_ends(x, x[e], e + 1, edge[band[e] + 1], past, limit)]
+    both = not src.all()
+    if both:  # backward windows: forward ones over the band entries mirrored
+        m = len(key) - 1 - e
+        back = np.searchsorted(key, band[e] * n + np.searchsorted(sx, sx - reach, "left")[at[e]])
+        mx = -x[::-1]
+        query.append(e)
+        lo.append(len(key) - _reach_ends(mx, mx[m], m + 1, len(key) - edge[band[e]], len(key) - back, limit))
+        hi.append(e)
+    query, lo, hi = np.concatenate(query), np.concatenate(lo), np.concatenate(hi)
+    count = hi - lo
     cum = np.concatenate(([0], np.cumsum(count)))
     cuts = np.unique(np.searchsorted(cum, np.arange(0, cum[-1], _CHUNK), "right") - 1).tolist()
     found = [(_EMPTY, _EMPTY, np.empty(0))]
-    for lo, hi in zip(cuts, cuts[1:] + [n]):
-        p = np.repeat(np.arange(lo, hi), count[lo:hi])
-        q = np.arange(1, cum[hi] - cum[lo] + 1)
-        q -= np.repeat(cum[lo:hi] - cum[lo], count[lo:hi])
-        q += p
-        w = _pair_sq(sx, sy, p, q)
-        keep = (w <= limit) & (comp[p] != comp[q])
-        found.append((p[keep], q[keep], w[keep]))
+    for c0, c1 in zip(cuts, cuts[1:] + [len(query)]):
+        i = np.repeat(query[c0:c1], count[c0:c1])
+        j = np.arange(cum[c1] - cum[c0])
+        j += np.repeat(lo[c0:c1] - cum[c0:c1] + cum[c0], count[c0:c1])
+        if both:  # each pair by its entries in band order, p first
+            i, j, first = np.minimum(i, j), np.maximum(i, j), i
+        w = _pair_sq(x, y, i, j)
+        keep = (w <= limit) & (lower[i] | lower[j]) & (label[i] != label[j])
+        if both:  # a pair of two sources is kept from the earlier
+            keep &= (first == i) | ~src[i]
+        k = np.flatnonzero(keep)
+        found.append((at[i[k]], at[j[k]], w[k]))
     return _concat(found)
 
 
@@ -321,7 +395,8 @@ def _join(sx: np.ndarray, sy: np.ndarray, comp: np.ndarray):
     """Prim over the components of the candidate pairs, grown from point
     0's, on exact squared distances: the tree edges between components as
     (a, b, w) arrays, and whether each was the unique lightest pair
-    between the joined components and the rest.
+    between the joined components and the rest, read off the tie flags
+    :func:`_fold` keeps.
 
     A joined point gets a NaN x, so its distances are NaN and never win.
     Raises ``ValueError`` when the lightest pair left has overflowed.
@@ -335,6 +410,7 @@ def _join(sx: np.ndarray, sy: np.ndarray, comp: np.ndarray):
     free_x = sx.copy()
     best = np.full(n, np.inf)
     near = np.zeros(n, dtype=np.intp)
+    tie = np.zeros(n, dtype=bool)
     edges = []
     unique = True
     c = label[0]
@@ -342,14 +418,13 @@ def _join(sx: np.ndarray, sy: np.ndarray, comp: np.ndarray):
         new = members[ptr[c] : ptr[c + 1]]
         free_x[new] = np.nan
         best[new] = np.inf
-        _fold(sx, sy, free_x, new, best, near)
+        _fold(sx, sy, free_x, new, best, near, tie)
         v = int(best.argmin())
         least = best[v]
         if not least < np.inf:
             raise ValueError("squared distances overflow: the tree cannot be ranked")
         if unique:
-            row = _sq(sx[v], sy[v], sx, sy)
-            unique = np.count_nonzero(best == least) == 1 and np.count_nonzero((row == least) & np.isnan(free_x)) == 1
+            unique = not tie[v] and np.count_nonzero(best == least) == 1
         edges.append((near[v], v, least))
         c = label[v]
     a, b, w = zip(*edges)
@@ -366,10 +441,12 @@ def _box_gap(x0, x1, y0, y1, px, py):
     return gx * gx + gy * gy
 
 
-def _fold(sx, sy, free_x, new, best, near) -> None:
+def _fold(sx, sy, free_x, new, best, near, tie) -> None:
     """Lower ``best`` (for each point not joined, its least squared
     distance to the joined ones) by the distances from the points ``new``,
-    x-sorted, and keep in ``near`` a joined point at that distance.
+    x-sorted, keep in ``near`` a joined point at that distance, and in
+    ``tie`` whether more than one is.  No pruning below drops a point at
+    a distance equal to the least, so the flag is exact.
 
     A lone point takes one row over every point, the joined ones NaN.
     Otherwise only the points that the bounding box of ``new`` may bring
@@ -384,6 +461,8 @@ def _fold(sx, sy, free_x, new, best, near) -> None:
     if k == 1:
         d = _sq(sx[new[0]], sy[new[0]], free_x, sy)
         lt = d < best
+        tie |= d == best
+        tie &= ~lt
         np.copyto(best, d, where=lt)
         near[lt] = new[0]
         return
@@ -397,7 +476,10 @@ def _fold(sx, sy, free_x, new, best, near) -> None:
             d = _sq(sx[rows, None], sy[rows, None], cx, cy)
             j = d.argmin(axis=0)
             low = np.take_along_axis(d, j[None], axis=0)[0]
-            lt = low < best[col]
+            old = best[col]
+            lt = low < old
+            tie[col[lt]] = np.count_nonzero(d[:, lt] == low[lt], axis=0) > 1
+            tie[col[low == old]] = True
             best[col[lt]] = low[lt]
             near[col[lt]] = rows[j[lt]]
         return
@@ -427,15 +509,21 @@ def _fold(sx, sy, free_x, new, best, near) -> None:
         j = col[np.repeat(at[lo:hi], size[lo:hi])]
         u = new[np.repeat(starts[box[lo:hi]] - cum[lo:hi] + cum[lo], size[lo:hi]) + np.arange(cum[hi] - cum[lo])]
         d = _pair_sq(sx, sy, u, j)
+        old = best[j]
         np.minimum.at(best, j, d)
-        hit = d == best[j]
+        low = best[j]
+        hit = d == low
         near[j[hit]] = u[hit]
+        up = low < old
+        tie[j[up]] = False
+        # a hit at a distance reached before, or a second hit of a target
+        tie[j[hit & (~up | (near[j] != u))]] = True
 
 
-def _prim_walk(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> list[tuple[int, int]]:
-    """Prim's (parent, child) pairs from vertex 0 over the pairs (a, b) of
-    squared distance w, which must hold every lightest crossing pair of
-    every step.
+def _prim_walk(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prim's (parent, child) pairs from vertex 0, as two arrays in join
+    order, over the pairs (a, b) of squared distance w, which must hold
+    every lightest crossing pair of every step.
 
     A heap of keys (rank of d2, v), one per improvement of v's least
     distance to the tree: the least key is the lowest-numbered vertex at
@@ -469,7 +557,7 @@ def _prim_walk(n: int, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> list[tupl
                 break
         cur[v] = joined
         order.append(v)
-    return [(parent[v], v) for v in order]
+    return np.array([parent[v] for v in order], dtype=np.intp), np.array(order, dtype=np.intp)
 
 
 def _check_beta(beta: float) -> None:
@@ -503,26 +591,42 @@ def _steps(xs: np.ndarray, ys: np.ndarray) -> list[float]:
     return list(map(math.hypot, dx, dy))
 
 
-def _walk(xs: np.ndarray, ys: np.ndarray) -> tuple[list[int], list[int], list[tuple[int, int]]]:
-    """The tour of :func:`tsp_tour_approx` over lexicographic ranks, for
-    points with coordinates xs, ys: the input positions in rank order, the
-    walk, and the tree it was walked from.  With a point's index its rank,
-    the walk compares ints."""
-    lex = _lex_order(xs, ys)
-    edges = mst_edges(np.stack((xs[lex], ys[lex]), axis=1))
-    lex = lex.tolist()
-    children: list[list[int]] = [[] for _ in lex]
-    for i, j in edges:  # Prim grows from rank 0, so i is j's parent
-        children[i].append(j)
-    walk: list[int] = []
-    stack = [0]
+def _preorder(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The preorder walk from 0 of the tree on n vertices with edges
+    (a, b), each vertex's children in ascending order, reversed past its
+    first vertex if needed so that the second is below the last.
+
+    One sort lists every vertex's neighbours in descending order; a
+    vertex stacks them all but its parent, so its least child is popped
+    first."""
+    key = np.sort(np.concatenate((a, b)) * n + (n - 1 - np.concatenate((b, a))))
+    ptr = np.searchsorted(key, np.arange(n + 1) * n).tolist()
+    desc = (n - 1 - key % n).tolist()
+    up = [0] * n
+    walk, stack = [0], desc[ptr[0] : ptr[1]]
     while stack:
         u = stack.pop()
         walk.append(u)
-        stack += sorted(children[u], reverse=True)
-    if len(walk) >= 3 and walk[1] > walk[-1]:
-        walk = [walk[0]] + walk[:0:-1]
-    return lex, walk, edges
+        kids = desc[ptr[u] : ptr[u + 1]]
+        kids.remove(up[u])
+        for v in kids:
+            up[v] = u
+        stack += kids
+    walk = np.array(walk, dtype=np.intp)
+    if n >= 3 and walk[1] > walk[-1]:
+        walk[1:] = walk[:0:-1]
+    return walk
+
+
+def _walk(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """The walk of :func:`tsp_tour_approx` over lexicographic ranks, for
+    distinct points with coordinates sx, sy in that order.  A certified
+    tree is walked from its edges: its preorder needs no join order.
+    Otherwise Prim's walk picks the tree out of the pairs that can tie."""
+    a, b, w, certified = _tree(sx, sy)
+    if not certified:
+        a, b = _prim_walk(len(sx), a, b, w)
+    return _preorder(len(sx), a, b)
 
 
 def tsp_tour_approx(points: Sequence[Point]) -> Tour:
@@ -536,10 +640,14 @@ def tsp_tour_approx(points: Sequence[Point]) -> Tour:
     pts = list(points)
     if not pts:
         raise ValueError("empty point set")
-    lex, walk, edges = _walk(*_coords(pts))
-    ranked = [pts[i] for i in lex]
+    xs, ys = _coords(pts)
+    lex = _lex_order(xs, ys)  # raises on duplicate points
+    edges = mst_edges(np.stack((xs[lex], ys[lex]), axis=1))  # the tour keeps them in join order
+    parent, child = np.fromiter(itertools.chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2).T
+    ranked = [pts[i] for i in lex.tolist()]
     return Tour(
-        tuple(ranked[i] for i in walk), tuple((ranked[i], ranked[j]) for i, j in edges)
+        tuple(ranked[i] for i in _preorder(len(pts), parent, child).tolist()),
+        tuple((ranked[i], ranked[j]) for i, j in edges),
     )
 
 
@@ -619,7 +727,8 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
         return PowerAssignment(beta, tuple((p, a, diameter) for p, a in zip(pts, aims)))
 
     xs, ys = _coords(pts)
-    lex, walk, _ = _walk(xs, ys)  # raises on duplicate points
+    lex = _lex_order(xs, ys)  # raises on duplicate points
+    walk = _walk(xs[lex], ys[lex])
     n = len(pts)
     bounds, start, length = _cut(n)
     sizes = np.diff(bounds)
@@ -627,14 +736,14 @@ def orient_and_assign(points: Sequence[Point], beta: float) -> PowerAssignment:
     # each section's input positions by rank, so by (x, y): a section is
     # a block of the keys, and a rank is under n
     block = section * n
-    members = np.asarray(lex)[np.sort(block + walk) - block]
+    members = lex[np.sort(block + walk) - block]
     fan_of = np.empty(n, dtype=np.intp)
     fan_of[members] = 2 * section + (np.arange(n) - bounds[section] >= (sizes[section] + 1) // 2)
     # a section of at least eight points: the left half's first four,
     # then the right half's last four
     quads = members[np.stack((bounds[:-1, None] + np.arange(4), bounds[1:, None] - 4 + np.arange(4)), axis=1)]
 
-    along = [lex[r] for r in walk]  # input positions in tour order
+    along = lex[walk]  # input positions in tour order
     radius = np.empty(n)
     radius[along] = _window_radii(xs[along], ys[along], bounds, start, length)
     fans = _quadruplet_fans(xs, ys, quads.reshape(-1, 4))

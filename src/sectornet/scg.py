@@ -8,8 +8,9 @@ on entry; both are validated and normalized when they are built, so
 their columns are used as they are.  This module wraps the edges that
 :mod:`~sectornet.geometry` decides into that graph, over the antennas'
 coordinate columns.  It owns the graph core the package shares (a
-sorted, read-only edge array, its CSR rows, and one array level step
-behind every traversal in the package), and provides the analysis of
+sorted, read-only edge array; connectivity and components hooked
+straight off that array; its CSR rows and one array level step behind
+the package's breadth-first traversals), and provides the analysis of
 two antenna groups: finding a mutually-covering pair across them, and
 classifying a linearly separated pair by how many antennas of each side
 cover the other side, counted over the coverage hits geometry returns.
@@ -99,34 +100,47 @@ def _level_step(g: CommGraph, word: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
     return ufunc.reduceat(word[indices], indptr[:-1])
 
 
+def _roots(g: CommGraph, inside: np.ndarray) -> np.ndarray:
+    """Each vertex's least vertex in its component of the subgraph induced
+    on the vertices ``inside`` (a mask), read off the edge list: every
+    round hooks the larger of two roots an edge still joins under the
+    smaller (``np.minimum.at``), then jumps pointers until each vertex
+    points at its root.  Pointers only fall, so they never cycle, and an
+    edge whose ends share a root is dropped for good."""
+    i, j = g.edges.T
+    keep = inside[i] & inside[j]
+    i, j = i[keep], j[keep]
+    root = np.arange(len(g.x))
+    while True:
+        ri, rj = root[i], root[j]
+        apart = ri != rj
+        if not apart.any():
+            return root
+        i, j, ri, rj = i[apart], j[apart], ri[apart], rj[apart]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+
+
 def is_connected(g: CommGraph) -> bool:
-    return len(components(g, range(len(g.x)))) <= 1
+    return not _roots(g, np.ones(len(g.x), dtype=bool)).any()
 
 
 def components(g: CommGraph, members: Sequence[int]) -> list[list[int]]:
     """Connected components of the subgraph induced on ``members``, as
-    sorted index lists in order of their first member.
-
-    Each member's label falls, a level step at a time, to the least member
-    index it reaches; non-members stay pinned above every index.  A label
-    also takes its own label's label, so long chains settle in few steps.
-    """
-    n = len(g.x)
+    sorted index lists in order of their first member."""
     m = np.asarray(members, dtype=np.intp)
-    inside = np.zeros(n, bool)
+    inside = np.zeros(len(g.x), bool)
     inside[m] = True
     verts = np.flatnonzero(inside)
-    label = np.where(inside, np.arange(n), n)
-    while True:
-        new = np.where(inside, _level_step(g, label, np.minimum), n)
-        new[verts] = new[new[verts]]
-        if np.array_equal(new, label):
-            break
-        label = new
+    root = _roots(g, inside)
     found: dict[int, list[int]] = {}
-    for v, k in zip(verts.tolist(), label[verts].tolist()):
+    for v, k in zip(verts.tolist(), root[verts].tolist()):
         found.setdefault(k, []).append(v)
-    return [found[k] for k in dict.fromkeys(label[m].tolist())]
+    return [found[k] for k in dict.fromkeys(root[m].tolist())]
 
 
 def find_mutual_cover_pair(

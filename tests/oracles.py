@@ -16,7 +16,9 @@
   Python, the reference for inputs with exactly tied distances.
   :func:`prim_dense_reference` is Prim's loop over one squared-distance
   row per joined vertex, the reference for the sparse ``mst_edges`` at
-  sizes the plain-Python one cannot reach.
+  sizes the plain-Python one cannot reach, and :func:`walk_reference`
+  walks its tree by sorted children, the reference for the tour's walk
+  of a tree that may skip Prim's join order.
 * :func:`neighbor_lists` and :func:`bfs` walk a graph in plain Python,
   the reference for the array traversal of connectivity, components,
   full-cell labels and the hop-spanner check.
@@ -392,20 +394,35 @@ def tour_reference(points: Sequence[Point]) -> list[Point]:
     (x, y) order, children in (x, y) order, flipped so that the second
     point precedes the last."""
     pts = sorted(points, key=Point.as_tuple)
-    children: dict[int, list[int]] = {i: [] for i in range(len(pts))}
-    for u, v in prim_reference(pts):
+    return [pts[i] for i in _sorted_preorder(len(pts), prim_reference(pts))]
+
+
+def walk_reference(points: np.ndarray) -> list[int]:
+    """The walk of ``tsp_tour_approx`` over lexicographic ranks, for an
+    (n, 2) coordinate array: the preorder of :func:`prim_dense_reference`
+    over the points in (x, y) order, children in ascending rank order,
+    flipped so that the second rank is below the last."""
+    pts = np.asarray(points, dtype=float)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    return _sorted_preorder(len(pts), prim_dense_reference(pts))
+
+
+def _sorted_preorder(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    """The preorder from 0 of the tree of (parent, child) ``edges``, each
+    vertex's children in ascending order, flipped so that the second
+    vertex is below the last."""
+    children: dict[int, list[int]] = {i: [] for i in range(n)}
+    for u, v in edges:
         children[u].append(v)
     walk: list[int] = []
-
-    def visit(u: int) -> None:
+    stack = [0]
+    while stack:
+        u = stack.pop()
         walk.append(u)
-        for v in sorted(children[u]):
-            visit(v)
-
-    visit(0)
+        stack += sorted(children[u], reverse=True)
     if len(walk) >= 3 and walk[1] > walk[-1]:
         walk = [walk[0]] + walk[:0:-1]
-    return [pts[i] for i in walk]
+    return walk
 
 
 # ---------------------------------------------------------------------------

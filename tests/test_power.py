@@ -33,6 +33,7 @@ from oracles import (
     shuffle,
     tour_power_cost,
     tour_reference,
+    walk_reference,
 )
 
 
@@ -483,24 +484,116 @@ def test_mst_edges_join_far_clusters(monkeypatch):
         assert mst_edges(pts) == prim_dense_reference(pts)
 
 
+def test_joins_are_certified_by_the_rows_folded(monkeypatch):
+    # a blob among scattered points leaves about 2,000 components to the
+    # joining Prim: each lone point takes one distance row, and its join
+    # is certified by the tie flags that row left, not by a row of its own
+    rows, folds = [], []
+
+    def counting_sq(*args):
+        rows.append(1)
+        return sq(*args)
+
+    def counting_fold(*args):
+        folds.append(1)
+        return fold(*args)
+
+    sq, fold = power._sq, power._fold
+    monkeypatch.setattr(power, "_sq", counting_sq)
+    monkeypatch.setattr(power, "_fold", counting_fold)
+    rng = np.random.default_rng(3)
+    pts = np.concatenate((rng.normal(0.0, 0.01, (2000, 2)), rng.uniform(-100.0, 100.0, (2000, 2))))
+    pts = pts[rng.permutation(4000)]
+    edges = mst_edges(pts)
+    assert len(folds) > 1000
+    assert len(rows) <= len(folds) + 16
+    assert edges == prim_dense_reference(pts)
+
+
 def test_candidate_sweep_lists_every_pair_within_the_limit():
     # limits taken from the squared distances themselves put pairs, some
-    # with a zero y gap, exactly on the bound
+    # with a zero y gap, exactly on the bound; with one large component
+    # the windows open from the other points only, forward and backward
     rng = np.random.default_rng(11)
     grid = np.array([(i, j) for i in range(9) for j in range(7)], dtype=float)
     scattered = rng.uniform(0.0, 5.0, (80, 2))
-    for pts in (grid, grid * 0.1, scattered, scattered * 2.0**-537):
+    for pts in (grid, grid * 0.1, scattered, scattered * 2.0**-537, scattered * 2.0**-539, scattered + 1e12):
         sx, sy = pts[np.lexsort((pts[:, 1], pts[:, 0]))].T
         dx = sx[:, None] - sx
         dy = sy[:, None] - sy
         d2 = dx * dx + dy * dy
         p, q = np.triu_indices(len(sx), 1)
         values = np.unique(d2[p, q])
-        for limit in values[[0, 3, len(values) // 8, len(values) // 3]]:
-            a, b, w = power._pairs(sx, sy, float(limit), np.arange(len(sx)))
-            want = {(i, j) for i, j in zip(p.tolist(), q.tolist()) if d2[i, j] <= limit}
-            assert set(zip(a.tolist(), b.tolist())) == want
-            assert np.array_equal(w, d2[a, b])
+        large = np.where(rng.random(len(sx)) < 0.7, 0, np.arange(len(sx)))
+        for limit in values[np.minimum([0, 3, len(values) // 8, len(values) // 3], len(values) - 1)]:
+            for comp in (np.arange(len(sx)), large):
+                a, b, w = power._pairs(sx, sy, float(limit), comp)
+                want = {(i, j) for i, j in zip(p.tolist(), q.tolist()) if d2[i, j] <= limit and comp[i] != comp[j]}
+                assert sorted(zip(a.tolist(), b.tolist())) == sorted(want)  # each pair once
+                assert np.array_equal(w, d2[a, b])
+
+
+def _ranked(pts):
+    """The coordinate columns of an (n, 2) array in lexicographic order."""
+    return pts[np.lexsort((pts[:, 1], pts[:, 0]))].T.copy()
+
+
+def _pairs_within(sx, sy, limit, comp):
+    """Every pair p < q in different components whose squared distance is
+    at most limit, with that distance, one row at a time."""
+    want = {}
+    for p in range(len(sx)):
+        dx = sx[p + 1 :] - sx[p]
+        dy = sy[p + 1 :] - sy[p]
+        d2 = dx * dx + dy * dy
+        q = np.flatnonzero((d2 <= limit) & (comp[p + 1 :] != comp[p]))
+        want.update(zip(((p, j) for j in (q + p + 1).tolist()), d2[q].tolist()))
+    return want
+
+
+def _strip_cases():
+    rng = np.random.default_rng(3)
+    square = rng.uniform(0.0, 100.0, (3000, 2))
+    blob = np.concatenate((rng.normal(0.0, 0.01, (1000, 2)), rng.uniform(-100.0, 100.0, (1000, 2))))
+    return {
+        "lone point": np.concatenate((square, [(105.0, 50.0)])),
+        "far point": np.concatenate((square, [(1e4, 1e4)])),
+        "blob among scattered": blob,
+        "offset 1e12": square[:2000] + 1e12,
+    }
+
+
+@pytest.mark.parametrize("name", ["lone point", "far point", "blob among scattered", "offset 1e12"])
+def test_strip_sweeps_list_each_pair_once_from_few_entries(name, monkeypatch):
+    # the first sweep, and the second one from the points outside the
+    # largest component, as the tree runs them: the exact pair sets, and
+    # window entries bounded by the pairs found plus the points that open
+    # windows (an x sweep lists the whole slab of the reach, past this
+    # bound on each of these inputs)
+    entries = []
+
+    def counting_pair_sq(x, y, p, q):
+        entries.append(len(p))
+        return pair_sq(x, y, p, q)
+
+    pair_sq = power._pair_sq
+    monkeypatch.setattr(power, "_pair_sq", counting_pair_sq)
+    pts = _strip_cases()[name]
+    sx, sy = _ranked(pts)
+    n = len(sx)
+    limit = power._candidate_limit(sx, sy)
+    comp = np.arange(n)
+    for reach in (limit, 4 * limit):
+        entries.clear()
+        a, b, w = power._pairs(sx, sy, reach, comp)
+        found = dict(zip(zip(a.tolist(), b.tolist()), w.tolist()))
+        assert len(found) == len(a)
+        assert found == _pairs_within(sx, sy, reach, comp)
+        size = np.bincount(comp)
+        sources = n if size.max() < 2 else n - size.max()
+        assert sum(entries) <= 4 * len(a) + 2 * sources
+        comp = power._boruvka(comp, a, b, w)[0]
+    assert mst_edges(pts) == prim_dense_reference(pts)
 
 
 def test_mst_edges_candidates_follow_local_density(monkeypatch):
@@ -529,6 +622,38 @@ def test_mst_edges_match_the_dense_prim_when_scaled(scale):
     for family, n in [("random_square", 64), ("clustered", 300), ("collinear", 200), ("random_square", 1000)]:
         pts = _array(gen(GenSpec(family, n, seed=3)).points) * scale
         assert mst_edges(pts) == prim_dense_reference(pts)
+
+
+@pytest.mark.parametrize("family", ["random_square", "clustered", "collinear", "connected_udg"])
+def test_walk_matches_the_sorted_preorder_of_the_dense_prim(family, monkeypatch):
+    # integer steps along a line tie, so only the other families' trees
+    # are all certified and walked with no heap at scale 1; scaled by
+    # 2**-539 most distances tie, and Prim's walk picks the tree
+    heaps = []
+
+    def counting_walk(n, a, b, w):
+        heaps.append(n)
+        return walk(n, a, b, w)
+
+    walk = power._prim_walk
+    monkeypatch.setattr(power, "_prim_walk", counting_walk)
+    for scale in (1.0, 2.0**-539, 2.0**500):
+        heaps.clear()
+        for n in (2, 3, 8, 64, 512, 2000):
+            pts = _array(gen(GenSpec(family, n, seed=n)).points) * scale
+            assert power._walk(*_ranked(pts)).tolist() == walk_reference(pts)
+        if family != "collinear":
+            assert bool(heaps) == (scale == 2.0**-539)
+
+
+@pytest.mark.parametrize(
+    "name", ["square lattice", "half-step lattice", "collinear run", "diagonal run", "ladder"]
+)
+def test_walk_matches_the_sorted_preorder_on_ties(name):
+    rng = SplitMix64(102)
+    for _ in range(3):
+        pts = _array(_tied_instance(name, rng))
+        assert power._walk(*_ranked(pts)).tolist() == walk_reference(pts)
 
 
 def test_overflowing_squared_distances_raise():
@@ -573,15 +698,16 @@ def test_mst_edges_memory_is_linear():
 
 
 def test_power_pipeline_runs_prim_twice(monkeypatch):
-    # once in the assignment's tour, once in the audited tour; the audit
-    # reads the tree the tour kept
+    # the tree is built once in the assignment's tour, once in the audited
+    # tour; the audit reads the tree the tour kept
     calls = []
 
-    def counting_mst_edges(points):
-        calls.append(len(points))
-        return mst_edges(points)
+    def counting_tree(sx, sy):
+        calls.append(len(sx))
+        return tree(sx, sy)
 
-    monkeypatch.setattr(power, "mst_edges", counting_mst_edges)
+    tree = power._tree
+    monkeypatch.setattr(power, "_tree", counting_tree)
     pts = _random_distinct(SplitMix64(100), 40, lo=0.0, hi=30.0)
     pa = orient_and_assign(pts, 2)
     assert cost_chain_check(pa, tsp_tour_approx(pts)).ok

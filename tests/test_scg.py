@@ -219,6 +219,32 @@ def _traversal_graphs(rng):
             )
 
 
+def _path_graph(vertices, runs):
+    """The graph of paths through each run of vertex numbers in turn."""
+    edges = np.concatenate([np.stack((r[:-1], r[1:]), axis=1) for r in runs])
+    edges.sort(axis=1)
+    return CommGraph(vertices, edges[np.lexsort((edges[:, 1], edges[:, 0]))])
+
+
+def test_connectivity_settles_long_paths_in_any_numbering():
+    # a path whose numbers run down, zigzag or are shuffled takes many
+    # hooking rounds and pointer jumps; every root must still settle on
+    # its component's least vertex
+    rng = np.random.default_rng(17)
+    n = 301
+    vertices = tuple(Point(float(i), 0.0) for i in range(n))
+    zigzag = np.stack((np.arange(n // 2 + 1), n - 1 - np.arange(n // 2 + 1)), axis=1).ravel()[:n]
+    for order in (np.arange(n), np.arange(n)[::-1], zigzag, rng.permutation(n)):
+        whole = _path_graph(vertices, [order])
+        cut = _path_graph(vertices, [order[: n // 3], order[n // 3 :]])
+        assert is_connected(whole)
+        assert not is_connected(cut)
+        assert components(whole, range(n)) == [list(range(n))]
+        members = rng.permutation(n)[: n // 2].tolist()
+        for g in (whole, cut):
+            assert components(g, members) == _components_reference(g, members)
+
+
 def test_array_traversal_matches_the_oracle_bfs():
     rng = np.random.default_rng(13)
     seen_full = seen_no_full = seen_split = 0
